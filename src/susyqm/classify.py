@@ -91,8 +91,7 @@ def _oracle_susy(v_minus: GridFunction, sides: str,
 
 
 def _ih_verdict(found_transform, family: SuperpotentialFamily, a0: dict,
-                grid: Grid1D, budget: int, evidence: list[dict],
-                threads: int = 1) -> str:
+                grid: Grid1D, budget: int, evidence: list[dict]) -> str:
     """Factorizability = translational shape invariance.
 
     When the best transform is already a translation that settles it;
@@ -103,8 +102,7 @@ def _ih_verdict(found_transform, family: SuperpotentialFamily, a0: dict,
         return YES
     translations = [c for c in default_candidates(family.parameter_names)
                     if c.kind == "translation"]
-    result = search_transform(family, a0, grid, translations, budget,
-                              threads=threads)
+    result = search_transform(family, a0, grid, translations, budget)
     if result is None:
         evidence.append({"kind": "translation-rescan", "found": False,
                          "budget": budget})
@@ -118,8 +116,7 @@ def _ih_verdict(found_transform, family: SuperpotentialFamily, a0: dict,
 
 def classify_family(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
                     search_budget: int = 33,
-                    candidates: list[TransformCandidate] | None = None,
-                    threads: int = 1) -> VennTag:
+                    candidates: list[TransformCandidate] | None = None) -> VennTag:
     """Classify a parametric superpotential family at given parameter values."""
     evidence: list[dict] = []
     try:
@@ -134,8 +131,7 @@ def classify_family(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     if susy != YES:
         return VennTag(susy, UNKNOWN, UNKNOWN, UNKNOWN, evidence)
 
-    found = search_transform(family, a0, grid, candidates, search_budget,
-                             threads=threads)
+    found = search_transform(family, a0, grid, candidates, search_budget)
     if found is None:
         evidence.append({"kind": "transform-search", "found": False,
                          "budget": search_budget})
@@ -145,13 +141,12 @@ def classify_family(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
                      "budget": search_budget,
                      "transform": transform.to_dict(),
                      "report": report.to_dict()})
-    ih = _ih_verdict(transform, family, a0, grid, search_budget, evidence,
-                     threads)
+    ih = _ih_verdict(transform, family, a0, grid, search_budget, evidence)
     return VennTag(YES, YES, ih, CERTIFIED, evidence)
 
 
 def classify_record(name_or_record: str | SIPRecord, params: dict | None = None,
-                    search_budget: int = 33, threads: int = 1) -> VennTag:
+                    search_budget: int = 33) -> VennTag:
     """Classify a catalog record, leaning on what the record declares.
 
     Records with a superpotential get their declared transform verified by
@@ -183,22 +178,20 @@ def classify_record(name_or_record: str | SIPRecord, params: dict | None = None,
         evidence.append({"kind": "declared-transform-verified",
                          "report": report.to_dict()})
         ih = YES if isinstance(rec.transform, Translation) else _ih_verdict(
-            rec.transform, rec.family, a0, grid, search_budget, evidence, threads)
+            rec.transform, rec.family, a0, grid, search_budget, evidence)
         return VennTag(YES, YES, ih, CERTIFIED, evidence)
 
     # Declared transform failing at these parameters is unexpected; fall
     # back to an open search rather than condemning the record.
     evidence.append({"kind": "declared-transform-failed",
                      "report": report.to_dict()})
-    found = search_transform(rec.family, a0, grid, None, search_budget,
-                             threads=threads)
+    found = search_transform(rec.family, a0, grid, None, search_budget)
     if found is None:
         return VennTag(YES, NO_WITHIN_SEARCH, NO_WITHIN_SEARCH, UNKNOWN, evidence)
     transform, rep = found
     evidence.append({"kind": "transform-search", "found": True,
                      "transform": transform.to_dict(), "report": rep.to_dict()})
-    ih = _ih_verdict(transform, rec.family, a0, grid, search_budget, evidence,
-                     threads)
+    ih = _ih_verdict(transform, rec.family, a0, grid, search_budget, evidence)
     return VennTag(YES, YES, ih, CERTIFIED, evidence)
 
 

@@ -34,7 +34,14 @@ from .shape_invariance import (ParameterTransform, Projective, PowerScaling,
 from .susy import (SuperpotentialFamily, build_hierarchy, charge_matrices,
                    partner_potentials, verify_algebra)
 
+#: Validated and echoed by --dump-config, but it selects nothing: the library
+#: runs on one thread.
 THREADS_ENV = "SUSY_SPECTRA_THREADS"
+
+#: Flag caps.  A search holds _trial_count(budget) x points floats in each of
+#: its temporaries, so together they bound its memory (about 20 MB apiece).
+MAX_POINTS = 20001
+MAX_BUDGET = 129
 
 _TRANSFORM_KINDS = ("translation", "scaling", "power-scaling", "projective")
 
@@ -207,6 +214,8 @@ def _parse_params(parser: _Parser, pairs: list[str]) -> dict:
             out[name] = float(value)
         except ValueError:
             parser.error(f"--param {name}: {value!r} is not a number")
+        if not math.isfinite(out[name]):
+            parser.error(f"--param {name}: {value!r} is not a finite number")
     return out
 
 
@@ -267,6 +276,8 @@ def parse_args(argv: list[str]) -> RunConfig:
                      "(the file fixes the grid)")
     if cfg.n_points is not None and cfg.n_points < 3:
         parser.error(f"--points must be >= 3, got {cfg.n_points}")
+    if cfg.n_points is not None and cfg.n_points > MAX_POINTS:
+        parser.error(f"--points must be at most {MAX_POINTS}, got {cfg.n_points}")
     if cfg.x_min is not None and cfg.x_max is not None and cfg.x_min >= cfg.x_max:
         parser.error(f"--x-min must be below --x-max, got [{cfg.x_min}, {cfg.x_max}]")
 
@@ -280,6 +291,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     cfg.budget = getattr(ns, "budget", cfg.budget)
     if cfg.budget < 1:
         parser.error(f"--budget must be positive, got {cfg.budget}")
+    if cfg.budget > MAX_BUDGET:
+        parser.error(f"--budget must be at most {MAX_BUDGET}, got {cfg.budget}")
     cfg.fig = getattr(ns, "fig", None)
 
     if cfg.w is not None:
@@ -508,8 +521,7 @@ def _cmd_si_check(cfg: RunConfig) -> None:
     candidates = default_candidates(family.parameter_names)
     if cfg.transform_kind is not None:
         candidates = [c for c in candidates if c.kind == cfg.transform_kind]
-    found = search_transform(family, a0, grid, candidates, cfg.budget,
-                             cfg.tolerance, threads=cfg.threads)
+    found = search_transform(family, a0, grid, candidates, cfg.budget, cfg.tolerance)
     if found is None:
         doc = {"searched": True, "found": False, "params_start": a0}
     else:
@@ -541,8 +553,7 @@ def _spectrum_rows(cfg: RunConfig, grid: Grid1D) -> tuple[list[dict], bool]:
         return rows, truncated
 
     family, a0 = _family_and_params(cfg)
-    found = search_transform(family, a0, grid, None, cfg.budget,
-                             threads=cfg.threads)
+    found = search_transform(family, a0, grid, None, cfg.budget)
     if found is None:
         raise SusyQMError(
             "no shape-invariant structure found within the search budget; "
@@ -577,8 +588,7 @@ def _cmd_wavefunctions(cfg: RunConfig) -> None:
     if cfg.catalog is not None:
         transform = get_record(cfg.catalog).transform
     else:
-        found = search_transform(family, a0, grid, None, cfg.budget,
-                                 threads=cfg.threads)
+        found = search_transform(family, a0, grid, None, cfg.budget)
         if found is None:
             raise SusyQMError(
                 "no shape-invariant structure found within the search budget; "
@@ -603,14 +613,12 @@ def _cmd_wavefunctions(cfg: RunConfig) -> None:
 def _cmd_classify(cfg: RunConfig) -> None:
     grid = _resolve_grid(cfg)
     if cfg.catalog is not None:
-        tag = classify_record(cfg.catalog, cfg.params, cfg.budget,
-                              threads=cfg.threads)
+        tag = classify_record(cfg.catalog, cfg.params, cfg.budget)
     elif cfg.tabulated is not None:
         tag = classify_tabulated(_read_tabulated(cfg.tabulated))
     else:
         family, a0 = _family_and_params(cfg)
-        tag = classify_family(family, a0, grid, cfg.budget,
-                              threads=cfg.threads)
+        tag = classify_family(family, a0, grid, cfg.budget)
     if cfg.fig is not None:
         with open(cfg.fig, "w", newline="\n") as fh:
             fh.write(venn_graph_text(tag))

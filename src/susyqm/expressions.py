@@ -38,6 +38,9 @@ _TRANSFORMS = standard_transformations + (convert_xor,)
 
 _NUMPY_EXTRAS = {"sech": lambda z: 1.0 / np.cosh(z)}
 
+_NON_FINITE = (sympy.S.ComplexInfinity, sympy.S.Infinity, sympy.S.NegativeInfinity,
+               sympy.S.NaN)
+
 
 def parse_expression(text: str, extra_symbols: Iterable[str] = ()) -> sympy.Expr:
     """Parse an expression string into a validated sympy expression.
@@ -69,6 +72,8 @@ def _validate(expr: sympy.Expr, text: str):
             f"{sorted(set(ALLOWED_FUNCTIONS) - {'log'})} in {text!r}")
     if expr.atoms(sympy.I):
         raise ExpressionError(f"complex constants are not supported in {text!r}")
+    if expr.has(*_NON_FINITE):
+        raise ExpressionError(f"{text!r} contains a non-finite constant ({sympy.sstr(expr)})")
     for sym in expr.free_symbols:
         if not sym.name.isidentifier():
             raise ExpressionError(f"invalid symbol {sym.name!r} in {text!r}")
@@ -83,14 +88,46 @@ def differentiate(expr: sympy.Expr) -> sympy.Expr:
     return sympy.diff(expr, X)
 
 
+def _broadcasts_exactly(expr: sympy.Expr, parent: sympy.Expr | None = None) -> bool:
+    """Whether array-valued parameters reproduce float-parameter results bit for bit.
+
+    With float parameters, a subterm free of x is computed in Python floats
+    (``a**2`` calls C pow) or on numpy scalars, where a parameter column
+    goes through numpy's array kernels (``**2`` becomes a square, exp and
+    tanh take SIMD paths).  Those can differ in the last ulp, so any x-free
+    power or function of a parameter, and any parameter-valued exponent,
+    disqualifies the expression.  A reciprocal factor of a product prints
+    as a division, which is exact either way.
+    """
+    if expr.free_symbols - {X}:
+        if isinstance(expr, sympy.Pow):
+            base, exponent = expr.as_base_exp()
+            if exponent.free_symbols:
+                return False
+            if X not in base.free_symbols and not (
+                    exponent == -1 and isinstance(parent, sympy.Mul)):
+                return False
+        elif isinstance(expr, sympy.Function) and X not in expr.free_symbols:
+            return False
+    return all(_broadcasts_exactly(arg, expr) for arg in expr.args)
+
+
 def compile_on_grid(expr: sympy.Expr,
                     params: list[str]) -> Callable[[np.ndarray, dict], np.ndarray]:
     """Compile expr(x, params) into a numpy-vectorized callable.
 
     The returned function takes the grid array and a parameter dict and
-    returns a float array of the same shape; constant expressions are
-    broadcast.  Non-finite results raise EvaluationError (singularity or
-    overflow inside the evaluation window).
+    returns a float array of the broadcast shape of x and the parameter
+    values; constant expressions are broadcast.  With float parameters a
+    non-finite result raises EvaluationError (singularity or overflow
+    inside the evaluation window).
+
+    Parameters may also be arrays, e.g. a column of values against
+    ``x[None, :]``, which tabulates one row per parameter value in a single
+    call.  Such a stack comes back unchecked, so the caller can reject
+    non-finite rows one by one.  The function's ``broadcasts`` attribute
+    tells whether each row then equals, bit for bit, the float-parameter
+    evaluation at that row's values (see _broadcasts_exactly).
     """
     syms = [X] + [sympy.Symbol(p, real=True) for p in params]
     fn = sympy.lambdify(syms, expr, modules=[_NUMPY_EXTRAS, "numpy"])
@@ -99,19 +136,23 @@ def compile_on_grid(expr: sympy.Expr,
         missing = [p for p in params if p not in values]
         if missing:
             raise EvaluationError(f"missing parameter values for {missing}")
-        args = [float(values[p]) for p in params]
+        stacked = any(np.ndim(values[p]) for p in params)
+        args = [np.asarray(values[p], dtype=float) if np.ndim(values[p])
+                else float(values[p]) for p in params]
         with np.errstate(all="ignore"):
             out = fn(x, *args)
         out = np.asarray(out, dtype=float)
-        if out.ndim == 0:
-            out = np.full(np.shape(x), float(out))
-        if not np.all(np.isfinite(out)):
+        shape = np.broadcast_shapes(np.shape(x), *(np.shape(a) for a in args))
+        if out.shape != shape:
+            out = np.array(np.broadcast_to(out, shape))
+        if not stacked and not np.all(np.isfinite(out)):
             n_bad = int(np.count_nonzero(~np.isfinite(out)))
             raise EvaluationError(
                 f"expression {sympy.sstr(expr)!r} is non-finite at {n_bad} grid node(s); "
                 "check for singularities inside the domain")
         return out
 
+    evaluate.broadcasts = _broadcasts_exactly(expr)
     return evaluate
 
 

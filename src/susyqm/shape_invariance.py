@@ -10,13 +10,13 @@ eigensolver involved.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ChainConstructionError, EvaluationError, TransformError
+from .errors import (ChainConstructionError, EvaluationError, GridError,
+                     TransformError)
 from .grids import (FLOAT_FMT, Grid1D, GridFunction, align_sign,
                     boundary_amplitude_ratio, count_nodes, normalize)
 from .susy import (SuperpotentialFamily, apply_a_dagger, partner_potentials,
@@ -233,18 +233,29 @@ class ResidualReport:
         }
 
 
+def _default_tolerance(family: SuperpotentialFamily) -> float:
+    return ANALYTIC_TOL if family.analytic_derivative else FINITE_DIFF_TOL
+
+
+def _residual_reports(res: np.ndarray, tolerance: float) -> list[ResidualReport]:
+    """One report per row of V₊ − V₋ (full grid): trimmed-interior mean,
+    spread, and the pass rule.  The only place the statistic is computed."""
+    inner = np.atleast_2d(res)[:, EDGE_TRIM:-EDGE_TRIM]
+    means = inner.mean(axis=1).tolist()
+    stddevs = inner.std(axis=1).tolist()
+    return [ResidualReport(mean, stddev, stddev < tolerance * (1.0 + abs(mean)), tolerance)
+            for mean, stddev in zip(means, stddevs)]
+
+
 def si_residual(family: SuperpotentialFamily, a0: dict, t: ParameterTransform,
                 grid: Grid1D, tolerance: float | None = None) -> ResidualReport:
     """Test V₊(x, a₀) = V₋(x, a₁) + R(a₁) pointwise on the trimmed interior."""
     if tolerance is None:
-        tolerance = ANALYTIC_TOL if family.analytic_derivative else FINITE_DIFF_TOL
+        tolerance = _default_tolerance(family)
     a1 = t.apply(a0)
     v_plus = partner_potentials(family, a0, grid).v_plus
     v_minus = partner_potentials(family, a1, grid).v_minus
-    res = (v_plus.values - v_minus.values)[EDGE_TRIM:-EDGE_TRIM]
-    mean = float(res.mean())
-    stddev = float(res.std())
-    return ResidualReport(mean, stddev, stddev < tolerance * (1.0 + abs(mean)), tolerance)
+    return _residual_reports(v_plus.values - v_minus.values, tolerance)[0]
 
 
 # -- algebraic spectra -------------------------------------------------------------
@@ -453,20 +464,59 @@ def _minus_sector_decays(family: SuperpotentialFamily, params: dict,
     return r_minus < 1.0 and r_minus < r_plus
 
 
+def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
+                  cand: TransformCandidate, thetas: Sequence[float], grid: Grid1D,
+                  tolerance: float) -> list[tuple[float, ResidualReport | None]]:
+    """si_residual's report for each knob value of one candidate, against a
+    V₊(a₀) tabulated once; (inf, None) where si_residual would raise
+    TransformError or EvaluationError.
+
+    Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the knob, and w_rows tabulates
+    it for every trial at once.  Each a₁ comes from the scalar ``apply``, so
+    the rows see exactly si_residual's parameter values.
+    """
+    scored: list[tuple[float, ResidualReport | None]] = [(math.inf, None)] * len(thetas)
+    live, rows = [], []
+    for i, theta in enumerate(thetas):
+        try:
+            rows.append(cand.build(theta).apply(a0))
+        except TransformError:
+            continue
+        live.append(i)
+    if not rows:
+        return scored
+    try:
+        w, w_prime, finite = family.w_rows(grid, rows)
+    except EvaluationError:
+        return scored
+    live = [i for i, ok in zip(live, finite) if ok]
+    w, w_prime = w[finite], w_prime[finite]
+    # w² may overflow where w is finite; like partner_potentials, reject it.
+    with np.errstate(over="ignore"):
+        v_minus = w * w - w_prime
+        if not np.all(np.isfinite(v_minus)):
+            raise GridError("grid function contains non-finite values")
+        reports = _residual_reports(v_plus - v_minus, tolerance)
+    for i, report in zip(live, reports):
+        scored[i] = (report.residual_stddev, report)
+    return scored
+
+
 def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
                      candidates: Sequence[TransformCandidate] | None = None,
                      budget: int = 33,
-                     tolerance: float | None = None,
-                     threads: int = 1
+                     tolerance: float | None = None
                      ) -> tuple[ParameterTransform, ResidualReport] | None:
     """Scan candidate transforms for one that passes the residual test.
 
     Each candidate's knob is sampled on a nested deterministic grid, the
     best sample golden-section refined, and the winner across candidates is
     the one with the smallest residual stddev (ties to earliest candidate).
-    Candidates are independent, so ``threads`` > 1 scans them in a thread
-    pool; the tie-break keys off the candidate's position, not completion
-    order, so the result does not depend on thread count.
+    A trial scores exactly what ``si_residual`` reports for it, but V₊(a₀)
+    is tabulated once per search, the coarse samples of a candidate are
+    scored in one batch (``SuperpotentialFamily.w_rows`` broadcasts a
+    compiled w over a column of knob values), and scores are memoized per
+    knob value, so the finalists and a collapsed refine window cost nothing.
 
     Degenerate "transforms" that merely flip or kill the superpotential can
     flatten the residual without describing a bound-state ladder, so a
@@ -481,15 +531,13 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     """
     if candidates is None:
         candidates = default_candidates(family.parameter_names)
+    if tolerance is None:
+        tolerance = _default_tolerance(family)
     trials = _trial_count(budget)
-
-    def objective(cand: TransformCandidate, theta: float) -> tuple[float, ResidualReport | None]:
-        try:
-            transform = cand.build(theta)
-            report = si_residual(family, a0, transform, grid, tolerance)
-        except (TransformError, EvaluationError):
-            return math.inf, None
-        return report.residual_stddev, report
+    try:
+        v_plus = partner_potentials(family, a0, grid).v_plus.values
+    except EvaluationError:
+        return None
 
     def accept(transform: ParameterTransform, report: ResidualReport) -> bool:
         # Gates run on the refined endpoint only: applied mid-scan they
@@ -504,11 +552,20 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
             return False
 
     def scan(cand: TransformCandidate) -> tuple[float, ParameterTransform, ResidualReport] | None:
+        memo: dict[float, tuple[float, ResidualReport | None]] = {}
+
+        def objective(thetas: Sequence[float]) -> list[tuple[float, ResidualReport | None]]:
+            new = [th for th in dict.fromkeys(thetas) if th not in memo]
+            if new:
+                memo.update(zip(new, _score_trials(family, a0, v_plus, cand, new, grid,
+                                                   tolerance)))
+            return [memo[th] for th in thetas]
+
         if cand.lo == cand.hi:
             thetas = [cand.lo]
         else:
             thetas = list(np.linspace(cand.lo, cand.hi, trials))
-        scores = [objective(cand, th)[0] for th in thetas]
+        scores = [score for score, _ in objective(thetas)]
         k = int(np.argmin(scores))
         if not math.isfinite(scores[k]):
             return None
@@ -519,12 +576,11 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
         finalists = [thetas[k]]
         if cand.lo < cand.hi:
             span = (cand.hi - cand.lo) / (len(thetas) - 1)
-            finalists.append(_refine(lambda th: objective(cand, th)[0],
+            finalists.append(_refine(lambda th: objective([th])[0][0],
                                      max(cand.lo, thetas[k] - span),
                                      min(cand.hi, thetas[k] + span)))
         best_local: tuple[float, ParameterTransform, ResidualReport] | None = None
-        for theta in finalists:
-            score, report = objective(cand, theta)
+        for theta, (score, report) in zip(finalists, objective(finalists)):
             if report is None:
                 continue
             transform = cand.build(theta)
@@ -534,14 +590,9 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
                 best_local = (score, transform, report)
         return best_local
 
-    if threads > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, candidates))
-    else:
-        results = [scan(c) for c in candidates]
-
     best: tuple[float, int, ParameterTransform, ResidualReport] | None = None
-    for order, res in enumerate(results):
+    for order, cand in enumerate(candidates):
+        res = scan(cand)
         if res is None:
             continue
         score, transform, report = res

@@ -36,6 +36,16 @@ class SuperpotentialFamily:
     and tabulated finite differences stand in; residual tests then run at a
     relaxed tolerance tier (see shape_invariance).
 
+    ``w_rows`` tabulates w and w′ for a whole stack of parameter dicts, as
+    the transform search does for every trial of a candidate.  A callable
+    whose ``broadcasts`` attribute is true (compiled expressions set it when
+    it is exact, see expressions.compile_on_grid) must accept each parameter
+    as a column of values against ``x[None, :]`` and return one row per
+    value, equal bit for bit to calling it with that row's floats; it then
+    answers the whole stack in one call, and parameter-free subterms such as
+    ``x**3`` are computed once.  Any other callable, and a finite-difference
+    w′, is evaluated row by row with float parameters.
+
     ``hard_wall_left`` marks half-line families whose grid starts just off a
     singularity: states are pinned to zero there by the wall, so decay is
     only diagnostic at the right end.
@@ -96,6 +106,47 @@ class SuperpotentialFamily:
             return derivative(self.w_grid(grid, params))
         return self._eval(self.w_prime_fn, grid, params)
 
+    def w_rows(self, grid: Grid1D, rows: Sequence[dict]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """w and w′ on the grid for each parameter dict in ``rows``.
+
+        Returns two (len(rows), n_points) arrays and a mask of the rows on
+        which both are finite everywhere; values on the other rows are
+        unspecified.  Each finite row equals ``w_grid`` / ``w_prime_grid``
+        at that row's parameters bit for bit.  Missing parameters raise
+        EvaluationError.
+        """
+        missing = sorted({p for row in rows for p in self.parameter_names if p not in row})
+        if missing:
+            raise EvaluationError(f"missing parameter values for {missing}")
+        shape = (len(rows), grid.n_points)
+
+        def tabulate(fn: WFunc) -> np.ndarray:
+            if self.parameter_names and getattr(fn, "broadcasts", False):
+                stack = {p: np.array([float(row[p]) for row in rows])[:, None]
+                         for p in self.parameter_names}
+                return np.broadcast_to(np.asarray(fn(grid.x[None, :], stack), dtype=float),
+                                       shape)
+            out = np.empty(shape)
+            for i, row in enumerate(rows):
+                try:
+                    out[i] = self._eval(fn, grid, row).values
+                except EvaluationError:
+                    out[i] = np.nan
+            return out
+
+        with np.errstate(all="ignore"):
+            w = tabulate(self.w_fn)
+            ok = np.isfinite(w).all(axis=1)
+            if self.w_prime_fn is None:
+                w_prime = np.full(shape, np.nan)
+                for i in np.flatnonzero(ok):
+                    w_prime[i] = derivative(GridFunction(grid, w[i])).values
+            else:
+                w_prime = tabulate(self.w_prime_fn)
+            ok &= np.isfinite(w_prime).all(axis=1)
+        return w, w_prime, ok
+
 
 @dataclass(frozen=True)
 class PartnerPair:
@@ -112,13 +163,15 @@ def partner_pair_from_w(w: GridFunction, w_prime: GridFunction | None = None) ->
         w_prime = derivative(w)
     elif w_prime.grid != w.grid:
         raise GridMismatchError("w and w_prime live on different grids")
-    w2 = w.values * w.values
-    return PartnerPair(
-        v_minus=GridFunction(w.grid, w2 - w_prime.values),
-        v_plus=GridFunction(w.grid, w2 + w_prime.values),
-        w_used=w,
-        w_prime_used=w_prime,
-    )
+    # w² may overflow where w is finite; GridFunction rejects the result.
+    with np.errstate(over="ignore"):
+        w2 = w.values * w.values
+        return PartnerPair(
+            v_minus=GridFunction(w.grid, w2 - w_prime.values),
+            v_plus=GridFunction(w.grid, w2 + w_prime.values),
+            w_used=w,
+            w_prime_used=w_prime,
+        )
 
 
 def partner_potentials(family: SuperpotentialFamily, params: dict,

@@ -7,7 +7,7 @@ import pytest
 from jsonschema import validate
 
 from susyqm import GridFunction, make_grid
-from susyqm.cli import main
+from susyqm.cli import MAX_BUDGET, MAX_POINTS, main, parse_args
 from susyqm.schemas import (ALGEBRA_REPORT_SCHEMA, CATALOG_SCHEMA,
                             HIERARCHY_SCHEMA, PARTNER_SCHEMA,
                             RUN_CONFIG_SCHEMA, SI_CHECK_SCHEMA,
@@ -352,6 +352,9 @@ def test_param_validation(capsys):
     assert run_usage_error(capsys, "solve", "--w", "x", "--param", "a=1") == 1
     assert run_usage_error(capsys, "solve", "--catalog", "morse",
                            "--param", "B=1") == 1
+    for value in ("nan", "inf", "-inf"):
+        assert run_usage_error(capsys, "classify", "--w", "a*x",
+                               "--param", f"a={value}") == 1
 
 
 def test_tabulated_rejects_grid_overrides(capsys, well_csv):
@@ -364,6 +367,22 @@ def test_tabulated_rejects_grid_overrides(capsys, well_csv):
 def test_bad_expression_is_usage_error(capsys):
     assert run_usage_error(capsys, "solve", "--w", "sinh(x)") == 1
     assert run_usage_error(capsys, "solve", "--w", "((x)") == 1
+    assert run_usage_error(capsys, "partner", "--w", "x/0") == 1
+
+
+@pytest.mark.parametrize("flag,cap,argv", [
+    ("--budget", MAX_BUDGET, ("si-check", "--w", "x", "--search")),
+    ("--points", MAX_POINTS, ("partner", "--w", "x")),
+])
+def test_budget_and_points_are_capped(capsys, flag, cap, argv):
+    assert getattr(parse_args([*argv, flag, str(cap)]),
+                   "budget" if flag == "--budget" else "n_points") == cap
+    with pytest.raises(SystemExit) as exc:
+        parse_args([*argv, flag, str(cap + 1)])
+    assert exc.value.code == 1
+    message = [ln for ln in capsys.readouterr().err.splitlines()
+               if ": error: " in ln]
+    assert message == [f"susyqm: error: {flag} must be at most {cap}, got {cap + 1}"]
 
 
 def test_numeric_flag_ranges(capsys):
@@ -437,6 +456,16 @@ def test_dump_config(capsys):
     assert doc["grid"] == {"x_min": -3.5, "x_max": 10.0, "n_points": 2701}
     assert doc["threads"] == 1
     assert doc["input"]["catalog"] == "morse"
+
+
+def test_overflow_reports_one_stderr_line():
+    # w = exp(0.5x) is finite on [-10, 1000] but w² overflows.
+    proc = subprocess.run([sys.executable, "-m", "susyqm.cli", "partner",
+                           "--w", "exp(0.5*x)", "--x-max", "1000"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "susyqm partner: grid function contains non-finite values"]
 
 
 def test_module_entry_point():

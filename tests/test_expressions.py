@@ -41,6 +41,12 @@ def test_complex_constants_rejected():
         parse_expression("I*x")
 
 
+@pytest.mark.parametrize("text", ["x/0", "oo*x", "x - oo", "nan", "zoo", "ln(0) + x"])
+def test_non_finite_constants_rejected(text):
+    with pytest.raises(ExpressionError):
+        parse_expression(text)
+
+
 def test_differentiate_is_exact():
     expr = parse_expression("A*tanh(x)")
     d = differentiate(expr)
@@ -75,6 +81,38 @@ def test_compile_on_grid_flags_singularities():
         fn(np.linspace(-1.0, 1.0, 21), {})  # hits x = 0
     out = fn(np.linspace(0.5, 1.5, 21), {})
     assert np.all(np.isfinite(out))
+
+
+def test_compile_on_grid_stacks_parameter_columns():
+    fn = compile_on_grid(parse_expression("a*x^3 + c*x + 0.3"), ["a", "c"])
+    x = np.linspace(-2.0, 2.0, 41)
+    a = np.array([0.5, 1.1, 1.7])
+    out = fn(x[None, :], {"a": a[:, None], "c": 0.4})
+    assert fn.broadcasts
+    assert out.shape == (3, 41)
+    for row, value in zip(out, a):
+        assert np.array_equal(row, fn(x, {"a": float(value), "c": 0.4}))
+
+
+def test_compile_on_grid_leaves_stacked_rows_unchecked():
+    fn = compile_on_grid(parse_expression("ln(a + x)"), ["a"])
+    x = np.linspace(0.5, 1.0, 6)
+    out = fn(x[None, :], {"a": np.array([[1.0], [-0.7]])})
+    assert np.all(np.isfinite(out[0])) and not np.all(np.isfinite(out[1]))
+    with pytest.raises(EvaluationError):
+        fn(x, {"a": -0.7})
+
+
+@pytest.mark.parametrize("text,exact", [
+    ("A*tanh(0.9*x)", True), ("q/(2*(l+1)) - (l+1)/x", True),
+    ("ln(a + x)", True), ("a^2*x", False), ("x + 1/a", False),
+    ("exp(a)*x", False), ("x^a", False),
+])
+def test_compile_on_grid_flags_exact_broadcasting(text, exact):
+    # numpy's array kernels for x-free powers and functions of a parameter
+    # can differ in the last ulp from the float evaluation.
+    expr = parse_expression(text)
+    assert compile_on_grid(expr, parameter_names(expr)).broadcasts is exact
 
 
 def test_sech_evaluates_numerically():

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from susyqm import (ChainConstructionError, Cyclic, PowerScaling, Projective,
-                    Scaling, SuperpotentialFamily, TransformCandidate,
-                    TransformError, Translation, algebraic_spectrum, count_nodes,
-                    default_candidates, ground_state, iterate_params, make_grid,
-                    partner_potentials, search_transform, si_residual,
-                    sign_aligned_distance, solve_potential,
+from susyqm import (ChainConstructionError, Cyclic, EvaluationError,
+                    PowerScaling, Projective, Scaling, SuperpotentialFamily,
+                    TransformCandidate, TransformError, Translation,
+                    algebraic_spectrum, count_nodes, default_candidates,
+                    get_record, ground_state, iterate_params, make_grid,
+                    partner_potentials, record_grid, search_transform,
+                    si_residual, sign_aligned_distance, solve_potential,
                     spectrum_from_measured_residuals, wavefunction_chain)
-from susyqm.shape_invariance import _trial_count
+from susyqm.shape_invariance import (_MEAN_OVER_SPREAD, _minus_sector_decays,
+                                     _refine, _score_trials, _trial_count)
 
 MORSE = SuperpotentialFamily.from_expression("A - exp(-x)", domain=(-3.5, 10.0))
 MORSE_GRID = make_grid(-3.5, 10.0, 1401)
@@ -251,10 +253,100 @@ def test_search_budget_nesting():
 
 
 def test_search_thread_count_does_not_change_result():
-    lone = search_transform(PT, {"A": 3.0}, PT_GRID, threads=1)
-    pooled = search_transform(PT, {"A": 3.0}, PT_GRID, threads=4)
-    assert lone[0].to_dict() == pooled[0].to_dict()
-    assert lone[1].to_dict() == pooled[1].to_dict()
+    # The thread pool is gone; what remains is that searches share no state,
+    # so a repeat, on the same or an equal family, reports the same dicts.
+    # CLI stdout under SUSY_SPECTRA_THREADS is covered in test_cli.
+    first = search_transform(PT, {"A": 3.0}, PT_GRID)
+    again = search_transform(PT, {"A": 3.0}, PT_GRID)
+    fresh = search_transform(SuperpotentialFamily.from_expression("A*tanh(x)"),
+                             {"A": 3.0}, PT_GRID)
+    for other in (again, fresh):
+        assert first[0].to_dict() == other[0].to_dict()
+        assert first[1].to_dict() == other[1].to_dict()
+
+
+# -- batched scoring against the one-residual-per-trial reference ----------------------
+
+
+def _naive_score(family, a0, cand, theta, grid):
+    try:
+        with np.errstate(invalid="ignore"):  # ln of a negative argument
+            report = si_residual(family, a0, cand.build(theta), grid)
+    except (TransformError, EvaluationError):
+        return math.inf, None
+    return report.residual_stddev, report
+
+
+def naive_search(family, a0, grid, budget=33):
+    """search_transform as one si_residual call per knob value: no hoist,
+    no batch, no memo."""
+    best = None
+    for cand in default_candidates(family.parameter_names):
+        thetas = ([cand.lo] if cand.lo == cand.hi
+                  else list(np.linspace(cand.lo, cand.hi, _trial_count(budget))))
+        scores = [_naive_score(family, a0, cand, th, grid)[0] for th in thetas]
+        k = int(np.argmin(scores))
+        if not math.isfinite(scores[k]):
+            continue
+        finalists = [thetas[k]]
+        if cand.lo < cand.hi:
+            span = (cand.hi - cand.lo) / (len(thetas) - 1)
+            finalists.append(_refine(lambda th: _naive_score(family, a0, cand, th, grid)[0],
+                                     max(cand.lo, thetas[k] - span),
+                                     min(cand.hi, thetas[k] + span)))
+        for theta in finalists:
+            score, report = _naive_score(family, a0, cand, theta, grid)
+            transform = cand.build(theta) if report is not None else None
+            if (report is None or not report.passed
+                    or report.residual_mean <= _MEAN_OVER_SPREAD * report.residual_stddev
+                    or not _minus_sector_decays(family, transform.apply(a0), grid)):
+                continue
+            if best is None or score < best[0]:
+                best = (score, transform, report)
+    return None if best is None else best[1:]
+
+
+LN = SuperpotentialFamily.from_expression("ln(a + x)", domain=(0.5, 10.0))
+LN_FD = SuperpotentialFamily.from_callables(lambda x, p: np.log(p["a"] + x),
+                                            parameter_names=("a",), domain=(0.5, 10.0))
+
+
+@pytest.mark.parametrize("family", [LN, LN_FD], ids=["compiled", "finite-difference"])
+def test_batched_scores_equal_per_trial_residuals(family):
+    # At a = 1, translations below -1.5 put the log's argument below zero on
+    # part of [0.5, 10]: those rows must score inf, like si_residual's error.
+    grid = make_grid(0.5, 10.0, 401)
+    a0 = {"a": 1.0}
+    v_plus = partner_potentials(family, a0, grid).v_plus.values
+    tol = 1e-6 if family.analytic_derivative else 1e-4
+    infinite = 0
+    for cand in default_candidates(family.parameter_names):
+        thetas = list(np.linspace(cand.lo, cand.hi, 33))
+        batched = [score for score, _ in _score_trials(family, a0, v_plus, cand, thetas,
+                                                        grid, tol)]
+        naive = [_naive_score(family, a0, cand, th, grid)[0] for th in thetas]
+        assert batched == naive, cand
+        infinite += batched.count(math.inf)
+    assert infinite == 12  # alpha = -5 ... -1.5625 on the 33-point translation scan
+
+
+CUBIC_GRID = make_grid(-6.0, 6.0, 601)
+
+
+@pytest.mark.parametrize("family,a0,grid", [
+    (get_record(name).family, get_record(name).default_params, record_grid(get_record(name)))
+    for name in ("shifted-harmonic", "morse", "poschl-teller", "coulomb-radial")
+] + [
+    (SuperpotentialFamily.from_expression("a*x^3 + 0.3"), {"a": 1.0}, CUBIC_GRID),
+    (SuperpotentialFamily.from_expression("a*x^3 + c*x + 0.3"), {"a": 1.0, "c": 0.5},
+     CUBIC_GRID),
+], ids=["harmonic", "morse", "poschl-teller", "coulomb", "cubic", "cubic-linear"])
+def test_search_equals_naive_search(family, a0, grid):
+    def dicts(found):
+        return None if found is None else (found[0].to_dict(), found[1].to_dict())
+
+    assert dicts(search_transform(family, a0, grid, budget=9)) == \
+        dicts(naive_search(family, a0, grid, budget=9))
 
 
 def test_default_candidates_shape():
