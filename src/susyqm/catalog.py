@@ -9,6 +9,7 @@ domains are pinned per record so results are reproducible without tuning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Callable
 
 from .errors import CatalogError
@@ -24,28 +25,41 @@ from .susy import PartnerPair, SuperpotentialFamily, partner_potentials
 class SIPRecord:
     """One catalog entry.
 
-    ``r_closed_form`` is an expression in the record's parameters giving
-    R at an orbit point (the post-step parameter values).  ``validity``
-    says whether the level whose orbit parameters are given is a genuine
-    bound state.  ``family`` is None for records that declare only the
-    (transform, R) pair; they have no x-space form here.  ``min_x`` is the
-    closest the grid may start to a singular point.
+    ``expression`` is the superpotential w(x; a) as text, or None for
+    records that declare only the (transform, R) pair; they have no x-space
+    form here.  ``r_closed_form`` is an expression in the record's
+    parameters giving R at an orbit point (the post-step parameter values).
+    ``validity`` says whether the level whose orbit parameters are given is
+    a genuine bound state.  ``min_x`` is the closest the grid may start to a
+    singular point; a record that sets it is a half-line problem with a hard
+    wall on the left.
+
+    ``family`` and ``r_function`` are compiled from the text on first
+    access, so listing or dumping the catalog parses nothing.
     """
 
     name: str
-    family: SuperpotentialFamily | None
+    expression: str | None
     transform: ParameterTransform
     r_closed_form: str
-    r_function: Callable[[dict], float]
     default_params: dict
     validity: Callable[[dict], bool]
     domain: tuple[float, float, int] | None
     notes: str
     min_x: float | None = None
 
+    @cached_property
+    def family(self) -> SuperpotentialFamily | None:
+        if self.expression is None:
+            return None
+        return SuperpotentialFamily.from_expression(
+            self.expression, domain=self.domain[:2],
+            hard_wall_left=self.min_x is not None)
 
-def _r_compiled(text: str, param_names: list[str]) -> Callable[[dict], float]:
-    return compile_scalar(parse_expression(text), sorted(param_names))
+    @cached_property
+    def r_function(self) -> Callable[[dict], float]:
+        return compile_scalar(parse_expression(self.r_closed_form),
+                              sorted(self.default_params))
 
 
 def _always_valid(params: dict) -> bool:
@@ -56,14 +70,14 @@ def _positive_a(params: dict) -> bool:
     return params["A"] > 0.0
 
 
-def _build() -> dict[str, SIPRecord]:
+@cache
+def _catalog() -> dict[str, SIPRecord]:
     records = [
         SIPRecord(
             name="shifted-harmonic",
-            family=SuperpotentialFamily.from_expression("omega*x"),
+            expression="omega*x",
             transform=Translation(0.0, param="omega"),
             r_closed_form="2*omega",
-            r_function=_r_compiled("2*omega", ["omega"]),
             default_params={"omega": 1.0},
             validity=_always_valid,
             domain=(-10.0, 10.0, 2001),
@@ -72,11 +86,9 @@ def _build() -> dict[str, SIPRecord]:
         ),
         SIPRecord(
             name="morse",
-            family=SuperpotentialFamily.from_expression("A - exp(-x)",
-                                                        domain=(-3.5, 10.0)),
+            expression="A - exp(-x)",
             transform=Translation(-1.0, param="A"),
             r_closed_form="2*A + 1",
-            r_function=_r_compiled("2*A + 1", ["A"]),
             default_params={"A": 2.0},
             validity=_positive_a,
             domain=(-3.5, 10.0, 2701),
@@ -85,10 +97,9 @@ def _build() -> dict[str, SIPRecord]:
         ),
         SIPRecord(
             name="poschl-teller",
-            family=SuperpotentialFamily.from_expression("A*tanh(x)"),
+            expression="A*tanh(x)",
             transform=Translation(-1.0, param="A"),
             r_closed_form="2*A + 1",
-            r_function=_r_compiled("2*A + 1", ["A"]),
             default_params={"A": 2.0},
             validity=_positive_a,
             domain=(-10.0, 10.0, 2001),
@@ -96,12 +107,9 @@ def _build() -> dict[str, SIPRecord]:
         ),
         SIPRecord(
             name="coulomb-radial",
-            family=SuperpotentialFamily.from_expression(
-                "q/(2*(l+1)) - (l+1)/x", domain=(1e-3, 160.0),
-                hard_wall_left=True),
+            expression="q/(2*(l+1)) - (l+1)/x",
             transform=Translation(1.0, param="l"),
             r_closed_form="q^2/4 * (1/l^2 - 1/(l+1)^2)",
-            r_function=_r_compiled("q^2/4 * (1/l^2 - 1/(l+1)^2)", ["q", "l"]),
             default_params={"q": 2.0, "l": 0.0},
             validity=_always_valid,
             domain=(1e-3, 160.0, 6401),
@@ -112,10 +120,9 @@ def _build() -> dict[str, SIPRecord]:
         ),
         SIPRecord(
             name="scaling-demo",
-            family=None,
+            expression=None,
             transform=Scaling(0.5, param="a"),
             r_closed_form="a",
-            r_function=_r_compiled("a", ["a"]),
             default_params={"a": 1.0},
             validity=_always_valid,
             domain=None,
@@ -124,10 +131,9 @@ def _build() -> dict[str, SIPRecord]:
         ),
         SIPRecord(
             name="cyclic-demo",
-            family=None,
+            expression=None,
             transform=Cyclic(({"c": 2.0}, {"c": 1.0})),
             r_closed_form="c",
-            r_function=_r_compiled("c", ["c"]),
             default_params={"c": 2.0},
             validity=_always_valid,
             domain=None,
@@ -138,19 +144,16 @@ def _build() -> dict[str, SIPRecord]:
     return {rec.name: rec for rec in records}
 
 
-_CATALOG = _build()
-
-
 def list_catalog() -> list[str]:
-    return list(_CATALOG)
+    return list(_catalog())
 
 
 def get_record(name: str) -> SIPRecord:
     try:
-        return _CATALOG[name]
+        return _catalog()[name]
     except KeyError:
         raise CatalogError(
-            f"unknown catalog record {name!r}; available: {', '.join(_CATALOG)}") from None
+            f"unknown catalog record {name!r}; available: {', '.join(_catalog())}") from None
 
 
 def record_grid(record: SIPRecord) -> Grid1D:
@@ -210,10 +213,10 @@ def instantiate(name: str, params: dict | None, grid: Grid1D) -> tuple[PartnerPa
 def catalog_dump() -> list[dict]:
     """JSON-ready summary of every record (for docs and the CLI)."""
     out = []
-    for rec in _CATALOG.values():
+    for rec in _catalog().values():
         out.append({
             "name": rec.name,
-            "expression": rec.family.source if rec.family else None,
+            "expression": rec.expression,
             "transform": rec.transform.to_dict(),
             "r_closed_form": rec.r_closed_form,
             "default_params": rec.default_params,

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,7 +86,16 @@ class RunConfig:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here reserves 2 for
-    computation failures, so usage problems exit 1 instead."""
+    computation failures, so usage problems exit 1 instead.
+
+    argparse reads a leading '-' as a flag unless the word looks like a
+    negative number, and its pattern has no exponent; widening it lets
+    ``--x-min -1e1`` through as a value.  Subparsers share this class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -288,6 +298,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     if cfg.depth < 1:
         parser.error(f"--depth must be at least 1, got {cfg.depth}")
     cfg.tolerance = getattr(ns, "tolerance", None)
+    if cfg.tolerance is not None and not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+        parser.error(f"--tolerance must be a positive finite number, got {cfg.tolerance}")
     cfg.budget = getattr(ns, "budget", cfg.budget)
     if cfg.budget < 1:
         parser.error(f"--budget must be positive, got {cfg.budget}")
@@ -313,7 +325,7 @@ def parse_args(argv: list[str]) -> RunConfig:
             merged_params(rec, cfg.params)
         except SusyQMError as exc:
             parser.error(str(exc))
-        if ns.command in _NEEDS_FAMILY + ("solve", "hierarchy") and rec.family is None:
+        if ns.command in _NEEDS_FAMILY + ("solve", "hierarchy") and rec.expression is None:
             parser.error(f"record {cfg.catalog!r} declares only its transform "
                          f"and R; {ns.command} needs a superpotential")
 

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, GridError, NoBoundStateError
 from .grids import FLOAT_FMT, Grid1D, GridFunction, align_sign, normalize
@@ -76,6 +75,8 @@ def solve_lowest(ham: HamiltonianMatrix, k: int) -> list[EigenPair]:
     subtracted stays subtracted).  States come back normalized under the
     trapezoidal inner product and sign-aligned.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
     if k > ham.dim:

@@ -9,37 +9,67 @@ run at its tight tolerance tier.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cache
 from tokenize import TokenError
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
-import sympy
-from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
-                                        standard_transformations)
 
 from .errors import EvaluationError, ExpressionError
 
-X = sympy.Symbol("x", real=True)
-
-ALLOWED_FUNCTIONS = {
-    "exp": sympy.exp,
-    "ln": sympy.log,
-    "log": sympy.log,
-    "sin": sympy.sin,
-    "cos": sympy.cos,
-    "tanh": sympy.tanh,
-    "sech": sympy.sech,
-}
-
-_ALLOWED_FUNC_TYPES = tuple({sympy.exp, sympy.log, sympy.sin, sympy.cos,
-                             sympy.tanh, sympy.sech})
-
-_TRANSFORMS = standard_transformations + (convert_xor,)
+if TYPE_CHECKING:
+    import sympy
 
 _NUMPY_EXTRAS = {"sech": lambda z: 1.0 / np.cosh(z)}
 
-_NON_FINITE = (sympy.S.ComplexInfinity, sympy.S.Infinity, sympy.S.NegativeInfinity,
-               sympy.S.NaN)
+
+@dataclass(frozen=True)
+class _Grammar:
+    x: sympy.Symbol
+    functions: dict
+    function_types: tuple
+    transformations: tuple
+    non_finite: tuple
+
+
+@cache
+def _grammar() -> _Grammar:
+    """The grammar's sympy objects, built when the first expression needs them.
+
+    Importing sympy costs about half a second, which commands that parse no
+    expression (``susyqm catalog``, tabulated input) should not pay.
+    """
+    import sympy
+    from sympy.parsing.sympy_parser import convert_xor, standard_transformations
+
+    functions = {
+        "exp": sympy.exp,
+        "ln": sympy.log,
+        "log": sympy.log,
+        "sin": sympy.sin,
+        "cos": sympy.cos,
+        "tanh": sympy.tanh,
+        "sech": sympy.sech,
+    }
+    return _Grammar(
+        x=sympy.Symbol("x", real=True),
+        functions=functions,
+        function_types=tuple(set(functions.values())),
+        transformations=standard_transformations + (convert_xor,),
+        non_finite=(sympy.S.ComplexInfinity, sympy.S.Infinity,
+                    sympy.S.NegativeInfinity, sympy.S.NaN),
+    )
+
+
+def __getattr__(name: str):
+    """``X`` (the coordinate symbol) and ``ALLOWED_FUNCTIONS`` (parser name ->
+    sympy function) are built with the grammar on first access."""
+    if name == "X":
+        return _grammar().x
+    if name == "ALLOWED_FUNCTIONS":
+        return _grammar().functions
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_expression(text: str, extra_symbols: Iterable[str] = ()) -> sympy.Expr:
@@ -48,12 +78,16 @@ def parse_expression(text: str, extra_symbols: Iterable[str] = ()) -> sympy.Expr
     Unknown names become real parameter symbols.  Raises ExpressionError
     when the text does not parse or uses functions outside the grammar.
     """
-    local = {"x": X}
-    local.update(ALLOWED_FUNCTIONS)
+    import sympy
+    from sympy.parsing.sympy_parser import parse_expr
+
+    grammar = _grammar()
+    local = {"x": grammar.x}
+    local.update(grammar.functions)
     for name in extra_symbols:
         local[name] = sympy.Symbol(name, real=True)
     try:
-        expr = parse_expr(text, local_dict=local, transformations=_TRANSFORMS)
+        expr = parse_expr(text, local_dict=local, transformations=grammar.transformations)
     except (SyntaxError, TokenError, TypeError, ValueError, AttributeError,
             sympy.SympifyError) as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from exc
@@ -62,17 +96,20 @@ def parse_expression(text: str, extra_symbols: Iterable[str] = ()) -> sympy.Expr
 
 
 def _validate(expr: sympy.Expr, text: str):
+    import sympy
+
+    grammar = _grammar()
     if not isinstance(expr, sympy.Expr):
         raise ExpressionError(f"{text!r} is not a scalar expression")
     bad = sorted({type(f).__name__ for f in expr.atoms(sympy.Function)
-                  if not isinstance(f, _ALLOWED_FUNC_TYPES)})
+                  if not isinstance(f, grammar.function_types)})
     if bad:
         raise ExpressionError(
             f"functions {bad} not in the supported set "
-            f"{sorted(set(ALLOWED_FUNCTIONS) - {'log'})} in {text!r}")
+            f"{sorted(set(grammar.functions) - {'log'})} in {text!r}")
     if expr.atoms(sympy.I):
         raise ExpressionError(f"complex constants are not supported in {text!r}")
-    if expr.has(*_NON_FINITE):
+    if expr.has(*grammar.non_finite):
         raise ExpressionError(f"{text!r} contains a non-finite constant ({sympy.sstr(expr)})")
     for sym in expr.free_symbols:
         if not sym.name.isidentifier():
@@ -81,11 +118,14 @@ def _validate(expr: sympy.Expr, text: str):
 
 def parameter_names(expr: sympy.Expr) -> list[str]:
     """Free symbols other than x, sorted for deterministic signatures."""
-    return sorted(s.name for s in expr.free_symbols if s != X)
+    x = _grammar().x
+    return sorted(s.name for s in expr.free_symbols if s != x)
 
 
 def differentiate(expr: sympy.Expr) -> sympy.Expr:
-    return sympy.diff(expr, X)
+    import sympy
+
+    return sympy.diff(expr, _grammar().x)
 
 
 def _broadcasts_exactly(expr: sympy.Expr, parent: sympy.Expr | None = None) -> bool:
@@ -99,15 +139,18 @@ def _broadcasts_exactly(expr: sympy.Expr, parent: sympy.Expr | None = None) -> b
     disqualifies the expression.  A reciprocal factor of a product prints
     as a division, which is exact either way.
     """
-    if expr.free_symbols - {X}:
+    import sympy
+
+    x = _grammar().x
+    if expr.free_symbols - {x}:
         if isinstance(expr, sympy.Pow):
             base, exponent = expr.as_base_exp()
             if exponent.free_symbols:
                 return False
-            if X not in base.free_symbols and not (
+            if x not in base.free_symbols and not (
                     exponent == -1 and isinstance(parent, sympy.Mul)):
                 return False
-        elif isinstance(expr, sympy.Function) and X not in expr.free_symbols:
+        elif isinstance(expr, sympy.Function) and x not in expr.free_symbols:
             return False
     return all(_broadcasts_exactly(arg, expr) for arg in expr.args)
 
@@ -129,8 +172,10 @@ def compile_on_grid(expr: sympy.Expr,
     tells whether each row then equals, bit for bit, the float-parameter
     evaluation at that row's values (see _broadcasts_exactly).
     """
-    syms = [X] + [sympy.Symbol(p, real=True) for p in params]
-    fn = sympy.lambdify(syms, expr, modules=[_NUMPY_EXTRAS, "numpy"])
+    import sympy
+
+    syms = [_grammar().x] + [sympy.Symbol(p, real=True) for p in params]
+    fn = sympy.lambdify(syms, expr, modules=[_NUMPY_EXTRAS, np])
 
     def evaluate(x: np.ndarray, values: dict) -> np.ndarray:
         missing = [p for p in params if p not in values]
@@ -158,10 +203,12 @@ def compile_on_grid(expr: sympy.Expr,
 
 def compile_scalar(expr: sympy.Expr, params: list[str]) -> Callable[[dict], float]:
     """Compile a parameter-only expression (no x) into params -> float."""
-    if X in expr.free_symbols:
+    import sympy
+
+    if _grammar().x in expr.free_symbols:
         raise ExpressionError(f"expression {sympy.sstr(expr)!r} must not depend on x")
     syms = [sympy.Symbol(p, real=True) for p in params]
-    fn = sympy.lambdify(syms, expr, modules=[_NUMPY_EXTRAS, "numpy"])
+    fn = sympy.lambdify(syms, expr, modules=[_NUMPY_EXTRAS, np])
 
     def evaluate(values: dict) -> float:
         missing = [p for p in params if p not in values]

@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy import sparse
-from scipy.integrate import cumulative_trapezoid
 
 from .eigensolver import DECAY_RATIO, ground_state
 from .errors import (EvaluationError, GridMismatchError, NodePresentError,
@@ -23,6 +20,9 @@ from .expressions import (compile_on_grid, differentiate, parameter_names,
                           parse_expression)
 from .grids import (DEFAULT_DOMAIN, Grid1D, GridFunction, align_sign,
                     boundary_amplitude_ratio, count_nodes, derivative)
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 WFunc = Callable[[np.ndarray, dict], np.ndarray]
 
@@ -191,8 +191,9 @@ def zero_mode(family: SuperpotentialFamily, params: dict, grid: Grid1D,
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
-    w = family.w_grid(grid, params)
-    phi = cumulative_trapezoid(w.values, dx=grid.h, initial=0.0)
+    y = family.w_grid(grid, params).values
+    # scipy's cumulative_trapezoid(y, dx=h, initial=0.0), term for term
+    phi = np.concatenate(([0.0], np.cumsum(grid.h * (y[1:] + y[:-1]) / 2.0)))
     expo = -phi if sign == -1 else phi
     return GridFunction(grid, np.exp(expo - expo.max()))
 
@@ -278,6 +279,8 @@ def charge_matrices(family: SuperpotentialFamily, params: dict,
     D is the central-difference first derivative with Dirichlet ends, which
     is antisymmetric; A† is therefore literally A-transposed.
     """
+    from scipy import sparse
+
     m = grid.n_points - 2
     w = family.w_grid(grid, params).values[1:-1]
     c = 1.0 / (2.0 * grid.h)
@@ -347,6 +350,8 @@ def block_spectra(cm: ChargeMatrices) -> tuple[np.ndarray, np.ndarray]:
     solver sees them exactly; positive semi-definiteness means nothing below
     roundoff-negative.
     """
+    import scipy.linalg
+
     def banded_eigvals(s: sparse.spmatrix) -> np.ndarray:
         m = s.shape[0]
         band = np.zeros((3, m))

@@ -398,6 +398,32 @@ def test_numeric_flag_ranges(capsys):
     assert run_usage_error(capsys, "partner", "--catalog", "scaling-demo") == 1
 
 
+def test_negative_flag_value_in_scientific_notation(capsys):
+    args = ("partner", "--w", "x", "--points", "21", "--x-max", "1e1")
+    code, spaced, err = run_cli(capsys, *args, "--x-min", "-1e1")
+    assert code == 0 and err == ""
+    _, joined, _ = run_cli(capsys, *args, "--x-min=-1e1")
+    assert spaced == joined
+    assert parse_args(["partner", "--w", "x", "--x-min", "-.5E-3"]).x_min == -0.5e-3
+
+
+@pytest.mark.parametrize("argv", [
+    ("si-check", "--catalog", "morse", "--tolerance", "nan"),
+    ("si-check", "--catalog", "morse", "--tolerance", "-1"),
+    ("si-check", "--catalog", "morse", "--tolerance", "0"),
+    ("algebra-check", "--w", "x", "--tolerance", "nan"),
+    ("algebra-check", "--w", "x", "--tolerance", "inf"),
+])
+def test_tolerance_must_be_positive_and_finite(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    message = [ln for ln in capsys.readouterr().err.splitlines()
+               if ": error: " in ln]
+    assert message == ["susyqm: error: --tolerance must be a positive finite "
+                       f"number, got {float(argv[-1])}"]
+
+
 def test_thread_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("SUSY_SPECTRA_THREADS", "abc")
     assert run_usage_error(capsys, "catalog") == 1

@@ -4,7 +4,7 @@ import sympy
 
 from susyqm import (EvaluationError, ExpressionError, compile_on_grid,
                     compile_scalar, differentiate, parse_expression)
-from susyqm.expressions import X, parameter_names
+from susyqm.expressions import _NUMPY_EXTRAS, X, parameter_names
 
 
 def test_parse_polynomial_and_caret_power():
@@ -129,3 +129,39 @@ def test_compile_scalar():
 def test_compile_scalar_rejects_x_dependence():
     with pytest.raises(ExpressionError):
         compile_scalar(parse_expression("2*x"), [])
+
+
+@pytest.mark.parametrize("text,params", [
+    ("omega*x", {"omega": 1.3}),
+    ("A - exp(-x)", {"A": 2.0}),
+    ("A*tanh(x)", {"A": 2.5}),
+    ("q/(2*(l+1)) - (l+1)/x", {"q": 2.0, "l": 0.5}),
+    ("x^a", {"a": 1.7}),
+    ("exp(a)*x", {"a": 0.3}),
+    ("ln(a + x)", {"a": 1.5}),
+    ("A*sech(x)^2 + pi*x/3 - E + 1/7", {"A": 0.9}),
+])
+def test_compile_on_grid_equals_string_module_lambdify(text, params):
+    """Binding numpy by module object reproduces the "numpy" string form."""
+    x = np.linspace(0.25, 8.0, 501)
+    expr = parse_expression(text)
+    names = parameter_names(expr)
+    syms = [X] + [sympy.Symbol(p, real=True) for p in names]
+    for e in (expr, differentiate(expr)):
+        ref = sympy.lambdify(syms, e, modules=[_NUMPY_EXTRAS, "numpy"])
+        want = ref(x, *(params[p] for p in names))
+        got = compile_on_grid(e, names)(x, params)
+        assert np.array_equal(got, np.broadcast_to(want, x.shape))
+
+
+@pytest.mark.parametrize("text,params", [
+    ("2*omega", {"omega": 1.3}),
+    ("2*A + 1", {"A": 2.0}),
+    ("q^2/4 * (1/l^2 - 1/(l+1)^2)", {"q": 2.0, "l": 0.7}),
+])
+def test_compile_scalar_equals_string_module_lambdify(text, params):
+    expr = parse_expression(text)
+    names = parameter_names(expr)
+    ref = sympy.lambdify([sympy.Symbol(p, real=True) for p in names], expr,
+                         modules=[_NUMPY_EXTRAS, "numpy"])
+    assert compile_scalar(expr, names)(params) == float(ref(*(params[p] for p in names)))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from susyqm import (EvaluationError, GridFunction, GridMismatchError,
                     NodePresentError, SuperpotentialFamily, SusyPhase,
                     apply_a, block_spectra, build_hierarchy, charge_matrices,
-                    decay_trust_window, ground_state, inner_product,
-                    make_grid, partner_pair_from_w, partner_potentials,
+                    decay_trust_window, get_record, ground_state, inner_product,
+                    make_grid, merged_params, partner_pair_from_w,
+                    partner_potentials, record_grid,
                     superpotential_from_ground_state, susy_phase, verify_algebra,
                     zero_mode)
 
@@ -120,6 +122,26 @@ def test_zero_mode_peak_is_one():
     assert plus.values[0] == pytest.approx(1.0)  # blows up toward the ends
     with pytest.raises(ValueError):
         zero_mode(HARMONIC, {}, GRID, 0)
+
+
+def _zero_mode_case(name):
+    if name == "cubic":
+        return (SuperpotentialFamily.from_expression("a*x^3 + b*x"),
+                {"a": 0.7, "b": -1.3}, make_grid(-3.0, 3.0, 1001))
+    rec = get_record(name)
+    return rec.family, merged_params(rec, None), record_grid(rec)
+
+
+@pytest.mark.parametrize("name", ["shifted-harmonic", "morse", "poschl-teller",
+                                  "coulomb-radial", "cubic"])
+def test_zero_mode_equals_scipy_cumulative_trapezoid(name):
+    family, params, grid = _zero_mode_case(name)
+    phi = cumulative_trapezoid(family.w_grid(grid, params).values, dx=grid.h,
+                               initial=0.0)
+    for sign in (-1, 1):
+        expo = sign * phi
+        assert np.array_equal(zero_mode(family, params, grid, sign).values,
+                              np.exp(expo - expo.max()))
 
 
 def test_susy_phase_three_ways():
