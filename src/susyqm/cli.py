@@ -102,6 +102,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for grid bounds and transform knobs: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _add_input_flags(p: argparse.ArgumentParser, tabulated: bool = True) -> None:
     p.add_argument("--catalog", metavar="NAME", help="catalog record name")
     p.add_argument("--w", metavar="EXPR",
@@ -114,8 +125,8 @@ def _add_input_flags(p: argparse.ArgumentParser, tabulated: bool = True) -> None
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x-min", type=float, default=None)
-    p.add_argument("--x-max", type=float, default=None)
+    p.add_argument("--x-min", type=_finite_float, default=None)
+    p.add_argument("--x-max", type=_finite_float, default=None)
     p.add_argument("--points", type=int, default=None, dest="n_points")
 
 
@@ -162,9 +173,9 @@ def _build_parser() -> _Parser:
                    dest="transform_kind",
                    help="transform kind to verify (with knobs) or to restrict "
                         "the search to (without)")
-    p.add_argument("--alpha", type=float, default=None, help="translation step")
-    p.add_argument("--q", type=float, default=None, help="scaling/projective factor")
-    p.add_argument("--p", type=float, default=None,
+    p.add_argument("--alpha", type=_finite_float, default=None, help="translation step")
+    p.add_argument("--q", type=_finite_float, default=None, help="scaling/projective factor")
+    p.add_argument("--p", type=_finite_float, default=None,
                    help="power (power-scaling) or offset (projective)")
     p.add_argument("--on", default=None, dest="on_param",
                    help="parameter the transform acts on")

@@ -155,6 +155,65 @@ def _broadcasts_exactly(expr: sympy.Expr, parent: sympy.Expr | None = None) -> b
     return all(_broadcasts_exactly(arg, expr) for arg in expr.args)
 
 
+#: Grids per compiled expression whose parameter-free subterms stay tabulated.
+_TABLE_ENTRIES = 4
+
+
+def _frozen_owner(x) -> np.ndarray | None:
+    """The read-only 1D array that owns all of x's memory, or None.
+
+    Such an x (a ``Grid1D.x``, or its ``x[None, :]`` view) holds the owner's
+    values in the owner's order and cannot change, so tables computed from
+    the owner stay valid for it.  A writable x, a view of a writable or
+    borrowed buffer, and a partial or strided view all get None.
+    """
+    if type(x) is not np.ndarray or x.flags.writeable or not x.flags.c_contiguous:
+        return None
+    owner = x if x.base is None else x.base
+    if (type(owner) is not np.ndarray or not owner.flags.owndata or owner.flags.writeable
+            or owner.ndim != 1 or owner.dtype != x.dtype or owner.size != x.size):
+        return None
+    return owner
+
+
+class _SubtermTables:
+    """The parameter-free subterms of one compiled expression, per grid.
+
+    ``tabulate(x)`` returns one array per subterm.  For a frozen x (see
+    _frozen_owner) the tables of the last _TABLE_ENTRIES owners are kept,
+    read-only, each entry holding its owner so that no other array can take
+    the owner's address while the entry lives; any other x is tabulated
+    afresh on every call.  ``computed`` counts tabulations.  A race between
+    threads can only repeat a tabulation.
+    """
+
+    def __init__(self, tabulate: Callable[[np.ndarray], tuple]):
+        self._tabulate = tabulate
+        self.entries: list[tuple[np.ndarray, tuple]] = []
+        self.computed = 0
+
+    def _compute(self, x) -> tuple:
+        self.computed += 1
+        return self._tabulate(x)
+
+    def __call__(self, x) -> tuple:
+        owner = _frozen_owner(x)
+        if owner is None:
+            return self._compute(x)
+        for key, tables in tuple(self.entries):
+            if key is owner:
+                break
+        else:
+            tables = self._compute(owner)
+            for table in tables:
+                table.setflags(write=False)
+            self.entries.append((owner, tables))
+            del self.entries[:-_TABLE_ENTRIES]
+        if x.shape != owner.shape:
+            tables = tuple(table.reshape(x.shape) for table in tables)
+        return tables
+
+
 def compile_on_grid(expr: sympy.Expr,
                     params: list[str]) -> Callable[[np.ndarray, dict], np.ndarray]:
     """Compile expr(x, params) into a numpy-vectorized callable.
@@ -171,11 +230,58 @@ def compile_on_grid(expr: sympy.Expr,
     non-finite rows one by one.  The function's ``broadcasts`` attribute
     tells whether each row then equals, bit for bit, the float-parameter
     evaluation at that row's values (see _broadcasts_exactly).
+
+    Every composite subterm whose only free symbol is x (``x**3``,
+    ``exp(-x)``, ``sech(x)**2``) is tabulated once per grid and reused by
+    later calls on that grid, with float or stacked parameters alike; the
+    function's ``subterms`` attribute holds those tables (None when there
+    are none).  The code is lambdify's, printed once, with each such
+    subterm read from its table in the same place, so every result equals
+    plain lambdify's bit for bit.  Tables are kept only for a read-only x
+    that owns its memory (``Grid1D.x``) or a full view of one
+    (``Grid1D.x[None, :]``); any other x is tabulated on every call.
     """
     import sympy
+    from sympy.printing.numpy import NumPyPrinter
 
-    syms = [_grammar().x] + [sympy.Symbol(p, real=True) for p in params]
-    fn = sympy.lambdify(syms, expr, modules=[_NUMPY_EXTRAS, np])
+    x_sym = _grammar().x
+    tables_arg = "_subterms"
+    while tables_arg in params:
+        tables_arg += "_"
+    codes: dict[str, int] = {}
+
+    class SubtermPrinter(NumPyPrinter):
+        """lambdify's numpy printer, except that a composite x-only subtree
+        prints as an index into the tables argument.  Each node is still
+        printed where and how its parent prints it, so operand order and
+        divisions stay as they are; a term's leading minus moves into its
+        table, which IEEE negation keeps exact."""
+
+        _inside = False
+
+        def _print(self, e, **kwargs):
+            if (self._inside or not isinstance(e, sympy.Basic) or e.is_Atom
+                    or e.free_symbols != {x_sym}):
+                return super()._print(e, **kwargs)
+            self._inside = True
+            try:
+                code = super()._print(e, **kwargs)
+            finally:
+                self._inside = False
+            return f"{tables_arg}[{codes.setdefault(code, len(codes))}]"
+
+    syms = [x_sym] + [sympy.Symbol(p, real=True) for p in params]
+    printer = SubtermPrinter({"fully_qualified_modules": False, "inline": True,
+                              "allow_unknown_functions": True,
+                              "user_functions": {k: k for k in _NUMPY_EXTRAS}})
+    fn = sympy.lambdify(syms + [sympy.Symbol(tables_arg)], expr,
+                        modules=[_NUMPY_EXTRAS, np], printer=printer)
+    subterms = None
+    if codes:
+        source = f"def _tabulate(x):\n    return ({', '.join(codes)},)\n"
+        scope: dict = {}
+        exec(compile(source, "<subterm-tables>", "exec"), fn.__globals__, scope)
+        subterms = _SubtermTables(scope["_tabulate"])
 
     def evaluate(x: np.ndarray, values: dict) -> np.ndarray:
         missing = [p for p in params if p not in values]
@@ -185,7 +291,7 @@ def compile_on_grid(expr: sympy.Expr,
         args = [np.asarray(values[p], dtype=float) if np.ndim(values[p])
                 else float(values[p]) for p in params]
         with np.errstate(all="ignore"):
-            out = fn(x, *args)
+            out = fn(x, *args, subterms(x) if subterms else ())
         out = np.asarray(out, dtype=float)
         shape = np.broadcast_shapes(np.shape(x), *(np.shape(a) for a in args))
         if out.shape != shape:
@@ -198,6 +304,7 @@ def compile_on_grid(expr: sympy.Expr,
         return out
 
     evaluate.broadcasts = _broadcasts_exactly(expr)
+    evaluate.subterms = subterms
     return evaluate
 
 

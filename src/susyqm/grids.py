@@ -50,7 +50,10 @@ class Grid1D:
 
     @cached_property
     def x(self) -> np.ndarray:
-        xs = np.linspace(self.x_min, self.x_max, self.n_points)
+        # linspace returns a view of a writable temporary; the copy owns its
+        # memory, so freezing it freezes the nodes (compiled expressions
+        # keep per-grid tables only for such arrays).
+        xs = np.linspace(self.x_min, self.x_max, self.n_points).copy()
         xs.setflags(write=False)
         return xs
 

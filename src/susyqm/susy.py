@@ -42,9 +42,12 @@ class SuperpotentialFamily:
     it is exact, see expressions.compile_on_grid) must accept each parameter
     as a column of values against ``x[None, :]`` and return one row per
     value, equal bit for bit to calling it with that row's floats; it then
-    answers the whole stack in one call, and parameter-free subterms such as
-    ``x**3`` are computed once.  Any other callable, and a finite-difference
-    w′, is evaluated row by row with float parameters.
+    answers the whole stack in one call.  Any other callable, and a
+    finite-difference w′, is evaluated row by row with float parameters.
+    Either way a compiled expression computes its parameter-free subterms
+    such as ``x**3`` once per grid and reuses them on every later call (see
+    expressions.compile_on_grid), so scoring hundreds of trials on one grid
+    pays only for the terms that carry parameters.
 
     ``hard_wall_left`` marks half-line families whose grid starts just off a
     singularity: states are pinned to zero there by the wall, so decay is

@@ -424,6 +424,34 @@ def test_tolerance_must_be_positive_and_finite(capsys, argv):
                        f"number, got {float(argv[-1])}"]
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("partner", "--w", "x", "--x-max", "nan"), "--x-max"),
+    (("partner", "--w", "x", "--x-min", "inf"), "--x-min"),
+    (("si-check", "--w", "A*tanh(x)", "--param", "A=2", "--transform", "translation",
+      "--alpha", "nan", "--on", "A"), "--alpha"),
+    (("si-check", "--w", "A*tanh(x)", "--param", "A=2", "--transform", "scaling",
+      "--q", "inf", "--on", "A"), "--q"),
+    (("si-check", "--w", "A*tanh(x)", "--param", "A=2", "--transform", "power-scaling",
+      "--q", "0.5", "--p", "inf", "--on", "A"), "--p"),
+])
+def test_non_finite_grid_bounds_and_knobs_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    value = argv[argv.index(flag) + 1]
+    message = [ln for ln in capsys.readouterr().err.splitlines() if ": error: " in ln]
+    assert message == [f"susyqm {argv[0]}: error: argument {flag}: "
+                       f"{value!r} is not a finite number"]
+
+
+def test_non_numeric_grid_bound_keeps_its_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["partner", "--w", "x", "--x-min", "abc"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "susyqm partner: error: argument --x-min: invalid float value: 'abc'")
+
+
 def test_thread_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("SUSY_SPECTRA_THREADS", "abc")
     assert run_usage_error(capsys, "catalog") == 1

@@ -3,8 +3,9 @@ import pytest
 import sympy
 
 from susyqm import (EvaluationError, ExpressionError, compile_on_grid,
-                    compile_scalar, differentiate, parse_expression)
-from susyqm.expressions import _NUMPY_EXTRAS, X, parameter_names
+                    compile_scalar, differentiate, get_record, list_catalog,
+                    make_grid, parse_expression)
+from susyqm.expressions import _NUMPY_EXTRAS, _TABLE_ENTRIES, X, parameter_names
 
 
 def test_parse_polynomial_and_caret_power():
@@ -165,3 +166,83 @@ def test_compile_scalar_equals_string_module_lambdify(text, params):
     ref = sympy.lambdify([sympy.Symbol(p, real=True) for p in names], expr,
                          modules=[_NUMPY_EXTRAS, "numpy"])
     assert compile_scalar(expr, names)(params) == float(ref(*(params[p] for p in names)))
+
+
+def _plain_lambdify(expr, names):
+    syms = [X] + [sympy.Symbol(p, real=True) for p in names]
+    return sympy.lambdify(syms, expr, modules=[_NUMPY_EXTRAS, np])
+
+
+def _bit_identity_cases():
+    cases = []
+    for name in list_catalog():
+        rec = get_record(name)
+        if rec.expression is not None:
+            cases.append((rec.expression, dict(rec.default_params), rec.domain[:2]))
+    return cases + [
+        ("a*x^3 + c*x + 0.3", {"a": 1.1, "c": 0.4}, (-6.0, 6.0)),
+        ("q/(2*(l+1)) - (l+1)/x", {"q": 2.0, "l": 0.5}, (1e-3, 160.0)),
+        ("x^a", {"a": 1.7}, (0.25, 8.0)),
+        ("exp(a)*x", {"a": 0.3}, (-10.0, 10.0)),
+        ("ln(a + x)", {"a": 1.5}, (0.5, 10.0)),
+        ("A*sech(x)^2 + pi*x/3 - E + 1/7", {"A": 0.9}, (-10.0, 10.0)),
+    ]
+
+
+@pytest.mark.parametrize("text,params,domain", _bit_identity_cases())
+def test_compile_on_grid_equals_plain_lambdify(text, params, domain):
+    """Reading parameter-free subterms from per-grid tables changes no bit,
+    with float parameters on grid.x or stacked columns on grid.x[None, :]."""
+    grid = make_grid(domain[0], domain[1], 2001)
+    expr = parse_expression(text)
+    names = parameter_names(expr)
+    columns = {p: np.array([v, 0.9 * v, 1.3 * v])[:, None] for p, v in params.items()}
+    for e in (expr, differentiate(expr)):
+        ref = _plain_lambdify(e, names)
+        fn = compile_on_grid(e, names)
+        with np.errstate(all="ignore"):
+            want = ref(grid.x, *(params[p] for p in names))
+            want_stacked = ref(grid.x[None, :], *(columns[p] for p in names))
+        for _ in range(2):  # the second call reads the tables the first one made
+            assert np.array_equal(fn(grid.x, params), np.broadcast_to(want, grid.x.shape))
+            if names:
+                got = fn(grid.x[None, :], columns)
+                assert np.array_equal(got, np.broadcast_to(want_stacked, got.shape))
+
+
+def test_subterm_tables_never_go_stale():
+    expr = parse_expression("a*x^3 + tanh(1.1*x)")
+    fn = compile_on_grid(expr, ["a"])
+    ref = _plain_lambdify(expr, ["a"])
+    values = {"a": 0.7}
+    grid_a, grid_b = make_grid(-6.0, 6.0, 501), make_grid(-2.0, 3.0, 501)
+    for grid in (grid_a, grid_b, grid_a):
+        assert np.array_equal(fn(grid.x, values), ref(grid.x, 0.7))
+        assert np.array_equal(fn(grid.x[None, :], values), ref(grid.x[None, :], 0.7))
+    assert fn.subterms.computed == 2
+
+    writable = np.linspace(-1.0, 1.0, 101)
+    assert np.array_equal(fn(writable, values), ref(writable, 0.7))
+    writable *= 3.0
+    assert np.array_equal(fn(writable, values), ref(writable, 0.7))
+
+    frozen_view = writable.view()  # read-only, but its memory is not
+    frozen_view.setflags(write=False)
+    assert np.array_equal(fn(frozen_view, values), ref(frozen_view, 0.7))
+    writable += 1.0
+    assert np.array_equal(fn(frozen_view, values), ref(frozen_view, 0.7))
+    assert fn.subterms.computed == 6
+
+    for k in range(100):
+        grid = make_grid(-1.0 - k, 1.0 + k, 51)
+        assert np.array_equal(fn(grid.x, values), ref(grid.x, 0.7))
+    assert len(fn.subterms.entries) <= _TABLE_ENTRIES
+
+
+def test_subterm_tables_are_read_only():
+    fn = compile_on_grid(parse_expression("x^3 - 2*x"), [])
+    x = make_grid(-1.0, 1.0, 11).x
+    out = fn(x, {})
+    with pytest.raises(ValueError):
+        out[0] = 0.0
+    assert compile_on_grid(parse_expression("a*x"), ["a"]).subterms is None
