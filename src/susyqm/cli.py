@@ -44,6 +44,12 @@ THREADS_ENV = "SUSY_SPECTRA_THREADS"
 MAX_POINTS = 20001
 MAX_BUDGET = 129
 
+#: --levels and --depth caps.  Orbits, spectra and hierarchies grow with
+#: them, and wavefunctions keeps levels + 1 grid-sized states built in
+#: O(levels²) A† applications (65 states, about 10 MB, at the caps).
+MAX_LEVELS = 64
+MAX_DEPTH = 64
+
 _TRANSFORM_KINDS = ("translation", "scaling", "power-scaling", "projective")
 
 #: Commands that need a superpotential (expression or family-bearing record).
@@ -89,13 +95,16 @@ class _Parser(argparse.ArgumentParser):
     computation failures, so usage problems exit 1 instead.
 
     argparse reads a leading '-' as a flag unless the word looks like a
-    negative number, and its pattern has no exponent; widening it lets
-    ``--x-min -1e1`` through as a value.  Subparsers share this class.
+    negative number, and its pattern has neither an exponent nor the
+    non-finite spellings; widening it lets ``--x-min -1e1`` through as a
+    value, and ``--x-min -inf`` (or ``-nan``, any case) through to the
+    finite-number check.  Subparsers share this class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -305,9 +314,13 @@ def parse_args(argv: list[str]) -> RunConfig:
     cfg.n_levels = getattr(ns, "n_levels", cfg.n_levels)
     if cfg.n_levels < 0:
         parser.error(f"--levels must be nonnegative, got {cfg.n_levels}")
+    if cfg.n_levels > MAX_LEVELS:
+        parser.error(f"--levels must be at most {MAX_LEVELS}, got {cfg.n_levels}")
     cfg.depth = getattr(ns, "depth", cfg.depth)
     if cfg.depth < 1:
         parser.error(f"--depth must be at least 1, got {cfg.depth}")
+    if cfg.depth > MAX_DEPTH:
+        parser.error(f"--depth must be at most {MAX_DEPTH}, got {cfg.depth}")
     cfg.tolerance = getattr(ns, "tolerance", None)
     if cfg.tolerance is not None and not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
         parser.error(f"--tolerance must be a positive finite number, got {cfg.tolerance}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -408,6 +408,10 @@ _OPEN_INSET = 1.0 / 32.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 80
 
+#: A golden-section refine as a coroutine: yields knob values, is sent their
+#: scores, returns the minimizer (see ``_refine``).
+_Refiner = Generator[tuple[float, ...], tuple[float, ...], float]
+
 #: A found step energy must exceed the residual spread by this factor.
 #: Near an R = 0 degeneracy the refiner can park a knob within machine
 #: distance of the mirror point, where mean and stddev are both the same
@@ -465,19 +469,20 @@ def _minus_sector_decays(family: SuperpotentialFamily, params: dict,
 
 
 def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
-                  cand: TransformCandidate, thetas: Sequence[float], grid: Grid1D,
+                  trials: Sequence[tuple[TransformCandidate, float]], grid: Grid1D,
                   tolerance: float) -> list[tuple[float, ResidualReport | None]]:
-    """si_residual's report for each knob value of one candidate, against a
+    """si_residual's report for each (candidate, knob value) trial, against a
     V₊(a₀) tabulated once; (inf, None) where si_residual would raise
     TransformError or EvaluationError.
 
-    Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the knob, and w_rows tabulates
-    it for every trial at once.  Each a₁ comes from the scalar ``apply``, so
-    the rows see exactly si_residual's parameter values.
+    Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the trial, and w_rows tabulates
+    it for every trial at once, whichever candidates they come from.  Each
+    a₁ comes from the scalar ``apply``, so the rows see exactly
+    si_residual's parameter values.
     """
-    scored: list[tuple[float, ResidualReport | None]] = [(math.inf, None)] * len(thetas)
+    scored: list[tuple[float, ResidualReport | None]] = [(math.inf, None)] * len(trials)
     live, rows = [], []
-    for i, theta in enumerate(thetas):
+    for i, (cand, theta) in enumerate(trials):
         try:
             rows.append(cand.build(theta).apply(a0))
         except TransformError:
@@ -516,7 +521,11 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     is tabulated once per search, the coarse samples of a candidate are
     scored in one batch (``SuperpotentialFamily.w_rows`` broadcasts a
     compiled w over a column of knob values), and scores are memoized per
-    knob value, so the finalists and a collapsed refine window cost nothing.
+    candidate and knob value, so the finalists and a collapsed refine window
+    cost nothing.  The refines of all candidates run in lockstep: each
+    golden-section step scores every candidate's next knob value in one
+    batch, so a search makes one scoring call per step, not one per
+    candidate and step.
 
     Degenerate "transforms" that merely flip or kill the superpotential can
     flatten the residual without describing a bound-state ladder, so a
@@ -539,6 +548,19 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     except EvaluationError:
         return None
 
+    memos: list[dict[float, tuple[float, ResidualReport | None]]] = [{} for _ in candidates]
+
+    def objective(requests: Sequence[tuple[int, float]]
+                  ) -> list[tuple[float, ResidualReport | None]]:
+        # requests are (candidate index, knob value); one call scores them all
+        new = [(k, th) for k, th in dict.fromkeys(requests) if th not in memos[k]]
+        if new:
+            scored = _score_trials(family, a0, v_plus, [(candidates[k], th) for k, th in new],
+                                   grid, tolerance)
+            for (k, th), score in zip(new, scored):
+                memos[k][th] = score
+        return [memos[k][th] for k, th in requests]
+
     def accept(transform: ParameterTransform, report: ResidualReport) -> bool:
         # Gates run on the refined endpoint only: applied mid-scan they
         # turn near-optimal samples into cliffs and strand the refiner.
@@ -551,71 +573,97 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
         except (TransformError, EvaluationError):
             return False
 
-    def scan(cand: TransformCandidate) -> tuple[float, ParameterTransform, ResidualReport] | None:
-        memo: dict[float, tuple[float, ResidualReport | None]] = {}
-
-        def objective(thetas: Sequence[float]) -> list[tuple[float, ResidualReport | None]]:
-            new = [th for th in dict.fromkeys(thetas) if th not in memo]
-            if new:
-                memo.update(zip(new, _score_trials(family, a0, v_plus, cand, new, grid,
-                                                   tolerance)))
-            return [memo[th] for th in thetas]
-
+    # Phase 1: coarse scan, one batch per candidate (a batch of every
+    # candidate at once would break the memory bound behind the CLI caps).
+    # Keep the coarse winner alongside the refined theta: at small budgets
+    # the refine window can straddle a rejected degenerate basin and
+    # converge into it even when the coarse sample already sat on an
+    # acceptable minimum.
+    finalists: dict[int, list[float]] = {}
+    refiners: dict[int, _Refiner] = {}
+    for k, cand in enumerate(candidates):
         if cand.lo == cand.hi:
             thetas = [cand.lo]
         else:
             thetas = list(np.linspace(cand.lo, cand.hi, trials))
-        scores = [score for score, _ in objective(thetas)]
-        k = int(np.argmin(scores))
-        if not math.isfinite(scores[k]):
-            return None
-        # Keep the coarse winner alongside the refined theta: at small
-        # budgets the refine window can straddle a rejected degenerate
-        # basin and converge into it even when the coarse sample already
-        # sat on an acceptable minimum.
-        finalists = [thetas[k]]
+        scores = [score for score, _ in objective([(k, th) for th in thetas])]
+        i_best = int(np.argmin(scores))
+        if not math.isfinite(scores[i_best]):
+            continue
+        finalists[k] = [thetas[i_best]]
         if cand.lo < cand.hi:
             span = (cand.hi - cand.lo) / (len(thetas) - 1)
-            finalists.append(_refine(lambda th: objective([th])[0][0],
-                                     max(cand.lo, thetas[k] - span),
-                                     min(cand.hi, thetas[k] + span)))
+            refiners[k] = _refine(max(cand.lo, thetas[i_best] - span),
+                                  min(cand.hi, thetas[i_best] + span))
+
+    # Phase 2: every refine advances one step per scoring call.
+    refined = _refine_lockstep(refiners,
+                               lambda requests: [score for score, _ in objective(requests)])
+    for k, theta in refined.items():
+        finalists[k].append(theta)
+
+    # Phase 3: judge the finalists in candidate order.
+    best: tuple[float, ParameterTransform, ResidualReport] | None = None
+    for k, thetas in finalists.items():
         best_local: tuple[float, ParameterTransform, ResidualReport] | None = None
-        for theta, (score, report) in zip(finalists, objective(finalists)):
+        for theta, (score, report) in zip(thetas, objective([(k, th) for th in thetas])):
             if report is None:
                 continue
-            transform = cand.build(theta)
+            transform = candidates[k].build(theta)
             if not accept(transform, report):
                 continue
             if best_local is None or score < best_local[0]:
                 best_local = (score, transform, report)
-        return best_local
-
-    best: tuple[float, int, ParameterTransform, ResidualReport] | None = None
-    for order, cand in enumerate(candidates):
-        res = scan(cand)
-        if res is None:
-            continue
-        score, transform, report = res
-        if best is None or score < best[0]:
-            best = (score, order, transform, report)
+        if best_local is not None and (best is None or best_local[0] < best[0]):
+            best = best_local
     if best is None:
         return None
-    return best[2], best[3]
+    return best[1], best[2]
 
 
-def _refine(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Golden-section minimum of fn on [lo, hi], fixed iteration count."""
+def _refine(lo: float, hi: float) -> _Refiner:
+    """Golden-section minimum on [lo, hi], fixed iteration count.
+
+    A coroutine, so that many refines can share one scoring call per step
+    (see ``_refine_lockstep``): it yields the knob values it needs scored,
+    (c, d) first and then one per iteration, is sent their scores in the
+    same order, and returns the minimizer.
+    """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc, fd = yield (c, d)
     for _ in range(_REFINE_ITERS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+            fc, = yield (c,)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = fn(d)
+            fd, = yield (d,)
     return c if fc <= fd else d
+
+
+def _refine_lockstep(refiners: dict[int, _Refiner],
+                     score: Callable[[list[tuple[int, float]]], list[float]]
+                     ) -> dict[int, float]:
+    """Run ``_refine`` coroutines side by side; their minimizers by key.
+
+    Each step gathers every unfinished refiner's pending knob values into
+    one ``score`` call, as (refiner key, knob value) pairs, and sends each
+    refiner its own scores back.
+    """
+    results: dict[int, float] = {}
+    pending = {key: next(gen) for key, gen in refiners.items()}
+    while pending:
+        requests = [(key, theta) for key, thetas in pending.items() for theta in thetas]
+        scores = iter(score(requests))
+        step = {}
+        for key, thetas in pending.items():
+            try:
+                step[key] = refiners[key].send(tuple(next(scores) for _ in thetas))
+            except StopIteration as stop:
+                results[key] = stop.value
+        pending = step
+    return results

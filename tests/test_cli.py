@@ -7,7 +7,8 @@ import pytest
 from jsonschema import validate
 
 from susyqm import GridFunction, make_grid
-from susyqm.cli import MAX_BUDGET, MAX_POINTS, main, parse_args
+from susyqm.cli import (MAX_BUDGET, MAX_DEPTH, MAX_LEVELS, MAX_POINTS, main,
+                        parse_args)
 from susyqm.schemas import (ALGEBRA_REPORT_SCHEMA, CATALOG_SCHEMA,
                             HIERARCHY_SCHEMA, PARTNER_SCHEMA,
                             RUN_CONFIG_SCHEMA, SI_CHECK_SCHEMA,
@@ -385,6 +386,24 @@ def test_budget_and_points_are_capped(capsys, flag, cap, argv):
     assert message == [f"susyqm: error: {flag} must be at most {cap}, got {cap + 1}"]
 
 
+@pytest.mark.parametrize("flag,cap,argv", [
+    ("--levels", MAX_LEVELS, ("solve", "--w", "x")),
+    ("--levels", MAX_LEVELS, ("spectrum", "--w", "x")),
+    ("--levels", MAX_LEVELS, ("wavefunctions", "--w", "x")),
+    ("--depth", MAX_DEPTH, ("hierarchy", "--w", "x", "--output", "d")),
+])
+def test_levels_and_depth_are_capped(capsys, flag, cap, argv):
+    # parse only: a run at the cap is not needed to show the cap holds
+    assert getattr(parse_args([*argv, flag, str(cap)]),
+                   "n_levels" if flag == "--levels" else "depth") == cap
+    with pytest.raises(SystemExit) as exc:
+        parse_args([*argv, flag, str(cap + 1)])
+    assert exc.value.code == 1
+    message = [ln for ln in capsys.readouterr().err.splitlines()
+               if ": error: " in ln]
+    assert message == [f"susyqm: error: {flag} must be at most {cap}, got {cap + 1}"]
+
+
 def test_numeric_flag_ranges(capsys):
     assert run_usage_error(capsys, "solve", "--w", "x", "--levels", "-1") == 1
     assert run_usage_error(capsys, "solve", "--w", "x", "--points", "2") == 1
@@ -433,6 +452,16 @@ def test_tolerance_must_be_positive_and_finite(capsys, argv):
       "--q", "inf", "--on", "A"), "--q"),
     (("si-check", "--w", "A*tanh(x)", "--param", "A=2", "--transform", "power-scaling",
       "--q", "0.5", "--p", "inf", "--on", "A"), "--p"),
+    # a leading '-' on a non-finite value must still read as a value
+    (("partner", "--w", "x", "--x-min", "-inf", "--x-max", "5"), "--x-min"),
+    (("partner", "--w", "x", "--x-min", "-nan"), "--x-min"),
+    (("partner", "--w", "x", "--x-max", "-Infinity"), "--x-max"),
+    (("si-check", "--w", "A*tanh(x)", "--param", "A=2", "--transform", "translation",
+      "--alpha", "-INF", "--on", "A"), "--alpha"),
+    (("si-check", "--w", "A*tanh(x)", "--param", "A=2", "--transform", "scaling",
+      "--q", "-NaN", "--on", "A"), "--q"),
+    (("si-check", "--w", "A*tanh(x)", "--param", "A=2", "--transform", "power-scaling",
+      "--q", "0.5", "--p", "-inf", "--on", "A"), "--p"),
 ])
 def test_non_finite_grid_bounds_and_knobs_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import susyqm.shape_invariance as si_module
 from susyqm import (ChainConstructionError, Cyclic, EvaluationError,
                     PowerScaling, Projective, Scaling, SuperpotentialFamily,
                     TransformCandidate, TransformError, Translation,
-                    algebraic_spectrum, count_nodes, default_candidates,
-                    get_record, ground_state, iterate_params, make_grid,
+                    algebraic_spectrum, classify_family, count_nodes,
+                    default_candidates, get_record, ground_state, iterate_params, make_grid,
                     partner_potentials, record_grid, search_transform,
                     si_residual, sign_aligned_distance, solve_potential,
                     spectrum_from_measured_residuals, wavefunction_chain)
-from susyqm.shape_invariance import (_MEAN_OVER_SPREAD, _minus_sector_decays,
-                                     _refine, _score_trials, _trial_count)
+from susyqm.shape_invariance import (_GOLDEN, _MEAN_OVER_SPREAD, _REFINE_ITERS,
+                                     _minus_sector_decays, _refine, _refine_lockstep,
+                                     _score_trials, _trial_count)
 
 MORSE = SuperpotentialFamily.from_expression("A - exp(-x)", domain=(-3.5, 10.0))
 MORSE_GRID = make_grid(-3.5, 10.0, 1401)
@@ -277,9 +281,29 @@ def _naive_score(family, a0, cand, theta, grid):
     return report.residual_stddev, report
 
 
+def scalar_golden(fn, lo, hi):
+    """Golden-section minimum of fn on [lo, hi], one fn call per knob value:
+    the plain loop that ``_refine`` runs as a coroutine, kept here as a
+    reference that does not depend on the lockstep driver."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(_REFINE_ITERS):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return c if fc <= fd else d
+
+
 def naive_search(family, a0, grid, budget=33):
     """search_transform as one si_residual call per knob value: no hoist,
-    no batch, no memo."""
+    no batch, no memo, no lockstep."""
     best = None
     for cand in default_candidates(family.parameter_names):
         thetas = ([cand.lo] if cand.lo == cand.hi
@@ -291,9 +315,9 @@ def naive_search(family, a0, grid, budget=33):
         finalists = [thetas[k]]
         if cand.lo < cand.hi:
             span = (cand.hi - cand.lo) / (len(thetas) - 1)
-            finalists.append(_refine(lambda th: _naive_score(family, a0, cand, th, grid)[0],
-                                     max(cand.lo, thetas[k] - span),
-                                     min(cand.hi, thetas[k] + span)))
+            finalists.append(scalar_golden(lambda th: _naive_score(family, a0, cand, th, grid)[0],
+                                           max(cand.lo, thetas[k] - span),
+                                           min(cand.hi, thetas[k] + span)))
         for theta in finalists:
             score, report = _naive_score(family, a0, cand, theta, grid)
             transform = cand.build(theta) if report is not None else None
@@ -319,15 +343,95 @@ def test_batched_scores_equal_per_trial_residuals(family):
     a0 = {"a": 1.0}
     v_plus = partner_potentials(family, a0, grid).v_plus.values
     tol = 1e-6 if family.analytic_derivative else 1e-4
-    infinite = 0
-    for cand in default_candidates(family.parameter_names):
-        thetas = list(np.linspace(cand.lo, cand.hi, 33))
-        batched = [score for score, _ in _score_trials(family, a0, v_plus, cand, thetas,
-                                                        grid, tol)]
-        naive = [_naive_score(family, a0, cand, th, grid)[0] for th in thetas]
-        assert batched == naive, cand
-        infinite += batched.count(math.inf)
-    assert infinite == 12  # alpha = -5 ... -1.5625 on the 33-point translation scan
+    candidates = default_candidates(family.parameter_names)
+    trials = [(cand, th) for cand in candidates for th in np.linspace(cand.lo, cand.hi, 33)]
+    naive = [_naive_score(family, a0, cand, th, grid)[0] for cand, th in trials]
+    for k, cand in enumerate(candidates):
+        batched = [score for score, _ in _score_trials(family, a0, v_plus,
+                                                        trials[33 * k:33 * (k + 1)], grid, tol)]
+        assert batched == naive[33 * k:33 * (k + 1)], cand
+    # every candidate's coarse scan in one call: rows from different
+    # transforms share one tabulation and one statistic
+    mixed = _score_trials(family, a0, v_plus, trials, grid, tol)
+    assert mixed == [_naive_score(family, a0, cand, th, grid) for cand, th in trials]
+    assert naive.count(math.inf) == 12  # alpha = -5 ... -1.5625 on the translation scan
+
+
+# -- lockstep refinement ---------------------------------------------------------------
+
+
+@st.composite
+def golden_objectives(draw):
+    """(lo, hi, fn): a random interval and an objective on it."""
+    kind = draw(st.sampled_from(("quadratic", "abs-tie", "step", "inf-part")))
+    width = draw(st.floats(1e-6, 50.0))
+    if kind == "abs-tie":
+        # symmetric about 0, so the first pair (c, d) = (r - X, -(r - X))
+        # ties exactly and fc <= fd must pick the same side in both runs
+        return -width, width, abs
+    lo = draw(st.floats(-50.0, 50.0))
+    hi = lo + width
+    m = draw(st.floats(lo - width, hi + width))
+    if kind == "quadratic":
+        s = draw(st.floats(1e-3, 1e3))
+        return lo, hi, lambda th: s * (th - m) ** 2
+    if kind == "step":
+        n = draw(st.integers(1, 8)) / width
+        return lo, hi, lambda th: abs(math.floor(th * n) - math.floor(m * n))
+    cut = draw(st.floats(lo, hi))
+    return lo, hi, lambda th: (th - m) ** 2 if th < cut else math.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(golden_objectives(), min_size=1, max_size=6))
+def test_lockstep_refine_matches_scalar_golden_section(objectives):
+    expected, expected_queries = {}, {}
+    for k, (lo, hi, fn) in enumerate(objectives):
+        seen = expected_queries[k] = []
+        expected[k] = scalar_golden(lambda th, fn=fn, seen=seen: seen.append(th) or fn(th),
+                                    lo, hi)
+
+    queries = {k: [] for k in range(len(objectives))}
+    calls = []
+
+    def score(requests):
+        calls.append(requests)
+        for k, th in requests:
+            queries[k].append(th)
+        return [objectives[k][2](th) for k, th in requests]
+
+    refined = _refine_lockstep({k: _refine(lo, hi) for k, (lo, hi, _) in enumerate(objectives)},
+                               score)
+    assert refined == expected
+    assert queries == expected_queries
+    # one call for every refiner's opening pair, then one per iteration
+    assert len(calls) == _REFINE_ITERS + 1
+    assert all(len(c) == len(objectives) for c in calls[1:])
+
+
+def test_abs_objective_ties_on_the_first_pair():
+    pairs = []
+    scalar_golden(lambda th: pairs.append(abs(th)) or abs(th), -3.0, 3.0)
+    assert pairs[0] == pairs[1]
+
+
+def test_cubic_classify_batches_every_refine_step(monkeypatch):
+    """One classify of a non-shape-invariant cubic: one scoring call per
+    candidate's coarse scan (6) and one per refine step shared by all
+    candidates (81), never one per candidate and step; 623 rows in all."""
+    real = si_module._score_trials
+    calls = []
+
+    def counted(family, a0, v_plus, trials, grid, tolerance):
+        calls.append(len(trials))
+        return real(family, a0, v_plus, trials, grid, tolerance)
+
+    monkeypatch.setattr(si_module, "_score_trials", counted)
+    family = SuperpotentialFamily.from_expression("a*x^3 + 0.3", domain=(-6.0, 6.0))
+    tag = classify_family(family, {"a": 1.0}, make_grid(-6.0, 6.0, 2001))
+    assert tag.shape_invariant == "no-within-search"
+    assert sum(calls) == 623
+    assert len(calls) <= 87
 
 
 CUBIC_GRID = make_grid(-6.0, 6.0, 601)
