@@ -14,7 +14,7 @@ from .catalog import SIPRecord, get_record, merged_params, record_grid
 from .eigensolver import DECAY_RATIO, ground_state
 from .errors import EvaluationError, NoBoundStateError
 from .grids import Grid1D, GridFunction, boundary_amplitude_ratio
-from .shape_invariance import (ResidualReport, TransformCandidate, Translation,
+from .shape_invariance import (ParameterTransform, Translation,
                                default_candidates, search_transform,
                                si_residual)
 from .susy import (partner_potentials, superpotential_from_ground_state,
@@ -90,8 +90,8 @@ def _oracle_susy(v_minus: GridFunction, sides: str,
     return YES
 
 
-def _ih_verdict(found_transform, family: SuperpotentialFamily, a0: dict,
-                grid: Grid1D, budget: int, evidence: list[dict]) -> str:
+def _ih_verdict(found_transform: ParameterTransform, family: SuperpotentialFamily,
+                a0: dict, grid: Grid1D, budget: int, evidence: list[dict]) -> str:
     """Factorizability = translational shape invariance.
 
     When the best transform is already a translation that settles it;
@@ -101,7 +101,7 @@ def _ih_verdict(found_transform, family: SuperpotentialFamily, a0: dict,
     if isinstance(found_transform, Translation):
         return YES
     translations = [c for c in default_candidates(family.parameter_names)
-                    if c.kind == "translation"]
+                    if c.kind == Translation.kind]
     result = search_transform(family, a0, grid, translations, budget)
     if result is None:
         evidence.append({"kind": "translation-rescan", "found": False,
@@ -114,11 +114,13 @@ def _ih_verdict(found_transform, family: SuperpotentialFamily, a0: dict,
     return YES
 
 
-def classify_family(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
-                    search_budget: int = 33,
-                    candidates: list[TransformCandidate] | None = None) -> VennTag:
-    """Classify a parametric superpotential family at given parameter values."""
-    evidence: list[dict] = []
+def _classify(family: SuperpotentialFamily, a0: dict, grid: Grid1D, budget: int,
+              evidence: list[dict], declared: ParameterTransform | None = None) -> VennTag:
+    """SUSY by the oracle, then shape invariance, then factorizability.
+
+    Shape invariance rests on the declared transform when it passes the
+    residual test at a0, and on a transform search otherwise.
+    """
     try:
         pair = partner_potentials(family, a0, grid)
     except EvaluationError as exc:
@@ -131,68 +133,58 @@ def classify_family(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     if susy != YES:
         return VennTag(susy, UNKNOWN, UNKNOWN, UNKNOWN, evidence)
 
-    found = search_transform(family, a0, grid, candidates, search_budget)
-    if found is None:
-        evidence.append({"kind": "transform-search", "found": False,
-                         "budget": search_budget})
-        return VennTag(YES, NO_WITHIN_SEARCH, NO_WITHIN_SEARCH, UNKNOWN, evidence)
-    transform, report = found
-    evidence.append({"kind": "transform-search", "found": True,
-                     "budget": search_budget,
-                     "transform": transform.to_dict(),
-                     "report": report.to_dict()})
-    ih = _ih_verdict(transform, family, a0, grid, search_budget, evidence)
+    report = None if declared is None else si_residual(family, a0, declared, grid)
+    if report is not None and report.passed:
+        evidence.append({"kind": "declared-transform-verified",
+                         "report": report.to_dict()})
+        transform = declared
+    else:
+        if report is not None:
+            # A declared transform failing at these parameters is
+            # unexpected; search rather than condemn the record.
+            evidence.append({"kind": "declared-transform-failed",
+                             "report": report.to_dict()})
+        found = search_transform(family, a0, grid, None, budget)
+        if found is None:
+            evidence.append({"kind": "transform-search", "found": False,
+                             "budget": budget})
+            return VennTag(YES, NO_WITHIN_SEARCH, NO_WITHIN_SEARCH, UNKNOWN, evidence)
+        transform, report = found
+        evidence.append({"kind": "transform-search", "found": True,
+                         "budget": budget,
+                         "transform": transform.to_dict(),
+                         "report": report.to_dict()})
+    ih = _ih_verdict(transform, family, a0, grid, budget, evidence)
     return VennTag(YES, YES, ih, CERTIFIED, evidence)
+
+
+def classify_family(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
+                    search_budget: int = 33) -> VennTag:
+    """Classify a parametric superpotential family at given parameter values."""
+    return _classify(family, a0, grid, search_budget, [])
 
 
 def classify_record(name_or_record: str | SIPRecord, params: dict | None = None,
                     search_budget: int = 33) -> VennTag:
     """Classify a catalog record, leaning on what the record declares.
 
-    Records with a superpotential get their declared transform verified by
-    the residual test; records that declare only (transform, R) are shape
-    invariant by construction, and their factorizability verdict can rest
-    only on the declared transform's kind.
+    Records with a superpotential are classified like any family, except
+    that their declared transform is tried before a search; records that
+    declare only (transform, R) are shape invariant by construction, and
+    their factorizability verdict can rest only on the declared transform's
+    kind.
     """
     rec = name_or_record if isinstance(name_or_record, SIPRecord) else get_record(name_or_record)
     a0 = merged_params(rec, params)
     evidence: list[dict] = [{"kind": "catalog-record", "name": rec.name,
                              "transform": rec.transform.to_dict()}]
-
     if rec.family is None:
         ih = YES if isinstance(rec.transform, Translation) else NO_WITHIN_SEARCH
         evidence.append({"kind": "declared-shape-invariance",
                          "r_closed_form": rec.r_closed_form})
         return VennTag(YES, YES, ih, CERTIFIED, evidence)
-
-    grid = record_grid(rec)
-    pair = partner_potentials(rec.family, a0, grid)
-    susy = _oracle_susy(pair.v_minus, rec.family.decay_sides, evidence)
-    evidence.append({"kind": "susy-phase",
-                     "phase": susy_phase(rec.family, a0, grid).value})
-    if susy != YES:
-        return VennTag(susy, UNKNOWN, UNKNOWN, UNKNOWN, evidence)
-
-    report = si_residual(rec.family, a0, rec.transform, grid)
-    if report.passed:
-        evidence.append({"kind": "declared-transform-verified",
-                         "report": report.to_dict()})
-        ih = YES if isinstance(rec.transform, Translation) else _ih_verdict(
-            rec.transform, rec.family, a0, grid, search_budget, evidence)
-        return VennTag(YES, YES, ih, CERTIFIED, evidence)
-
-    # Declared transform failing at these parameters is unexpected; fall
-    # back to an open search rather than condemning the record.
-    evidence.append({"kind": "declared-transform-failed",
-                     "report": report.to_dict()})
-    found = search_transform(rec.family, a0, grid, None, search_budget)
-    if found is None:
-        return VennTag(YES, NO_WITHIN_SEARCH, NO_WITHIN_SEARCH, UNKNOWN, evidence)
-    transform, rep = found
-    evidence.append({"kind": "transform-search", "found": True,
-                     "transform": transform.to_dict(), "report": rep.to_dict()})
-    ih = _ih_verdict(transform, rec.family, a0, grid, search_budget, evidence)
-    return VennTag(YES, YES, ih, CERTIFIED, evidence)
+    return _classify(rec.family, a0, record_grid(rec), search_budget, evidence,
+                     declared=rec.transform)
 
 
 def classify_tabulated(v: GridFunction, sides: str = "both",

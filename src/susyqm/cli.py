@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -27,17 +26,12 @@ from .eigensolver import solution_to_dict, solve_potential, spectrum_csv
 from .errors import ExpressionError, SusyQMError
 from .grids import (DEFAULT_N_POINTS, FLOAT_FMT, Grid1D, GridFunction,
                     count_nodes, make_grid)
-from .shape_invariance import (ParameterTransform, Projective, PowerScaling,
-                               Scaling, Translation, default_candidates,
-                               search_transform, si_residual,
-                               spectrum_from_measured_residuals,
+from .shape_invariance import (TRANSFORM_KINDS, ParameterTransform,
+                               default_candidates, search_transform,
+                               si_residual, spectrum_from_measured_residuals,
                                wavefunction_chain)
 from .susy import (SuperpotentialFamily, build_hierarchy, charge_matrices,
                    partner_potentials, verify_algebra)
-
-#: Validated and echoed by --dump-config, but it selects nothing: the library
-#: runs on one thread.
-THREADS_ENV = "SUSY_SPECTRA_THREADS"
 
 #: Flag caps.  A search holds _trial_count(budget) x points floats in each of
 #: its temporaries, so together they bound its memory (about 20 MB apiece).
@@ -50,7 +44,9 @@ MAX_BUDGET = 129
 MAX_LEVELS = 64
 MAX_DEPTH = 64
 
-_TRANSFORM_KINDS = ("translation", "scaling", "power-scaling", "projective")
+#: si-check's knob flags, one per transform knob name (--alpha, --q, --p).
+_KNOBS = tuple(dict.fromkeys(name for cls in TRANSFORM_KINDS.values()
+                             for name, _ in cls.knobs))
 
 #: Commands that need a superpotential (expression or family-bearing record).
 _NEEDS_FAMILY = ("partner", "si-check", "wavefunctions", "algebra-check")
@@ -72,14 +68,11 @@ class RunConfig:
     depth: int = 3
     tolerance: float | None = None
     budget: int = 33
-    threads: int = 1
     fmt: str = "csv"
     output: str | None = None
     fig: str | None = None
     transform_kind: str | None = None
-    alpha: float | None = None
-    q: float | None = None
-    p: float | None = None
+    knobs: dict = field(default_factory=dict)
     on_param: str | None = None
     force_search: bool = False
     dump_config: bool = False
@@ -178,14 +171,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("si-check", help="test or search for shape invariance")
     _add_input_flags(p, tabulated=False)
     _add_grid_flags(p)
-    p.add_argument("--transform", choices=_TRANSFORM_KINDS, default=None,
+    p.add_argument("--transform", choices=tuple(TRANSFORM_KINDS), default=None,
                    dest="transform_kind",
-                   help="transform kind to verify (with knobs) or to restrict "
-                        "the search to (without)")
-    p.add_argument("--alpha", type=_finite_float, default=None, help="translation step")
-    p.add_argument("--q", type=_finite_float, default=None, help="scaling/projective factor")
-    p.add_argument("--p", type=_finite_float, default=None,
-                   help="power (power-scaling) or offset (projective)")
+                   help="transform kind to verify (with all its knobs) or to "
+                        "restrict the search to (with none)")
+    for knob in _KNOBS:
+        kinds = [kind for kind, cls in TRANSFORM_KINDS.items() if knob in dict(cls.knobs)]
+        p.add_argument(f"--{knob}", type=_finite_float, default=None,
+                       help=f"knob of {'/'.join(kinds)}")
     p.add_argument("--on", default=None, dest="on_param",
                    help="parameter the transform acts on")
     p.add_argument("--search", action="store_true", dest="force_search",
@@ -249,17 +242,28 @@ def _parse_params(parser: _Parser, pairs: list[str]) -> dict:
     return out
 
 
-def _parse_threads(parser: _Parser) -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        parser.error(f"{THREADS_ENV}={raw!r} is not an integer")
-    if n < 1:
-        parser.error(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
+def _parse_knobs(parser: _Parser, ns: argparse.Namespace) -> dict:
+    """si-check's knob values, typed as the --transform kind's class types
+    them: all of the kind's knobs (verify) or none (search)."""
+    kind = ns.transform_kind
+    given = {name: getattr(ns, name) for name in _KNOBS if getattr(ns, name) is not None}
+    if given and kind is None:
+        parser.error(f"--{next(iter(given))} needs --transform")
+    if not given:
+        return {}
+    takes = dict(TRANSFORM_KINDS[kind].knobs)
+    flags = "/".join(f"--{name}" for name in takes)
+    foreign = [name for name in given if name not in takes]
+    if foreign:
+        parser.error(f"{kind} takes {flags}, not --{foreign[0]}")
+    missing = [name for name in takes if name not in given]
+    if missing:
+        parser.error(f"{kind} takes {flags} together (verify) or none (search); "
+                     f"--{missing[0]} is missing")
+    for name, typ in takes.items():
+        if typ(given[name]) != given[name]:
+            parser.error(f"{kind} needs {typ.__name__} --{name}, got {given[name]}")
+    return {name: typ(given[name]) for name, typ in takes.items()}
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -271,7 +275,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     cfg.fmt = getattr(ns, "fmt", "csv")
     cfg.output = getattr(ns, "output", None)
     cfg.dump_config = getattr(ns, "dump_config", False)
-    cfg.threads = _parse_threads(parser)
 
     if ns.command == "catalog":
         cfg.name = ns.name
@@ -300,10 +303,13 @@ def parse_args(argv: list[str]) -> RunConfig:
     cfg.x_min = ns.x_min
     cfg.x_max = ns.x_max
     cfg.n_points = ns.n_points
-    if cfg.tabulated is not None and (cfg.x_min is not None or cfg.x_max is not None
-                                      or cfg.n_points is not None):
-        parser.error("grid overrides do not apply to --tabulated input "
-                     "(the file fixes the grid)")
+    if cfg.x_min is not None or cfg.x_max is not None or cfg.n_points is not None:
+        if cfg.tabulated is not None:
+            parser.error("grid overrides do not apply to --tabulated input "
+                         "(the file fixes the grid)")
+        if ns.command == "classify" and cfg.catalog is not None:
+            parser.error("grid overrides do not apply to classify --catalog "
+                         "(the record fixes the grid)")
     if cfg.n_points is not None and cfg.n_points < 3:
         parser.error(f"--points must be >= 3, got {cfg.n_points}")
     if cfg.n_points is not None and cfg.n_points > MAX_POINTS:
@@ -358,21 +364,9 @@ def parse_args(argv: list[str]) -> RunConfig:
 
     if ns.command == "si-check":
         cfg.transform_kind = ns.transform_kind
-        cfg.alpha, cfg.q, cfg.p = ns.alpha, ns.q, ns.p
+        cfg.knobs = _parse_knobs(parser, ns)
         cfg.on_param = ns.on_param
         cfg.force_search = ns.force_search
-        knobs = {"--alpha": cfg.alpha, "--q": cfg.q, "--p": cfg.p}
-        given = [k for k, v in knobs.items() if v is not None]
-        if given and cfg.transform_kind is None:
-            parser.error(f"{given[0]} needs --transform")
-        if cfg.transform_kind == "translation" and (cfg.q is not None or cfg.p is not None):
-            parser.error("translation takes --alpha only")
-        if cfg.transform_kind in ("scaling", "power-scaling", "projective") \
-                and cfg.alpha is not None:
-            parser.error(f"{cfg.transform_kind} takes --q/--p, not --alpha")
-        if cfg.transform_kind == "power-scaling" and cfg.p is not None \
-                and cfg.p != int(cfg.p):
-            parser.error(f"power-scaling needs integer --p, got {cfg.p}")
 
     return cfg
 
@@ -456,17 +450,10 @@ def _potential(cfg: RunConfig, grid: Grid1D) -> GridFunction:
 
 
 def _pinned_transform(cfg: RunConfig) -> ParameterTransform | None:
-    """Fully specified transform from flags, or None when the knob is absent."""
-    kind = cfg.transform_kind
-    if kind == "translation" and cfg.alpha is not None:
-        return Translation(cfg.alpha, param=cfg.on_param)
-    if kind == "scaling" and cfg.q is not None:
-        return Scaling(cfg.q, param=cfg.on_param)
-    if kind == "power-scaling" and cfg.q is not None and cfg.p is not None:
-        return PowerScaling(cfg.q, int(cfg.p), param=cfg.on_param)
-    if kind == "projective" and cfg.q is not None and cfg.p is not None:
-        return Projective(cfg.q, cfg.p, param=cfg.on_param)
-    return None
+    """Fully specified transform from flags, or None when no knob is given."""
+    if not cfg.knobs:
+        return None
+    return TRANSFORM_KINDS[cfg.transform_kind](**cfg.knobs, param=cfg.on_param)
 
 
 # -- commands ---------------------------------------------------------------------
@@ -647,14 +634,13 @@ def _cmd_wavefunctions(cfg: RunConfig) -> None:
 
 
 def _cmd_classify(cfg: RunConfig) -> None:
-    grid = _resolve_grid(cfg)
     if cfg.catalog is not None:
         tag = classify_record(cfg.catalog, cfg.params, cfg.budget)
     elif cfg.tabulated is not None:
         tag = classify_tabulated(_read_tabulated(cfg.tabulated))
     else:
         family, a0 = _family_and_params(cfg)
-        tag = classify_family(family, a0, grid, cfg.budget)
+        tag = classify_family(family, a0, _resolve_grid(cfg), cfg.budget)
     if cfg.fig is not None:
         with open(cfg.fig, "w", newline="\n") as fh:
             fh.write(venn_graph_text(tag))
@@ -703,7 +689,6 @@ def _config_doc(cfg: RunConfig) -> dict:
         "depth": cfg.depth,
         "tolerance": cfg.tolerance,
         "budget": cfg.budget,
-        "threads": cfg.threads,
         "input": cfg.input_dict(),
         "format": cfg.fmt,
         "output": cfg.output,

@@ -214,6 +214,25 @@ class _SubtermTables:
         return tables
 
 
+def _evaluated(expr: sympy.Expr, call: Callable[[], object]):
+    """call() with numpy warnings silenced, and with the failures of a
+    parameter-only subterm computed in Python floats (``1/(a - 2)`` at a = 2,
+    ``a**400``, ``a**(-1.5)`` at a < 0, which comes out complex) raised as
+    EvaluationError."""
+    try:
+        with np.errstate(all="ignore"):
+            out = call()
+    except (ZeroDivisionError, OverflowError) as exc:
+        problem = f"cannot be evaluated at these parameters ({exc.args[-1]})"
+    else:
+        if not np.iscomplexobj(out):
+            return out
+        problem = "is complex at these parameters"
+    import sympy
+
+    raise EvaluationError(f"expression {sympy.sstr(expr)!r} {problem}")
+
+
 def compile_on_grid(expr: sympy.Expr,
                     params: list[str]) -> Callable[[np.ndarray, dict], np.ndarray]:
     """Compile expr(x, params) into a numpy-vectorized callable.
@@ -290,8 +309,7 @@ def compile_on_grid(expr: sympy.Expr,
         stacked = any(np.ndim(values[p]) for p in params)
         args = [np.asarray(values[p], dtype=float) if np.ndim(values[p])
                 else float(values[p]) for p in params]
-        with np.errstate(all="ignore"):
-            out = fn(x, *args, subterms(x) if subterms else ())
+        out = _evaluated(expr, lambda: fn(x, *args, subterms(x) if subterms else ()))
         out = np.asarray(out, dtype=float)
         shape = np.broadcast_shapes(np.shape(x), *(np.shape(a) for a in args))
         if out.shape != shape:
@@ -321,7 +339,7 @@ def compile_scalar(expr: sympy.Expr, params: list[str]) -> Callable[[dict], floa
         missing = [p for p in params if p not in values]
         if missing:
             raise EvaluationError(f"missing parameter values for {missing}")
-        out = float(fn(*[float(values[p]) for p in params]))
+        out = float(_evaluated(expr, lambda: fn(*[float(values[p]) for p in params])))
         if not np.isfinite(out):
             raise EvaluationError(f"expression {sympy.sstr(expr)!r} evaluated non-finite")
         return out

@@ -47,12 +47,17 @@ class ParameterTransform:
     """
 
     kind = "base"
+    #: (name, type) of each knob in constructor order, after which comes
+    #: ``param``.  The CLI's knob flags and the search's candidates coerce
+    #: to these types, so ``p`` stays an int where the class needs one.
+    knobs: tuple[tuple[str, type], ...] = ()
 
     def apply(self, params: dict) -> dict:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **{name: getattr(self, name) for name, _ in self.knobs},
+                "param": self.param}
 
     @staticmethod
     def _target(params: dict, param: str | None) -> str | None:
@@ -73,7 +78,11 @@ class ParameterTransform:
         target = self._target(params, param)
         if target is None:
             return out
-        new = fn(float(params[target]))
+        try:
+            new = fn(float(params[target]))
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise TransformError(f"transform undefined at {target}={params[target]}: "
+                                 f"{exc.args[-1]}") from None
         if not math.isfinite(new):
             raise TransformError(f"transform sends {target}={params[target]} to a non-finite value")
         out[target] = new
@@ -87,12 +96,10 @@ class Translation(ParameterTransform):
     alpha: float
     param: str | None = None
     kind = "translation"
+    knobs = (("alpha", float),)
 
     def apply(self, params: dict) -> dict:
         return self._mapped(params, self.param, lambda a: a + self.alpha)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "alpha": self.alpha, "param": self.param}
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,7 @@ class Scaling(ParameterTransform):
     q: float
     param: str | None = None
     kind = "scaling"
+    knobs = (("q", float),)
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
@@ -109,9 +117,6 @@ class Scaling(ParameterTransform):
 
     def apply(self, params: dict) -> dict:
         return self._mapped(params, self.param, lambda a: self.q * a)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "q": self.q, "param": self.param}
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,7 @@ class PowerScaling(ParameterTransform):
     p: int
     param: str | None = None
     kind = "power-scaling"
+    knobs = (("q", float), ("p", int))
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
@@ -132,9 +138,6 @@ class PowerScaling(ParameterTransform):
     def apply(self, params: dict) -> dict:
         return self._mapped(params, self.param, lambda a: self.q * a**self.p)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "q": self.q, "p": self.p, "param": self.param}
-
 
 @dataclass(frozen=True)
 class Projective(ParameterTransform):
@@ -144,6 +147,7 @@ class Projective(ParameterTransform):
     p: float
     param: str | None = None
     kind = "projective"
+    knobs = (("q", float), ("p", float))
 
     def __post_init__(self):
         if not self.q > 0.0:
@@ -158,9 +162,6 @@ class Projective(ParameterTransform):
                 raise TransformError(f"projective map singular at a={a}")
             return self.q * a / denom
         return self._mapped(params, self.param, fn)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "q": self.q, "p": self.p, "param": self.param}
 
 
 @dataclass(frozen=True)
@@ -377,6 +378,25 @@ def wavefunction_chain(family: SuperpotentialFamily, a0: dict, t: ParameterTrans
 # -- transform search ---------------------------------------------------------------
 
 
+_UNIT_INSET = (1.0 / 32.0, 1.0 - 1.0 / 32.0)
+
+#: The searchable transform classes in scan order, each with the interval
+#: its first knob is scanned on and the fixed values of its second knob
+#: (None for a class with one knob).  Open intervals like q ∈ (0,1) are
+#: scanned on a closed inset.  Ties in residual quality resolve toward the
+#: earliest entry.
+_SEARCH_SPACES = (
+    (Translation, (-5.0, 5.0), (None,)),
+    (Scaling, _UNIT_INSET, (None,)),
+    (PowerScaling, _UNIT_INSET, (2, 3)),
+    (Projective, _UNIT_INSET, (0.25, 0.5)),
+)
+
+#: Kind name -> class, for every searchable transform kind, in scan order.
+TRANSFORM_KINDS: dict[str, type[ParameterTransform]] = {
+    cls.kind: cls for cls, _, _ in _SEARCH_SPACES}
+
+
 @dataclass(frozen=True)
 class TransformCandidate:
     """One bounded scalar search space: a transform kind, its knob interval,
@@ -389,22 +409,13 @@ class TransformCandidate:
     param: str | None = None
 
     def build(self, theta: float) -> ParameterTransform:
-        if self.kind == "translation":
-            return Translation(theta, param=self.param)
-        if self.kind == "scaling":
-            return Scaling(theta, param=self.param)
-        if self.kind == "power-scaling":
-            return PowerScaling(theta, int(self.p), param=self.param)
-        if self.kind == "projective":
-            return Projective(theta, self.p, param=self.param)
-        raise TransformError(f"unknown candidate kind {self.kind!r}")
+        cls = TRANSFORM_KINDS.get(self.kind)
+        if cls is None:
+            raise TransformError(f"unknown candidate kind {self.kind!r}")
+        fixed = [typ(self.p) for _, typ in cls.knobs[1:]]
+        return cls(theta, *fixed, param=self.param)
 
 
-#: Scan order is fixed: translation, scaling, power, projective — ties in
-#: residual quality resolve toward the earliest kind.
-_SCAN_KINDS = ("translation", "scaling", "power-scaling", "projective")
-
-_OPEN_INSET = 1.0 / 32.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 80
 
@@ -420,30 +431,16 @@ _MEAN_OVER_SPREAD = 10.0
 
 
 def default_candidates(parameter_names: Sequence[str]) -> list[TransformCandidate]:
-    """The stock bounded search spaces, expanded per family parameter.
-
-    Open intervals like q ∈ (0,1) are searched on a closed inset; a
-    parameter-free family gets the single vacuous translation candidate.
+    """The stock bounded search spaces, expanded per family parameter:
+    kind, then parameter, then fixed second knob, as listed in
+    ``_SEARCH_SPACES``.  A parameter-free family gets the single vacuous
+    translation candidate.
     """
-    names: list[str | None] = list(parameter_names)
-    if not names:
-        return [TransformCandidate("translation", 0.0, 0.0)]
-    out = []
-    for kind in _SCAN_KINDS:
-        for name in names:
-            if kind == "translation":
-                out.append(TransformCandidate(kind, -5.0, 5.0, param=name))
-            elif kind == "scaling":
-                out.append(TransformCandidate(kind, _OPEN_INSET, 1.0 - _OPEN_INSET, param=name))
-            elif kind == "power-scaling":
-                for p in (2, 3):
-                    out.append(TransformCandidate(kind, _OPEN_INSET, 1.0 - _OPEN_INSET,
-                                                  p=p, param=name))
-            else:
-                for p in (0.25, 0.5):
-                    out.append(TransformCandidate(kind, _OPEN_INSET, 1.0 - _OPEN_INSET,
-                                                  p=p, param=name))
-    return out
+    if not parameter_names:
+        return [TransformCandidate(Translation.kind, 0.0, 0.0)]
+    return [TransformCandidate(cls.kind, lo, hi, p=p, param=name)
+            for cls, (lo, hi), fixed in _SEARCH_SPACES
+            for name in parameter_names for p in fixed]
 
 
 def _trial_count(budget: int) -> int:

@@ -1,9 +1,8 @@
 """JSON Schemas for every machine-readable output the CLI can emit.
 
-These are plain draft-07 schema dicts, kept next to the code that produces
-the documents so the two cannot drift apart silently.  Validation itself is
-left to callers (the test suite uses jsonschema); the library never
-round-trips its own output through a validator at runtime.
+These are plain draft-07 schema dicts that the CLI tests validate its
+documents against with jsonschema.  They are written by hand, apart from
+the code that produces the documents, so that they check it independently.
 """
 
 _GRID = {
@@ -271,10 +270,9 @@ RUN_CONFIG_SCHEMA = {
         "depth": {"type": "integer", "minimum": 0},
         "tolerance": {"type": ["number", "null"]},
         "budget": {"type": "integer", "minimum": 1},
-        "threads": {"type": "integer", "minimum": 1},
         "input": {"type": "object"},
         "output": {"type": ["string", "null"]},
     },
-    "required": ["command", "grid", "params", "threads", "input"],
+    "required": ["command", "grid", "params", "input"],
     "additionalProperties": True,
 }

@@ -3,8 +3,8 @@ import pytest
 
 from susyqm import (CERTIFIED, NO, NO_WITHIN_SEARCH, UNKNOWN, YES, CatalogError,
                     GridFunction, SuperpotentialFamily, VennTag, classify_family,
-                    classify_record, classify_tabulated, make_grid,
-                    venn_graph_text)
+                    classify_record, classify_tabulated, get_record, make_grid,
+                    record_grid, venn_graph_text)
 
 GRID = make_grid(-10.0, 10.0, 1001)
 
@@ -63,6 +63,25 @@ def test_declared_only_records():
     assert scaling.exactly_solvable == CERTIFIED
     cyclic = classify_record("cyclic-demo")
     assert cyclic.ih_factorizable == NO_WITHIN_SEARCH
+
+
+def test_record_falls_back_to_classify_family_search():
+    # At omega = 1e12 the declared zero-step translation fails the residual
+    # test on rounding alone (stddev ~4e9 against a mean ~2e12), so the
+    # record is classified by search, with classify_family's evidence.
+    tag = classify_record("shifted-harmonic", {"omega": 1e12})
+    assert (tag.susy, tag.shape_invariant, tag.ih_factorizable,
+            tag.exactly_solvable) == (YES, NO_WITHIN_SEARCH, NO_WITHIN_SEARCH, UNKNOWN)
+    assert [e["kind"] for e in tag.evidence] == [
+        "catalog-record", "oracle-ground-state", "susy-phase",
+        "declared-transform-failed", "transform-search"]
+    assert tag.evidence[0]["transform"] == {"kind": "translation", "alpha": 0.0,
+                                            "param": "omega"}
+    assert tag.evidence[3]["report"]["passed"] is False
+    assert tag.evidence[4] == {"kind": "transform-search", "found": False, "budget": 33}
+    rec = get_record("shifted-harmonic")
+    family_tag = classify_family(rec.family, {"omega": 1e12}, record_grid(rec))
+    assert tag.evidence[1:3] + tag.evidence[4:] == family_tag.evidence
 
 
 def test_unknown_record_name():

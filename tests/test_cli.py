@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ from jsonschema import validate
 from susyqm import GridFunction, make_grid
 from susyqm.cli import (MAX_BUDGET, MAX_DEPTH, MAX_LEVELS, MAX_POINTS, main,
                         parse_args)
-from susyqm.schemas import (ALGEBRA_REPORT_SCHEMA, CATALOG_SCHEMA,
-                            HIERARCHY_SCHEMA, PARTNER_SCHEMA,
-                            RUN_CONFIG_SCHEMA, SI_CHECK_SCHEMA,
-                            SOLUTION_SCHEMA, SPECTRUM_TABLE_SCHEMA,
-                            VENN_TAG_SCHEMA, WAVEFUNCTIONS_SCHEMA)
+from schemas import (ALGEBRA_REPORT_SCHEMA, CATALOG_SCHEMA, HIERARCHY_SCHEMA,
+                     PARTNER_SCHEMA, RUN_CONFIG_SCHEMA, SI_CHECK_SCHEMA,
+                     SOLUTION_SCHEMA, SPECTRUM_TABLE_SCHEMA, VENN_TAG_SCHEMA,
+                     WAVEFUNCTIONS_SCHEMA)
 
 CATALOG_NAMES = ["shifted-harmonic", "morse", "poschl-teller", "coulomb-radial",
                  "scaling-demo", "cyclic-demo"]
@@ -187,6 +187,33 @@ def test_si_check_knob_validation(capsys):
                            "translation", "--q", "0.5") == 1
     assert run_usage_error(capsys, "si-check", "--w", "x", "--transform",
                            "power-scaling", "--q", "0.5", "--p", "1.5") == 1
+    # A kind's knobs come all together (verify) or not at all (search).
+    assert run_usage_error(capsys, "si-check", "--w", "x", "--transform",
+                           "scaling", "--q", "0.5", "--p", "2") == 1
+    assert run_usage_error(capsys, "si-check", "--w", "x", "--transform",
+                           "power-scaling", "--q", "0.5") == 1
+    assert run_usage_error(capsys, "si-check", "--w", "x", "--transform",
+                           "projective", "--p", "0.9") == 1
+
+
+@pytest.mark.parametrize("knobs, expected", [
+    (("translation", "--alpha", "-1"),
+     {"kind": "translation", "alpha": -1.0, "param": "A"}),
+    (("scaling", "--q", "0.5"), {"kind": "scaling", "q": 0.5, "param": "A"}),
+    (("power-scaling", "--q", "0.5", "--p", "2"),
+     {"kind": "power-scaling", "q": 0.5, "p": 2, "param": "A"}),
+    (("projective", "--q", "0.5", "--p", "0.25"),
+     {"kind": "projective", "q": 0.5, "p": 0.25, "param": "A"}),
+], ids=["translation", "scaling", "power-scaling", "projective"])
+def test_si_check_pinned_transform_dicts(capsys, knobs, expected):
+    code, out, _ = run_cli(capsys, "si-check", "--w", "A*tanh(x)", "--param", "A=3",
+                           "--transform", *knobs, "--on", "A")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["transform"] == expected
+    # "p": 2 stays an int
+    assert {k: type(v) for k, v in doc["transform"].items()} == \
+        {k: type(v) for k, v in expected.items()}
 
 
 # -- spectrum --------------------------------------------------------------------
@@ -365,6 +392,18 @@ def test_tabulated_rejects_grid_overrides(capsys, well_csv):
                            "--param", "a=1") == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--x-min", "-1"), ("--x-max", "5"),
+                                         ("--points", "301")])
+def test_classify_catalog_rejects_grid_overrides(capsys, flag, value):
+    # classify_record runs on the record's own grid; an override would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--catalog", "morse", flag, value])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "susyqm: error: grid overrides do not apply to classify --catalog "
+        "(the record fixes the grid)")
+
+
 def test_bad_expression_is_usage_error(capsys):
     assert run_usage_error(capsys, "solve", "--w", "sinh(x)") == 1
     assert run_usage_error(capsys, "solve", "--w", "((x)") == 1
@@ -481,14 +520,52 @@ def test_non_numeric_grid_bound_keeps_its_message(capsys):
         "susyqm partner: error: argument --x-min: invalid float value: 'abc'")
 
 
-def test_thread_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SUSY_SPECTRA_THREADS", "abc")
-    assert run_usage_error(capsys, "catalog") == 1
-    monkeypatch.setenv("SUSY_SPECTRA_THREADS", "0")
-    assert run_usage_error(capsys, "catalog") == 1
-    monkeypatch.setenv("SUSY_SPECTRA_THREADS", "4")
-    code, out, _ = run_cli(capsys, "catalog")
+@pytest.mark.parametrize("argv, problem", [
+    (("partner", "--catalog", "coulomb-radial", "--param", "l=-1"), "division by zero"),
+    (("solve", "--catalog", "coulomb-radial", "--param", "l=-1"), "division by zero"),
+    (("si-check", "--catalog", "coulomb-radial", "--param", "l=-1"), "division by zero"),
+    (("spectrum", "--catalog", "coulomb-radial", "--param", "l=-1"),
+     "cannot be raised to a negative power"),
+    (("partner", "--w", "x*a**400", "--param", "a=10"), "out of range"),
+    (("partner", "--w", "x + a**(-1.5)", "--param", "a=-2"), "is complex"),
+    (("si-check", "--w", "A*tanh(x)", "--param", "A=0", "--transform", "power-scaling",
+      "--q", "0.5", "--p", "-1"), "transform undefined at A=0.0"),
+])
+def test_python_float_failure_is_one_line_computation_error(capsys, argv, problem):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning either
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"susyqm {argv[0]}: ")
+    assert problem in lines[0]
+
+
+def test_classify_unevaluable_record_matches_expression(capsys):
+    # classify_record and classify_family share one path: an unevaluable
+    # record gets the same all-unknown verdict as its expression.
+    code, out, _ = run_cli(capsys, "classify", "--catalog", "coulomb-radial",
+                           "--param", "l=-1")
     assert code == 0
+    record = json.loads(out)
+    _, out, _ = run_cli(capsys, "classify", "--w", "q/(2*(l+1)) - (l+1)/x",
+                        "--param", "q=2", "--param", "l=-1")
+    expression = json.loads(out)
+    assert [e["kind"] for e in record["evidence"]] == ["catalog-record", "evaluation"]
+    assert record["evidence"][1:] == expression["evidence"]
+    assert {k: v for k, v in record.items() if k != "evidence"} == \
+        {k: v for k, v in expression.items() if k != "evidence"} == \
+        {"susy": "unknown", "shape_invariant": "unknown",
+         "ih_factorizable": "unknown", "exactly_solvable": "unknown"}
+
+
+def test_search_through_a_parameter_pole(capsys):
+    # One coarse trial lands on a = 2, where 1/(a^2 - 4) is a Python-float
+    # division by zero; it must score inf, not end the search.
+    code, out, err = run_cli(capsys, "si-check", "--w", "x + 1/(a**2-4)",
+                             "--param", "a=2.625", "--search", "--budget", "17")
+    assert code == 0 and err == ""
+    assert json.loads(out)["searched"] is True
 
 
 def test_missing_tabulated_file_is_computation_error(capsys, tmp_path):
@@ -506,15 +583,6 @@ def test_repeat_runs_are_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
-
-
-def test_thread_count_does_not_change_output(capsys, monkeypatch):
-    args = ("si-check", "--w", "A*tanh(x)", "--param", "A=3", "--search",
-            "--budget", "9")
-    _, lone, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("SUSY_SPECTRA_THREADS", "4")
-    _, pooled, _ = run_cli(capsys, *args)
-    assert lone == pooled
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):
@@ -537,7 +605,7 @@ def test_dump_config(capsys):
     validate(doc, RUN_CONFIG_SCHEMA)
     assert doc["command"] == "solve"
     assert doc["grid"] == {"x_min": -3.5, "x_max": 10.0, "n_points": 2701}
-    assert doc["threads"] == 1
+    assert "threads" not in doc
     assert doc["input"]["catalog"] == "morse"
 
 

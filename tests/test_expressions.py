@@ -122,6 +122,23 @@ def test_sech_evaluates_numerically():
     assert np.allclose(fn(x, {}), 1.0 / np.cosh(x) ** 2)
 
 
+@pytest.mark.parametrize("text,params,reason", [
+    ("q/(2*(l+1)) - (l+1)/x", {"q": 2.0, "l": -1.0}, "float division by zero"),
+    ("x*a**400", {"a": 10.0}, "Numerical result out of range"),
+    ("x + a**(-1.5)", {"a": -2.0}, "complex"),
+])
+def test_parameter_subterm_failures_are_evaluation_errors(text, params, reason):
+    # A parameter-only subterm is computed in Python floats, which raise
+    # (or turn complex) where numpy would return inf or nan.
+    expr = parse_expression(text)
+    fn = compile_on_grid(expr, parameter_names(expr))
+    with pytest.raises(EvaluationError, match=reason):
+        fn(make_grid(1.0, 2.0, 11).x, params)
+    scalar = expr.subs(X, 1)
+    with pytest.raises(EvaluationError, match=reason):
+        compile_scalar(scalar, parameter_names(scalar))(params)
+
+
 def test_compile_scalar():
     r = compile_scalar(parse_expression("2*A + 1"), ["A"])
     assert r({"A": 2.0}) == 5.0

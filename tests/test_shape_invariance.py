@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,9 +259,8 @@ def test_search_budget_nesting():
 
 
 def test_search_thread_count_does_not_change_result():
-    # The thread pool is gone; what remains is that searches share no state,
-    # so a repeat, on the same or an equal family, reports the same dicts.
-    # CLI stdout under SUSY_SPECTRA_THREADS is covered in test_cli.
+    # Searches share no state, so a repeat, on the same or an equal family,
+    # reports the same dicts.
     first = search_transform(PT, {"A": 3.0}, PT_GRID)
     again = search_transform(PT, {"A": 3.0}, PT_GRID)
     fresh = search_transform(SuperpotentialFamily.from_expression("A*tanh(x)"),
@@ -461,8 +462,77 @@ def test_default_candidates_shape():
     assert len(one) == 6  # translation, scaling, 2 powers, 2 projective slopes
     assert [c.kind for c in one[:2]] == ["translation", "scaling"]
     assert len(default_candidates(("A", "B"))) == 12
-    with pytest.raises(TransformError):
-        TransformCandidate("rotation", 0.0, 1.0).build(0.5)
+    # kind, then parameter, then fixed second knob; ties go to the earliest
+    assert [(c.kind, c.param, c.p, c.lo, c.hi) for c in default_candidates(("a", "b"))] == [
+        ("translation", "a", None, -5.0, 5.0),
+        ("translation", "b", None, -5.0, 5.0),
+        ("scaling", "a", None, 1 / 32, 31 / 32),
+        ("scaling", "b", None, 1 / 32, 31 / 32),
+        ("power-scaling", "a", 2, 1 / 32, 31 / 32),
+        ("power-scaling", "a", 3, 1 / 32, 31 / 32),
+        ("power-scaling", "b", 2, 1 / 32, 31 / 32),
+        ("power-scaling", "b", 3, 1 / 32, 31 / 32),
+        ("projective", "a", 0.25, 1 / 32, 31 / 32),
+        ("projective", "a", 0.5, 1 / 32, 31 / 32),
+        ("projective", "b", 0.25, 1 / 32, 31 / 32),
+        ("projective", "b", 0.5, 1 / 32, 31 / 32),
+    ]
+    for kind in ("rotation", "cyclic"):  # cyclic is declared, never searched
+        with pytest.raises(TransformError):
+            TransformCandidate(kind, 0.0, 1.0).build(0.5)
+
+
+@pytest.mark.parametrize("cand, theta, expected", [
+    (TransformCandidate("translation", -5.0, 5.0, param="A"), -1.0,
+     {"kind": "translation", "alpha": -1.0, "param": "A"}),
+    (TransformCandidate("scaling", 0.25, 0.75, param="A"), 0.5,
+     {"kind": "scaling", "q": 0.5, "param": "A"}),
+    (TransformCandidate("power-scaling", 0.25, 0.75, p=2, param="A"), 0.5,
+     {"kind": "power-scaling", "q": 0.5, "p": 2, "param": "A"}),
+    (TransformCandidate("power-scaling", 0.25, 0.75, p=2.0, param="A"), 0.5,
+     {"kind": "power-scaling", "q": 0.5, "p": 2, "param": "A"}),
+    (TransformCandidate("projective", 0.25, 0.75, p=0.25, param="A"), 0.5,
+     {"kind": "projective", "q": 0.5, "p": 0.25, "param": "A"}),
+], ids=["translation", "scaling", "power-scaling", "power-scaling-float-p", "projective"])
+def test_candidate_builds_literal_dicts(cand, theta, expected):
+    transform = cand.build(theta)
+    assert transform.kind == cand.kind
+    d = transform.to_dict()
+    assert d == expected
+    assert list(d) == list(expected)
+    assert {k: type(v) for k, v in d.items()} == {k: type(v) for k, v in expected.items()}
+
+
+def test_transform_kinds_are_spelled_out_in_one_module():
+    """The non-translation kind names appear as string literals only in
+    shape_invariance.py; everything else derives them from its table."""
+    package = Path(si_module.__file__).parent
+    kinds = {"scaling", "power-scaling", "projective"}
+    spelled = sorted(
+        path.name for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value in kinds)
+    assert set(spelled) == {"shape_invariance.py"}
+
+
+def test_power_scaling_pole_is_a_transform_error():
+    with pytest.raises(TransformError, match="transform undefined at a=0.0"):
+        PowerScaling(0.5, -1).apply({"a": 0.0})
+    with pytest.raises(TransformError, match=r"at a=1e\+200: Numerical result out of range"):
+        PowerScaling(0.5, 2).apply({"a": 1e200})
+
+
+def test_trial_on_a_parameter_pole_scores_inf():
+    # 1/(a^2 - 4) is x-free, so it runs in Python floats and divides by zero
+    # at a = 2; that trial scores inf and its neighbours still score.
+    family = SuperpotentialFamily.from_expression("x + 1/(a^2 - 4)")
+    grid = make_grid(-10.0, 10.0, 401)
+    a0 = {"a": 2.625}
+    cand = TransformCandidate("translation", -5.0, 5.0, param="a")
+    v_plus = partner_potentials(family, a0, grid).v_plus.values
+    scored = _score_trials(family, a0, v_plus, [(cand, -0.625), (cand, 0.5)], grid, 1e-6)
+    assert scored[0] == (math.inf, None)
+    assert math.isfinite(scored[1][0]) and scored[1][1] is not None
 
 
 def test_trial_counts_nest():
