@@ -163,6 +163,15 @@ def record_grid(record: SIPRecord) -> Grid1D:
     return make_grid(*record.domain)
 
 
+def _check_singular_region(record: SIPRecord, grid: Grid1D) -> None:
+    """A half-line record's grid may not start closer than ``min_x`` to its
+    singular point."""
+    if record.min_x is not None and grid.x_min < record.min_x:
+        raise CatalogError(
+            f"grid starts at {grid.x_min}, inside the singular region of "
+            f"{record.name!r}; x_min must be at least {record.min_x}")
+
+
 def merged_params(record: SIPRecord, params: dict | None) -> dict:
     out = dict(record.default_params)
     if params:
@@ -201,10 +210,7 @@ def instantiate(name: str, params: dict | None, grid: Grid1D) -> tuple[PartnerPa
         raise CatalogError(
             f"record {name!r} declares only its transform and R; "
             "it has no superpotential to tabulate")
-    if rec.min_x is not None and grid.x_min < rec.min_x:
-        raise CatalogError(
-            f"grid starts at {grid.x_min}, inside the singular region of "
-            f"{name!r}; x_min must be at least {rec.min_x}")
+    _check_singular_region(rec, grid)
     a0 = merged_params(rec, params)
     pair = partner_potentials(rec.family, a0, grid)
     return pair, pair.w_used

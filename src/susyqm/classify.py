@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import SIPRecord, get_record, merged_params, record_grid
-from .eigensolver import DECAY_RATIO, ground_state
+from .eigensolver import ground_state
 from .errors import EvaluationError, NoBoundStateError
 from .grids import Grid1D, GridFunction, boundary_amplitude_ratio
 from .shape_invariance import (ParameterTransform, Translation,
@@ -187,8 +187,7 @@ def classify_record(name_or_record: str | SIPRecord, params: dict | None = None,
                      declared=rec.transform)
 
 
-def classify_tabulated(v: GridFunction, sides: str = "both",
-                       decay_ratio: float = DECAY_RATIO) -> VennTag:
+def classify_tabulated(v: GridFunction, sides: str = "both") -> VennTag:
     """Classify a bare tabulated potential.
 
     Without a parametric family there is nothing to transform, so the
@@ -198,7 +197,7 @@ def classify_tabulated(v: GridFunction, sides: str = "both",
     """
     evidence: list[dict] = []
     try:
-        pair = ground_state(v, decay_ratio, sides)
+        pair = ground_state(v, sides)
     except NoBoundStateError as exc:
         evidence.append({"kind": "oracle-ground-state", "found": False,
                          "detail": str(exc)})

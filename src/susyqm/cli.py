@@ -6,6 +6,10 @@ corresponding library routines, and writes CSV or JSON with a fixed layout:
 12 significant digits, comma separators, LF line endings, no timestamps.
 Identical invocations produce byte-identical output.
 
+``parse_args`` validates the flags, ``_resolve`` turns the input source
+into one ``_Input`` (record, family, parameters, grid, tabulated
+potential), and each grid command reads its input from that alone.
+
 Exit codes: 0 success, 1 usage error, 2 computation failure.
 """
 
@@ -16,16 +20,17 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import (catalog_dump, closed_form_spectrum, get_record,
-                      instantiate, list_catalog, merged_params, record_grid)
+from .catalog import (SIPRecord, _check_singular_region, catalog_dump,
+                      closed_form_spectrum, get_record, list_catalog,
+                      merged_params)
 from .classify import classify_family, classify_record, classify_tabulated, venn_graph_text
 from .eigensolver import solution_to_dict, solve_potential, spectrum_csv
 from .errors import ExpressionError, SusyQMError
-from .grids import (DEFAULT_N_POINTS, FLOAT_FMT, Grid1D, GridFunction,
-                    count_nodes, make_grid)
+from .grids import (DEFAULT_DOMAIN, DEFAULT_N_POINTS, FLOAT_FMT, Grid1D,
+                    GridFunction, count_nodes, make_grid)
 from .shape_invariance import (TRANSFORM_KINDS, ParameterTransform,
                                default_candidates, search_transform,
                                si_residual, spectrum_from_measured_residuals,
@@ -49,38 +54,8 @@ _KNOBS = tuple(dict.fromkeys(name for cls in TRANSFORM_KINDS.values()
                              for name, _ in cls.knobs))
 
 #: Commands that need a superpotential (expression or family-bearing record).
-_NEEDS_FAMILY = ("partner", "si-check", "wavefunctions", "algebra-check")
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings for one invocation."""
-
-    command: str
-    catalog: str | None = None
-    w: str | None = None
-    tabulated: str | None = None
-    params: dict = field(default_factory=dict)
-    x_min: float | None = None
-    x_max: float | None = None
-    n_points: int | None = None
-    n_levels: int = 3
-    depth: int = 3
-    tolerance: float | None = None
-    budget: int = 33
-    fmt: str = "csv"
-    output: str | None = None
-    fig: str | None = None
-    transform_kind: str | None = None
-    knobs: dict = field(default_factory=dict)
-    on_param: str | None = None
-    force_search: bool = False
-    dump_config: bool = False
-    name: str | None = None
-    family: SuperpotentialFamily | None = field(default=None, repr=False)
-
-    def input_dict(self) -> dict:
-        return {"catalog": self.catalog, "w": self.w, "tabulated": self.tabulated}
+_NEEDS_FAMILY = ("solve", "partner", "hierarchy", "si-check", "wavefunctions",
+                 "algebra-check")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,6 +123,11 @@ def _build_parser() -> _Parser:
                                  "spectra, and potential classification")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
+    # Flags a command lacks read as these values.
+    parser.set_defaults(catalog=None, w=None, param=[], x_min=None, x_max=None,
+                        n_points=None, n_levels=3, depth=3, tolerance=None,
+                        budget=33, fig=None, transform_kind=None,
+                        on_param=None, force_search=False)
 
     p = sub.add_parser("solve", help="oracle bound-state energies and wavefunctions")
     _add_input_flags(p)
@@ -266,109 +246,101 @@ def _parse_knobs(parser: _Parser, ns: argparse.Namespace) -> dict:
     return {name: typ(given[name]) for name, typ in takes.items()}
 
 
-def parse_args(argv: list[str]) -> RunConfig:
-    """Parse and validate argv into a RunConfig; usage errors exit 1."""
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse and validate argv; usage errors exit 1.
+
+    Besides the flags, the namespace carries ``params`` (the --param
+    values), ``family`` (the parsed --w expression, or None) and, for
+    si-check, ``knobs`` (see _parse_knobs).
+    """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-
-    cfg.fmt = getattr(ns, "fmt", "csv")
-    cfg.output = getattr(ns, "output", None)
-    cfg.dump_config = getattr(ns, "dump_config", False)
+    takes_tabulated = hasattr(ns, "tabulated")
+    ns.tabulated = getattr(ns, "tabulated", None)
+    ns.params = _parse_params(parser, ns.param)
+    ns.family = None
 
     if ns.command == "catalog":
-        cfg.name = ns.name
-        if cfg.name is not None:
+        if ns.name is not None:
             try:
-                get_record(cfg.name)
+                get_record(ns.name)
             except SusyQMError as exc:
                 parser.error(str(exc))
-        return cfg
+        return ns
 
-    cfg.catalog = getattr(ns, "catalog", None)
-    cfg.w = getattr(ns, "w", None)
-    cfg.tabulated = getattr(ns, "tabulated", None)
-    sources = [s for s in (cfg.catalog, cfg.w, cfg.tabulated) if s is not None]
+    sources = [s for s in (ns.catalog, ns.w, ns.tabulated) if s is not None]
     if len(sources) == 0:
         parser.error(f"{ns.command} needs an input: --catalog, --w"
-                     + (" or --tabulated" if hasattr(ns, "tabulated") else ""))
+                     + (" or --tabulated" if takes_tabulated else ""))
     if len(sources) > 1:
         parser.error("conflicting inputs: give exactly one of "
                      "--catalog, --w, --tabulated")
-
-    cfg.params = _parse_params(parser, ns.param)
-    if cfg.tabulated is not None and cfg.params:
+    if ns.tabulated is not None and ns.params:
         parser.error("--param applies to --catalog or --w inputs only")
 
-    cfg.x_min = ns.x_min
-    cfg.x_max = ns.x_max
-    cfg.n_points = ns.n_points
-    if cfg.x_min is not None or cfg.x_max is not None or cfg.n_points is not None:
-        if cfg.tabulated is not None:
+    if ns.x_min is not None or ns.x_max is not None or ns.n_points is not None:
+        if ns.tabulated is not None:
             parser.error("grid overrides do not apply to --tabulated input "
                          "(the file fixes the grid)")
-        if ns.command == "classify" and cfg.catalog is not None:
+        if ns.command == "classify" and ns.catalog is not None:
             parser.error("grid overrides do not apply to classify --catalog "
                          "(the record fixes the grid)")
-    if cfg.n_points is not None and cfg.n_points < 3:
-        parser.error(f"--points must be >= 3, got {cfg.n_points}")
-    if cfg.n_points is not None and cfg.n_points > MAX_POINTS:
-        parser.error(f"--points must be at most {MAX_POINTS}, got {cfg.n_points}")
-    if cfg.x_min is not None and cfg.x_max is not None and cfg.x_min >= cfg.x_max:
-        parser.error(f"--x-min must be below --x-max, got [{cfg.x_min}, {cfg.x_max}]")
+    if ns.n_points is not None and ns.n_points < 3:
+        parser.error(f"--points must be >= 3, got {ns.n_points}")
+    if ns.n_points is not None and ns.n_points > MAX_POINTS:
+        parser.error(f"--points must be at most {MAX_POINTS}, got {ns.n_points}")
+    if ns.x_min is not None and ns.x_max is not None and ns.x_min >= ns.x_max:
+        parser.error(f"--x-min must be below --x-max, got [{ns.x_min}, {ns.x_max}]")
 
-    cfg.n_levels = getattr(ns, "n_levels", cfg.n_levels)
-    if cfg.n_levels < 0:
-        parser.error(f"--levels must be nonnegative, got {cfg.n_levels}")
-    if cfg.n_levels > MAX_LEVELS:
-        parser.error(f"--levels must be at most {MAX_LEVELS}, got {cfg.n_levels}")
-    cfg.depth = getattr(ns, "depth", cfg.depth)
-    if cfg.depth < 1:
-        parser.error(f"--depth must be at least 1, got {cfg.depth}")
-    if cfg.depth > MAX_DEPTH:
-        parser.error(f"--depth must be at most {MAX_DEPTH}, got {cfg.depth}")
-    cfg.tolerance = getattr(ns, "tolerance", None)
-    if cfg.tolerance is not None and not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
-        parser.error(f"--tolerance must be a positive finite number, got {cfg.tolerance}")
-    cfg.budget = getattr(ns, "budget", cfg.budget)
-    if cfg.budget < 1:
-        parser.error(f"--budget must be positive, got {cfg.budget}")
-    if cfg.budget > MAX_BUDGET:
-        parser.error(f"--budget must be at most {MAX_BUDGET}, got {cfg.budget}")
-    cfg.fig = getattr(ns, "fig", None)
+    if ns.n_levels < 0:
+        parser.error(f"--levels must be nonnegative, got {ns.n_levels}")
+    if ns.n_levels > MAX_LEVELS:
+        parser.error(f"--levels must be at most {MAX_LEVELS}, got {ns.n_levels}")
+    if ns.depth < 1:
+        parser.error(f"--depth must be at least 1, got {ns.depth}")
+    if ns.depth > MAX_DEPTH:
+        parser.error(f"--depth must be at most {MAX_DEPTH}, got {ns.depth}")
+    if ns.tolerance is not None and not (math.isfinite(ns.tolerance) and ns.tolerance > 0):
+        parser.error(f"--tolerance must be a positive finite number, got {ns.tolerance}")
+    if ns.budget < 1:
+        parser.error(f"--budget must be positive, got {ns.budget}")
+    if ns.budget > MAX_BUDGET:
+        parser.error(f"--budget must be at most {MAX_BUDGET}, got {ns.budget}")
 
-    if cfg.w is not None:
+    names: tuple = ()
+    if ns.w is not None:
         try:
-            cfg.family = SuperpotentialFamily.from_expression(cfg.w)
+            ns.family = SuperpotentialFamily.from_expression(ns.w)
         except ExpressionError as exc:
             parser.error(f"--w: {exc}")
-        missing = [n for n in cfg.family.parameter_names if n not in cfg.params]
+        names = ns.family.parameter_names
+        missing = [n for n in names if n not in ns.params]
         if missing:
             parser.error(f"--w uses parameters {missing} with no --param value")
-        extra = [n for n in cfg.params if n not in cfg.family.parameter_names]
+        extra = [n for n in ns.params if n not in names]
         if extra:
             parser.error(f"--param names {extra} do not appear in the expression")
 
-    if cfg.catalog is not None:
+    if ns.catalog is not None:
         try:
-            rec = get_record(cfg.catalog)
-            merged_params(rec, cfg.params)
+            rec = get_record(ns.catalog)
+            names = tuple(merged_params(rec, ns.params))
         except SusyQMError as exc:
             parser.error(str(exc))
-        if ns.command in _NEEDS_FAMILY + ("solve", "hierarchy") and rec.expression is None:
-            parser.error(f"record {cfg.catalog!r} declares only its transform "
+        if ns.command in _NEEDS_FAMILY and rec.expression is None:
+            parser.error(f"record {ns.catalog!r} declares only its transform "
                          f"and R; {ns.command} needs a superpotential")
 
-    if ns.command == "hierarchy" and cfg.output is None:
+    if ns.command == "hierarchy" and ns.output is None:
         parser.error("hierarchy writes one CSV per level; --output DIR is required")
 
     if ns.command == "si-check":
-        cfg.transform_kind = ns.transform_kind
-        cfg.knobs = _parse_knobs(parser, ns)
-        cfg.on_param = ns.on_param
-        cfg.force_search = ns.force_search
+        ns.knobs = _parse_knobs(parser, ns)
+        if ns.on_param is not None and ns.on_param not in names:
+            parser.error(f"--on {ns.on_param!r} is not a parameter of the input; "
+                         f"its parameters are {sorted(names)}")
 
-    return cfg
+    return ns
 
 
 # -- output plumbing ------------------------------------------------------------
@@ -401,114 +373,110 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _grid_dict(grid: Grid1D) -> dict:
-    return {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points}
-
-
 # -- input resolution -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Input:
+    """A grid command's input, resolved once.  ``family`` is None and
+    ``params`` empty for tabulated input; ``record`` is None unless --catalog."""
+
+    record: SIPRecord | None
+    family: SuperpotentialFamily | None
+    params: dict
+    grid: Grid1D
+    tabulated: GridFunction | None
+
+    def potential(self) -> GridFunction:
+        """The potential a command's oracle runs on: V for tabulated input,
+        V- otherwise."""
+        if self.tabulated is not None:
+            return self.tabulated
+        return partner_potentials(self.family, self.params, self.grid).v_minus
 
 
 def _read_tabulated(path: str) -> GridFunction:
     return GridFunction.from_csv(Path(path).read_text())
 
 
-def _resolve_grid(cfg: RunConfig) -> Grid1D:
-    """Base grid from the input source, then explicit overrides on top."""
-    if cfg.tabulated is not None:
-        return _read_tabulated(cfg.tabulated).grid
-    if cfg.catalog is not None:
-        rec = get_record(cfg.catalog)
-        base = record_grid(rec) if rec.domain is not None \
-            else make_grid(-10.0, 10.0, DEFAULT_N_POINTS)
-    elif cfg.family is not None:
-        lo, hi = cfg.family.domain
-        base = make_grid(lo, hi, DEFAULT_N_POINTS)
+def _grid(ns: argparse.Namespace) -> Grid1D:
+    """Base grid of the input source with the grid flags on top.
+
+    The base is the file's grid, a record's pinned domain, or the default
+    domain.  A record's singular-region rule applies to the result.  No
+    record is compiled, so --dump-config stays cheap.
+    """
+    if ns.tabulated is not None:
+        return _read_tabulated(ns.tabulated).grid
+    record = None if ns.catalog is None else get_record(ns.catalog)
+    if record is not None and record.domain is not None:
+        lo, hi, n = record.domain
     else:
-        base = make_grid(-10.0, 10.0, DEFAULT_N_POINTS)
-    return make_grid(cfg.x_min if cfg.x_min is not None else base.x_min,
-                     cfg.x_max if cfg.x_max is not None else base.x_max,
-                     cfg.n_points if cfg.n_points is not None else base.n_points)
+        (lo, hi), n = DEFAULT_DOMAIN, DEFAULT_N_POINTS
+    grid = make_grid(lo if ns.x_min is None else ns.x_min,
+                     hi if ns.x_max is None else ns.x_max,
+                     n if ns.n_points is None else ns.n_points)
+    if record is not None:
+        _check_singular_region(record, grid)
+    return grid
 
 
-def _family_and_params(cfg: RunConfig) -> tuple[SuperpotentialFamily, dict]:
-    if cfg.catalog is not None:
-        rec = get_record(cfg.catalog)
-        return rec.family, merged_params(rec, cfg.params)
-    return cfg.family, dict(cfg.params)
+def _resolve(ns: argparse.Namespace) -> _Input:
+    if ns.tabulated is not None:
+        v = _read_tabulated(ns.tabulated)
+        return _Input(None, None, {}, v.grid, v)
+    grid = _grid(ns)
+    if ns.catalog is None:
+        return _Input(None, ns.family, ns.params, grid, None)
+    record = get_record(ns.catalog)
+    return _Input(record, record.family, merged_params(record, ns.params), grid, None)
 
 
-def _potential(cfg: RunConfig, grid: Grid1D) -> GridFunction:
-    """The potential a command's oracle runs on: V for tabulated input,
-    V- otherwise."""
-    if cfg.tabulated is not None:
-        return _read_tabulated(cfg.tabulated)
-    if cfg.catalog is not None:
-        pair, _ = instantiate(cfg.catalog, cfg.params, grid)
-        return pair.v_minus
-    family, a0 = _family_and_params(cfg)
-    return partner_potentials(family, a0, grid).v_minus
-
-
-def _pinned_transform(cfg: RunConfig) -> ParameterTransform | None:
-    """Fully specified transform from flags, or None when no knob is given."""
-    if not cfg.knobs:
-        return None
-    return TRANSFORM_KINDS[cfg.transform_kind](**cfg.knobs, param=cfg.on_param)
+def _searched_transform(inp: _Input, budget: int, need: str) -> ParameterTransform:
+    """The transform an unrestricted search finds; failing that, say what needed one."""
+    found = search_transform(inp.family, inp.params, inp.grid, None, budget)
+    if found is None:
+        raise SusyQMError(
+            f"no shape-invariant structure found within the search budget; {need}")
+    return found[0]
 
 
 # -- commands ---------------------------------------------------------------------
 
 
-def _cmd_solve(cfg: RunConfig) -> None:
-    grid = _resolve_grid(cfg)
-    pairs = solve_potential(_potential(cfg, grid), cfg.n_levels + 1)
-    if cfg.fmt == "csv":
-        _emit(spectrum_csv(pairs), cfg.output)
+def _cmd_solve(inp: _Input, ns: argparse.Namespace) -> None:
+    pairs = solve_potential(inp.potential(), ns.n_levels + 1)
+    if ns.fmt == "csv":
+        _emit(spectrum_csv(pairs), ns.output)
     else:
-        _emit(_json_text(solution_to_dict(pairs)), cfg.output)
+        _emit(_json_text(solution_to_dict(pairs)), ns.output)
 
 
-def _cmd_partner(cfg: RunConfig) -> None:
-    grid = _resolve_grid(cfg)
-    family, a0 = _family_and_params(cfg)
-    if cfg.catalog is not None:
-        pair, w = instantiate(cfg.catalog, cfg.params, grid)
-    else:
-        pair = partner_potentials(family, a0, grid)
-        w = pair.w_used
-    if cfg.fmt == "csv":
+def _cmd_partner(inp: _Input, ns: argparse.Namespace) -> None:
+    grid = inp.grid
+    pair = partner_potentials(inp.family, inp.params, grid)
+    if ns.fmt == "csv":
         lines = ["x,v_minus,v_plus,w"]
         for i, x in enumerate(grid.x):
             lines.append(",".join(FLOAT_FMT % v for v in
                                   (x, pair.v_minus.values[i],
-                                   pair.v_plus.values[i], w.values[i])))
-        _emit("\n".join(lines) + "\n", cfg.output)
+                                   pair.v_plus.values[i], pair.w_used.values[i])))
+        _emit("\n".join(lines) + "\n", ns.output)
     else:
         doc = {
-            "grid": _grid_dict(grid),
+            "grid": grid.to_dict(),
             "x": [float(v) for v in grid.x],
             "v_minus": [float(v) for v in pair.v_minus.values],
             "v_plus": [float(v) for v in pair.v_plus.values],
-            "w": [float(v) for v in w.values],
+            "w": [float(v) for v in pair.w_used.values],
         }
-        _emit(_json_text(doc), cfg.output)
+        _emit(_json_text(doc), ns.output)
 
 
-def _decay_sides(cfg: RunConfig) -> str:
-    if cfg.catalog is not None:
-        rec = get_record(cfg.catalog)
-        if rec.family is not None:
-            return rec.family.decay_sides
-    if cfg.family is not None:
-        return cfg.family.decay_sides
-    return "both"
-
-
-def _cmd_hierarchy(cfg: RunConfig) -> None:
-    grid = _resolve_grid(cfg)
-    hier = build_hierarchy(_potential(cfg, grid), cfg.depth,
-                           sides=_decay_sides(cfg))
-    out_dir = Path(cfg.output)
+def _cmd_hierarchy(inp: _Input, ns: argparse.Namespace) -> None:
+    sides = "both" if inp.family is None else inp.family.decay_sides
+    hier = build_hierarchy(inp.potential(), ns.depth, sides=sides)
+    out_dir = Path(ns.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     levels = []
     for level in hier:
@@ -525,26 +493,28 @@ def _cmd_hierarchy(cfg: RunConfig) -> None:
     sys.stdout.write(text)
 
 
-def _cmd_si_check(cfg: RunConfig) -> None:
-    grid = _resolve_grid(cfg)
-    family, a0 = _family_and_params(cfg)
-    pinned = _pinned_transform(cfg)
-    if pinned is None and cfg.catalog is not None and not cfg.force_search \
-            and cfg.transform_kind is None:
-        pinned = get_record(cfg.catalog).transform
+def _cmd_si_check(inp: _Input, ns: argparse.Namespace) -> None:
+    family, a0 = inp.family, inp.params
+    if ns.knobs:
+        pinned = TRANSFORM_KINDS[ns.transform_kind](**ns.knobs, param=ns.on_param)
+    elif inp.record is not None and not ns.force_search \
+            and ns.transform_kind is None and ns.on_param is None:
+        pinned = inp.record.transform
+    else:
+        pinned = None
 
     if pinned is not None:
-        report = si_residual(family, a0, pinned, grid, cfg.tolerance)
+        report = si_residual(family, a0, pinned, inp.grid, ns.tolerance)
         doc = {"searched": False, "found": report.passed,
                "transform": pinned.to_dict(), "params_start": a0,
                "params_next": pinned.apply(a0), "report": report.to_dict()}
-        _emit(_json_text(doc), cfg.output)
+        _emit(_json_text(doc), ns.output)
         return
 
-    candidates = default_candidates(family.parameter_names)
-    if cfg.transform_kind is not None:
-        candidates = [c for c in candidates if c.kind == cfg.transform_kind]
-    found = search_transform(family, a0, grid, candidates, cfg.budget, cfg.tolerance)
+    candidates = [c for c in default_candidates(family.parameter_names)
+                  if ns.transform_kind in (None, c.kind)
+                  and ns.on_param in (None, c.param)]
+    found = search_transform(family, a0, inp.grid, candidates, ns.budget, ns.tolerance)
     if found is None:
         doc = {"searched": True, "found": False, "params_start": a0}
     else:
@@ -552,120 +522,100 @@ def _cmd_si_check(cfg: RunConfig) -> None:
         doc = {"searched": True, "found": True,
                "transform": transform.to_dict(), "params_start": a0,
                "params_next": transform.apply(a0), "report": report.to_dict()}
-    _emit(_json_text(doc), cfg.output)
+    _emit(_json_text(doc), ns.output)
 
 
-def _spectrum_rows(cfg: RunConfig, grid: Grid1D) -> tuple[list[dict], bool]:
+def _spectrum_rows(inp: _Input, ns: argparse.Namespace) -> tuple[list[dict], bool]:
     """(n, algebraic, oracle) rows; oracle is None for records without a
     superpotential.  Oracle energies are reported relative to the oracle
     ground level, matching the algebraic convention E0 = 0."""
-    if cfg.catalog is not None:
-        rec = get_record(cfg.catalog)
-        spec = closed_form_spectrum(cfg.catalog, cfg.params, cfg.n_levels)
+    if inp.record is not None:
+        spec = closed_form_spectrum(inp.record.name, inp.params, ns.n_levels)
         entries = [e for e in spec.entries if e.valid]
         truncated = spec.truncated or len(entries) < len(spec.entries)
-        if rec.family is None:
+        if inp.family is None:
             rows = [{"n": e.n, "algebraic": e.energy, "oracle": None}
                     for e in entries]
             return rows, truncated
-        pair, _ = instantiate(cfg.catalog, cfg.params, grid)
-        oracle = solve_potential(pair.v_minus, len(entries))
-        e0 = oracle[0].energy
-        rows = [{"n": e.n, "algebraic": e.energy,
-                 "oracle": oracle[e.n].energy - e0} for e in entries]
-        return rows, truncated
-
-    family, a0 = _family_and_params(cfg)
-    found = search_transform(family, a0, grid, None, cfg.budget)
-    if found is None:
-        raise SusyQMError(
-            "no shape-invariant structure found within the search budget; "
-            "an algebraic spectrum needs one (try solve for oracle-only energies)")
-    transform, _ = found
-    spec = spectrum_from_measured_residuals(family, transform, a0, grid,
-                                            cfg.n_levels)
-    v_minus = partner_potentials(family, a0, grid).v_minus
-    oracle = solve_potential(v_minus, len(spec.entries))
+    else:
+        transform = _searched_transform(
+            inp, ns.budget, "an algebraic spectrum needs one "
+                            "(try solve for oracle-only energies)")
+        spec = spectrum_from_measured_residuals(inp.family, transform, inp.params,
+                                                inp.grid, ns.n_levels)
+        entries, truncated = spec.entries, spec.truncated
+    oracle = solve_potential(inp.potential(), len(entries))
     e0 = oracle[0].energy
     rows = [{"n": e.n, "algebraic": e.energy,
-             "oracle": oracle[e.n].energy - e0} for e in spec.entries]
-    return rows, spec.truncated
+             "oracle": oracle[e.n].energy - e0} for e in entries]
+    return rows, truncated
 
 
-def _cmd_spectrum(cfg: RunConfig) -> None:
-    grid = _resolve_grid(cfg)
-    rows, truncated = _spectrum_rows(cfg, grid)
-    if cfg.fmt == "csv":
+def _cmd_spectrum(inp: _Input, ns: argparse.Namespace) -> None:
+    rows, truncated = _spectrum_rows(inp, ns)
+    if ns.fmt == "csv":
         lines = ["n,algebraic,oracle"]
         for r in rows:
             oracle = "" if r["oracle"] is None else FLOAT_FMT % r["oracle"]
             lines.append(f"{r['n']},{FLOAT_FMT % r['algebraic']},{oracle}")
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", ns.output)
     else:
-        _emit(_json_text({"levels": rows, "truncated": truncated}), cfg.output)
+        _emit(_json_text({"levels": rows, "truncated": truncated}), ns.output)
 
 
-def _cmd_wavefunctions(cfg: RunConfig) -> None:
-    grid = _resolve_grid(cfg)
-    family, a0 = _family_and_params(cfg)
-    if cfg.catalog is not None:
-        transform = get_record(cfg.catalog).transform
+def _cmd_wavefunctions(inp: _Input, ns: argparse.Namespace) -> None:
+    if inp.record is not None:
+        transform = inp.record.transform
     else:
-        found = search_transform(family, a0, grid, None, cfg.budget)
-        if found is None:
-            raise SusyQMError(
-                "no shape-invariant structure found within the search budget; "
-                "chain-built wavefunctions need one")
-        transform = found[0]
-    states = [wavefunction_chain(family, a0, transform, n, grid)
-              for n in range(cfg.n_levels + 1)]
+        transform = _searched_transform(inp, ns.budget,
+                                        "chain-built wavefunctions need one")
+    states = [wavefunction_chain(inp.family, inp.params, transform, n, inp.grid)
+              for n in range(ns.n_levels + 1)]
     nodes = [count_nodes(s) for s in states]
-    if cfg.fmt == "csv":
+    if ns.fmt == "csv":
         lines = ["x," + ",".join(f"psi_{n}" for n in range(len(states)))]
-        for i, x in enumerate(grid.x):
+        for i, x in enumerate(inp.grid.x):
             row = [FLOAT_FMT % x] + [FLOAT_FMT % s.values[i] for s in states]
             lines.append(",".join(row))
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", ns.output)
     else:
-        doc = {"grid": _grid_dict(grid),
+        doc = {"grid": inp.grid.to_dict(),
                "states": [[float(v) for v in s.values] for s in states],
                "node_counts": nodes}
-        _emit(_json_text(doc), cfg.output)
+        _emit(_json_text(doc), ns.output)
 
 
-def _cmd_classify(cfg: RunConfig) -> None:
-    if cfg.catalog is not None:
-        tag = classify_record(cfg.catalog, cfg.params, cfg.budget)
-    elif cfg.tabulated is not None:
-        tag = classify_tabulated(_read_tabulated(cfg.tabulated))
+def _cmd_classify(inp: _Input, ns: argparse.Namespace) -> None:
+    if inp.record is not None:
+        tag = classify_record(inp.record, inp.params, ns.budget)
+    elif inp.tabulated is not None:
+        tag = classify_tabulated(inp.tabulated)
     else:
-        family, a0 = _family_and_params(cfg)
-        tag = classify_family(family, a0, _resolve_grid(cfg), cfg.budget)
-    if cfg.fig is not None:
-        with open(cfg.fig, "w", newline="\n") as fh:
+        tag = classify_family(inp.family, inp.params, inp.grid, ns.budget)
+    if ns.fig is not None:
+        with open(ns.fig, "w", newline="\n") as fh:
             fh.write(venn_graph_text(tag))
-    _emit(_json_text(tag.to_dict()), cfg.output)
+    _emit(_json_text(tag.to_dict()), ns.output)
 
 
-def _cmd_algebra_check(cfg: RunConfig) -> None:
-    grid = _resolve_grid(cfg)
-    family, a0 = _family_and_params(cfg)
-    cm = charge_matrices(family, a0, grid)
-    tolerance = 1e-10 if cfg.tolerance is None else cfg.tolerance
+def _cmd_algebra_check(inp: _Input, ns: argparse.Namespace) -> None:
+    cm = charge_matrices(inp.family, inp.params, inp.grid)
+    tolerance = 1e-10 if ns.tolerance is None else ns.tolerance
     report = verify_algebra(cm, tolerance)
-    _emit(_json_text(report.to_dict()), cfg.output)
+    _emit(_json_text(report.to_dict()), ns.output)
 
 
-def _cmd_catalog(cfg: RunConfig) -> None:
-    if cfg.name is not None:
-        entry = next(e for e in catalog_dump() if e["name"] == cfg.name)
-        _emit(_json_text(entry), cfg.output)
-    elif cfg.fmt == "json":
-        _emit(_json_text(catalog_dump()), cfg.output)
+def _cmd_catalog(ns: argparse.Namespace) -> None:
+    if ns.name is not None:
+        entry = next(e for e in catalog_dump() if e["name"] == ns.name)
+        _emit(_json_text(entry), ns.output)
+    elif ns.fmt == "json":
+        _emit(_json_text(catalog_dump()), ns.output)
     else:
-        _emit("\n".join(list_catalog()) + "\n", cfg.output)
+        _emit("\n".join(list_catalog()) + "\n", ns.output)
 
 
+#: Grid commands; each takes the resolved input and the parsed flags.
 _COMMANDS = {
     "solve": _cmd_solve,
     "partner": _cmd_partner,
@@ -675,47 +625,39 @@ _COMMANDS = {
     "wavefunctions": _cmd_wavefunctions,
     "classify": _cmd_classify,
     "algebra-check": _cmd_algebra_check,
-    "catalog": _cmd_catalog,
 }
 
 
-def _config_doc(cfg: RunConfig) -> dict:
-    doc = {
-        "command": cfg.command,
-        "grid": _grid_dict(_resolve_grid(cfg)) if cfg.command != "catalog"
-                else _grid_dict(make_grid(-10.0, 10.0, DEFAULT_N_POINTS)),
-        "params": cfg.params,
-        "n_levels": cfg.n_levels,
-        "depth": cfg.depth,
-        "tolerance": cfg.tolerance,
-        "budget": cfg.budget,
-        "input": cfg.input_dict(),
-        "format": cfg.fmt,
-        "output": cfg.output,
+def _config_doc(ns: argparse.Namespace) -> dict:
+    return {
+        "command": ns.command,
+        "grid": _grid(ns).to_dict(),
+        "params": ns.params,
+        "n_levels": ns.n_levels,
+        "depth": ns.depth,
+        "tolerance": ns.tolerance,
+        "budget": ns.budget,
+        "input": {"catalog": ns.catalog, "w": ns.w, "tabulated": ns.tabulated},
+        "format": ns.fmt,
+        "output": ns.output,
     }
-    return doc
-
-
-def run(cfg: RunConfig) -> int:
-    """Dispatch a validated config; exit code 0 success, 2 computation failure."""
-    try:
-        _COMMANDS[cfg.command](cfg)
-    except (SusyQMError, OSError, ValueError) as exc:
-        sys.stderr.write(f"susyqm {cfg.command}: {exc}\n")
-        return 2
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    if cfg.dump_config:
-        try:
-            sys.stdout.write(_json_text(_config_doc(cfg)))
-        except (SusyQMError, OSError, ValueError) as exc:
-            sys.stderr.write(f"susyqm {cfg.command}: {exc}\n")
-            return 2
-        return 0
-    return run(cfg)
+    """Run one invocation; exit code 0 success, 2 computation failure
+    (usage errors exit 1 from parse_args)."""
+    ns = parse_args(sys.argv[1:] if argv is None else argv)
+    try:
+        if ns.dump_config:
+            sys.stdout.write(_json_text(_config_doc(ns)))
+        elif ns.command == "catalog":
+            _cmd_catalog(ns)
+        else:
+            _COMMANDS[ns.command](_resolve(ns), ns)
+    except (SusyQMError, OSError, ValueError) as exc:
+        sys.stderr.write(f"susyqm {ns.command}: {exc}\n")
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridError, NoBoundStateError
-from .grids import FLOAT_FMT, Grid1D, GridFunction, align_sign, normalize
+from .grids import (FLOAT_FMT, Grid1D, GridFunction, align_sign,
+                    boundary_amplitude_ratio, normalize)
 
 #: A state whose boundary amplitude exceeds this fraction of its peak is not
 #: accepted as bound.
@@ -99,22 +100,19 @@ def solve_potential(v: GridFunction, k: int, shift: float = 0.0) -> list[EigenPa
     return solve_lowest(assemble_hamiltonian(v, shift), k)
 
 
-def ground_state(v: GridFunction, decay_ratio: float = DECAY_RATIO,
-                 sides: str = "both") -> EigenPair:
+def ground_state(v: GridFunction, sides: str = "both") -> EigenPair:
     """Lowest eigenpair of V, accepted only if the state decays at the box ends.
 
     ``sides`` restricts the decay test for potentials with a hard wall on
     one side (half-line problems), where the state is forced to zero at the
     wall regardless of binding.
     """
-    from .grids import boundary_amplitude_ratio
-
     pair = solve_potential(v, 1)
     ratio = boundary_amplitude_ratio(pair[0].state, sides=sides)
-    if ratio >= decay_ratio:
+    if ratio >= DECAY_RATIO:
         raise NoBoundStateError(
             f"lowest state has boundary amplitude {ratio:.3e} of peak "
-            f"(threshold {decay_ratio:.1e}); not a bound state on this box")
+            f"(threshold {DECAY_RATIO:.1e}); not a bound state on this box")
     return pair[0]
 
 
@@ -130,9 +128,8 @@ def solution_to_dict(pairs: list[EigenPair]) -> dict:
     """Full solution as a JSON-ready dict: grid, energies, state arrays."""
     if not pairs:
         return {"grid": None, "energies": [], "states": []}
-    g = pairs[0].state.grid
     return {
-        "grid": {"x_min": g.x_min, "x_max": g.x_max, "n_points": g.n_points},
+        "grid": pairs[0].state.grid.to_dict(),
         "energies": [p.energy for p in pairs],
         "states": [[float(v) for v in p.state.values] for p in pairs],
     }

@@ -57,6 +57,9 @@ class Grid1D:
         xs.setflags(write=False)
         return xs
 
+    def to_dict(self) -> dict:
+        return {"x_min": self.x_min, "x_max": self.x_max, "n_points": self.n_points}
+
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid1D:
     """Build a uniform grid, validating the domain order and point count."""
@@ -137,11 +140,7 @@ class GridFunction:
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        return {
-            "grid": {"x_min": self.grid.x_min, "x_max": self.grid.x_max,
-                     "n_points": self.grid.n_points},
-            "values": [float(v) for v in self.values],
-        }
+        return {"grid": self.grid.to_dict(), "values": [float(v) for v in self.values]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -194,18 +193,18 @@ def norm(f: GridFunction) -> float:
     return float(np.sqrt(inner_product(f, f)))
 
 
-def normalize(f: GridFunction, norm_floor: float = 1e-12) -> GridFunction:
-    """Rescale to unit L2 norm.  Raises ZeroNormError below ``norm_floor``."""
+def normalize(f: GridFunction) -> GridFunction:
+    """Rescale to unit L2 norm.  Raises ZeroNormError at a norm of 1e-12 or less."""
     n = norm(f)
-    if n <= norm_floor:
-        raise ZeroNormError(f"norm {n:.3e} at or below floor {norm_floor:.3e}, cannot normalize")
+    if n <= 1e-12:
+        raise ZeroNormError(f"norm {n:.3e} at or below floor 1.000e-12, cannot normalize")
     return GridFunction(f.grid, f.values / n)
 
 
-def count_nodes(f: GridFunction, rel_threshold: float = NODE_THRESHOLD) -> int:
+def count_nodes(f: GridFunction) -> int:
     """Count interior sign changes of f.
 
-    Values smaller than ``rel_threshold`` times the peak amplitude are
+    Values smaller than ``NODE_THRESHOLD`` times the peak amplitude are
     treated as numerical tail noise and skipped; the endpoint nodes never
     participate.  Raises ZeroNormError for an identically (near-)zero input.
     """
@@ -213,19 +212,19 @@ def count_nodes(f: GridFunction, rel_threshold: float = NODE_THRESHOLD) -> int:
     if amax == 0.0:
         raise ZeroNormError("cannot count nodes of the zero function")
     interior = f.values[1:-1]
-    significant = interior[np.abs(interior) > rel_threshold * amax]
+    significant = interior[np.abs(interior) > NODE_THRESHOLD * amax]
     if significant.size == 0:
         raise ZeroNormError("no interior values above the node-counting threshold")
     signs = np.sign(significant)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def align_sign(f: GridFunction, rel_threshold: float = 1e-12) -> GridFunction:
-    """Flip the overall sign so the first significant value is positive."""
+def align_sign(f: GridFunction) -> GridFunction:
+    """Flip the overall sign so the first value above 1e-12 of the peak is positive."""
     amax = float(np.max(np.abs(f.values)))
     if amax == 0.0:
         return f
-    idx = int(np.argmax(np.abs(f.values) > rel_threshold * amax))
+    idx = int(np.argmax(np.abs(f.values) > 1e-12 * amax))
     if f.values[idx] < 0:
         return GridFunction(f.grid, -f.values)
     return f

@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import (ChainConstructionError, EvaluationError, GridError,
                      TransformError)
-from .grids import (FLOAT_FMT, Grid1D, GridFunction, align_sign,
-                    boundary_amplitude_ratio, count_nodes, normalize)
-from .susy import (SuperpotentialFamily, apply_a_dagger, partner_potentials,
-                   zero_mode)
+from .grids import (FLOAT_FMT, Grid1D, GridFunction, align_sign, count_nodes,
+                    normalize)
+from .susy import (SuperpotentialFamily, _zero_mode_ratios, apply_a_dagger,
+                   partner_potentials, zero_mode)
 
 #: Residual-stddev tolerance tiers: exact w′ vs tabulated finite differences.
 ANALYTIC_TOL = 1e-6
@@ -459,9 +459,7 @@ def _minus_sector_decays(family: SuperpotentialFamily, params: dict,
     whose transformed ground state decays slowly on a finite box, while the
     degenerate mirror solutions this rejects have ψ₀⁻ peaking at the edge.
     """
-    sides = family.decay_sides
-    r_minus = boundary_amplitude_ratio(zero_mode(family, params, grid, -1), sides)
-    r_plus = boundary_amplitude_ratio(zero_mode(family, params, grid, +1), sides)
+    r_minus, r_plus = _zero_mode_ratios(family, params, grid)
     return r_minus < 1.0 and r_minus < r_plus
 
 

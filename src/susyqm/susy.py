@@ -207,19 +207,24 @@ class SusyPhase(enum.Enum):
     BROKEN = "broken"
 
 
-def susy_phase(family: SuperpotentialFamily, params: dict, grid: Grid1D,
-               decay_ratio: float = DECAY_RATIO) -> SusyPhase:
+def _zero_mode_ratios(family: SuperpotentialFamily, params: dict,
+                      grid: Grid1D) -> tuple[float, float]:
+    """Boundary amplitude ratios of ψ₀⁻ and ψ₀⁺ on the family's decay sides."""
+    sides = family.decay_sides
+    return (boundary_amplitude_ratio(zero_mode(family, params, grid, -1), sides),
+            boundary_amplitude_ratio(zero_mode(family, params, grid, +1), sides))
+
+
+def susy_phase(family: SuperpotentialFamily, params: dict, grid: Grid1D) -> SusyPhase:
     """Classify the phase by which zero mode (if either) passes the decay test.
 
     Should both raw tests ever pass (possible only for pathological w at the
     test threshold), the mode with the smaller boundary ratio wins, keeping
     the verdict single-valued.
     """
-    sides = family.decay_sides
-    r_minus = boundary_amplitude_ratio(zero_mode(family, params, grid, -1), sides)
-    r_plus = boundary_amplitude_ratio(zero_mode(family, params, grid, +1), sides)
-    minus_ok = r_minus < decay_ratio
-    plus_ok = r_plus < decay_ratio
+    r_minus, r_plus = _zero_mode_ratios(family, params, grid)
+    minus_ok = r_minus < DECAY_RATIO
+    plus_ok = r_plus < DECAY_RATIO
     if minus_ok and plus_ok:
         return SusyPhase.UNBROKEN_MINUS if r_minus <= r_plus else SusyPhase.UNBROKEN_PLUS
     if minus_ok:
@@ -386,12 +391,11 @@ def _derivative_5pt(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def superpotential_from_ground_state(psi0: GridFunction,
-                                     rel_floor: float = 1e-12) -> GridFunction:
+def superpotential_from_ground_state(psi0: GridFunction) -> GridFunction:
     """Recover w = -ψ₀′/ψ₀ from a nodeless state.
 
-    The ratio is taken directly (no logs) wherever |ψ₀| exceeds
-    ``rel_floor`` of its peak; outside that region w is filled by constant
+    The ratio is taken directly (no logs) wherever |ψ₀| is at least 1e-12
+    of its peak; outside that region w is filled by constant
     extension, and callers should treat it as untrusted there.  A state with
     an interior node is rejected.
     """
@@ -399,7 +403,7 @@ def superpotential_from_ground_state(psi0: GridFunction,
     if count_nodes(psi) != 0:
         raise NodePresentError("state has interior nodes; not a ground state")
     vals = psi.values
-    mask = np.abs(vals) >= rel_floor * float(np.max(np.abs(vals)))
+    mask = np.abs(vals) >= 1e-12 * float(np.max(np.abs(vals)))
     idx = np.flatnonzero(mask)
     dpsi = _derivative_5pt(vals, psi.grid.h)
     w_masked = -dpsi[idx] / vals[idx]
@@ -407,13 +411,13 @@ def superpotential_from_ground_state(psi0: GridFunction,
     return GridFunction(psi.grid, w)
 
 
-def decay_trust_window(psi: GridFunction, decay_ratio: float = DECAY_RATIO) -> tuple[int, int]:
-    """Index range where |ψ| is at least ``decay_ratio`` of its peak.
+def decay_trust_window(psi: GridFunction) -> tuple[int, int]:
+    """Index range where |ψ| is at least ``DECAY_RATIO`` of its peak.
 
     Quantities derived from ψ by division (w, rebuilt potentials) are only
     meaningful inside this window.
     """
-    big = np.flatnonzero(np.abs(psi.values) >= decay_ratio * float(np.max(np.abs(psi.values))))
+    big = np.flatnonzero(np.abs(psi.values) >= DECAY_RATIO * float(np.max(np.abs(psi.values))))
     return int(big[0]), int(big[-1])
 
 
@@ -450,9 +454,7 @@ class Hierarchy:
         return len(self.levels)
 
 
-def build_hierarchy(v: GridFunction, depth: int,
-                    decay_ratio: float = DECAY_RATIO,
-                    sides: str = "both") -> Hierarchy:
+def build_hierarchy(v: GridFunction, depth: int, sides: str = "both") -> Hierarchy:
     """Iteratively strip ground states: solve, extract w, form w² + w′ + E₀.
 
     Stops early (``truncated`` True, ``note`` set) as soon as a level's
@@ -466,12 +468,12 @@ def build_hierarchy(v: GridFunction, depth: int,
     current = v
     for k in range(1, depth + 1):
         try:
-            pair = ground_state(current, decay_ratio, sides)
+            pair = ground_state(current, sides)
         except NoBoundStateError as exc:
             levels.append(HierarchyLevel(k, current, None, None, None, None))
             return Hierarchy(levels, truncated=True, note=f"level {k}: {exc}")
         w = superpotential_from_ground_state(pair.state)
-        trust = decay_trust_window(pair.state, decay_ratio)
+        trust = decay_trust_window(pair.state)
         levels.append(HierarchyLevel(k, current, pair.energy, pair.state, w, trust))
         if k < depth:
             w_prime = _derivative_5pt(w.values, grid.h)

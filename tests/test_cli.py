@@ -1,12 +1,15 @@
+import ast
 import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from jsonschema import validate
 
+import susyqm.cli
 from susyqm import GridFunction, make_grid
 from susyqm.cli import (MAX_BUDGET, MAX_DEPTH, MAX_LEVELS, MAX_POINTS, main,
                         parse_args)
@@ -214,6 +217,36 @@ def test_si_check_pinned_transform_dicts(capsys, knobs, expected):
     # "p": 2 stays an int
     assert {k: type(v) for k, v in doc["transform"].items()} == \
         {k: type(v) for k, v in expected.items()}
+
+
+def test_si_check_search_honours_on(capsys):
+    # Unrestricted, the search settles on a parameter a; restricted to b,
+    # it finds the identity map on b, with R = 2a.
+    code, out, _ = run_cli(capsys, "si-check", "--w", "a*x + b", "--param", "a=1",
+                           "--param", "b=0.5", "--budget", "9", "--on", "b")
+    assert code == 0
+    doc = json.loads(out)
+    validate(doc, SI_CHECK_SCHEMA)
+    assert doc["searched"] is True and doc["found"] is True
+    assert doc["transform"] == {"kind": "translation", "alpha": 0.0, "param": "b"}
+    assert doc["report"]["residual_mean"] == pytest.approx(2.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("--w", "a*x + b", "--param", "a=1", "--param", "b=0.5", "--budget", "9"),
+     ["a", "b"]),
+    (("--w", "A*tanh(x)", "--param", "A=2", "--transform", "translation",
+      "--alpha", "-1"), ["A"]),
+    (("--catalog", "morse", "--search"), ["A"]),
+    (("--catalog", "morse", "--transform", "scaling", "--q", "0.5"), ["A"]),
+], ids=["search", "verify", "catalog-search", "catalog-verify"])
+def test_si_check_unknown_on_is_usage_error(capsys, argv, names):
+    with pytest.raises(SystemExit) as exc:
+        main(["si-check", *argv, "--on", "zzz"])
+    assert exc.value.code == 1
+    message = [ln for ln in capsys.readouterr().err.splitlines() if ": error: " in ln]
+    assert message == ["susyqm: error: --on 'zzz' is not a parameter of the input; "
+                       f"its parameters are {names}"]
 
 
 # -- spectrum --------------------------------------------------------------------
@@ -607,6 +640,60 @@ def test_dump_config(capsys):
     assert doc["grid"] == {"x_min": -3.5, "x_max": 10.0, "n_points": 2701}
     assert "threads" not in doc
     assert doc["input"]["catalog"] == "morse"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--catalog", "morse"),
+    ("--catalog", "coulomb-radial", "--x-max", "40", "--points", "801"),
+    ("--w", "A*tanh(x)", "--param", "A=2"),
+    ("--w", "A*tanh(x)", "--param", "A=2", "--x-min", "-4", "--points", "301"),
+])
+def test_dump_config_grid_is_the_grid_the_command_uses(capsys, argv):
+    code, out, _ = run_cli(capsys, "partner", *argv, "--dump-config")
+    assert code == 0
+    dumped = json.loads(out)["grid"]
+    code, out, _ = run_cli(capsys, "partner", *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["grid"] == dumped
+
+
+# -- input resolution ---------------------------------------------------------------
+
+SINGULAR = ("grid starts at -1.0, inside the singular region of 'coulomb-radial'; "
+            "x_min must be at least 0.001")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("partner", ()), ("solve", ()), ("hierarchy", ("--output", "{levels}")),
+    ("si-check", ()), ("spectrum", ()), ("wavefunctions", ()),
+    ("algebra-check", ()), ("solve", ("--dump-config",)),
+], ids=["partner", "solve", "hierarchy", "si-check", "spectrum", "wavefunctions",
+        "algebra-check", "dump-config"])
+def test_singular_region_rule_holds_for_every_grid_command(capsys, tmp_path,
+                                                           command, extra):
+    out_dir = tmp_path / "levels"
+    extra = [a.replace("{levels}", str(out_dir)) for a in extra]
+    code, out, err = run_cli(capsys, command, "--catalog", "coulomb-radial",
+                             "--x-min", "-1", *extra)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"susyqm {command}: {SINGULAR}"]
+    assert not out_dir.exists()
+
+
+def test_commands_read_only_the_resolved_input():
+    """Looking up records, merging parameters and building grids happen in
+    parse_args and the resolve and grid helpers; no _cmd_* does either."""
+    banned = {"get_record", "merged_params", "instantiate", "make_grid"}
+    tree = ast.parse(Path(susyqm.cli.__file__).read_text())
+    commands = [fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")]
+    assert len(commands) == 9
+    calls = sorted(
+        (fn.name, name) for fn in commands for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+        if name in banned)
+    assert calls == []
 
 
 def test_overflow_reports_one_stderr_line():

@@ -38,6 +38,7 @@ print(json.dumps(report))
 
 STEPS = [
     ("catalog", [["catalog"], ["catalog", "--format", "json"], ["catalog", "morse"]]),
+    ("dump-config", [["solve", "--catalog", "morse", "--dump-config"]]),
     ("partner", [["partner", "--w", "a*x", "--param", "a=1", "--points", "101"]]),
     ("every command", [
         ["solve", "--catalog", "morse", "--points", "401"],
@@ -70,6 +71,10 @@ def test_import_loads_neither_sympy_nor_scipy(loaded_after):
 
 def test_catalog_loads_neither_sympy_nor_scipy(loaded_after):
     assert loaded_after["catalog"] == []
+
+
+def test_dump_config_compiles_no_record(loaded_after):
+    assert loaded_after["dump-config"] == []
 
 
 def test_expression_command_without_solver_skips_scipy(loaded_after):
