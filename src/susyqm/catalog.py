@@ -13,7 +13,9 @@ from functools import cache, cached_property
 from typing import Callable
 
 from .errors import CatalogError
-from .expressions import compile_scalar, parse_expression
+from .expressions import (NumpyCode, assemble_on_grid, assemble_scalar, compile_scalar,
+                          differentiate, generate_on_grid, generate_scalar,
+                          parameter_names, parse_expression)
 from .grids import Grid1D, GridFunction, make_grid
 from .shape_invariance import (Cyclic, ParameterTransform, Scaling, Spectrum,
                                SpectrumEntry, Translation, algebraic_spectrum,
@@ -34,8 +36,12 @@ class SIPRecord:
     singular point; a record that sets it is a half-line problem with a hard
     wall on the left.
 
-    ``family`` and ``r_function`` are compiled from the text on first
-    access, so listing or dumping the catalog parses nothing.
+    ``family`` and ``r_function`` are built on first access, so listing or
+    dumping the catalog builds nothing.  They are assembled from the numpy
+    code generated ahead of time for the built-in records
+    (``_compiled_catalog``, looked up by expression text), which loads no
+    sympy; an expression not found there is parsed and compiled from its
+    text.
     """
 
     name: str
@@ -52,14 +58,30 @@ class SIPRecord:
     def family(self) -> SuperpotentialFamily | None:
         if self.expression is None:
             return None
-        return SuperpotentialFamily.from_expression(
-            self.expression, domain=self.domain[:2],
-            hard_wall_left=self.min_x is not None)
+        from . import _compiled_catalog
+
+        options = {"domain": self.domain[:2], "hard_wall_left": self.min_x is not None}
+        codes = _compiled_catalog.FAMILIES.get(self.expression)
+        if codes is None:
+            return SuperpotentialFamily.from_expression(self.expression, **options)
+        w, w_prime = codes
+        return SuperpotentialFamily(assemble_on_grid(w), assemble_on_grid(w_prime),
+                                    w.params, source=self.expression, **options)
 
     @cached_property
     def r_function(self) -> Callable[[dict], float]:
-        return compile_scalar(parse_expression(self.r_closed_form),
-                              sorted(self.default_params))
+        from . import _compiled_catalog
+
+        code = _compiled_catalog.R_FUNCTIONS.get(_r_key(self))
+        if code is None:
+            return compile_scalar(parse_expression(self.r_closed_form),
+                                  sorted(self.default_params))
+        return assemble_scalar(code)
+
+
+def _r_key(record: SIPRecord) -> tuple[str, tuple[str, ...]]:
+    """R's code depends on the parameter list as well as the text."""
+    return record.r_closed_form, tuple(sorted(record.default_params))
 
 
 def _always_valid(params: dict) -> bool:
@@ -231,3 +253,57 @@ def catalog_dump() -> list[dict]:
             "notes": rec.notes,
         })
     return out
+
+
+#: Shell command that rewrites ``_compiled_catalog.py`` from the records.
+_REGENERATE = ("PYTHONPATH=src python -c \"from susyqm.catalog import _render_compiled_catalog "
+               "as r; open('src/susyqm/_compiled_catalog.py', 'w').write(r())\"")
+
+
+def _render_code(code: NumpyCode, indent: str) -> list[str]:
+    return [f"{indent}NumpyCode(",
+            f"{indent}    text={code.text!r},",
+            f"{indent}    params={code.params!r},",
+            f"{indent}    source=(",
+            *(f"{indent}        {line!r}" for line in code.source.splitlines(keepends=True)),
+            f"{indent}    ),",
+            f"{indent}    broadcasts={code.broadcasts!r},",
+            f"{indent}),"]
+
+
+def _render_compiled_catalog() -> str:
+    """The text of ``_compiled_catalog.py``: the numpy code that
+    SuperpotentialFamily.from_expression and compile_scalar generate for
+    each record's w, w′ and R.  Needs sympy."""
+    lines = [
+        '"""Generated numpy code of the catalog records\' expressions.  Do not edit.',
+        "",
+        "SIPRecord.family and SIPRecord.r_function assemble their callables from",
+        "this code, so a command on a built-in record loads no sympy.  Regenerate",
+        "after changing a record's expression or R, or after upgrading sympy,",
+        "from the root of a source checkout:",
+        "",
+        f"    {_REGENERATE}",
+        '"""',
+        "",
+        "from .expressions import NumpyCode",
+        "",
+        "#: Superpotential text -> (w, w') code.",
+        "FAMILIES = {",
+    ]
+    records = list(_catalog().values())
+    for rec in records:
+        if rec.expression is None:
+            continue
+        expr = parse_expression(rec.expression)
+        params = parameter_names(expr)
+        lines.append(f"    {rec.expression!r}: (")
+        for e in (expr, differentiate(expr)):
+            lines += _render_code(generate_on_grid(e, params), " " * 8)
+        lines.append("    ),")
+    lines += ["}", "", "#: (R text, sorted parameter names) -> R code.", "R_FUNCTIONS = {"]
+    for key in dict.fromkeys(_r_key(rec) for rec in records):
+        lines.append(f"    {key!r}:")
+        lines += _render_code(generate_scalar(parse_expression(key[0]), list(key[1])), " " * 8)
+    lines.append("}")
+    return "\n".join(lines) + "\n"

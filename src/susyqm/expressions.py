@@ -214,51 +214,57 @@ class _SubtermTables:
         return tables
 
 
-def _evaluated(expr: sympy.Expr, call: Callable[[], object]):
-    """call() with numpy warnings silenced, and with the failures of a
-    parameter-only subterm computed in Python floats (``1/(a - 2)`` at a = 2,
-    ``a**400``, ``a**(-1.5)`` at a < 0, which comes out complex) raised as
-    EvaluationError."""
-    try:
-        with np.errstate(all="ignore"):
-            out = call()
-    except (ZeroDivisionError, OverflowError) as exc:
-        problem = f"cannot be evaluated at these parameters ({exc.args[-1]})"
-    else:
-        if not np.iscomplexobj(out):
-            return out
-        problem = "is complex at these parameters"
+@dataclass(frozen=True)
+class NumpyCode:
+    """The numpy source of one compiled expression: all that assembly needs.
+
+    ``text`` is the expression as ``sympy.sstr`` prints it, for error
+    messages; ``params`` are the parameter names in argument order.
+    ``source`` defines ``_fn``, whose arguments are x, the parameters and
+    the subterm tables (compile_on_grid) or the parameters alone
+    (compile_scalar), and, when the expression has x-only subterms,
+    ``_tabulate(x)``, which returns the tables.  ``broadcasts`` is
+    compile_on_grid's flag of that name.
+    """
+
+    text: str
+    params: tuple[str, ...]
+    source: str
+    broadcasts: bool = False
+
+
+def _printer_settings() -> dict:
+    """The settings lambdify gives its printer for modules=[_NUMPY_EXTRAS, numpy]."""
+    return {"fully_qualified_modules": False, "inline": True,
+            "allow_unknown_functions": True,
+            "user_functions": {k: k for k in _NUMPY_EXTRAS}}
+
+
+def _function_source(name: str, args: list[str], body: str) -> str:
+    """A one-statement function, laid out as lambdify lays it out."""
+    return f"def {name}({', '.join(args)}):\n    return {body}\n"
+
+
+def _numpy_code(expr: sympy.Expr, params: list[str], source: str,
+                broadcasts: bool = False) -> NumpyCode:
+    """The code record of expr, whose parameters must all be in params: the
+    assembled function binds no other name (lambdify would bind a sympy
+    Symbol, and fail at the first evaluation)."""
     import sympy
 
-    raise EvaluationError(f"expression {sympy.sstr(expr)!r} {problem}")
+    unknown = sorted(set(parameter_names(expr)) - set(params))
+    if unknown:
+        raise ExpressionError(f"expression {sympy.sstr(expr)!r} uses parameters "
+                              f"{unknown} not among {list(params)}")
+    return NumpyCode(sympy.sstr(expr), tuple(params), source, broadcasts)
 
 
-def compile_on_grid(expr: sympy.Expr,
-                    params: list[str]) -> Callable[[np.ndarray, dict], np.ndarray]:
-    """Compile expr(x, params) into a numpy-vectorized callable.
+def generate_on_grid(expr: sympy.Expr, params: list[str]) -> NumpyCode:
+    """The code generation half of compile_on_grid (needs sympy).
 
-    The returned function takes the grid array and a parameter dict and
-    returns a float array of the broadcast shape of x and the parameter
-    values; constant expressions are broadcast.  With float parameters a
-    non-finite result raises EvaluationError (singularity or overflow
-    inside the evaluation window).
-
-    Parameters may also be arrays, e.g. a column of values against
-    ``x[None, :]``, which tabulates one row per parameter value in a single
-    call.  Such a stack comes back unchecked, so the caller can reject
-    non-finite rows one by one.  The function's ``broadcasts`` attribute
-    tells whether each row then equals, bit for bit, the float-parameter
-    evaluation at that row's values (see _broadcasts_exactly).
-
-    Every composite subterm whose only free symbol is x (``x**3``,
-    ``exp(-x)``, ``sech(x)**2``) is tabulated once per grid and reused by
-    later calls on that grid, with float or stacked parameters alike; the
-    function's ``subterms`` attribute holds those tables (None when there
-    are none).  The code is lambdify's, printed once, with each such
-    subterm read from its table in the same place, so every result equals
-    plain lambdify's bit for bit.  Tables are kept only for a read-only x
-    that owns its memory (``Grid1D.x``) or a full view of one
-    (``Grid1D.x[None, :]``); any other x is tabulated on every call.
+    The source is lambdify's numpy code for expr, except that each
+    composite subtree whose only free symbol is x prints as an index into
+    the tables argument, and ``_tabulate`` computes those subtrees.
     """
     import sympy
     from sympy.printing.numpy import NumPyPrinter
@@ -289,18 +295,58 @@ def compile_on_grid(expr: sympy.Expr,
                 self._inside = False
             return f"{tables_arg}[{codes.setdefault(code, len(codes))}]"
 
-    syms = [x_sym] + [sympy.Symbol(p, real=True) for p in params]
-    printer = SubtermPrinter({"fully_qualified_modules": False, "inline": True,
-                              "allow_unknown_functions": True,
-                              "user_functions": {k: k for k in _NUMPY_EXTRAS}})
-    fn = sympy.lambdify(syms + [sympy.Symbol(tables_arg)], expr,
-                        modules=[_NUMPY_EXTRAS, np], printer=printer)
-    subterms = None
+    body = SubtermPrinter(_printer_settings()).doprint(expr)
+    source = _function_source("_fn", ["x", *params, tables_arg], body)
     if codes:
-        source = f"def _tabulate(x):\n    return ({', '.join(codes)},)\n"
-        scope: dict = {}
-        exec(compile(source, "<subterm-tables>", "exec"), fn.__globals__, scope)
-        subterms = _SubtermTables(scope["_tabulate"])
+        source += _function_source("_tabulate", ["x"], f"({', '.join(codes)},)")
+    return _numpy_code(expr, params, source, _broadcasts_exactly(expr))
+
+
+def generate_scalar(expr: sympy.Expr, params: list[str]) -> NumpyCode:
+    """The code generation half of compile_scalar (needs sympy)."""
+    import sympy
+    from sympy.printing.numpy import NumPyPrinter
+
+    if _grammar().x in expr.free_symbols:
+        raise ExpressionError(f"expression {sympy.sstr(expr)!r} must not depend on x")
+    body = NumPyPrinter(_printer_settings()).doprint(expr)
+    return _numpy_code(expr, params, _function_source("_fn", list(params), body))
+
+
+@cache
+def _namespace() -> dict:
+    """lambdify's namespace for modules=[_NUMPY_EXTRAS, numpy]."""
+    return {**vars(np), **_NUMPY_EXTRAS}
+
+
+def _functions(code: NumpyCode) -> dict:
+    scope: dict = {}
+    exec(compile(code.source, "<susyqm-compiled>", "exec"), _namespace(), scope)
+    return scope
+
+
+def _evaluated(text: str, call: Callable[[], object]):
+    """call() with numpy warnings silenced, and with the failures of a
+    parameter-only subterm computed in Python floats (``1/(a - 2)`` at a = 2,
+    ``a**400``, ``a**(-1.5)`` at a < 0, which comes out complex) raised as
+    EvaluationError."""
+    try:
+        with np.errstate(all="ignore"):
+            out = call()
+    except (ZeroDivisionError, OverflowError) as exc:
+        problem = f"cannot be evaluated at these parameters ({exc.args[-1]})"
+    else:
+        if not np.iscomplexobj(out):
+            return out
+        problem = "is complex at these parameters"
+    raise EvaluationError(f"expression {text!r} {problem}")
+
+
+def assemble_on_grid(code: NumpyCode) -> Callable[[np.ndarray, dict], np.ndarray]:
+    """The sympy-free half of compile_on_grid: the callable built from code."""
+    scope = _functions(code)
+    fn, params, text = scope["_fn"], code.params, code.text
+    subterms = _SubtermTables(scope["_tabulate"]) if "_tabulate" in scope else None
 
     def evaluate(x: np.ndarray, values: dict) -> np.ndarray:
         missing = [p for p in params if p not in values]
@@ -309,7 +355,7 @@ def compile_on_grid(expr: sympy.Expr,
         stacked = any(np.ndim(values[p]) for p in params)
         args = [np.asarray(values[p], dtype=float) if np.ndim(values[p])
                 else float(values[p]) for p in params]
-        out = _evaluated(expr, lambda: fn(x, *args, subterms(x) if subterms else ()))
+        out = _evaluated(text, lambda: fn(x, *args, subterms(x) if subterms else ()))
         out = np.asarray(out, dtype=float)
         shape = np.broadcast_shapes(np.shape(x), *(np.shape(a) for a in args))
         if out.shape != shape:
@@ -317,31 +363,68 @@ def compile_on_grid(expr: sympy.Expr,
         if not stacked and not np.all(np.isfinite(out)):
             n_bad = int(np.count_nonzero(~np.isfinite(out)))
             raise EvaluationError(
-                f"expression {sympy.sstr(expr)!r} is non-finite at {n_bad} grid node(s); "
+                f"expression {text!r} is non-finite at {n_bad} grid node(s); "
                 "check for singularities inside the domain")
         return out
 
-    evaluate.broadcasts = _broadcasts_exactly(expr)
+    evaluate.broadcasts = code.broadcasts
     evaluate.subterms = subterms
     return evaluate
 
 
-def compile_scalar(expr: sympy.Expr, params: list[str]) -> Callable[[dict], float]:
-    """Compile a parameter-only expression (no x) into params -> float."""
-    import sympy
-
-    if _grammar().x in expr.free_symbols:
-        raise ExpressionError(f"expression {sympy.sstr(expr)!r} must not depend on x")
-    syms = [sympy.Symbol(p, real=True) for p in params]
-    fn = sympy.lambdify(syms, expr, modules=[_NUMPY_EXTRAS, np])
+def assemble_scalar(code: NumpyCode) -> Callable[[dict], float]:
+    """The sympy-free half of compile_scalar: the callable built from code."""
+    fn, params, text = _functions(code)["_fn"], code.params, code.text
 
     def evaluate(values: dict) -> float:
         missing = [p for p in params if p not in values]
         if missing:
             raise EvaluationError(f"missing parameter values for {missing}")
-        out = float(_evaluated(expr, lambda: fn(*[float(values[p]) for p in params])))
+        out = float(_evaluated(text, lambda: fn(*[float(values[p]) for p in params])))
         if not np.isfinite(out):
-            raise EvaluationError(f"expression {sympy.sstr(expr)!r} evaluated non-finite")
+            raise EvaluationError(f"expression {text!r} evaluated non-finite")
         return out
 
     return evaluate
+
+
+def compile_on_grid(expr: sympy.Expr,
+                    params: list[str]) -> Callable[[np.ndarray, dict], np.ndarray]:
+    """Compile expr(x, params) into a numpy-vectorized callable.
+
+    The returned function takes the grid array and a parameter dict and
+    returns a float array of the broadcast shape of x and the parameter
+    values; constant expressions are broadcast.  With float parameters a
+    non-finite result raises EvaluationError (singularity or overflow
+    inside the evaluation window).
+
+    Parameters may also be arrays, e.g. a column of values against
+    ``x[None, :]``, which tabulates one row per parameter value in a single
+    call.  Such a stack comes back unchecked, so the caller can reject
+    non-finite rows one by one.  The function's ``broadcasts`` attribute
+    tells whether each row then equals, bit for bit, the float-parameter
+    evaluation at that row's values (see _broadcasts_exactly).
+
+    Every composite subterm whose only free symbol is x (``x**3``,
+    ``exp(-x)``, ``sech(x)**2``) is tabulated once per grid and reused by
+    later calls on that grid, with float or stacked parameters alike; the
+    function's ``subterms`` attribute holds those tables (None when there
+    are none).  Tables are kept only for a read-only x that owns its memory
+    (``Grid1D.x``) or a full view of one (``Grid1D.x[None, :]``); any other
+    x is tabulated on every call.
+
+    Compilation is two steps.  generate_on_grid prints the numpy source
+    with sympy: lambdify's code, with each such subterm read from its table
+    in the same place, so every result equals plain lambdify's bit for bit.
+    assemble_on_grid, which needs no sympy, executes that source in
+    lambdify's namespace and wraps it in the checks above.  The catalog
+    records' sources are generated ahead of time (``_compiled_catalog``)
+    and go through the same assembly step.
+    """
+    return assemble_on_grid(generate_on_grid(expr, params))
+
+
+def compile_scalar(expr: sympy.Expr, params: list[str]) -> Callable[[dict], float]:
+    """Compile a parameter-only expression (no x) into params -> float,
+    in the same two steps as compile_on_grid."""
+    return assemble_scalar(generate_scalar(expr, params))

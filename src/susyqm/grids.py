@@ -9,6 +9,7 @@ real; all objects are immutable after construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -43,6 +44,17 @@ class Grid1D:
             raise GridError(f"domain-order violation: x_min={self.x_min} >= x_max={self.x_max}")
         if self.n_points < 3:
             raise GridError(f"n_points={self.n_points} too small, need at least 3")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise GridError(f"grid span x_max - x_min overflows on [{self.x_min}, {self.x_max}]")
+        # The finite-difference Laplacian's diagonal 2/h**2 must be a finite
+        # float: h**2 may neither underflow to 0 nor overflow.
+        try:
+            finite = math.isfinite(2.0 / self.h**2)
+        except (ZeroDivisionError, OverflowError):
+            finite = False
+        if not finite:
+            raise GridError(f"grid spacing h={self.h} is out of range: "
+                            "h**2 and 2/h**2 must both be finite")
 
     @property
     def h(self) -> float:

@@ -680,6 +680,36 @@ def test_singular_region_rule_holds_for_every_grid_command(capsys, tmp_path,
     assert not out_dir.exists()
 
 
+DEGENERATE_GRIDS = {
+    # h**2 underflows to 0, so the Laplacian's 2/h**2 would divide by zero
+    "tiny-spacing": (("--x-min=-1e-300", "--x-max", "1e-300", "--points", "101"),
+                     "grid spacing h=2e-302 is out of range: "
+                     "h**2 and 2/h**2 must both be finite"),
+    # x_max - x_min overflows, so linspace would fill the grid with inf and nan
+    "span-overflow": (("--x-min=-1e308", "--x-max", "1e308"),
+                      "grid span x_max - x_min overflows on [-1e+308, 1e+308]"),
+}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("partner", ()), ("solve", ()), ("hierarchy", ("--output", "{levels}")),
+    ("si-check", ()), ("spectrum", ()), ("wavefunctions", ()), ("classify", ()),
+    ("algebra-check", ()), ("solve", ("--dump-config",)),
+], ids=["partner", "solve", "hierarchy", "si-check", "spectrum", "wavefunctions",
+        "classify", "algebra-check", "dump-config"])
+@pytest.mark.parametrize("grid", list(DEGENERATE_GRIDS))
+def test_degenerate_grid_is_one_line_error(capsys, tmp_path, command, extra, grid):
+    flags, message = DEGENERATE_GRIDS[grid]
+    out_dir = tmp_path / "levels"
+    extra = [a.replace("{levels}", str(out_dir)) for a in extra]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        code, out, err = run_cli(capsys, command, "--w", "x", *flags, *extra)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"susyqm {command}: {message}"]
+    assert not out_dir.exists()
+
+
 def test_commands_read_only_the_resolved_input():
     """Looking up records, merging parameters and building grids happen in
     parse_args and the resolve and grid helpers; no _cmd_* does either."""

@@ -139,6 +139,14 @@ def test_parameter_subterm_failures_are_evaluation_errors(text, params, reason):
         compile_scalar(scalar, parameter_names(scalar))(params)
 
 
+def test_compile_rejects_parameters_left_out_of_the_list():
+    # the assembled function binds no name but its arguments and numpy's
+    with pytest.raises(ExpressionError, match=r"uses parameters \['b'\] not among \['a'\]"):
+        compile_on_grid(parse_expression("a*x + b"), ["a"])
+    with pytest.raises(ExpressionError, match=r"uses parameters \['B'\]"):
+        compile_scalar(parse_expression("2*A + B"), ["A"])
+
+
 def test_compile_scalar():
     r = compile_scalar(parse_expression("2*A + 1"), ["A"])
     assert r({"A": 2.0}) == 5.0

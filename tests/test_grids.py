@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,23 @@ def test_default_grid_shape():
 def test_grid_rejects_bad_domains(args):
     with pytest.raises(GridError):
         Grid1D(*args)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((-1e-300, 1e-300, 101), "h=2e-302 is out of range"),  # h**2 underflows to 0
+    ((0.0, 1e-154, 3), "h=5e-155 is out of range"),  # 2/h**2 overflows
+    ((-1e200, 1e200, 5), "h=5e+199 is out of range"),  # h**2 overflows
+    ((-1e308, 1e308, 11), "x_max - x_min overflows"),
+    ((-1.7e308, 1.7e308, 2001), "x_max - x_min overflows"),
+])
+def test_grid_rejects_spacing_outside_float_range(args, message):
+    with pytest.raises(GridError, match=re.escape(message)):
+        Grid1D(*args)
+
+
+def test_grid_accepts_spacing_near_the_float_limits():
+    for grid in (make_grid(0.0, 1e-150, 3), make_grid(-1e150, 1e150, 3)):
+        assert np.isfinite(2.0 / grid.h**2) and np.all(np.isfinite(grid.x))
 
 
 def test_gridfunction_validates_shape_and_finiteness():

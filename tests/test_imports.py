@@ -1,9 +1,10 @@
 """Which heavy dependencies the package and each CLI command load.
 
-sympy is needed only to parse an expression and scipy only for a sparse or
-tridiagonal solve, so commands that do neither must not import them.  A fresh
-interpreter runs the calls in order and reports, after each step, which of
-the watched modules are in ``sys.modules``.  Module names only, never times.
+sympy is needed only to parse an expression (a catalog record's numpy code is
+checked in) and scipy only for a sparse or tridiagonal solve, so commands
+that do neither must not import them.  A fresh interpreter runs the calls in
+order and reports, after each step, which of the watched modules are in
+``sys.modules``.  Module names only, never times.
 """
 
 import json
@@ -18,7 +19,7 @@ PROBE = r"""
 import contextlib, io, json, sys
 
 watched, steps, workdir = json.loads(sys.argv[1])
-report = {}
+report = {"stderr": {}}
 
 def loaded():
     return sorted(name for name in watched if name in sys.modules)
@@ -26,20 +27,44 @@ def loaded():
 import susyqm
 report["import"] = loaded()
 from susyqm.cli import main
-for label, calls in steps:
+for label, calls, expected in steps:
+    errors = []
     for argv in calls:
-        with contextlib.redirect_stdout(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([a.replace("{work}", workdir) for a in argv])
-        if code != 0:
-            raise SystemExit(f"{argv} exited {code}")
+        if code != expected:
+            raise SystemExit(f"{argv} exited {code}: {err.getvalue()}")
+        errors.append(err.getvalue())
     report[label] = loaded()
+    report["stderr"][label] = errors
 print(json.dumps(report))
 """
 
+#: Failing calls on catalog records, each with its stderr line, recorded
+#: when the records were still compiled with sympy.
+CATALOG_ERRORS = [
+    (["partner", "--catalog", "coulomb-radial", "--param", "l=-1"],
+     "susyqm partner: expression 'q/(2*l + 2) - (l + 1)/x' cannot be evaluated "
+     "at these parameters (float division by zero)"),
+    (["spectrum", "--catalog", "coulomb-radial", "--param", "l=-1"],
+     "susyqm spectrum: expression 'q**2*(-1/(l + 1)**2 + l**(-2))/4' cannot be "
+     "evaluated at these parameters (0.0 cannot be raised to a negative power)"),
+    (["partner", "--catalog", "morse", "--x-min=-800"],
+     "susyqm partner: expression 'A - exp(-x)' is non-finite at 301 grid node(s); "
+     "check for singularities inside the domain"),
+    (["wavefunctions", "--catalog", "morse", "--param", "A=0.5"],
+     "susyqm wavefunctions: chain state for level 1 carries 0 node(s); "
+     "construction unreliable at this grid or parameters"),
+    (["spectrum", "--catalog", "morse", "--param", "A=-1"],
+     "susyqm spectrum: parameters {'A': -1.0} violate validity of record "
+     "'morse' at level 0"),
+]
+
 STEPS = [
-    ("catalog", [["catalog"], ["catalog", "--format", "json"], ["catalog", "morse"]]),
-    ("dump-config", [["solve", "--catalog", "morse", "--dump-config"]]),
-    ("partner", [["partner", "--w", "a*x", "--param", "a=1", "--points", "101"]]),
+    ("catalog", [["catalog"], ["catalog", "--format", "json"], ["catalog", "morse"]], 0),
+    ("dump-config", [["solve", "--catalog", "morse", "--dump-config"]], 0),
+    ("partner", [["partner", "--w", "a*x", "--param", "a=1", "--points", "101"]], 0),
     ("every command", [
         ["solve", "--catalog", "morse", "--points", "401"],
         ["hierarchy", "--catalog", "shifted-harmonic", "--depth", "2",
@@ -51,18 +76,48 @@ STEPS = [
         ["classify", "--w", "a*x", "--param", "a=1", "--points", "401",
          "--budget", "9"],
         ["algebra-check", "--w", "2*tanh(x)", "--points", "201"],
-    ]),
+    ], 0),
 ]
+
+
+#: Run in an interpreter of their own: every command on a catalog record
+#: before any step that parses --w.
+CATALOG_STEPS = [
+    ("catalog partner", [["partner", "--catalog", "morse", "--points", "401"]], 0),
+    ("catalog commands", [
+        ["solve", "--catalog", "morse", "--points", "401"],
+        ["hierarchy", "--catalog", "shifted-harmonic", "--depth", "2",
+         "--points", "401", "--output", "{work}"],
+        ["si-check", "--catalog", "poschl-teller"],
+        ["si-check", "--catalog", "morse", "--search", "--budget", "9"],
+        ["spectrum", "--catalog", "coulomb-radial", "--points", "401"],
+        ["wavefunctions", "--catalog", "poschl-teller", "--levels", "1",
+         "--points", "401"],
+        ["classify", "--catalog", "morse"],
+        ["classify", "--catalog", "cyclic-demo"],
+        ["algebra-check", "--catalog", "coulomb-radial", "--points", "201"],
+    ], 0),
+    ("catalog errors", [argv for argv, _ in CATALOG_ERRORS], 2),
+    ("expression", [["partner", "--w", "a*x", "--param", "a=1", "--points", "101"]], 0),
+]
+
+
+def _probe(steps, workdir, env):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps([WATCHED, steps, workdir])],
+        env=env, cwd=workdir, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.fixture(scope="module")
 def loaded_after(tmp_path_factory, package_env):
-    workdir = str(tmp_path_factory.mktemp("imports"))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps([WATCHED, STEPS, workdir])],
-        env=package_env, cwd=workdir, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return _probe(STEPS, str(tmp_path_factory.mktemp("imports")), package_env)
+
+
+@pytest.fixture(scope="module")
+def catalog_loaded_after(tmp_path_factory, package_env):
+    return _probe(CATALOG_STEPS, str(tmp_path_factory.mktemp("catalog")), package_env)
 
 
 def test_import_loads_neither_sympy_nor_scipy(loaded_after):
@@ -75,6 +130,19 @@ def test_catalog_loads_neither_sympy_nor_scipy(loaded_after):
 
 def test_dump_config_compiles_no_record(loaded_after):
     assert loaded_after["dump-config"] == []
+
+
+def test_catalog_commands_load_no_sympy(catalog_loaded_after):
+    # the records' numpy code is checked in (susyqm/_compiled_catalog.py)
+    assert catalog_loaded_after["catalog partner"] == []
+    assert "sympy" not in catalog_loaded_after["catalog commands"]
+    assert "sympy" in catalog_loaded_after["expression"]
+
+
+def test_catalog_error_messages_need_no_sympy(catalog_loaded_after):
+    assert "sympy" not in catalog_loaded_after["catalog errors"]
+    stderr = catalog_loaded_after["stderr"]["catalog errors"]
+    assert [err.splitlines() for err in stderr] == [[line] for _, line in CATALOG_ERRORS]
 
 
 def test_expression_command_without_solver_skips_scipy(loaded_after):
