@@ -206,6 +206,16 @@ def merged_params(record: SIPRecord, params: dict | None) -> dict:
     return out
 
 
+def check_levels_valid(record: SIPRecord, a0: dict, n_max: int) -> None:
+    """Raise CatalogError unless levels 0..n_max of the orbit from a0 all
+    pass the record's validity rule, i.e. are genuine bound states."""
+    orbit = iterate_params(record.transform, a0, n_max)
+    for n, params in enumerate(orbit.sequence):
+        if not record.validity(params):
+            raise CatalogError(
+                f"parameters {a0} violate validity of record {record.name!r} at level {n}")
+
+
 def closed_form_spectrum(name: str, params: dict | None, n_max: int) -> Spectrum:
     """Eq.-of-record spectrum: the generic recursion plus validity flags.
 
@@ -215,9 +225,7 @@ def closed_form_spectrum(name: str, params: dict | None, n_max: int) -> Spectrum
     """
     rec = get_record(name)
     a0 = merged_params(rec, params)
-    if not rec.validity(a0):
-        raise CatalogError(
-            f"parameters {a0} violate validity of record {name!r} at level 0")
+    check_levels_valid(rec, a0, 0)
     base = algebraic_spectrum(rec.r_function, rec.transform, a0, n_max)
     orbit = iterate_params(rec.transform, a0, len(base.entries) - 1)
     flagged = [SpectrumEntry(e.n, e.energy, rec.validity(orbit.sequence[e.n]))

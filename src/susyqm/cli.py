@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import (SIPRecord, _check_singular_region, catalog_dump,
-                      closed_form_spectrum, get_record, list_catalog,
-                      merged_params)
+                      check_levels_valid, closed_form_spectrum, get_record,
+                      list_catalog, merged_params)
 from .classify import classify_family, classify_record, classify_tabulated, venn_graph_text
 from .eigensolver import solution_to_dict, solve_potential, spectrum_csv
 from .errors import ExpressionError, SusyQMError
@@ -565,6 +565,8 @@ def _cmd_spectrum(inp: _Input, ns: argparse.Namespace) -> None:
 
 def _cmd_wavefunctions(inp: _Input, ns: argparse.Namespace) -> None:
     if inp.record is not None:
+        # past the record's last bound level the chain has no state to build
+        check_levels_valid(inp.record, inp.params, ns.n_levels)
         transform = inp.record.transform
     else:
         transform = _searched_transform(inp, ns.budget,

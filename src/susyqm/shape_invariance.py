@@ -240,12 +240,24 @@ def _default_tolerance(family: SuperpotentialFamily) -> float:
 
 def _residual_reports(res: np.ndarray, tolerance: float) -> list[ResidualReport]:
     """One report per row of V₊ − V₋ (full grid): trimmed-interior mean,
-    spread, and the pass rule.  The only place the statistic is computed."""
+    spread, and the pass rule.  The only place the statistic is computed.
+
+    res is overwritten.  The mean is computed once and serves both figures;
+    each row goes through the ufuncs of ``inner.mean(axis=1)`` and
+    ``inner.std(axis=1)`` in their order, so both come out equal to those
+    bit for bit, without their temporaries.
+    """
     inner = np.atleast_2d(res)[:, EDGE_TRIM:-EDGE_TRIM]
-    means = inner.mean(axis=1).tolist()
-    stddevs = inner.std(axis=1).tolist()
+    count = inner.shape[1]
+    means = np.add.reduce(inner, axis=1, keepdims=True)
+    np.true_divide(means, count, out=means)
+    np.subtract(inner, means, out=inner)
+    np.square(inner, out=inner)
+    stddevs = np.add.reduce(inner, axis=1)
+    np.true_divide(stddevs, count, out=stddevs)
+    np.sqrt(stddevs, out=stddevs)
     return [ResidualReport(mean, stddev, stddev < tolerance * (1.0 + abs(mean)), tolerance)
-            for mean, stddev in zip(means, stddevs)]
+            for mean, stddev in zip(means[:, 0].tolist(), stddevs.tolist())]
 
 
 def si_residual(family: SuperpotentialFamily, a0: dict, t: ParameterTransform,
@@ -443,6 +455,22 @@ def default_candidates(parameter_names: Sequence[str]) -> list[TransformCandidat
             for name in parameter_names for p in fixed]
 
 
+#: Byte budget of each float64 array of one scoring block: 6 rows at 2001
+#: points.  Blocks this small are served from the allocator's heap and
+#: reused from block to block, where the 528 KB arrays of a 33-row batch
+#: were mapped and unmapped on every call (about 10,000 minor page faults
+#: per search-sweep operation).  On that workload (2 cores, seed 3) 96 KiB
+#: had the lowest median: 64 KiB paid more per-block overhead, 128 KiB split
+#: the 12 rows of a two-parameter refine step unevenly, and 192 KiB and up
+#: brought back about 300 page faults per operation with no faster median.
+_BLOCK_BYTES = 96 * 1024
+
+
+def _block_rows(grid: Grid1D) -> int:
+    """Trials per scoring block on this grid: at least one."""
+    return max(1, _BLOCK_BYTES // (8 * grid.n_points))
+
+
 def _trial_count(budget: int) -> int:
     # next 2^m + 1 at or above the budget, so larger budgets nest smaller ones
     m = 1
@@ -470,10 +498,14 @@ def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
     V₊(a₀) tabulated once; (inf, None) where si_residual would raise
     TransformError or EvaluationError.
 
-    Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the trial, and w_rows tabulates
-    it for every trial at once, whichever candidates they come from.  Each
-    a₁ comes from the scalar ``apply``, so the rows see exactly
-    si_residual's parameter values.
+    Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the trial.  Each a₁ comes from
+    the scalar ``apply``, so the rows see exactly si_residual's parameter
+    values.  The trials are tabulated and scored in blocks of consecutive
+    rows, whichever candidates they come from, each block's arrays within
+    ``_BLOCK_BYTES``: ``w_rows`` tabulates a block in one call, and one
+    buffer per call holds V₋ and then the residual of each block.  A row's
+    ufuncs do not depend on its block, so every score equals si_residual's
+    bit for bit however the trials are split.
     """
     scored: list[tuple[float, ResidualReport | None]] = [(math.inf, None)] * len(trials)
     live, rows = [], []
@@ -483,22 +515,27 @@ def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
         except TransformError:
             continue
         live.append(i)
-    if not rows:
-        return scored
-    try:
-        w, w_prime, finite = family.w_rows(grid, rows)
-    except EvaluationError:
-        return scored
-    live = [i for i, ok in zip(live, finite) if ok]
-    w, w_prime = w[finite], w_prime[finite]
+    size = _block_rows(grid)
+    buf = np.empty((min(size, len(rows)), grid.n_points))
     # w² may overflow where w is finite; like partner_potentials, reject it.
     with np.errstate(over="ignore"):
-        v_minus = w * w - w_prime
-        if not np.all(np.isfinite(v_minus)):
-            raise GridError("grid function contains non-finite values")
-        reports = _residual_reports(v_plus - v_minus, tolerance)
-    for i, report in zip(live, reports):
-        scored[i] = (report.residual_stddev, report)
+        for start in range(0, len(rows), size):
+            try:
+                w, w_prime, finite = family.w_rows(grid, rows[start:start + size])
+            except EvaluationError:
+                continue
+            block = live[start:start + size]
+            if not finite.all():
+                block = [i for i, ok in zip(block, finite) if ok]
+                w, w_prime = w[finite], w_prime[finite]
+            res = buf[:len(block)]
+            np.multiply(w, w, out=res)
+            np.subtract(res, w_prime, out=res)
+            if not np.isfinite(res).all():
+                raise GridError("grid function contains non-finite values")
+            np.subtract(v_plus, res, out=res)
+            for i, report in zip(block, _residual_reports(res, tolerance)):
+                scored[i] = (report.residual_stddev, report)
     return scored
 
 
@@ -513,14 +550,15 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     best sample golden-section refined, and the winner across candidates is
     the one with the smallest residual stddev (ties to earliest candidate).
     A trial scores exactly what ``si_residual`` reports for it, but V₊(a₀)
-    is tabulated once per search, the coarse samples of a candidate are
-    scored in one batch (``SuperpotentialFamily.w_rows`` broadcasts a
-    compiled w over a column of knob values), and scores are memoized per
-    candidate and knob value, so the finalists and a collapsed refine window
-    cost nothing.  The refines of all candidates run in lockstep: each
-    golden-section step scores every candidate's next knob value in one
-    batch, so a search makes one scoring call per step, not one per
-    candidate and step.
+    is tabulated once per search, and scores are memoized per candidate and
+    knob value, so the finalists and a collapsed refine window cost nothing.
+    One scoring call (``_score_trials``) takes the coarse samples of every
+    candidate; the refines of all candidates then run in lockstep, each
+    golden-section step scoring every candidate's next knob value in one
+    call.  A call tabulates its trials in blocks of a few rows
+    (``SuperpotentialFamily.w_rows`` broadcasts a compiled w over a column
+    of knob values), so its memory stays small and fixed however many
+    trials it scores.
 
     Degenerate "transforms" that merely flip or kill the superpotential can
     flatten the residual without describing a bound-state ladder, so a
@@ -568,20 +606,18 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
         except (TransformError, EvaluationError):
             return False
 
-    # Phase 1: coarse scan, one batch per candidate (a batch of every
-    # candidate at once would break the memory bound behind the CLI caps).
+    # Phase 1: coarse scan, every candidate's samples in one scoring call.
     # Keep the coarse winner alongside the refined theta: at small budgets
     # the refine window can straddle a rejected degenerate basin and
     # converge into it even when the coarse sample already sat on an
     # acceptable minimum.
+    samples = [[cand.lo] if cand.lo == cand.hi else list(np.linspace(cand.lo, cand.hi, trials))
+               for cand in candidates]
+    coarse = iter(objective([(k, th) for k, thetas in enumerate(samples) for th in thetas]))
     finalists: dict[int, list[float]] = {}
     refiners: dict[int, _Refiner] = {}
-    for k, cand in enumerate(candidates):
-        if cand.lo == cand.hi:
-            thetas = [cand.lo]
-        else:
-            thetas = list(np.linspace(cand.lo, cand.hi, trials))
-        scores = [score for score, _ in objective([(k, th) for th in thetas])]
+    for k, (cand, thetas) in enumerate(zip(candidates, samples)):
+        scores = [next(coarse)[0] for _ in thetas]
         i_best = int(np.argmin(scores))
         if not math.isfinite(scores[i_best]):
             continue

@@ -36,18 +36,20 @@ class SuperpotentialFamily:
     and tabulated finite differences stand in; residual tests then run at a
     relaxed tolerance tier (see shape_invariance).
 
-    ``w_rows`` tabulates w and w′ for a whole stack of parameter dicts, as
-    the transform search does for every trial of a candidate.  A callable
-    whose ``broadcasts`` attribute is true (compiled expressions set it when
-    it is exact, see expressions.compile_on_grid) must accept each parameter
-    as a column of values against ``x[None, :]`` and return one row per
-    value, equal bit for bit to calling it with that row's floats; it then
-    answers the whole stack in one call.  Any other callable, and a
-    finite-difference w′, is evaluated row by row with float parameters.
-    Either way a compiled expression computes its parameter-free subterms
-    such as ``x**3`` once per grid and reuses them on every later call (see
-    expressions.compile_on_grid), so scoring hundreds of trials on one grid
-    pays only for the terms that carry parameters.
+    ``w_rows`` tabulates w and w′ for a stack of parameter dicts, as the
+    transform search does for each block of its trials (a few rows, sized
+    by shape_invariance._BLOCK_BYTES), whichever candidates they come from.
+    A callable whose ``broadcasts`` attribute is true (compiled expressions
+    set it when it is exact, see expressions.compile_on_grid) must accept
+    each parameter as a column of values against ``x[None, :]`` and return
+    one row per value, equal bit for bit to calling it with that row's
+    floats; it then answers the whole stack in one call.  Any other
+    callable, and a finite-difference w′, is evaluated row by row with float
+    parameters.  Either way a compiled expression computes its
+    parameter-free subterms such as ``x**3`` once per grid and reuses them
+    on every later call (see expressions.compile_on_grid), so scoring
+    hundreds of trials on one grid pays only for the terms that carry
+    parameters.
 
     ``hard_wall_left`` marks half-line families whose grid starts just off a
     singularity: states are pinned to zero there by the wall, so decay is
@@ -119,17 +121,17 @@ class SuperpotentialFamily:
         at that row's parameters bit for bit.  Missing parameters raise
         EvaluationError.
         """
-        missing = sorted({p for row in rows for p in self.parameter_names if p not in row})
+        missing = set(self.parameter_names).difference(*rows)
         if missing:
-            raise EvaluationError(f"missing parameter values for {missing}")
+            raise EvaluationError(f"missing parameter values for {sorted(missing)}")
         shape = (len(rows), grid.n_points)
 
         def tabulate(fn: WFunc) -> np.ndarray:
             if self.parameter_names and getattr(fn, "broadcasts", False):
                 stack = {p: np.array([float(row[p]) for row in rows])[:, None]
                          for p in self.parameter_names}
-                return np.broadcast_to(np.asarray(fn(grid.x[None, :], stack), dtype=float),
-                                       shape)
+                out = np.asarray(fn(grid.x[None, :], stack), dtype=float)
+                return out if out.shape == shape else np.broadcast_to(out, shape)
             out = np.empty(shape)
             for i, row in enumerate(rows):
                 try:

@@ -341,6 +341,26 @@ def test_wavefunctions_csv_header(capsys):
     assert out.splitlines()[0] == "x,psi_0,psi_1"
 
 
+@pytest.mark.parametrize("record, param, levels, last", [
+    ("morse", "A=1.5", "2", 2),
+    ("morse", "A=0.5", "1", 1),
+    ("poschl-teller", "A=2", "2", 2),
+])
+def test_wavefunctions_stop_at_the_last_bound_level(capsys, record, param, levels, last):
+    # Morse and Pöschl-Teller bind level n only while A - n > 0: past that
+    # level the record's validity rule answers, not the chain's node check.
+    code, out, err = run_cli(capsys, "wavefunctions", "--catalog", record,
+                             "--param", param, "--levels", levels, "--points", "401")
+    assert code == 2 and out == ""
+    value = float(param.split("=")[1])
+    assert err == (f"susyqm wavefunctions: parameters {{'A': {value}}} violate validity "
+                   f"of record {record!r} at level {last}\n")
+    # one level fewer is within the record's bound levels and builds
+    code, _, _ = run_cli(capsys, "wavefunctions", "--catalog", record,
+                         "--param", param, "--levels", str(last - 1), "--points", "401")
+    assert code == 0
+
+
 # -- classify --------------------------------------------------------------------
 
 

@@ -54,8 +54,8 @@ CATALOG_ERRORS = [
      "susyqm partner: expression 'A - exp(-x)' is non-finite at 301 grid node(s); "
      "check for singularities inside the domain"),
     (["wavefunctions", "--catalog", "morse", "--param", "A=0.5"],
-     "susyqm wavefunctions: chain state for level 1 carries 0 node(s); "
-     "construction unreliable at this grid or parameters"),
+     "susyqm wavefunctions: parameters {'A': 0.5} violate validity of record "
+     "'morse' at level 1"),
     (["spectrum", "--catalog", "morse", "--param", "A=-1"],
      "susyqm spectrum: parameters {'A': -1.0} violate validity of record "
      "'morse' at level 0"),

@@ -16,9 +16,10 @@ from susyqm import (ChainConstructionError, Cyclic, EvaluationError,
                     partner_potentials, record_grid, search_transform,
                     si_residual, sign_aligned_distance, solve_potential,
                     spectrum_from_measured_residuals, wavefunction_chain)
-from susyqm.shape_invariance import (_GOLDEN, _MEAN_OVER_SPREAD, _REFINE_ITERS,
-                                     _minus_sector_decays, _refine, _refine_lockstep,
-                                     _score_trials, _trial_count)
+from susyqm.shape_invariance import (_GOLDEN, _MEAN_OVER_SPREAD, _REFINE_ITERS, EDGE_TRIM,
+                                     _block_rows, _minus_sector_decays, _refine,
+                                     _refine_lockstep, _residual_reports, _score_trials,
+                                     _trial_count)
 
 MORSE = SuperpotentialFamily.from_expression("A - exp(-x)", domain=(-3.5, 10.0))
 MORSE_GRID = make_grid(-3.5, 10.0, 1401)
@@ -358,6 +359,73 @@ def test_batched_scores_equal_per_trial_residuals(family):
     assert naive.count(math.inf) == 12  # alpha = -5 ... -1.5625 on the translation scan
 
 
+def test_blocked_scores_equal_per_trial_residuals_across_block_boundaries():
+    # At 2001 points a block holds 6 rows, so the 198 coarse trials of the
+    # six candidates (33 each) span 33 blocks, some mixing two candidates.
+    # Dropping the first `shift` trials moves every boundary; for shift > 0
+    # one block mixes the translation scan's 12 inf rows with finite ones.
+    # No score may move.
+    grid = make_grid(0.5, 10.0, 2001)
+    a0 = {"a": 1.0}
+    v_plus = partner_potentials(LN, a0, grid).v_plus.values
+    trials = [(cand, th) for cand in default_candidates(LN.parameter_names)
+              for th in np.linspace(cand.lo, cand.hi, 33)]
+    naive = [_naive_score(LN, a0, cand, th, grid) for cand, th in trials]
+    size = _block_rows(grid)
+    assert size == 6 and len(trials) > size
+    assert [score for score, _ in naive].count(math.inf) == 12
+    for shift in range(size):
+        assert _score_trials(LN, a0, v_plus, trials[shift:], grid, 1e-6) == naive[shift:], shift
+
+
+def test_classify_never_tabulates_more_rows_than_a_block(monkeypatch):
+    """The memory of a search is bounded by its blocks: every w_rows call in
+    a classify at 2001 points, coarse scan and two-parameter refine steps
+    included, sees at most one block of rows."""
+    real = SuperpotentialFamily.w_rows
+    seen = []
+
+    def guarded(self, grid, rows):
+        seen.append(len(rows))
+        assert len(rows) <= _block_rows(grid)
+        return real(self, grid, rows)
+
+    monkeypatch.setattr(SuperpotentialFamily, "w_rows", guarded)
+    family = SuperpotentialFamily.from_expression("a*x^3 + c*x + 0.3", domain=(-6.0, 6.0))
+    grid = make_grid(-6.0, 6.0, 2001)
+    tag = classify_family(family, {"a": 1.0, "c": 0.5}, grid)
+    assert tag.shape_invariant == "no-within-search"
+    assert max(seen) == _block_rows(grid) == 6
+
+
+@st.composite
+def residual_tables(draw):
+    """A (rows, n) float64 table: an offset and a spread of random
+    magnitudes, as a residual carries R and its x-dependent error."""
+    rows = draw(st.integers(1, 9))
+    n = draw(st.sampled_from((2 * EDGE_TRIM + 1, 2 * EDGE_TRIM + 7, 137, 140, 401, 2001)))
+    offset = draw(st.floats(-1e6, 1e6)) * 10.0 ** draw(st.integers(-150, 150))
+    spread = 10.0 ** draw(st.integers(-300, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return offset + spread * rng.standard_normal((rows, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(residual_tables())
+def test_in_place_statistic_equals_numpy_mean_and_std(table):
+    inner = table[:, EDGE_TRIM:-EDGE_TRIM]
+    with np.errstate(all="ignore"):
+        want = (inner.mean(axis=1), inner.std(axis=1))
+        blocked = _residual_reports(table.copy(), 1e-6)
+        # si_residual's input: one 1D residual
+        single = [_residual_reports(row.copy(), 1e-6)[0] for row in table]
+    for reports in (blocked, single):
+        got = (np.array([r.residual_mean for r in reports]),
+               np.array([r.residual_stddev for r in reports]))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 # -- lockstep refinement ---------------------------------------------------------------
 
 
@@ -417,8 +485,8 @@ def test_abs_objective_ties_on_the_first_pair():
 
 
 def test_cubic_classify_batches_every_refine_step(monkeypatch):
-    """One classify of a non-shape-invariant cubic: one scoring call per
-    candidate's coarse scan (6) and one per refine step shared by all
+    """One classify of a non-shape-invariant cubic: one scoring call for
+    every candidate's coarse scan and one per refine step shared by all
     candidates (81), never one per candidate and step; 623 rows in all."""
     real = si_module._score_trials
     calls = []
@@ -432,7 +500,7 @@ def test_cubic_classify_batches_every_refine_step(monkeypatch):
     tag = classify_family(family, {"a": 1.0}, make_grid(-6.0, 6.0, 2001))
     assert tag.shape_invariant == "no-within-search"
     assert sum(calls) == 623
-    assert len(calls) <= 87
+    assert len(calls) == 1 + 81
 
 
 CUBIC_GRID = make_grid(-6.0, 6.0, 601)
