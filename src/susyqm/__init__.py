@@ -21,12 +21,12 @@ from .errors import (CatalogError, ChainConstructionError, ConvergenceError,
                      SusyQMError, TransformError, ZeroNormError)
 from .expressions import compile_on_grid, compile_scalar, differentiate, parse_expression
 from .grids import (DEFAULT_DOMAIN, DEFAULT_N_POINTS, Grid1D, GridFunction,
-                    boundary_amplitude_ratio, count_nodes, default_grid,
-                    derivative, inner_product, l2_distance, make_grid, norm,
-                    normalize, sign_aligned_distance)
+                    boundary_amplitude_ratio, count_nodes, derivative,
+                    inner_product, l2_distance, make_grid, norm, normalize,
+                    sign_aligned_distance)
 from .shape_invariance import (ANALYTIC_TOL, FINITE_DIFF_TOL, Cyclic,
-                               ParameterOrbit, ParameterTransform, Projective,
-                               PowerScaling, ResidualReport, Scaling,
+                               ParameterTransform, Projective, PowerScaling,
+                               ResidualReport, Scaling,
                                Spectrum, SpectrumEntry, TransformCandidate,
                                Translation, algebraic_spectrum,
                                default_candidates, iterate_params,
@@ -47,8 +47,8 @@ __all__ = [
     "EvaluationError", "ExpressionError", "FINITE_DIFF_TOL", "Grid1D",
     "GridError", "GridFunction", "GridMismatchError", "HamiltonianMatrix",
     "Hierarchy", "HierarchyLevel", "NO", "NO_WITHIN_SEARCH",
-    "NoBoundStateError", "NodePresentError", "ParameterOrbit",
-    "ParameterTransform", "PartnerPair", "Projective", "PowerScaling",
+    "NoBoundStateError", "NodePresentError", "ParameterTransform",
+    "PartnerPair", "Projective", "PowerScaling",
     "ResidualReport", "SIPRecord", "Scaling", "Spectrum", "SpectrumEntry",
     "SuperpotentialFamily", "SusyPhase", "SusyQMError", "TransformCandidate",
     "TransformError", "Translation", "UNKNOWN", "VennTag", "YES",
@@ -57,7 +57,7 @@ __all__ = [
     "build_hierarchy", "catalog_dump", "charge_matrices", "classify_family",
     "classify_record", "classify_tabulated", "closed_form_spectrum",
     "compile_on_grid", "compile_scalar", "count_nodes", "decay_trust_window",
-    "default_candidates", "default_grid", "derivative", "differentiate",
+    "default_candidates", "derivative", "differentiate",
     "get_record", "ground_state", "inner_product", "instantiate",
     "iterate_params", "l2_distance", "list_catalog", "make_grid",
     "merged_params", "norm", "normalize", "parse_expression",
@@ -66,4 +66,5 @@ __all__ = [
     "solve_lowest", "solve_potential", "spectrum_csv",
     "spectrum_from_measured_residuals", "superpotential_from_ground_state",
     "susy_phase", "venn_graph_text", "verify_algebra", "wavefunction_chain",
+    "zero_mode",
 ]

@@ -187,7 +187,7 @@ def classify_record(name_or_record: str | SIPRecord, params: dict | None = None,
                      declared=rec.transform)
 
 
-def classify_tabulated(v: GridFunction, sides: str = "both") -> VennTag:
+def classify_tabulated(v: GridFunction) -> VennTag:
     """Classify a bare tabulated potential.
 
     Without a parametric family there is nothing to transform, so the
@@ -197,7 +197,7 @@ def classify_tabulated(v: GridFunction, sides: str = "both") -> VennTag:
     """
     evidence: list[dict] = []
     try:
-        pair = ground_state(v, sides)
+        pair = ground_state(v)
     except NoBoundStateError as exc:
         evidence.append({"kind": "oracle-ground-state", "found": False,
                          "detail": str(exc)})

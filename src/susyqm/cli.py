@@ -30,7 +30,7 @@ from .classify import classify_family, classify_record, classify_tabulated, venn
 from .eigensolver import solution_to_dict, solve_potential, spectrum_csv
 from .errors import ExpressionError, SusyQMError
 from .grids import (DEFAULT_DOMAIN, DEFAULT_N_POINTS, FLOAT_FMT, Grid1D,
-                    GridFunction, count_nodes, make_grid)
+                    GridFunction, count_nodes, csv_text, make_grid)
 from .shape_invariance import (TRANSFORM_KINDS, ParameterTransform,
                                default_candidates, search_transform,
                                si_residual, spectrum_from_measured_residuals,
@@ -339,6 +339,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         if ns.on_param is not None and ns.on_param not in names:
             parser.error(f"--on {ns.on_param!r} is not a parameter of the input; "
                          f"its parameters are {sorted(names)}")
+        if ns.knobs and ns.on_param is None and len(names) > 1:
+            parser.error(f"--transform {ns.transform_kind} acts on one parameter; "
+                         f"choose it with --on (the input's parameters are {sorted(names)})")
 
     return ns
 
@@ -456,12 +459,9 @@ def _cmd_partner(inp: _Input, ns: argparse.Namespace) -> None:
     grid = inp.grid
     pair = partner_potentials(inp.family, inp.params, grid)
     if ns.fmt == "csv":
-        lines = ["x,v_minus,v_plus,w"]
-        for i, x in enumerate(grid.x):
-            lines.append(",".join(FLOAT_FMT % v for v in
-                                  (x, pair.v_minus.values[i],
-                                   pair.v_plus.values[i], pair.w_used.values[i])))
-        _emit("\n".join(lines) + "\n", ns.output)
+        columns = (grid.x, pair.v_minus.values, pair.v_plus.values, pair.w_used.values)
+        _emit(csv_text(("x", "v_minus", "v_plus", "w"),
+                       zip(*(c.tolist() for c in columns))), ns.output)
     else:
         doc = {
             "grid": grid.to_dict(),
@@ -554,11 +554,8 @@ def _spectrum_rows(inp: _Input, ns: argparse.Namespace) -> tuple[list[dict], boo
 def _cmd_spectrum(inp: _Input, ns: argparse.Namespace) -> None:
     rows, truncated = _spectrum_rows(inp, ns)
     if ns.fmt == "csv":
-        lines = ["n,algebraic,oracle"]
-        for r in rows:
-            oracle = "" if r["oracle"] is None else FLOAT_FMT % r["oracle"]
-            lines.append(f"{r['n']},{FLOAT_FMT % r['algebraic']},{oracle}")
-        _emit("\n".join(lines) + "\n", ns.output)
+        header = ("n", "algebraic", "oracle")
+        _emit(csv_text(header, ([r[k] for k in header] for r in rows)), ns.output)
     else:
         _emit(_json_text({"levels": rows, "truncated": truncated}), ns.output)
 
@@ -575,11 +572,9 @@ def _cmd_wavefunctions(inp: _Input, ns: argparse.Namespace) -> None:
               for n in range(ns.n_levels + 1)]
     nodes = [count_nodes(s) for s in states]
     if ns.fmt == "csv":
-        lines = ["x," + ",".join(f"psi_{n}" for n in range(len(states)))]
-        for i, x in enumerate(inp.grid.x):
-            row = [FLOAT_FMT % x] + [FLOAT_FMT % s.values[i] for s in states]
-            lines.append(",".join(row))
-        _emit("\n".join(lines) + "\n", ns.output)
+        header = ("x", *(f"psi_{n}" for n in range(len(states))))
+        columns = (inp.grid.x, *(s.values for s in states))
+        _emit(csv_text(header, zip(*(c.tolist() for c in columns))), ns.output)
     else:
         doc = {"grid": inp.grid.to_dict(),
                "states": [[float(v) for v in s.values] for s in states],

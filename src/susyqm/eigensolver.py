@@ -8,14 +8,13 @@ no code with the operator-algebra machinery beyond the grid types.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, GridError, NoBoundStateError
-from .grids import (FLOAT_FMT, Grid1D, GridFunction, align_sign,
-                    boundary_amplitude_ratio, normalize)
+from .grids import (Grid1D, GridFunction, align_sign, boundary_amplitude_ratio,
+                    csv_text, normalize)
 
 #: A state whose boundary amplitude exceeds this fraction of its peak is not
 #: accepted as bound.
@@ -24,9 +23,9 @@ DECAY_RATIO = 1e-6
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Symmetric tridiagonal discretization of H − shift on the interior nodes.
+    """Symmetric tridiagonal discretization of H on the interior nodes.
 
-    The 3-point Laplacian gives diagonal 2/h² + V(x_i) − shift and constant
+    The 3-point Laplacian gives diagonal 2/h² + V(x_i) and constant
     off-diagonal −1/h²; dimension is n_points − 2 (the Dirichlet end nodes
     are eliminated).
     """
@@ -34,7 +33,6 @@ class HamiltonianMatrix:
     grid: Grid1D
     diagonal: np.ndarray
     off_diagonal: float
-    shift: float = 0.0
 
     def __post_init__(self):
         diag = np.array(self.diagonal, dtype=float, copy=True)
@@ -62,19 +60,17 @@ class EigenPair:
     state: GridFunction
 
 
-def assemble_hamiltonian(v: GridFunction, shift: float = 0.0) -> HamiltonianMatrix:
-    """Discretize H = -d²/dx² + V − shift with Dirichlet boundaries."""
+def assemble_hamiltonian(v: GridFunction) -> HamiltonianMatrix:
+    """Discretize H = -d²/dx² + V with Dirichlet boundaries."""
     h = v.grid.h
-    diag = 2.0 / h**2 + v.values[1:-1] - shift
-    return HamiltonianMatrix(v.grid, diag, -1.0 / h**2, shift)
+    return HamiltonianMatrix(v.grid, 2.0 / h**2 + v.values[1:-1], -1.0 / h**2)
 
 
 def solve_lowest(ham: HamiltonianMatrix, k: int) -> list[EigenPair]:
     """Lowest k eigenpairs of the interior-node matrix.
 
-    Energies are eigenvalues of the matrix as assembled (any shift already
-    subtracted stays subtracted).  States come back normalized under the
-    trapezoidal inner product and sign-aligned.
+    Energies are eigenvalues of the matrix as assembled.  States come back
+    normalized under the trapezoidal inner product and sign-aligned.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -96,8 +92,8 @@ def solve_lowest(ham: HamiltonianMatrix, k: int) -> list[EigenPair]:
     return pairs
 
 
-def solve_potential(v: GridFunction, k: int, shift: float = 0.0) -> list[EigenPair]:
-    return solve_lowest(assemble_hamiltonian(v, shift), k)
+def solve_potential(v: GridFunction, k: int) -> list[EigenPair]:
+    return solve_lowest(assemble_hamiltonian(v), k)
 
 
 def ground_state(v: GridFunction, sides: str = "both") -> EigenPair:
@@ -118,10 +114,7 @@ def ground_state(v: GridFunction, sides: str = "both") -> EigenPair:
 
 def spectrum_csv(pairs: list[EigenPair]) -> str:
     """CSV text ``n,energy`` for a list of solved levels."""
-    lines = ["n,energy"]
-    for p in pairs:
-        lines.append(f"{p.index},{FLOAT_FMT % p.energy}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("n", "energy"), ((p.index, p.energy) for p in pairs))
 
 
 def solution_to_dict(pairs: list[EigenPair]) -> dict:
@@ -133,7 +126,3 @@ def solution_to_dict(pairs: list[EigenPair]) -> dict:
         "energies": [p.energy for p in pairs],
         "states": [[float(v) for v in p.state.values] for p in pairs],
     }
-
-
-def solution_to_json(pairs: list[EigenPair]) -> str:
-    return json.dumps(solution_to_dict(pairs))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from tokenize import TokenError
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -63,16 +63,13 @@ def _grammar() -> _Grammar:
 
 
 def __getattr__(name: str):
-    """``X`` (the coordinate symbol) and ``ALLOWED_FUNCTIONS`` (parser name ->
-    sympy function) are built with the grammar on first access."""
+    """``X`` (the coordinate symbol) is built with the grammar on first access."""
     if name == "X":
         return _grammar().x
-    if name == "ALLOWED_FUNCTIONS":
-        return _grammar().functions
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def parse_expression(text: str, extra_symbols: Iterable[str] = ()) -> sympy.Expr:
+def parse_expression(text: str) -> sympy.Expr:
     """Parse an expression string into a validated sympy expression.
 
     Unknown names become real parameter symbols.  Raises ExpressionError
@@ -84,8 +81,6 @@ def parse_expression(text: str, extra_symbols: Iterable[str] = ()) -> sympy.Expr
     grammar = _grammar()
     local = {"x": grammar.x}
     local.update(grammar.functions)
-    for name in extra_symbols:
-        local[name] = sympy.Symbol(name, real=True)
     try:
         expr = parse_expr(text, local_dict=local, transformations=grammar.transformations)
     except (SyntaxError, TokenError, TypeError, ValueError, AttributeError,
@@ -155,10 +150,6 @@ def _broadcasts_exactly(expr: sympy.Expr, parent: sympy.Expr | None = None) -> b
     return all(_broadcasts_exactly(arg, expr) for arg in expr.args)
 
 
-#: Grids per compiled expression whose parameter-free subterms stay tabulated.
-_TABLE_ENTRIES = 4
-
-
 def _frozen_owner(x) -> np.ndarray | None:
     """The read-only 1D array that owns all of x's memory, or None.
 
@@ -177,19 +168,21 @@ def _frozen_owner(x) -> np.ndarray | None:
 
 
 class _SubtermTables:
-    """The parameter-free subterms of one compiled expression, per grid.
+    """The parameter-free subterms of one compiled expression, on its last grid.
 
     ``tabulate(x)`` returns one array per subterm.  For a frozen x (see
-    _frozen_owner) the tables of the last _TABLE_ENTRIES owners are kept,
-    read-only, each entry holding its owner so that no other array can take
-    the owner's address while the entry lives; any other x is tabulated
-    afresh on every call.  ``computed`` counts tabulations.  A race between
-    threads can only repeat a tabulation.
+    _frozen_owner) the tables of the last owner are kept, read-only, in
+    ``slot`` as one ``(owner, tables)`` tuple: the slot holds its owner, so
+    no other array can take the owner's address while it lives, and a
+    thread that reads the slot during another's update still sees a
+    matching pair.  Any other x is tabulated afresh on every call.
+    ``computed`` counts tabulations.  A race between threads can only
+    repeat a tabulation.
     """
 
     def __init__(self, tabulate: Callable[[np.ndarray], tuple]):
         self._tabulate = tabulate
-        self.entries: list[tuple[np.ndarray, tuple]] = []
+        self.slot: tuple[np.ndarray, tuple] | None = None
         self.computed = 0
 
     def _compute(self, x) -> tuple:
@@ -200,15 +193,13 @@ class _SubtermTables:
         owner = _frozen_owner(x)
         if owner is None:
             return self._compute(x)
-        for key, tables in tuple(self.entries):
-            if key is owner:
-                break
-        else:
+        slot = self.slot
+        if slot is None or slot[0] is not owner:
             tables = self._compute(owner)
             for table in tables:
                 table.setflags(write=False)
-            self.entries.append((owner, tables))
-            del self.entries[:-_TABLE_ENTRIES]
+            slot = self.slot = (owner, tables)
+        tables = slot[1]
         if x.shape != owner.shape:
             tables = tuple(table.reshape(x.shape) for table in tables)
         return tables
@@ -407,7 +398,8 @@ def compile_on_grid(expr: sympy.Expr,
 
     Every composite subterm whose only free symbol is x (``x**3``,
     ``exp(-x)``, ``sech(x)**2``) is tabulated once per grid and reused by
-    later calls on that grid, with float or stacked parameters alike; the
+    later calls until another grid comes, with float or stacked parameters
+    alike (every caller evaluates one family on one grid at a time); the
     function's ``subterms`` attribute holds those tables (None when there
     are none).  Tables are kept only for a read-only x that owns its memory
     (``Grid1D.x``) or a full view of one (``Grid1D.x[None, :]``); any other

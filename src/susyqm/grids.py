@@ -8,11 +8,10 @@ real; all objects are immutable after construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -78,11 +77,6 @@ def make_grid(x_min: float, x_max: float, n_points: int) -> Grid1D:
     return Grid1D(float(x_min), float(x_max), int(n_points))
 
 
-def default_grid(domain: tuple[float, float] = DEFAULT_DOMAIN,
-                 n_points: int = DEFAULT_N_POINTS) -> Grid1D:
-    return make_grid(domain[0], domain[1], n_points)
-
-
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A real-valued function tabulated on a :class:`Grid1D`.
@@ -145,48 +139,54 @@ class GridFunction:
     # -- serialization ---------------------------------------------------------
 
     def to_csv(self) -> str:
-        """CSV text with header ``x,value``, one node per line, LF endings."""
-        lines = ["x,value"]
-        for xi, vi in zip(self.grid.x, self.values):
-            lines.append(f"{FLOAT_FMT % xi},{FLOAT_FMT % vi}")
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {"grid": self.grid.to_dict(), "values": [float(v) for v in self.values]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridFunction":
-        g = data["grid"]
-        grid = make_grid(g["x_min"], g["x_max"], g["n_points"])
-        return cls(grid, np.asarray(data["values"], dtype=float))
+        """CSV text with header ``x,value``, one node per line (see csv_text)."""
+        return csv_text(("x", "value"), zip(self.grid.x.tolist(), self.values.tolist()))
 
     @classmethod
     def from_csv(cls, text: str) -> "GridFunction":
         """Parse ``x,value`` CSV produced by :meth:`to_csv` (or compatible).
 
-        The x column must be uniformly spaced; the grid is reconstructed
-        from its endpoints.
+        Every row after the header holds exactly two numbers.  The x column
+        must be finite, uniformly spaced and ascending; the grid is
+        reconstructed from its endpoints.
         """
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip().lower() != "x,value":
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines or lines[0][1].strip().lower() != "x,value":
             raise GridError("expected CSV with header 'x,value'")
         xs, vs = [], []
-        for ln in lines[1:]:
-            a, b = ln.split(",")
-            xs.append(float(a))
-            vs.append(float(b))
+        for n, ln in lines[1:]:
+            try:
+                a, b = (float(cell) for cell in ln.split(","))
+            except ValueError:
+                raise GridError(f"line {n} is not two numbers x,value: {ln!r}") from None
+            xs.append(a)
+            vs.append(b)
         xs = np.asarray(xs)
         if xs.size < 3:
             raise GridError("tabulated function needs at least 3 nodes")
+        if not np.all(np.isfinite(xs)):
+            raise GridError("x column contains a non-finite value")
         steps = np.diff(xs)
         h = (xs[-1] - xs[0]) / (xs.size - 1)
         if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1.0):
             raise GridError("x column is not a uniform ascending grid")
         grid = make_grid(xs[0], xs[-1], xs.size)
         return cls(grid, np.asarray(vs, dtype=float))
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: the header, then one line per row, comma separated, LF endings.
+
+    Floats are written with FLOAT_FMT, ints as they are, None as an empty cell.
+    """
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return str(value) if isinstance(value, int) else FLOAT_FMT % value
+
+    lines = [",".join(header)]
+    lines.extend(",".join(map(cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def derivative(f: GridFunction) -> GridFunction:
@@ -258,17 +258,15 @@ def boundary_amplitude_ratio(f: GridFunction, sides: str = "both") -> float:
 
     Looks at the two outermost nodes on each requested side (so Dirichlet
     states, which are exactly zero at the end node, are still probed at
-    their first interior node).  ``sides`` is one of "both", "left",
-    "right".
+    their first interior node).  ``sides`` is "both", or "right" for a
+    family with a hard wall on the left (``SuperpotentialFamily.decay_sides``).
     """
+    if sides not in ("both", "right"):
+        raise ValueError(f"sides must be 'both' or 'right', got {sides!r}")
     amax = float(np.max(np.abs(f.values)))
     if amax == 0.0:
         return 0.0
-    cand = []
-    if sides in ("both", "left"):
+    cand = [abs(f.values[-2]), abs(f.values[-1])]
+    if sides == "both":
         cand.extend([abs(f.values[0]), abs(f.values[1])])
-    if sides in ("both", "right"):
-        cand.extend([abs(f.values[-2]), abs(f.values[-1])])
-    if not cand:
-        raise ValueError(f"sides must be 'both', 'left' or 'right', got {sides!r}")
     return max(cand) / amax

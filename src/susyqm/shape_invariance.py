@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import (ChainConstructionError, EvaluationError, GridError,
                      TransformError)
-from .grids import (FLOAT_FMT, Grid1D, GridFunction, align_sign, count_nodes,
-                    normalize)
+from .grids import Grid1D, GridFunction, align_sign, count_nodes, normalize
 from .susy import (SuperpotentialFamily, _zero_mode_ratios, apply_a_dagger,
                    partner_potentials, zero_mode)
 
@@ -31,10 +30,10 @@ FINITE_DIFF_TOL = 1e-4
 EDGE_TRIM = 2
 
 
-def _params_close(a: dict, b: dict, rel: float = 1e-12) -> bool:
+def _params_close(a: dict, b: dict) -> bool:
     if set(a) != set(b):
         return False
-    return all(abs(a[k] - b[k]) <= rel * (1.0 + abs(a[k])) for k in a)
+    return all(abs(a[k] - b[k]) <= 1e-12 * (1.0 + abs(a[k])) for k in a)
 
 
 class ParameterTransform:
@@ -190,22 +189,14 @@ class Cyclic(ParameterTransform):
         return {"kind": self.kind, "period": self.period, "values": list(self.values)}
 
 
-@dataclass(frozen=True)
-class ParameterOrbit:
-    """a₀ and the iterated sequence a₀..a_n under one transform."""
-
-    a0: dict
-    sequence: list[dict]
-
-
-def iterate_params(t: ParameterTransform, a0: dict, n: int) -> ParameterOrbit:
-    """Orbit of length n+1: repeated application of the transform to a0."""
+def iterate_params(t: ParameterTransform, a0: dict, n: int) -> list[dict]:
+    """Orbit a₀..aₙ (length n+1): repeated application of the transform to a0."""
     if n < 0:
         raise ValueError(f"orbit length must be nonnegative, got n={n}")
-    seq = [dict(a0)]
+    orbit = [dict(a0)]
     for _ in range(n):
-        seq.append(t.apply(seq[-1]))
-    return ParameterOrbit(dict(a0), seq)
+        orbit.append(t.apply(orbit[-1]))
+    return orbit
 
 
 # -- residual test ---------------------------------------------------------------
@@ -298,19 +289,6 @@ class Spectrum:
     def energies(self) -> list[float]:
         return [e.energy for e in self.entries]
 
-    def to_dict(self) -> dict:
-        return {
-            "entries": [{"n": e.n, "energy": e.energy, "valid": e.valid}
-                        for e in self.entries],
-            "truncated": self.truncated,
-        }
-
-    def to_csv(self, source: str = "algebraic") -> str:
-        lines = ["n,energy,source"]
-        for e in self.entries:
-            lines.append(f"{e.n},{FLOAT_FMT % e.energy},{source}")
-        return "\n".join(lines) + "\n"
-
 
 def algebraic_spectrum(r_values: Callable[[dict], float], t: ParameterTransform,
                        a0: dict, n_max: int) -> Spectrum:
@@ -325,7 +303,7 @@ def algebraic_spectrum(r_values: Callable[[dict], float], t: ParameterTransform,
     entries = [SpectrumEntry(0, 0.0)]
     energy = 0.0
     for k in range(1, n_max + 1):
-        r = float(r_values(orbit.sequence[k]))
+        r = float(r_values(orbit[k]))
         if r <= 0.0:
             return Spectrum(entries, truncated=True)
         energy += r
@@ -334,8 +312,7 @@ def algebraic_spectrum(r_values: Callable[[dict], float], t: ParameterTransform,
 
 
 def spectrum_from_measured_residuals(family: SuperpotentialFamily, t: ParameterTransform,
-                                     a0: dict, grid: Grid1D, n_max: int,
-                                     tolerance: float | None = None) -> Spectrum:
+                                     a0: dict, grid: Grid1D, n_max: int) -> Spectrum:
     """Spectrum recursion with R(aₖ) measured as the step-k residual mean.
 
     This is the route for families discovered by search rather than drawn
@@ -349,7 +326,7 @@ def spectrum_from_measured_residuals(family: SuperpotentialFamily, t: ParameterT
     entries = [SpectrumEntry(0, 0.0)]
     energy = 0.0
     for k in range(1, n_max + 1):
-        report = si_residual(family, orbit.sequence[k - 1], t, grid, tolerance)
+        report = si_residual(family, orbit[k - 1], t, grid)
         if not report.passed or report.residual_mean <= 0.0:
             return Spectrum(entries, truncated=True)
         energy += report.residual_mean
@@ -375,9 +352,9 @@ def wavefunction_chain(family: SuperpotentialFamily, a0: dict, t: ParameterTrans
             f"shape-invariance residual test failed (stddev {report.residual_stddev:.3e} "
             f"at tolerance {report.tolerance_used:.1e}); chain construction undefined")
     orbit = iterate_params(t, a0, n)
-    psi = zero_mode(family, orbit.sequence[n], grid, sign=-1)
+    psi = zero_mode(family, orbit[n], grid, sign=-1)
     for k in reversed(range(n)):
-        psi = apply_a_dagger(family, orbit.sequence[k], psi)
+        psi = apply_a_dagger(family, orbit[k], psi)
     psi = align_sign(normalize(psi))
     nodes = count_nodes(psi)
     if nodes != n:

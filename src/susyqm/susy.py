@@ -47,7 +47,7 @@ class SuperpotentialFamily:
     callable, and a finite-difference w′, is evaluated row by row with float
     parameters.  Either way a compiled expression computes its
     parameter-free subterms such as ``x**3`` once per grid and reuses them
-    on every later call (see expressions.compile_on_grid), so scoring
+    on every later call on that grid (see expressions.compile_on_grid), so scoring
     hundreds of trials on one grid pays only for the terms that carry
     parameters.
 

@@ -249,6 +249,23 @@ def test_si_check_unknown_on_is_usage_error(capsys, argv, names):
                        f"its parameters are {names}"]
 
 
+@pytest.mark.parametrize("argv, names", [
+    (("--w", "a*x+b", "--param", "a=1", "--param", "b=1"), ["a", "b"]),
+    (("--catalog", "coulomb-radial"), ["l", "q"]),
+], ids=["expression", "catalog"])
+def test_si_check_knobs_on_several_parameters_need_on(capsys, argv, names):
+    knobs = ("--transform", "translation", "--alpha", "1")
+    with pytest.raises(SystemExit) as exc:
+        main(["si-check", *argv, *knobs])
+    assert exc.value.code == 1
+    message = [ln for ln in capsys.readouterr().err.splitlines() if ": error: " in ln]
+    assert message == ["susyqm: error: --transform translation acts on one parameter; "
+                       f"choose it with --on (the input's parameters are {names})"]
+    code, out, _ = run_cli(capsys, "si-check", *argv, *knobs, "--on", names[0])
+    assert code == 0
+    assert json.loads(out)["transform"]["param"] == names[0]
+
+
 # -- spectrum --------------------------------------------------------------------
 
 
@@ -619,6 +636,18 @@ def test_search_through_a_parameter_pole(capsys):
                              "--param", "a=2.625", "--search", "--budget", "17")
     assert code == 0 and err == ""
     assert json.loads(out)["searched"] is True
+
+
+@pytest.mark.parametrize("row, message", [
+    ("nan,1", "x column contains a non-finite value"),
+    ("0,1,2", "line 4 is not two numbers x,value: '0,1,2'"),
+    ("0,abc", "line 4 is not two numbers x,value: '0,abc'"),
+], ids=["nan-x", "three-cells", "not-a-number"])
+def test_bad_tabulated_row_is_one_line_computation_error(capsys, tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,value\n-1,1\n0,0\n{row}\n2,4\n")
+    code, out, err = run_cli(capsys, "solve", "--tabulated", str(path), "--levels", "0")
+    assert (code, out, err) == (2, "", f"susyqm solve: {message}\n")
 
 
 def test_missing_tabulated_file_is_computation_error(capsys, tmp_path):

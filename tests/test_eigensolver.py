@@ -6,7 +6,7 @@ import pytest
 from susyqm import (Grid1D, GridFunction, NoBoundStateError, assemble_hamiltonian,
                     count_nodes, ground_state, make_grid, solve_lowest,
                     solve_potential, spectrum_csv)
-from susyqm.eigensolver import solution_to_dict, solution_to_json
+from susyqm.eigensolver import solution_to_dict
 
 
 def box_grid(n=2001):
@@ -32,16 +32,6 @@ def test_box_convergence_is_second_order():
 
     ratio = err(1001) / err(2001)
     assert 3.5 < ratio < 4.5
-
-
-def test_shift_moves_eigenvalues_not_states():
-    grid = make_grid(-8.0, 8.0, 1201)
-    v = GridFunction.from_callable(grid, lambda x: x**2)
-    plain = solve_potential(v, 2)
-    shifted = solve_potential(v, 2, shift=5.0)
-    for a, b in zip(plain, shifted):
-        assert b.energy == pytest.approx(a.energy - 5.0, abs=1e-10)
-        assert np.allclose(a.state.values, b.state.values)
 
 
 def test_harmonic_energies():
@@ -128,8 +118,8 @@ def test_spectrum_csv_format():
 
 def test_solution_serialization_round_trips():
     pairs = solve_potential(zero_potential(box_grid(51)), 2)
-    doc = json.loads(solution_to_json(pairs))
-    assert doc == json.loads(json.dumps(solution_to_dict(pairs)))
+    doc = json.loads(json.dumps(solution_to_dict(pairs)))
+    assert doc == solution_to_dict(pairs)
     assert doc["grid"] == {"x_min": 0.0, "x_max": 1.0, "n_points": 51}
     assert len(doc["energies"]) == 2
     assert len(doc["states"][0]) == 51

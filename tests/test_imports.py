@@ -7,9 +7,11 @@ order and reports, after each step, which of the watched modules are in
 ``sys.modules``.  Module names only, never times.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,3 +155,16 @@ def test_no_command_loads_scipy_integrate(loaded_after):
     # sys.modules only grows, so the last step covers every earlier one
     assert "scipy" in loaded_after["every command"]
     assert "scipy.integrate" not in loaded_after["every command"]
+
+
+def test_package_exports_exactly_what_it_imports():
+    """__init__.py re-exports every name it imports, once each, and nothing else."""
+    init = Path(__file__).resolve().parents[1] / "src" / "susyqm" / "__init__.py"
+    tree = ast.parse(init.read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["__all__"])
+    assert len(set(exported)) == len(exported)
+    assert sorted(imported) == sorted(exported)

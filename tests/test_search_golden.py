@@ -51,4 +51,4 @@ def test_classify_tabulates_parameter_free_subterms_once():
     assert tag.shape_invariant == "no-within-search"
     for fn in (family.w_fn, family.w_prime_fn):
         assert fn.subterms.computed == 1
-        assert len(fn.subterms.entries) == 1 and fn.subterms.entries[0][0] is grid.x
+        assert fn.subterms.slot[0] is grid.x

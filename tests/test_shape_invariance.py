@@ -97,8 +97,8 @@ def test_cyclic_walks_the_cycle():
 
 def test_iterate_params_orbit():
     orbit = iterate_params(Translation(-1.0), {"A": 3.0}, 3)
-    assert [p["A"] for p in orbit.sequence] == [3.0, 2.0, 1.0, 0.0]
-    assert orbit.a0 == {"A": 3.0}
+    assert [p["A"] for p in orbit] == [3.0, 2.0, 1.0, 0.0]
+    assert orbit[0] == {"A": 3.0}
     with pytest.raises(ValueError):
         iterate_params(Translation(1.0), {"A": 0.0}, -1)
 
@@ -168,15 +168,6 @@ def test_measured_residual_spectrum_matches_closed_form():
     assert [e.n for e in spec.entries] == [0, 1, 2]
     assert spec.energies == pytest.approx([0.0, 3.0, 4.0], abs=1e-8)
     assert spec.truncated
-
-
-def test_spectrum_serialization():
-    spec = algebraic_spectrum(lambda a: 2.0, Translation(0.0), {}, 2)
-    d = spec.to_dict()
-    assert d["entries"][1] == {"n": 1, "energy": 2.0, "valid": True}
-    csv = spec.to_csv()
-    assert csv.splitlines()[0] == "n,energy,source"
-    assert csv.splitlines()[1] == "0,0,algebraic"
 
 
 # -- chain wavefunctions --------------------------------------------------------------
