@@ -4,15 +4,22 @@ Dirichlet ends on a truncated box stand in for decay at infinity.  This
 solver is the ground-truth oracle: every algebraic spectrum produced
 elsewhere in the package is validated against it, so it deliberately shares
 no code with the operator-algebra machinery beyond the grid types.
+
+The tridiagonal eigenproblem goes to LAPACK: DSTEBZ bisects for the lowest
+eigenvalues and DSTEIN finds their vectors by inverse iteration, called in
+the OpenBLAS that numpy bundles (``_lapack``).  Where numpy bundles none,
+``scipy.linalg.eigh_tridiagonal`` runs the same routines; the bits agree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GridError, NoBoundStateError
+from ._lapack import eigh_lowest
+from .errors import GridError, NoBoundStateError
 from .grids import (Grid1D, GridFunction, align_sign, boundary_amplitude_ratio,
                     csv_text, normalize)
 
@@ -27,7 +34,7 @@ class HamiltonianMatrix:
 
     The 3-point Laplacian gives diagonal 2/h² + V(x_i) and constant
     off-diagonal −1/h²; dimension is n_points − 2 (the Dirichlet end nodes
-    are eliminated).
+    are eliminated).  Every entry is finite, so none can reach LAPACK.
     """
 
     grid: Grid1D
@@ -39,6 +46,12 @@ class HamiltonianMatrix:
         if diag.shape != (self.grid.n_points - 2,):
             raise GridError(
                 f"diagonal length {diag.shape} does not match {self.grid.n_points - 2} interior nodes")
+        bad = np.count_nonzero(~np.isfinite(diag))
+        if bad:
+            raise GridError(f"Hamiltonian diagonal 2/h**2 + V is not finite at {bad} "
+                            "interior node(s); V is too large for this grid spacing")
+        if not math.isfinite(self.off_diagonal):
+            raise GridError(f"Hamiltonian off-diagonal {self.off_diagonal} is not finite")
         diag.setflags(write=False)
         object.__setattr__(self, "diagonal", diag)
 
@@ -63,7 +76,9 @@ class EigenPair:
 def assemble_hamiltonian(v: GridFunction) -> HamiltonianMatrix:
     """Discretize H = -d²/dx² + V with Dirichlet boundaries."""
     h = v.grid.h
-    return HamiltonianMatrix(v.grid, 2.0 / h**2 + v.values[1:-1], -1.0 / h**2)
+    with np.errstate(over="ignore"):  # an overflow is reported by HamiltonianMatrix
+        diagonal = 2.0 / h**2 + v.values[1:-1]
+    return HamiltonianMatrix(v.grid, diagonal, -1.0 / h**2)
 
 
 def solve_lowest(ham: HamiltonianMatrix, k: int) -> list[EigenPair]:
@@ -72,21 +87,11 @@ def solve_lowest(ham: HamiltonianMatrix, k: int) -> list[EigenPair]:
     Energies are eigenvalues of the matrix as assembled.  States come back
     normalized under the trapezoidal inner product and sign-aligned.
     """
-    from scipy.linalg import eigh_tridiagonal
-
-    if k < 1:
-        raise ValueError(f"k={k} must be at least 1")
-    if k > ham.dim:
-        raise ValueError(f"k={k} exceeds matrix dimension {ham.dim}")
-    off = np.full(ham.dim - 1, ham.off_diagonal)
-    try:
-        vals, vecs = eigh_tridiagonal(ham.diagonal, off, select="i", select_range=(0, k - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    vals, vecs = eigh_lowest(ham.diagonal, np.full(ham.dim - 1, ham.off_diagonal), k)
     pairs = []
     for n in range(k):
         full = np.zeros(ham.grid.n_points)
-        full[1:-1] = vecs[:, n]
+        full[1:-1] = vecs[n]
         state = align_sign(normalize(GridFunction(ham.grid, full)))
         pairs.append(EigenPair(n, float(vals[n]), state))
     return pairs

@@ -785,6 +785,21 @@ def test_overflow_reports_one_stderr_line():
         "susyqm partner: grid function contains non-finite values"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--w", "1.3e154"],
+    ["classify", "--w", "1.3e154+a*x", "--param", "a=1"],
+])
+def test_hamiltonian_overflow_reports_one_stderr_line(argv):
+    # V = w² ≈ 1.7e308 is finite, but 2/h**2 + V overflows on this grid
+    grid = ["--x-min", "0", "--x-max", "2.4e-152", "--points", "201"]
+    proc = subprocess.run([sys.executable, "-m", "susyqm.cli", *argv, *grid],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"susyqm {argv[0]}: Hamiltonian diagonal 2/h**2 + V is not finite at 199 "
+        "interior node(s); V is too large for this grid spacing"]
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "susyqm.cli", "catalog"],
                           capture_output=True, text=True)

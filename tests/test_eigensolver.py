@@ -1,12 +1,19 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from susyqm import (Grid1D, GridFunction, NoBoundStateError, assemble_hamiltonian,
-                    count_nodes, ground_state, make_grid, solve_lowest,
+from susyqm import (ConvergenceError, Grid1D, GridError, GridFunction,
+                    HamiltonianMatrix, NoBoundStateError,
+                    assemble_hamiltonian, count_nodes, get_record, ground_state,
+                    instantiate, make_grid, normalize, solve_lowest,
                     solve_potential, spectrum_csv)
+from susyqm import _lapack
 from susyqm.eigensolver import solution_to_dict
+from susyqm.grids import align_sign
 
 
 def box_grid(n=2001):
@@ -129,3 +136,116 @@ def test_solution_serialization_round_trips():
 def test_grid_type_rejected_with_hint():
     g = Grid1D(0.0, 1.0, 3)
     assert g.n_points == 3
+
+
+# -- LAPACK call: bit-identity with scipy, fallback, guards -------------------
+
+
+def scipy_solve_lowest(ham, k):
+    """solve_lowest as computed through scipy.linalg.eigh_tridiagonal."""
+    from scipy.linalg import eigh_tridiagonal
+
+    off = np.full(ham.dim - 1, ham.off_diagonal)
+    vals, vecs = eigh_tridiagonal(ham.diagonal, off, select="i", select_range=(0, k - 1))
+    states = [align_sign(normalize(GridFunction(ham.grid, np.pad(vecs[:, n], 1))))
+              for n in range(k)]
+    return vals, states
+
+
+def assert_same_bits(ham, k):
+    vals, states = scipy_solve_lowest(ham, k)
+    pairs = solve_lowest(ham, k)
+    assert np.array_equal([p.energy for p in pairs], vals)
+    for pair, state in zip(pairs, states):
+        assert np.array_equal(pair.state.values, state.values)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(n=st.one_of(st.integers(1, 40), st.sampled_from([257, 999])),
+       k=st.integers(1, 64), shape=st.sampled_from(["harmonic", "morse", "random"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_solve_lowest_matches_scipy_bit_for_bit(n, k, shape, seed):
+    grid = make_grid(-10.0, 10.0, n + 2)
+    x = grid.x
+    if shape == "harmonic":
+        v = x**2
+    elif shape == "morse":
+        v = (2.0 - np.exp(-x)) ** 2 - np.exp(-x)
+    else:
+        v = np.random.default_rng(seed).normal(scale=50.0, size=x.size)
+    assert_same_bits(assemble_hamiltonian(GridFunction(grid, v)), min(k, n))
+
+
+@pytest.mark.parametrize("n_points", [2001, 16001])
+@pytest.mark.parametrize("name", ["shifted-harmonic", "morse", "poschl-teller",
+                                  "coulomb-radial"])
+def test_catalog_oracle_matches_scipy_bit_for_bit(name, n_points):
+    # the grids and level counts the oracle-verify benchmark solves
+    lo, hi, _ = get_record(name).domain
+    pair, _ = instantiate(name, None, make_grid(lo, hi, n_points))
+    assert_same_bits(assemble_hamiltonian(pair.v_minus), 4)
+
+
+def test_scipy_fallback_gives_the_same_bits(monkeypatch):
+    grid = make_grid(-10.0, 10.0, 1001)
+    ham = assemble_hamiltonian(GridFunction.from_callable(grid, lambda x: x**2))
+    native = solve_lowest(ham, 8)
+    monkeypatch.setattr(_lapack, "_openblas", lambda: None)
+    fallback = solve_lowest(ham, 8)
+    assert [p.energy for p in fallback] == [p.energy for p in native]
+    for a, b in zip(fallback, native):
+        assert np.array_equal(a.state.values, b.state.values)
+
+
+def test_bundled_openblas_is_called_where_numpy_ships_it():
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if (lapack["name"] != "scipy-openblas"
+            or "USE64BITINT" not in lapack.get("openblas configuration", "")):
+        pytest.skip("numpy bundles no ILP64 scipy-openblas")
+    assert _lapack._openblas() is not None
+
+
+def test_lapack_arguments_checked_before_the_call(monkeypatch):
+    monkeypatch.setattr(_lapack, "_openblas", lambda: pytest.fail("LAPACK was called"))
+    d, e = np.zeros(4), np.zeros(3)
+    bad = [
+        (d, e, 0, "k=0 must be at least 1"),
+        (d, e, 5, "k=5 exceeds matrix dimension 4"),
+        (np.zeros(1), np.zeros(0), 4, "k=4 exceeds matrix dimension 1"),
+        (d.astype(np.float32), e, 1, "diagonal must be a C-contiguous 1-D float64 array"),
+        (np.zeros(8)[::2], e, 1, "diagonal must be a C-contiguous 1-D float64 array"),
+        (d.reshape(2, 2), e, 1, "diagonal must be a C-contiguous 1-D float64 array"),
+        (d, e.astype(np.int64), 1, "off-diagonal must be a C-contiguous 1-D float64 array"),
+        (d, np.zeros(4), 1, "off-diagonal length 4 does not fit diagonal length 4"),
+        (np.zeros(0), np.zeros(0), 1, "off-diagonal length 0 does not fit diagonal length 0"),
+    ]
+    for d_, e_, k, message in bad:
+        with pytest.raises(ValueError) as exc:
+            _lapack.eigh_lowest(d_, e_, k)
+        assert str(exc.value) == message
+
+
+def test_lapack_info_mapping():
+    _lapack._check_info("dstebz", 0)
+    _lapack._check_info("dstein", 0)
+    with pytest.raises(ConvergenceError, match=r"dstein: 3 eigenvector\(s\) did not converge"):
+        _lapack._check_info("dstein", 3)
+    with pytest.raises(ConvergenceError, match=r"dstebz: bisection did not converge \(INFO=2\)"):
+        _lapack._check_info("dstebz", 2)
+    with pytest.raises(RuntimeError, match="internal error: dstein rejected argument 9") as exc:
+        _lapack._check_info("dstein", -9)
+    assert not isinstance(exc.value, ConvergenceError)
+
+
+def test_non_finite_hamiltonian_never_reaches_lapack():
+    # 2/h**2 ≈ 1.4e308 on this grid, so adding V = w² for w = 1.3e154 overflows
+    grid = make_grid(0.0, 2.4e-152, 201)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        with pytest.raises(GridError, match="not finite at 199 interior node"):
+            assemble_hamiltonian(GridFunction(grid, np.full(201, 1.3e154**2)))
+    grid = make_grid(0.0, 1.0, 11)
+    with pytest.raises(GridError, match="diagonal 2/h\\*\\*2 \\+ V is not finite at 1 "):
+        HamiltonianMatrix(grid, np.r_[np.zeros(8), np.nan], -1.0)
+    with pytest.raises(GridError, match="off-diagonal -inf is not finite"):
+        HamiltonianMatrix(grid, np.zeros(9), -np.inf)

@@ -1,10 +1,11 @@
 """Which heavy dependencies the package and each CLI command load.
 
 sympy is needed only to parse an expression (a catalog record's numpy code is
-checked in) and scipy only for a sparse or tridiagonal solve, so commands
-that do neither must not import them.  A fresh interpreter runs the calls in
-order and reports, after each step, which of the watched modules are in
-``sys.modules``.  Module names only, never times.
+checked in) and scipy only for algebra-check's sparse charge matrices and
+banded block spectra: the oracle's tridiagonal solve calls LAPACK in numpy's
+own OpenBLAS.  Commands must not import what they do not need.  A fresh
+interpreter runs the calls in order and reports, after each step, which of
+the watched modules are in ``sys.modules``.  Module names only, never times.
 """
 
 import ast
@@ -97,10 +98,13 @@ CATALOG_STEPS = [
          "--points", "401"],
         ["classify", "--catalog", "morse"],
         ["classify", "--catalog", "cyclic-demo"],
-        ["algebra-check", "--catalog", "coulomb-radial", "--points", "201"],
     ], 0),
     ("catalog errors", [argv for argv, _ in CATALOG_ERRORS], 2),
     ("expression", [["partner", "--w", "a*x", "--param", "a=1", "--points", "101"]], 0),
+    ("expression classify", [["classify", "--w", "a*x", "--param", "a=1",
+                              "--points", "401", "--budget", "9"]], 0),
+    ("algebra-check", [["algebra-check", "--catalog", "coulomb-radial",
+                        "--points", "201"]], 0),
 ]
 
 
@@ -141,6 +145,17 @@ def test_catalog_commands_load_no_sympy(catalog_loaded_after):
     assert "sympy" in catalog_loaded_after["expression"]
 
 
+def test_solver_commands_load_no_scipy(catalog_loaded_after):
+    # solve, hierarchy, si-check --search, spectrum, wavefunctions, classify
+    assert catalog_loaded_after["catalog commands"] == []
+    assert catalog_loaded_after["expression classify"] == ["sympy"]
+
+
+def test_algebra_check_still_loads_scipy(catalog_loaded_after):
+    # charge_matrices (scipy.sparse) and block_spectra (eigvals_banded)
+    assert "scipy" in catalog_loaded_after["algebra-check"]
+
+
 def test_catalog_error_messages_need_no_sympy(catalog_loaded_after):
     assert "sympy" not in catalog_loaded_after["catalog errors"]
     stderr = catalog_loaded_after["stderr"]["catalog errors"]
@@ -168,3 +183,49 @@ def test_package_exports_exactly_what_it_imports():
                     and [t.id for t in node.targets] == ["__all__"])
     assert len(set(exported)) == len(exported)
     assert sorted(imported) == sorted(exported)
+
+
+BLOCKED_SCIPY = r"""
+import contextlib, io, json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from susyqm.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_solver_commands_run_without_scipy(tmp_path, package_env, capsys):
+    """With scipy unimportable, solver commands still succeed, with the same
+    output as in a process that has scipy."""
+    def calls(workdir):
+        return [["solve", "--catalog", "morse"],
+                ["spectrum", "--catalog", "morse"],
+                ["hierarchy", "--catalog", "morse", "--output", str(workdir)],
+                ["classify", "--catalog", "morse"]]
+
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCKED_SCIPY, json.dumps(calls(blocked))],
+        env=package_env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    from susyqm.cli import main
+    for argv, (code, out, err) in zip(calls(free), results):
+        assert (code, err) == (0, "")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+    files = sorted(p.name for p in blocked.iterdir())
+    assert files == sorted(p.name for p in free.iterdir()) and files
+    for name in files:
+        assert (blocked / name).read_bytes() == (free / name).read_bytes()
