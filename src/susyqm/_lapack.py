@@ -57,7 +57,7 @@ def _check_inputs(d: np.ndarray, e: np.ndarray, k: int) -> None:
     for name, a in (("diagonal", d), ("off-diagonal", e)):
         if a.dtype != np.float64 or a.ndim != 1 or not a.flags.c_contiguous:
             raise ValueError(f"{name} must be a C-contiguous 1-D float64 array")
-    if d.size < 1 or e.size != d.size - 1:
+    if e.size != d.size - 1:
         raise ValueError(f"off-diagonal length {e.size} does not fit diagonal length {d.size}")
     if k > d.size:
         raise ValueError(f"k={k} exceeds matrix dimension {d.size}")
