@@ -80,8 +80,6 @@ def eigh_lowest(d: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     """
     _check_inputs(d, e, k)
     n = d.size
-    if n == 1:  # eigh_tridiagonal's own quick exit, kept for identical bits
-        return d.copy(), np.ones((1, 1))
     routines = _openblas()
     if routines is None:
         return _scipy_lowest(d, e, k)
@@ -103,7 +101,7 @@ def eigh_lowest(d: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
           iblock.ctypes.data, isplit.ctypes.data, vecs.ctypes.data, ref(n_),
           work.ctypes.data, iwork.ctypes.data, ifail.ctypes.data, ref(info))
     _check_info("dstein", info.value)
-    order = np.argsort(w[:found], kind="stable")  # ORDER='B' groups by split block
+    order = np.argsort(w[:found])  # ORDER='B' groups by split block; scipy's sort
     return w[order], vecs[order]
 
 

@@ -103,8 +103,6 @@ CATALOG_STEPS = [
     ("expression", [["partner", "--w", "a*x", "--param", "a=1", "--points", "101"]], 0),
     ("expression classify", [["classify", "--w", "a*x", "--param", "a=1",
                               "--points", "401", "--budget", "9"]], 0),
-    ("algebra-check", [["algebra-check", "--catalog", "coulomb-radial",
-                        "--points", "201"]], 0),
 ]
 
 
@@ -151,9 +149,13 @@ def test_solver_commands_load_no_scipy(catalog_loaded_after):
     assert catalog_loaded_after["expression classify"] == ["sympy"]
 
 
-def test_algebra_check_still_loads_scipy(catalog_loaded_after):
-    # charge_matrices (scipy.sparse) and block_spectra (eigvals_banded)
-    assert "scipy" in catalog_loaded_after["algebra-check"]
+def test_algebra_check_loads_scipy_but_no_sympy(tmp_path, package_env):
+    # charge_matrices (scipy.sparse) and block_spectra (eigvals_banded); a
+    # catalog record's numpy code is checked in
+    steps = [("algebra-check", [["algebra-check", "--catalog", "coulomb-radial",
+                                 "--points", "201"]], 0)]
+    loaded = _probe(steps, str(tmp_path), package_env)["algebra-check"]
+    assert "scipy" in loaded and "sympy" not in loaded
 
 
 def test_catalog_error_messages_need_no_sympy(catalog_loaded_after):
