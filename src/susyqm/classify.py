@@ -14,9 +14,9 @@ from .catalog import SIPRecord, get_record, merged_params, record_grid
 from .eigensolver import ground_state
 from .errors import EvaluationError, NoBoundStateError
 from .grids import Grid1D, GridFunction, boundary_amplitude_ratio
-from .shape_invariance import (ParameterTransform, Translation,
-                               default_candidates, search_transform,
-                               si_residual)
+from .shape_invariance import (ParameterTransform, SearchRow, Translation,
+                               best_accepted, default_candidates,
+                               search_transform, si_residual)
 from .susy import (partner_potentials, superpotential_from_ground_state,
                    susy_phase, SuperpotentialFamily)
 
@@ -90,27 +90,28 @@ def _oracle_susy(v_minus: GridFunction, sides: str,
     return YES
 
 
-def _ih_verdict(found_transform: ParameterTransform, family: SuperpotentialFamily,
-                a0: dict, grid: Grid1D, budget: int, evidence: list[dict]) -> str:
+def _ih_verdict(found_transform: ParameterTransform, record: list[SearchRow], budget: int,
+                evidence: list[dict]) -> str:
     """Factorizability = translational shape invariance.
 
     When the best transform is already a translation that settles it;
-    otherwise re-scan translations alone, since a better-fitting scaling
-    result says nothing about whether a translation also passes.
+    otherwise the search record's best accepted translation decides, since
+    a better-fitting scaling result says nothing about whether a
+    translation also passes.  The search refines and judges each candidate
+    on its own, so that row is what a search over translations alone finds.
     """
     if isinstance(found_transform, Translation):
         return YES
-    translations = [c for c in default_candidates(family.parameter_names)
-                    if c.kind == Translation.kind]
-    result = search_transform(family, a0, grid, translations, budget)
-    if result is None:
+    row = best_accepted(row for row in record if row.candidate.kind == Translation.kind)
+    # "translation-rescan" names what the row equals: a search over
+    # translations alone.
+    if row is None:
         evidence.append({"kind": "translation-rescan", "found": False,
                          "budget": budget})
         return NO_WITHIN_SEARCH
-    transform, report = result
     evidence.append({"kind": "translation-rescan", "found": True,
-                     "transform": transform.to_dict(),
-                     "report": report.to_dict()})
+                     "transform": row.transform.to_dict(),
+                     "report": row.report.to_dict()})
     return YES
 
 
@@ -119,7 +120,9 @@ def _classify(family: SuperpotentialFamily, a0: dict, grid: Grid1D, budget: int,
     """SUSY by the oracle, then shape invariance, then factorizability.
 
     Shape invariance rests on the declared transform when it passes the
-    residual test at a0, and on a transform search otherwise.
+    residual test at a0, and on a transform search otherwise.  At most one
+    search runs: a passing declared transform that is not a translation
+    gets a search over translations alone, for the factorizability verdict.
     """
     try:
         pair = partner_potentials(family, a0, grid)
@@ -133,18 +136,23 @@ def _classify(family: SuperpotentialFamily, a0: dict, grid: Grid1D, budget: int,
     if susy != YES:
         return VennTag(susy, UNKNOWN, UNKNOWN, UNKNOWN, evidence)
 
+    record: list[SearchRow] = []
     report = None if declared is None else si_residual(family, a0, declared, grid)
     if report is not None and report.passed:
         evidence.append({"kind": "declared-transform-verified",
                          "report": report.to_dict()})
         transform = declared
+        if not isinstance(declared, Translation):
+            translations = [c for c in default_candidates(family.parameter_names)
+                            if c.kind == Translation.kind]
+            search_transform(family, a0, grid, translations, budget, record=record)
     else:
         if report is not None:
             # A declared transform failing at these parameters is
             # unexpected; search rather than condemn the record.
             evidence.append({"kind": "declared-transform-failed",
                              "report": report.to_dict()})
-        found = search_transform(family, a0, grid, None, budget)
+        found = search_transform(family, a0, grid, None, budget, record=record)
         if found is None:
             evidence.append({"kind": "transform-search", "found": False,
                              "budget": budget})
@@ -154,7 +162,7 @@ def _classify(family: SuperpotentialFamily, a0: dict, grid: Grid1D, budget: int,
                          "budget": budget,
                          "transform": transform.to_dict(),
                          "report": report.to_dict()})
-    ih = _ih_verdict(transform, family, a0, grid, budget, evidence)
+    ih = _ih_verdict(transform, record, budget, evidence)
     return VennTag(YES, YES, ih, CERTIFIED, evidence)
 
 

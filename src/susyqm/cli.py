@@ -38,8 +38,9 @@ from .shape_invariance import (TRANSFORM_KINDS, ParameterTransform,
 from .susy import (SuperpotentialFamily, build_hierarchy, charge_matrices,
                    partner_potentials, verify_algebra)
 
-#: Flag caps.  A search holds _trial_count(budget) x points floats in each of
-#: its temporaries, so together they bound its memory (about 20 MB apiece).
+#: Flag caps.  A search scores its trials in blocks of at most 96 KiB or one
+#: grid row, whatever the budget, so the budget cap bounds its coarse sample
+#: list, its score memo and its run time, and the points cap every grid array.
 MAX_POINTS = 20001
 MAX_BUDGET = 129
 

@@ -358,8 +358,14 @@ def assemble_on_grid(code: NumpyCode) -> Callable[[np.ndarray, dict], np.ndarray
                 "check for singularities inside the domain")
         return out
 
+    def unchecked(x: np.ndarray, values: dict) -> np.ndarray:
+        # the same code without evaluate's checks and conversions, for a
+        # caller that made them and holds np.errstate itself
+        return fn(x, *[values[p] for p in params], subterms(x) if subterms else ())
+
     evaluate.broadcasts = code.broadcasts
     evaluate.subterms = subterms
+    evaluate.unchecked = unchecked
     return evaluate
 
 
@@ -394,7 +400,11 @@ def compile_on_grid(expr: sympy.Expr,
     call.  Such a stack comes back unchecked, so the caller can reject
     non-finite rows one by one.  The function's ``broadcasts`` attribute
     tells whether each row then equals, bit for bit, the float-parameter
-    evaluation at that row's values (see _broadcasts_exactly).
+    evaluation at that row's values (see _broadcasts_exactly).  Its
+    ``unchecked`` attribute runs the same compiled code with no checks or
+    conversions at all, for a caller that has already checked the
+    parameters, passes them as float arrays and holds ``np.errstate``
+    (``SuperpotentialFamily.w_rows``).
 
     Every composite subterm whose only free symbol is x (``x**3``,
     ``exp(-x)``, ``sech(x)**2``) is tabulated once per grid and reused by

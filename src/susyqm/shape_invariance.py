@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (ChainConstructionError, EvaluationError, GridError,
-                     TransformError)
+from .errors import ChainConstructionError, EvaluationError, TransformError
 from .grids import Grid1D, GridFunction, align_sign, count_nodes, normalize
 from .susy import (SuperpotentialFamily, _zero_mode_ratios, apply_a_dagger,
                    partner_potentials, zero_mode)
@@ -43,6 +42,12 @@ class ParameterTransform:
     the only parameter when the dict has exactly one.  Applied to a
     parameter-free family (empty dict) every scalar variant is vacuous and
     the orbit is constant.
+
+    A scalar variant is its knob check and its knob map, both taking the
+    knob values in ``knobs`` order: construction runs the check, ``apply``
+    runs the map on the target parameter.  The transform search runs the
+    same two on bare knob values (``TransformCandidate.map_params``), so
+    its trials build no transform objects.
     """
 
     kind = "base"
@@ -51,8 +56,23 @@ class ParameterTransform:
     #: to these types, so ``p`` stays an int where the class needs one.
     knobs: tuple[tuple[str, type], ...] = ()
 
-    def apply(self, params: dict) -> dict:
+    @staticmethod
+    def check_knobs(*knobs) -> None:
+        """Raise TransformError unless the knob values are in the class's domain."""
+
+    @staticmethod
+    def knob_map(a: float, *knobs) -> float:
+        """The image of one parameter value under the class's map at these knobs."""
         raise NotImplementedError
+
+    def __post_init__(self):
+        self.check_knobs(*self._knob_values())
+
+    def _knob_values(self) -> tuple:
+        return tuple(getattr(self, name) for name, _ in self.knobs)
+
+    def apply(self, params: dict) -> dict:
+        return self._mapped(params, self.param, self._knob_values())
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **{name: getattr(self, name) for name, _ in self.knobs},
@@ -71,14 +91,15 @@ class ParameterTransform:
         raise TransformError(
             f"transform target is ambiguous for parameters {sorted(params)}; set param=")
 
-    def _mapped(self, params: dict, param: str | None,
-                fn: Callable[[float], float]) -> dict:
+    @classmethod
+    def _mapped(cls, params: dict, param: str | None, knobs: tuple) -> dict:
+        """params with the target parameter sent through ``knob_map``."""
         out = dict(params)
-        target = self._target(params, param)
+        target = cls._target(params, param)
         if target is None:
             return out
         try:
-            new = fn(float(params[target]))
+            new = cls.knob_map(float(params[target]), *knobs)
         except (ZeroDivisionError, OverflowError) as exc:
             raise TransformError(f"transform undefined at {target}={params[target]}: "
                                  f"{exc.args[-1]}") from None
@@ -97,8 +118,9 @@ class Translation(ParameterTransform):
     kind = "translation"
     knobs = (("alpha", float),)
 
-    def apply(self, params: dict) -> dict:
-        return self._mapped(params, self.param, lambda a: a + self.alpha)
+    @staticmethod
+    def knob_map(a: float, alpha: float) -> float:
+        return a + alpha
 
 
 @dataclass(frozen=True)
@@ -110,12 +132,14 @@ class Scaling(ParameterTransform):
     kind = "scaling"
     knobs = (("q", float),)
 
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise TransformError(f"scaling requires 0 < q < 1, got q={self.q}")
+    @staticmethod
+    def check_knobs(q: float) -> None:
+        if not 0.0 < q < 1.0:
+            raise TransformError(f"scaling requires 0 < q < 1, got q={q}")
 
-    def apply(self, params: dict) -> dict:
-        return self._mapped(params, self.param, lambda a: self.q * a)
+    @staticmethod
+    def knob_map(a: float, q: float) -> float:
+        return q * a
 
 
 @dataclass(frozen=True)
@@ -128,14 +152,16 @@ class PowerScaling(ParameterTransform):
     kind = "power-scaling"
     knobs = (("q", float), ("p", int))
 
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise TransformError(f"power scaling requires 0 < q < 1, got q={self.q}")
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise TransformError(f"power scaling requires integer p, got {self.p!r}")
+    @staticmethod
+    def check_knobs(q: float, p: int) -> None:
+        if not 0.0 < q < 1.0:
+            raise TransformError(f"power scaling requires 0 < q < 1, got q={q}")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise TransformError(f"power scaling requires integer p, got {p!r}")
 
-    def apply(self, params: dict) -> dict:
-        return self._mapped(params, self.param, lambda a: self.q * a**self.p)
+    @staticmethod
+    def knob_map(a: float, q: float, p: int) -> float:
+        return q * a**p
 
 
 @dataclass(frozen=True)
@@ -148,19 +174,19 @@ class Projective(ParameterTransform):
     kind = "projective"
     knobs = (("q", float), ("p", float))
 
-    def __post_init__(self):
-        if not self.q > 0.0:
-            raise TransformError(f"projective requires q > 0, got q={self.q}")
-        if not self.p < 1.0:
-            raise TransformError(f"projective requires p < 1, got p={self.p}")
+    @staticmethod
+    def check_knobs(q: float, p: float) -> None:
+        if not q > 0.0:
+            raise TransformError(f"projective requires q > 0, got q={q}")
+        if not p < 1.0:
+            raise TransformError(f"projective requires p < 1, got p={p}")
 
-    def apply(self, params: dict) -> dict:
-        def fn(a: float) -> float:
-            denom = 1.0 + self.p * a
-            if denom == 0.0:
-                raise TransformError(f"projective map singular at a={a}")
-            return self.q * a / denom
-        return self._mapped(params, self.param, fn)
+    @staticmethod
+    def knob_map(a: float, q: float, p: float) -> float:
+        denom = 1.0 + p * a
+        if denom == 0.0:
+            raise TransformError(f"projective map singular at a={a}")
+        return q * a / denom
 
 
 @dataclass(frozen=True)
@@ -397,12 +423,23 @@ class TransformCandidate:
     p: float | None = None
     param: str | None = None
 
-    def build(self, theta: float) -> ParameterTransform:
+    def _knobs(self, theta: float) -> tuple[type[ParameterTransform], tuple]:
         cls = TRANSFORM_KINDS.get(self.kind)
         if cls is None:
             raise TransformError(f"unknown candidate kind {self.kind!r}")
-        fixed = [typ(self.p) for _, typ in cls.knobs[1:]]
-        return cls(theta, *fixed, param=self.param)
+        return cls, (theta, *[typ(self.p) for _, typ in cls.knobs[1:]])
+
+    def build(self, theta: float) -> ParameterTransform:
+        cls, knobs = self._knobs(theta)
+        return cls(*knobs, param=self.param)
+
+    def map_params(self, theta: float, params: dict) -> dict:
+        """``build(theta).apply(params)`` through the class's knob check and
+        map alone, with no transform built: the same values, the same
+        TransformError texts."""
+        cls, knobs = self._knobs(theta)
+        cls.check_knobs(*knobs)
+        return cls._mapped(params, self.param, knobs)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -473,53 +510,90 @@ def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
                   tolerance: float) -> list[tuple[float, ResidualReport | None]]:
     """si_residual's report for each (candidate, knob value) trial, against a
     V₊(a₀) tabulated once; (inf, None) where si_residual would raise
-    TransformError or EvaluationError.
+    TransformError or EvaluationError, or where V₋(a₁) is not finite.
 
     Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the trial.  Each a₁ comes from
-    the scalar ``apply``, so the rows see exactly si_residual's parameter
-    values.  The trials are tabulated and scored in blocks of consecutive
-    rows, whichever candidates they come from, each block's arrays within
-    ``_BLOCK_BYTES``: ``w_rows`` tabulates a block in one call, and one
-    buffer per call holds V₋ and then the residual of each block.  A row's
-    ufuncs do not depend on its block, so every score equals si_residual's
-    bit for bit however the trials are split.
+    the candidate's scalar knob check and map (``map_params``), the code
+    ``apply`` runs, so the rows see exactly si_residual's parameter values
+    and no transform object is built.  The trials are tabulated and scored
+    in blocks of consecutive rows, whichever candidates they come from, each
+    block's arrays within ``_BLOCK_BYTES``: ``w_rows`` tabulates a block in
+    one call, and one buffer per call holds V₋ and then the residual of each
+    block.  One finiteness pass over V₋ finds the misses: a non-finite w or
+    w′, or a w² − w′ that overflows (si_residual raises GridError there;
+    in a search it is a trial the search made up, so it scores as a miss).
+    A row's ufuncs do not depend on its block, so every score equals
+    si_residual's bit for bit however the trials are split.
     """
     scored: list[tuple[float, ResidualReport | None]] = [(math.inf, None)] * len(trials)
     live, rows = [], []
     for i, (cand, theta) in enumerate(trials):
         try:
-            rows.append(cand.build(theta).apply(a0))
+            rows.append(cand.map_params(theta, a0))
         except TransformError:
             continue
         live.append(i)
     size = _block_rows(grid)
     buf = np.empty((min(size, len(rows)), grid.n_points))
-    # w² may overflow where w is finite; like partner_potentials, reject it.
-    with np.errstate(over="ignore"):
+    # A miss row may hold inf or nan, and w² may overflow where w is finite.
+    with np.errstate(all="ignore"):
         for start in range(0, len(rows), size):
             try:
-                w, w_prime, finite = family.w_rows(grid, rows[start:start + size])
+                w, w_prime = family.w_rows(grid, rows[start:start + size])
             except EvaluationError:
                 continue
             block = live[start:start + size]
-            if not finite.all():
-                block = [i for i, ok in zip(block, finite) if ok]
-                w, w_prime = w[finite], w_prime[finite]
             res = buf[:len(block)]
             np.multiply(w, w, out=res)
             np.subtract(res, w_prime, out=res)
-            if not np.isfinite(res).all():
-                raise GridError("grid function contains non-finite values")
+            finite = np.isfinite(res).all(axis=1)
+            if not finite.all():
+                block = [i for i, ok in zip(block, finite) if ok]
+                res = res[finite]
             np.subtract(v_plus, res, out=res)
             for i, report in zip(block, _residual_reports(res, tolerance)):
                 scored[i] = (report.residual_stddev, report)
     return scored
 
 
+@dataclass(frozen=True)
+class SearchRow:
+    """What one candidate came to in a transform search.
+
+    ``finalists`` are the best coarse sample and, for an interval, the
+    refined knob value (empty when no sample scored finite).  ``theta`` is
+    the finalist kept: the accepted one with the smallest score, else the
+    one with the smallest score (ties to the first).  ``gate`` names what
+    rejected it, None when it was accepted: ``"no-finite-score"``,
+    ``"tolerance"`` (the residual test failed), ``"mean-over-spread"``
+    (the step energy does not clear the spread) or ``"minus-sector-decay"``
+    (the transformed ψ₀⁻ does not decay).
+    """
+
+    candidate: TransformCandidate
+    finalists: tuple[float, ...]
+    theta: float | None
+    score: float
+    report: ResidualReport | None
+    gate: str | None
+
+    @property
+    def transform(self) -> ParameterTransform:
+        return self.candidate.build(self.theta)
+
+
+def best_accepted(rows: Iterable[SearchRow]) -> SearchRow | None:
+    """The accepted row with the smallest score, ties to the earliest; None
+    when no row was accepted."""
+    return min((row for row in rows if row.gate is None), key=lambda row: row.score,
+               default=None)
+
+
 def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
                      candidates: Sequence[TransformCandidate] | None = None,
                      budget: int = 33,
-                     tolerance: float | None = None
+                     tolerance: float | None = None,
+                     record: list[SearchRow] | None = None
                      ) -> tuple[ParameterTransform, ResidualReport] | None:
     """Scan candidate transforms for one that passes the residual test.
 
@@ -532,10 +606,11 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     One scoring call (``_score_trials``) takes the coarse samples of every
     candidate; the refines of all candidates then run in lockstep, each
     golden-section step scoring every candidate's next knob value in one
-    call.  A call tabulates its trials in blocks of a few rows
-    (``SuperpotentialFamily.w_rows`` broadcasts a compiled w over a column
+    call.  A call maps each trial's parameters through the candidate's
+    scalar knob map and tabulates the trials in blocks of a few rows
+    (``SuperpotentialFamily.w_rows`` runs a compiled w once over a column
     of knob values), so its memory stays small and fixed however many
-    trials it scores.
+    trials it scores, and no transform object is built for a trial.
 
     Degenerate "transforms" that merely flip or kill the superpotential can
     flatten the residual without describing a bound-state ladder, so a
@@ -544,6 +619,14 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     same scale) and leave the transformed family with a decaying
     minus-sector zero mode (a mirrored w → −w solution decays in the plus
     sector instead).
+
+    Candidates are refined and judged independently, so each one's row is
+    what a search over that candidate alone would find.  When ``record`` is
+    a list, the search appends one SearchRow per candidate to it, in
+    candidate order; ``best_accepted`` of any subset of the rows is the
+    result of a search over those candidates alone (classify reads the best
+    translation this way).  Nothing is appended when V₊(a₀) cannot be
+    evaluated.
 
     Returns None when nothing passes, which is evidence within this budget,
     not proof of absence.
@@ -571,17 +654,20 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
                 memos[k][th] = score
         return [memos[k][th] for k, th in requests]
 
-    def accept(transform: ParameterTransform, report: ResidualReport) -> bool:
+    def gate(cand: TransformCandidate, theta: float, report: ResidualReport | None) -> str | None:
         # Gates run on the refined endpoint only: applied mid-scan they
         # turn near-optimal samples into cliffs and strand the refiner.
+        if report is None:
+            return "no-finite-score"
         if not report.passed:
-            return False
+            return "tolerance"
         if report.residual_mean <= _MEAN_OVER_SPREAD * report.residual_stddev:
-            return False
+            return "mean-over-spread"
         try:
-            return _minus_sector_decays(family, transform.apply(a0), grid)
+            decays = _minus_sector_decays(family, cand.map_params(theta, a0), grid)
         except (TransformError, EvaluationError):
-            return False
+            decays = False
+        return None if decays else "minus-sector-decay"
 
     # Phase 1: coarse scan, every candidate's samples in one scoring call.
     # Keep the coarse winner alongside the refined theta: at small budgets
@@ -610,23 +696,20 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     for k, theta in refined.items():
         finalists[k].append(theta)
 
-    # Phase 3: judge the finalists in candidate order.
-    best: tuple[float, ParameterTransform, ResidualReport] | None = None
-    for k, thetas in finalists.items():
-        best_local: tuple[float, ParameterTransform, ResidualReport] | None = None
-        for theta, (score, report) in zip(thetas, objective([(k, th) for th in thetas])):
-            if report is None:
-                continue
-            transform = candidates[k].build(theta)
-            if not accept(transform, report):
-                continue
-            if best_local is None or score < best_local[0]:
-                best_local = (score, transform, report)
-        if best_local is not None and (best is None or best_local[0] < best[0]):
-            best = best_local
-    if best is None:
-        return None
-    return best[1], best[2]
+    # Phase 3: judge each candidate's finalists; keep the best accepted one,
+    # else the best scored one, with the gate that rejected it.
+    rows = []
+    for k, cand in enumerate(candidates):
+        thetas = finalists.get(k, [])
+        judged = [SearchRow(cand, tuple(thetas), theta, score, report, gate(cand, theta, report))
+                  for theta, (score, report) in zip(thetas, objective([(k, th) for th in thetas]))]
+        pool = [row for row in judged if row.gate is None] or judged
+        rows.append(min(pool, key=lambda row: row.score) if pool else
+                    SearchRow(cand, (), None, math.inf, None, "no-finite-score"))
+    if record is not None:
+        record.extend(rows)
+    best = best_accepted(rows)
+    return None if best is None else (best.transform, best.report)
 
 
 def _refine(lo: float, hi: float) -> _Refiner:

@@ -43,7 +43,8 @@ class SuperpotentialFamily:
     set it when it is exact, see expressions.compile_on_grid) must accept
     each parameter as a column of values against ``x[None, :]`` and return
     one row per value, equal bit for bit to calling it with that row's
-    floats; it then answers the whole stack in one call.  Any other
+    floats; it then answers the whole stack in one call, through its
+    ``unchecked`` attribute where it has one.  Any other
     callable, and a finite-difference w′, is evaluated row by row with float
     parameters.  Either way a compiled expression computes its
     parameter-free subterms such as ``x**3`` once per grid and reuses them
@@ -112,25 +113,33 @@ class SuperpotentialFamily:
         return self._eval(self.w_prime_fn, grid, params)
 
     def w_rows(self, grid: Grid1D, rows: Sequence[dict]
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray]:
         """w and w′ on the grid for each parameter dict in ``rows``.
 
-        Returns two (len(rows), n_points) arrays and a mask of the rows on
-        which both are finite everywhere; values on the other rows are
-        unspecified.  Each finite row equals ``w_grid`` / ``w_prime_grid``
-        at that row's parameters bit for bit.  Missing parameters raise
-        EvaluationError.
+        Returns two (len(rows), n_points) arrays, unchecked: a row where w
+        or w′ cannot be evaluated holds nan, and a row may hold inf or nan
+        wherever the function does, so the caller tests finiteness on what
+        it computes from them.  Each finite row equals ``w_grid`` /
+        ``w_prime_grid`` at that row's parameters bit for bit.  Missing
+        parameters raise EvaluationError.
+
+        The parameter columns are built once and serve w and w′; a
+        broadcasting function runs once for the whole stack, under the one
+        ``errstate`` of this call, through its ``unchecked`` entry where it
+        has one (compiled expressions do; it skips the per-call checks made
+        here already).
         """
-        missing = set(self.parameter_names).difference(*rows)
+        names = self.parameter_names
+        missing = set(names).difference(*rows)
         if missing:
             raise EvaluationError(f"missing parameter values for {sorted(missing)}")
         shape = (len(rows), grid.n_points)
+        x = grid.x[None, :]
+        columns = {p: np.array([float(row[p]) for row in rows])[:, None] for p in names}
 
         def tabulate(fn: WFunc) -> np.ndarray:
-            if self.parameter_names and getattr(fn, "broadcasts", False):
-                stack = {p: np.array([float(row[p]) for row in rows])[:, None]
-                         for p in self.parameter_names}
-                out = np.asarray(fn(grid.x[None, :], stack), dtype=float)
+            if names and getattr(fn, "broadcasts", False):
+                out = np.asarray(getattr(fn, "unchecked", fn)(x, columns), dtype=float)
                 return out if out.shape == shape else np.broadcast_to(out, shape)
             out = np.empty(shape)
             for i, row in enumerate(rows):
@@ -142,15 +151,13 @@ class SuperpotentialFamily:
 
         with np.errstate(all="ignore"):
             w = tabulate(self.w_fn)
-            ok = np.isfinite(w).all(axis=1)
             if self.w_prime_fn is None:
                 w_prime = np.full(shape, np.nan)
-                for i in np.flatnonzero(ok):
+                for i in np.flatnonzero(np.isfinite(w).all(axis=1)):
                     w_prime[i] = derivative(GridFunction(grid, w[i])).values
             else:
                 w_prime = tabulate(self.w_prime_fn)
-            ok &= np.isfinite(w_prime).all(axis=1)
-        return w, w_prime, ok
+        return w, w_prime
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import susyqm.classify as classify_module
 from susyqm import (CERTIFIED, NO, NO_WITHIN_SEARCH, UNKNOWN, YES, CatalogError,
-                    GridFunction, SuperpotentialFamily, VennTag, classify_family,
-                    classify_record, classify_tabulated, get_record, make_grid,
-                    record_grid, venn_graph_text)
+                    GridFunction, Scaling, SuperpotentialFamily, Translation, VennTag,
+                    classify_family, classify_record, classify_tabulated,
+                    default_candidates, get_record, make_grid, record_grid,
+                    search_transform, venn_graph_text)
 
 GRID = make_grid(-10.0, 10.0, 1001)
 
@@ -122,6 +127,94 @@ def test_unevaluable_family_is_all_unknown():
     assert (tag.susy, tag.shape_invariant, tag.ih_factorizable,
             tag.exactly_solvable) == (UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN)
     assert tag.evidence[0]["kind"] == "evaluation"
+
+
+def test_search_trial_whose_v_minus_overflows_is_a_miss():
+    # A trial with a >= 2.19 makes w finite but w^2 - w' overflow at x = 300;
+    # it must score as a miss, not abort the search.
+    fam = SuperpotentialFamily.from_expression("x + exp(a*x - 300)", domain=(-10.0, 300.0))
+    tag = classify_family(fam, {"a": 1.0}, make_grid(-10.0, 300.0, 601), search_budget=9)
+    assert (tag.susy, tag.shape_invariant, tag.ih_factorizable,
+            tag.exactly_solvable) == (YES, NO_WITHIN_SEARCH, NO_WITHIN_SEARCH, UNKNOWN)
+
+
+# -- factorizability from the search record ------------------------------------------
+
+PT_GRID = make_grid(-10.0, 10.0, 2001)
+
+
+def _poschl_teller(k: str) -> SuperpotentialFamily:
+    return SuperpotentialFamily.from_expression(f"A*tanh({k}*x)", domain=(-10.0, 10.0))
+
+
+def _translation_search_entry(family, a0, grid, budget=33) -> dict:
+    """The factorizability evidence a translation-only search gives."""
+    translations = [c for c in default_candidates(family.parameter_names)
+                    if c.kind == Translation.kind]
+    found = search_transform(family, a0, grid, translations, budget)
+    if found is None:
+        return {"kind": "translation-rescan", "found": False, "budget": budget}
+    return {"kind": "translation-rescan", "found": True,
+            "transform": found[0].to_dict(), "report": found[1].to_dict()}
+
+
+def _counting_searches(monkeypatch) -> list[bool]:
+    """Count classify's search_transform calls: one flag per call, true
+    when the call came from inside _ih_verdict."""
+    real_search, real_ih = classify_module.search_transform, classify_module._ih_verdict
+    calls, inside = [], []
+
+    def search(*args, **kwargs):
+        calls.append(bool(inside))
+        return real_search(*args, **kwargs)
+
+    def ih(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_ih(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(classify_module, "search_transform", search)
+    monkeypatch.setattr(classify_module, "_ih_verdict", ih)
+    return calls
+
+
+def test_classify_runs_one_search_and_the_ih_verdict_none(monkeypatch):
+    # A scaling fits best here, so the verdict needs the best translation.
+    calls = _counting_searches(monkeypatch)
+    tag = classify_family(_poschl_teller("1.2278"), {"A": 2.8273}, PT_GRID)
+    assert [e["kind"] for e in tag.evidence][-2:] == ["transform-search", "translation-rescan"]
+    assert tag.ih_factorizable == YES
+    assert calls == [False]
+
+
+def test_declared_scaling_gets_one_translation_search(monkeypatch):
+    # A declared transform that passes and is not a translation says
+    # nothing about translations: one search over them alone decides.
+    rec = replace(get_record("poschl-teller"), transform=Scaling(2.0 / 3.0, param="A"))
+    calls = _counting_searches(monkeypatch)
+    tag = classify_record(rec, {"A": 3.0})
+    assert calls == [False]
+    assert [e["kind"] for e in tag.evidence][-2:] == [
+        "declared-transform-verified", "translation-rescan"]
+    assert tag.evidence[-1] == _translation_search_entry(rec.family, {"A": 3.0},
+                                                         record_grid(rec))
+    assert tag.ih_factorizable == YES
+
+
+@pytest.mark.parametrize("k, a", [("0.8", 3.0), ("0.9", 2.6), ("0.9", 3.7),
+                                  ("1.0", 2.8273), ("1.2278", 2.8273)])
+def test_translation_rescan_equals_a_translation_only_search(k, a):
+    """Where a scaling kind wins, the search record's best translation is
+    exactly what a second search over translations alone finds."""
+    family = _poschl_teller(k)
+    tag = classify_family(family, {"A": a}, PT_GRID)
+    found = next(e for e in tag.evidence if e["kind"] == "transform-search")
+    assert found["transform"]["kind"] != Translation.kind
+    rescan = [e for e in tag.evidence if e["kind"] == "translation-rescan"]
+    want = [_translation_search_entry(family, {"A": a}, PT_GRID)]
+    assert json.dumps(rescan, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 # -- tabulated classification -------------------------------------------------------

@@ -401,6 +401,25 @@ def test_classify_cubic_is_open_verdict(capsys):
     assert doc["exactly_solvable"] == "unknown"
 
 
+#: A family finite at a = 1 whose search trials at a >= 2.19 have a finite w
+#: but a w^2 - w' that overflows at x = 300.
+OVERFLOWING_TRIALS = ("--w", "x + exp(a*x - 300)", "--param", "a=1", "--x-min", "-10",
+                      "--x-max", "300", "--points", "601", "--budget", "9")
+
+
+def test_search_trials_that_overflow_are_misses(capsys):
+    code, out, err = run_cli(capsys, "classify", *OVERFLOWING_TRIALS)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    validate(doc, VENN_TAG_SCHEMA)
+    assert doc["shape_invariant"] == doc["ih_factorizable"] == "no-within-search"
+    code, out, err = run_cli(capsys, "si-check", *OVERFLOWING_TRIALS, "--search")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    validate(doc, SI_CHECK_SCHEMA)
+    assert doc["searched"] is True and doc["found"] is False
+
+
 def test_classify_fig_writes_graph(capsys, tmp_path):
     fig = tmp_path / "venn.dot"
     code, out, _ = run_cli(capsys, "classify", "--catalog", "scaling-demo",

@@ -126,7 +126,7 @@ def test_from_csv_names_the_line_that_is_not_two_numbers(row):
         GridFunction.from_csv(text)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=3, max_size=40))
 def test_csv_round_trip_property(vals):
     g = make_grid(0.0, 1.0, len(vals))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susyqm.shape_invariance as si_module
-from susyqm import (ChainConstructionError, Cyclic, EvaluationError,
+from susyqm import (ChainConstructionError, Cyclic, EvaluationError, GridError,
                     PowerScaling, Projective, Scaling, SuperpotentialFamily,
                     TransformCandidate, TransformError, Translation,
                     algebraic_spectrum, classify_family, count_nodes,
@@ -401,7 +401,7 @@ def residual_tables(draw):
     return offset + spread * rng.standard_normal((rows, n))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(residual_tables())
 def test_in_place_statistic_equals_numpy_mean_and_std(table):
     inner = table[:, EDGE_TRIM:-EDGE_TRIM]
@@ -442,7 +442,7 @@ def golden_objectives(draw):
     return lo, hi, lambda th: (th - m) ** 2 if th < cut else math.inf
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(golden_objectives(), min_size=1, max_size=6))
 def test_lockstep_refine_matches_scalar_golden_section(objectives):
     expected, expected_queries = {}, {}
@@ -592,6 +592,49 @@ def test_trial_on_a_parameter_pole_scores_inf():
     scored = _score_trials(family, a0, v_plus, [(cand, -0.625), (cand, 0.5)], grid, 1e-6)
     assert scored[0] == (math.inf, None)
     assert math.isfinite(scored[1][0]) and scored[1][1] is not None
+
+
+def _outcome(call):
+    """call()'s parameter dict as (name, type, float bits) triples, or its
+    TransformError text."""
+    try:
+        return [(k, type(v), np.float64(v).tobytes()) for k, v in call().items()]
+    except TransformError as exc:
+        return f"TransformError: {exc}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(theta=st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False),
+                       st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0))),
+       a=st.one_of(st.sampled_from((0.0, -0.0, 1e200, -1e200, -2.0, -4.0)),
+                   st.floats(-1e3, 1e3)))
+def test_knob_map_equals_apply(theta, a):
+    """The search's scalar route gives apply's float bits, or its
+    TransformError text, for every searchable kind, inside and outside its
+    knob domain, and for every way of naming the target."""
+    for kind, cls in si_module.TRANSFORM_KINDS.items():
+        for p in (2, 3, -1, 0.25, 0.5, 1.0, 1.5) if len(cls.knobs) > 1 else (None,):
+            for param in ("a", None, "c"):
+                cand = TransformCandidate(kind, -5.0, 5.0, p=p, param=param)
+                for params in ({"a": a}, {"a": a, "b": 2.0}):
+                    assert _outcome(lambda: cand.map_params(theta, params)) == \
+                        _outcome(lambda: cand.build(theta).apply(params)), (cand, params)
+
+
+def test_trial_whose_v_minus_overflows_scores_inf():
+    # At a1 = 3, exp(a1*x - 300) is finite on [-10, 300] but its square is
+    # not: si_residual raises, and inside a search the trial is a miss.
+    family = SuperpotentialFamily.from_expression("x + exp(a*x - 300)")
+    grid = make_grid(-10.0, 300.0, 601)
+    a0 = {"a": 1.0}
+    cand = TransformCandidate("translation", -5.0, 5.0, param="a")
+    with pytest.raises(GridError, match="non-finite"):
+        si_residual(family, a0, Translation(2.0, param="a"), grid)
+    v_plus = partner_potentials(family, a0, grid).v_plus.values
+    scored = _score_trials(family, a0, v_plus, [(cand, 2.0), (cand, -0.5), (cand, 2.5)],
+                           grid, 1e-6)
+    assert scored[0] == scored[2] == (math.inf, None)
+    assert scored[1] == _naive_score(family, a0, cand, -0.5, grid)
 
 
 def test_trial_counts_nest():
