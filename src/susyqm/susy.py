@@ -8,21 +8,19 @@ units are ħ=2m=1 throughout the package.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .eigensolver import DECAY_RATIO, ground_state
-from .errors import (EvaluationError, GridMismatchError, NodePresentError,
-                     NoBoundStateError)
+from .errors import (EvaluationError, GridError, GridMismatchError,
+                     NodePresentError, NoBoundStateError)
 from .expressions import (compile_on_grid, differentiate, parameter_names,
                           parse_expression)
 from .grids import (DEFAULT_DOMAIN, Grid1D, GridFunction, align_sign,
                     boundary_amplitude_ratio, count_nodes, derivative)
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 WFunc = Callable[[np.ndarray, dict], np.ndarray]
 
@@ -274,41 +272,71 @@ def apply_a_dagger(family: SuperpotentialFamily, params: dict,
 
 @dataclass(frozen=True)
 class ChargeMatrices:
-    """Discretized A, A† and the block operators Q, Q†, ℋ on interior nodes.
+    """Discretized A, A† and the blocks of ℋ on interior nodes, as bands.
+
+    The supercharge Q holds A in its lower-left block and Q† holds A† in its
+    upper-right one, so ℋ = {Q, Q†} = diag(A†A, AA†); only these m×m blocks
+    are stored (m = n_points − 2).  ``lower`` is A†A, the Hamiltonian of
+    V₋, and ``upper`` is AA†, that of V₊.  Each field is an offset-major
+    band: a float64 array of shape (2h+1, m) whose row k holds the entries
+    (i, i+k−h) for i = 0…m−1, with every entry outside the matrix stored
+    as 0.  A and A† have h = 1; A†A and AA† have h = 2.
 
     A uses the antisymmetric central-difference matrix plus diag(w), so
-    a_dagger_matrix is the exact transpose of a_matrix and the block
-    identities below hold as matrix identities rather than approximations.
+    ``a_dagger`` is the exact transpose of ``a`` and the block identities
+    checked by verify_algebra hold as matrix identities rather than
+    approximations.
     """
 
     grid: Grid1D
-    a_matrix: sparse.csr_matrix
-    a_dagger_matrix: sparse.csr_matrix
-    q: sparse.csr_matrix
-    q_dagger: sparse.csr_matrix
-    h_susy: sparse.csr_matrix
+    a: np.ndarray
+    a_dagger: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def _band_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Band of the product L·R from the bands of L and R.
+
+    Entry (i, k) sums L[i, j]·R[j, k] over j in ascending order, starting
+    from 0.0, as a CSR matrix product over rows stored in ascending order
+    does.  A term outside either band multiplies a stored zero and adds ±0,
+    which changes no nonzero partial sum, so for finite bands every entry
+    has the bits of the sparse product, which skips such terms.
+    """
+    hl = left.shape[0] // 2
+    m = left.shape[1]
+    out = np.zeros((left.shape[0] + right.shape[0] - 1, m))
+    for p in range(-hl, hl + 1):  # j = i + p
+        lo, hi = max(0, -p), min(m, m - p)
+        left_row = left[p + hl, lo:hi]
+        for r in range(right.shape[0]):
+            out[p + hl + r, lo:hi] += left_row * right[r, lo + p:hi + p]
+    return out
 
 
 def charge_matrices(family: SuperpotentialFamily, params: dict,
                     grid: Grid1D) -> ChargeMatrices:
-    """Assemble A = D + diag(w) and the block charges on the interior nodes.
+    """Assemble A = D + diag(w), A†, A†A and AA† on the interior nodes.
 
     D is the central-difference first derivative with Dirichlet ends, which
-    is antisymmetric; A† is therefore literally A-transposed.
+    is antisymmetric; A† is therefore literally A-transposed.  A w whose
+    A†A or AA† overflows raises GridError.
     """
-    from scipy import sparse
-
     m = grid.n_points - 2
     w = family.w_grid(grid, params).values[1:-1]
     c = 1.0 / (2.0 * grid.h)
-    d = sparse.diags([np.full(m - 1, -c), np.full(m - 1, c)], offsets=[-1, 1])
-    a = (d + sparse.diags(w)).tocsr()
-    a_dag = a.T.tocsr()
-    z = sparse.csr_matrix((m, m))
-    q = sparse.bmat([[z, z], [a, z]], format="csr")
-    q_dag = sparse.bmat([[z, a_dag], [z, z]], format="csr")
-    h = sparse.bmat([[a_dag @ a, z], [z, a @ a_dag]], format="csr")
-    return ChargeMatrices(grid, a, a_dag, q, q_dag, h)
+    a = np.zeros((3, m))
+    a[0, 1:], a[1], a[2, :-1] = -c, w, c
+    a_dag = np.zeros((3, m))
+    a_dag[0, 1:], a_dag[1], a_dag[2, :-1] = c, w, -c
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = _band_product(a_dag, a), _band_product(a, a_dag)
+    bad = np.count_nonzero(~np.isfinite(lower)) + np.count_nonzero(~np.isfinite(upper))
+    if bad:
+        raise GridError(f"charge algebra blocks A†A and AA† are not finite at {bad} "
+                        "entries; w or 1/h is too large")
+    return ChargeMatrices(grid, a, a_dag, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -341,21 +369,41 @@ class AlgebraReport:
         }
 
 
-def _fro(m: sparse.spmatrix) -> float:
-    return float(np.sqrt(m.power(2).sum()))
+def _fro(*bands: np.ndarray) -> float:
+    """Frobenius norm of the entries the bands hold, one band after the other.
+
+    The squares are summed in row-major, column-ascending order with exact
+    zeros dropped, the canonical data order of a sparse matrix, which fixes
+    the blocks of numpy's pairwise summation.  Boolean indexing reads each
+    transposed band in that order without copying it first.
+    """
+    v = np.concatenate([b.T[b.T != 0.0] for b in bands])
+    return float(np.sqrt(np.sum(np.square(v, out=v))))
 
 
 def verify_algebra(cm: ChargeMatrices, tolerance: float = 1e-10) -> AlgebraReport:
-    """Check Q² = Q†² = 0, {Q,Q†} = ℋ, and [Q,ℋ] = [Q†,ℋ] = 0 numerically."""
-    q, qd, h = cm.q, cm.q_dagger, cm.h_susy
-    h_scale = _fro(h)
-    norms = (
-        _fro(q @ q),
-        _fro(qd @ qd),
-        _fro(q @ qd + qd @ q - h),
-        _fro(q @ h - h @ q),
-        _fro(qd @ h - h @ qd),
-    )
+    """Check Q² = Q†² = 0, {Q,Q†} = ℋ, and [Q,ℋ] = [Q†,ℋ] = 0 numerically.
+
+    Each identity reduces to its nonzero block: [Q, ℋ] to A·(A†A) − (AA†)·A,
+    [Q†, ℋ] to A†·(AA†) − (A†A)·A†, and {Q, Q†} − ℋ to A†A and AA†
+    recomputed from A and A† minus the stored blocks.  A norm that is not
+    finite, as when finite blocks overflow in a product or a square, raises
+    GridError.
+    """
+    a, a_dag, lower, upper = cm.a, cm.a_dagger, cm.lower, cm.upper
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_scale = _fro(lower, upper)
+        norms = (
+            # every block product in Q² and Q†² has a zero factor: both are
+            # the zero matrix, whose norm is exactly 0.0
+            0.0,
+            0.0,
+            _fro(_band_product(a_dag, a) - lower, _band_product(a, a_dag) - upper),
+            _fro(_band_product(a, lower) - _band_product(upper, a)),
+            _fro(_band_product(a_dag, upper) - _band_product(lower, a_dag)),
+        )
+    if not all(math.isfinite(n) for n in (h_scale, *norms)):
+        raise GridError("charge algebra norms are not finite; w or 1/h is too large")
     passed = all(n < tolerance * h_scale for n in norms)
     return AlgebraReport(*norms, h_scale, tolerance, passed)
 
@@ -369,16 +417,15 @@ def block_spectra(cm: ChargeMatrices) -> tuple[np.ndarray, np.ndarray]:
     """
     import scipy.linalg
 
-    def banded_eigvals(s: sparse.spmatrix) -> np.ndarray:
-        m = s.shape[0]
+    def banded_eigvals(block: np.ndarray) -> np.ndarray:
+        # LAPACK upper band storage: row 2 − k holds diagonal k from column k
+        m = block.shape[1]
         band = np.zeros((3, m))
-        band[2, :] = s.diagonal(0)
-        band[1, 1:] = s.diagonal(1)
-        band[0, 2:] = s.diagonal(2)
+        for k in range(3):
+            band[2 - k, k:] = block[2 + k, :m - k]
         return np.sort(scipy.linalg.eigvals_banded(band, lower=False))
 
-    return (banded_eigvals(cm.a_dagger_matrix @ cm.a_matrix),
-            banded_eigvals(cm.a_matrix @ cm.a_dagger_matrix))
+    return banded_eigvals(cm.lower), banded_eigvals(cm.upper)
 
 
 # -- ground-state inversion and the hierarchy ------------------------------------

@@ -452,6 +452,68 @@ def test_algebra_check_passes(capsys):
         assert doc[key] < 1e-10 * doc["h_scale"]
 
 
+#: algebra-check stdout recorded with the scipy.sparse block matrices that
+#: the bands replaced; the cubic has a node where w is exactly 0.
+ALGEBRA_CHECK_STDOUT = [
+    (["--catalog", "morse"],
+     '{\n'
+     '  "anticommutator_defect": 0.0,\n'
+     '  "h_scale": 1801201.26834,\n'
+     '  "passed": true,\n'
+     '  "q_commutator": 2.19615003284e-08,\n'
+     '  "q_dagger_commutator": 2.19615003284e-08,\n'
+     '  "q_dagger_squared": 0.0,\n'
+     '  "q_squared": 0.0,\n'
+     '  "tolerance": 1e-10\n'
+     '}\n'),
+    (["--w", "a*x^3 + c*x", "--param", "a=1.3069", "--param", "c=0.4514",
+      "--x-min", "-4", "--x-max", "4", "--points", "501"],
+     '{\n'
+     '  "anticommutator_defect": 0.0,\n'
+     '  "h_scale": 117398.218317,\n'
+     '  "passed": true,\n'
+     '  "q_commutator": 6.67662510642e-10,\n'
+     '  "q_dagger_commutator": 6.67662510642e-10,\n'
+     '  "q_dagger_squared": 0.0,\n'
+     '  "q_squared": 0.0,\n'
+     '  "tolerance": 1e-10\n'
+     '}\n'),
+    (["--w", "A*tanh(1.2631*x)", "--param", "A=1.5656", "--points", "901"],
+     '{\n'
+     '  "anticommutator_defect": 0.0,\n'
+     '  "h_scale": 52611.1923481,\n'
+     '  "passed": true,\n'
+     '  "q_commutator": 1.6159966916e-10,\n'
+     '  "q_dagger_commutator": 1.6159966916e-10,\n'
+     '  "q_dagger_squared": 0.0,\n'
+     '  "q_squared": 0.0,\n'
+     '  "tolerance": 1e-10\n'
+     '}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", ALGEBRA_CHECK_STDOUT,
+                         ids=["morse", "cubic", "tanh"])
+def test_algebra_check_stdout_is_pinned(capsys, argv, stdout):
+    assert run_cli(capsys, "algebra-check", *argv) == (0, stdout, "")
+
+
+@pytest.mark.parametrize("w,message", [
+    # A†A ≈ 1e200 is finite, but the squares in its norm overflow
+    ("1e100*x", "charge algebra norms are not finite; w or 1/h is too large"),
+    # w² overflows in A†A itself
+    ("1e200*x", "charge algebra blocks A†A and AA† are not finite at 36 entries; "
+                "w or 1/h is too large"),
+], ids=["norm", "block"])
+def test_algebra_check_overflow_reports_one_stderr_line(capsys, w, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        code, out, err = run_cli(capsys, "algebra-check", "--w", w, "--points", "21",
+                                 "--x-min", "-1", "--x-max", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"susyqm algebra-check: {message}"]
+
+
 # -- argument handling ----------------------------------------------------------------
 
 

@@ -1,9 +1,9 @@
 """Which heavy dependencies the package and each CLI command load.
 
 sympy is needed only to parse an expression (a catalog record's numpy code is
-checked in) and scipy only for algebra-check's sparse charge matrices and
-banded block spectra: the oracle's tridiagonal solve calls LAPACK in numpy's
-own OpenBLAS.  Commands must not import what they do not need.  A fresh
+checked in), and no command needs scipy: the oracle's tridiagonal solve calls
+LAPACK in numpy's own OpenBLAS, and algebra-check's charge algebra is band
+arithmetic in numpy.  Commands must not import what they do not need.  A fresh
 interpreter runs the calls in order and reports, after each step, which of
 the watched modules are in ``sys.modules``.  Module names only, never times.
 """
@@ -149,13 +149,12 @@ def test_solver_commands_load_no_scipy(catalog_loaded_after):
     assert catalog_loaded_after["expression classify"] == ["sympy"]
 
 
-def test_algebra_check_loads_scipy_but_no_sympy(tmp_path, package_env):
-    # charge_matrices (scipy.sparse) and block_spectra (eigvals_banded); a
-    # catalog record's numpy code is checked in
+def test_algebra_check_loads_neither_sympy_nor_scipy(tmp_path, package_env):
+    # charge_matrices and verify_algebra work on numpy bands; a catalog
+    # record's numpy code is checked in
     steps = [("algebra-check", [["algebra-check", "--catalog", "coulomb-radial",
                                  "--points", "201"]], 0)]
-    loaded = _probe(steps, str(tmp_path), package_env)["algebra-check"]
-    assert "scipy" in loaded and "sympy" not in loaded
+    assert _probe(steps, str(tmp_path), package_env)["algebra-check"] == []
 
 
 def test_catalog_error_messages_need_no_sympy(catalog_loaded_after):
@@ -168,10 +167,9 @@ def test_expression_command_without_solver_skips_scipy(loaded_after):
     assert loaded_after["partner"] == ["sympy"]
 
 
-def test_no_command_loads_scipy_integrate(loaded_after):
+def test_no_command_loads_scipy(loaded_after):
     # sys.modules only grows, so the last step covers every earlier one
-    assert "scipy" in loaded_after["every command"]
-    assert "scipy.integrate" not in loaded_after["every command"]
+    assert "scipy" not in loaded_after["every command"]
 
 
 def test_package_exports_exactly_what_it_imports():
@@ -208,13 +206,15 @@ print(json.dumps(results))
 
 
 def test_solver_commands_run_without_scipy(tmp_path, package_env, capsys):
-    """With scipy unimportable, solver commands still succeed, with the same
-    output as in a process that has scipy."""
+    """With scipy unimportable, solver commands and algebra-check still
+    succeed, with the same output as in a process that has scipy."""
     def calls(workdir):
         return [["solve", "--catalog", "morse"],
                 ["spectrum", "--catalog", "morse"],
                 ["hierarchy", "--catalog", "morse", "--output", str(workdir)],
-                ["classify", "--catalog", "morse"]]
+                ["classify", "--catalog", "morse"],
+                ["algebra-check", "--catalog", "morse"],
+                ["algebra-check", "--w", "2*tanh(x)", "--points", "201"]]
 
     blocked, free = tmp_path / "blocked", tmp_path / "free"
     proc = subprocess.run(

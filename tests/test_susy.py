@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from susyqm import (EvaluationError, GridFunction, GridMismatchError,
@@ -79,15 +81,120 @@ def test_charge_algebra_closes(text, params):
     assert rep.q_dagger_commutator < 1e-10 * rep.h_scale
 
 
+def _dense(band):
+    """The m×m matrix of an offset-major band, entry by entry."""
+    width, m = band.shape
+    out = np.zeros((m, m))
+    for k in range(width):
+        for i in range(m):
+            j = i + k - width // 2
+            if 0 <= j < m:
+                out[i, j] = band[k, i]
+            else:
+                assert band[k, i] == 0.0
+    return out
+
+
 def test_charge_matrices_block_layout():
-    cm = charge_matrices(HARMONIC, {}, make_grid(-5.0, 5.0, 101))
-    m = cm.a_matrix.shape[0]
-    q = cm.q.toarray()
-    assert q.shape == (2 * m, 2 * m)
-    assert np.all(q[:m, :] == 0.0)
-    assert np.all(q[:, m:] == 0.0)
-    assert np.allclose(q[m:, :m], cm.a_matrix.toarray())
-    assert np.allclose(cm.a_dagger_matrix.toarray(), cm.a_matrix.toarray().T)
+    grid = make_grid(-5.0, 5.0, 101)
+    cm = charge_matrices(HARMONIC, {}, grid)
+    m = grid.n_points - 2
+    c = 1.0 / (2.0 * grid.h)
+    a = (np.diag(grid.x[1:-1]) + np.diag(np.full(m - 1, c), 1)
+         - np.diag(np.full(m - 1, c), -1))
+    assert cm.grid == grid
+    assert [b.shape for b in (cm.a, cm.a_dagger, cm.lower, cm.upper)] == [
+        (3, m), (3, m), (5, m), (5, m)]
+    assert np.array_equal(_dense(cm.a), a)
+    assert np.array_equal(_dense(cm.a_dagger), a.T)
+    # dense products sum in another order: roundoff relative to the entries of A
+    close = dict(rtol=0.0, atol=1e-13 * np.abs(a).max() ** 2)
+    assert np.allclose(_dense(cm.lower), a.T @ a, **close)
+    assert np.allclose(_dense(cm.upper), a @ a.T, **close)
+    # Q = [[0, 0], [A, 0]] and ℋ = {Q, Q†} = diag(A†A, AA†)
+    q = np.block([[np.zeros((m, m)), np.zeros((m, m))], [a, np.zeros((m, m))]])
+    h = q @ q.T + q.T @ q
+    assert np.allclose(h, np.block([[_dense(cm.lower), np.zeros((m, m))],
+                                    [np.zeros((m, m)), _dense(cm.upper)]]), **close)
+
+
+# -- bit identity with the scipy.sparse construction the bands replaced ----------
+
+
+def _sparse_reference(w, h):
+    """AlgebraReport norms and block spectra from scipy.sparse block matrices.
+
+    ``w`` holds the interior nodes.  Returns the five defining norms with
+    h_scale, and a function giving the sorted eigenvalues of A†A and AA†.
+    """
+    from scipy import linalg, sparse
+
+    def fro(s):
+        return float(np.sqrt(s.power(2).sum()))
+
+    def banded_eigvals(s):
+        band = np.zeros((3, m))
+        band[2, :] = s.diagonal(0)
+        band[1, 1:] = s.diagonal(1)
+        band[0, 2:] = s.diagonal(2)
+        return np.sort(linalg.eigvals_banded(band, lower=False))
+
+    m = w.size
+    c = 1.0 / (2.0 * h)
+    d = sparse.diags([np.full(m - 1, -c), np.full(m - 1, c)], offsets=[-1, 1])
+    a = (d + sparse.diags(w)).tocsr()
+    a_dag = a.T.tocsr()
+    z = sparse.csr_matrix((m, m))
+    q = sparse.bmat([[z, z], [a, z]], format="csr")
+    qd = sparse.bmat([[z, a_dag], [z, z]], format="csr")
+    hm = sparse.bmat([[a_dag @ a, z], [z, a @ a_dag]], format="csr")
+    h_scale = fro(hm)  # sorts the rows of hm in place, as the products read them
+    norms = (fro(q @ q), fro(qd @ qd), fro(q @ qd + qd @ q - hm),
+             fro(q @ hm - hm @ q), fro(qd @ hm - hm @ qd))
+    return (*norms, h_scale), lambda: (banded_eigvals(a_dag @ a),
+                                       banded_eigvals(a @ a_dag))
+
+
+def assert_matches_sparse(family, params, grid, spectra=True):
+    cm = charge_matrices(family, params, grid)
+    rep = verify_algebra(cm)
+    norms, reference_spectra = _sparse_reference(
+        family.w_grid(grid, params).values[1:-1], grid.h)
+    assert (rep.q_squared, rep.q_dagger_squared, rep.anticommutator_defect,
+            rep.q_commutator, rep.q_dagger_commutator, rep.h_scale) == norms
+    if spectra:
+        (lower, upper), (ref_lower, ref_upper) = block_spectra(cm), reference_spectra()
+        assert np.array_equal(lower, ref_lower)
+        assert np.array_equal(upper, ref_upper)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(m=st.one_of(st.integers(1, 40), st.sampled_from([257, 1001])),
+       pool=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       h=st.sampled_from([1e-3, 0.0137, 0.1, 0.5, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_band_algebra_matches_sparse_bit_for_bit(m, pool, scale, h, seed):
+    # w drawn from a few values and exact zeros, so entries repeat and cancel
+    values = np.array([0.0, *pool]) * scale
+    w = np.random.default_rng(seed).choice(values, size=m + 2)
+    family = SuperpotentialFamily.from_callables(lambda x, p: w.copy())
+    assert_matches_sparse(family, {}, make_grid(0.0, h * (m + 1), m + 2))
+
+
+@pytest.mark.parametrize("name", ["shifted-harmonic", "morse", "poschl-teller",
+                                  "coulomb-radial"])
+def test_catalog_algebra_matches_sparse_bit_for_bit(name):
+    # the grids of the oracle-verify benchmark: the algebra on the full grid,
+    # the block spectra on the one sixteen times coarser
+    rec = get_record(name)
+    lo, hi, _ = rec.domain
+    params = merged_params(rec, None)
+    for n_points in (2001, 4001, 6001, 9001, 12001, 14001, 16001):
+        assert_matches_sparse(rec.family, params, make_grid(lo, hi, n_points),
+                              spectra=False)
+        coarse = make_grid(lo, hi, (n_points - 1) // 16 + 1)
+        assert_matches_sparse(rec.family, params, coarse)
 
 
 def test_block_spectra_positive_and_degenerate():
