@@ -343,15 +343,12 @@ def assemble_on_grid(code: NumpyCode) -> Callable[[np.ndarray, dict], np.ndarray
         missing = [p for p in params if p not in values]
         if missing:
             raise EvaluationError(f"missing parameter values for {missing}")
-        stacked = any(np.ndim(values[p]) for p in params)
-        args = [np.asarray(values[p], dtype=float) if np.ndim(values[p])
-                else float(values[p]) for p in params]
+        args = [float(values[p]) for p in params]
         out = _evaluated(text, lambda: fn(x, *args, subterms(x) if subterms else ()))
         out = np.asarray(out, dtype=float)
-        shape = np.broadcast_shapes(np.shape(x), *(np.shape(a) for a in args))
-        if out.shape != shape:
-            out = np.array(np.broadcast_to(out, shape))
-        if not stacked and not np.all(np.isfinite(out)):
+        if out.shape != np.shape(x):
+            out = np.array(np.broadcast_to(out, np.shape(x)))
+        if not np.all(np.isfinite(out)):
             n_bad = int(np.count_nonzero(~np.isfinite(out)))
             raise EvaluationError(
                 f"expression {text!r} is non-finite at {n_bad} grid node(s); "
@@ -360,7 +357,8 @@ def assemble_on_grid(code: NumpyCode) -> Callable[[np.ndarray, dict], np.ndarray
 
     def unchecked(x: np.ndarray, values: dict) -> np.ndarray:
         # the same code without evaluate's checks and conversions, for a
-        # caller that made them and holds np.errstate itself
+        # caller that made them and holds np.errstate itself; values may be
+        # parameter columns against x[None, :]
         return fn(x, *[values[p] for p in params], subterms(x) if subterms else ())
 
     evaluate.broadcasts = code.broadcasts
@@ -389,29 +387,25 @@ def compile_on_grid(expr: sympy.Expr,
                     params: list[str]) -> Callable[[np.ndarray, dict], np.ndarray]:
     """Compile expr(x, params) into a numpy-vectorized callable.
 
-    The returned function takes the grid array and a parameter dict and
-    returns a float array of the broadcast shape of x and the parameter
-    values; constant expressions are broadcast.  With float parameters a
-    non-finite result raises EvaluationError (singularity or overflow
-    inside the evaluation window).
+    The returned function takes the grid array and a dict of float
+    parameter values and returns a float array of the shape of x; constant
+    expressions are broadcast.  A non-finite result raises EvaluationError
+    (singularity or overflow inside the evaluation window).
 
-    Parameters may also be arrays, e.g. a column of values against
-    ``x[None, :]``, which tabulates one row per parameter value in a single
-    call.  Such a stack comes back unchecked, so the caller can reject
-    non-finite rows one by one.  The function's ``broadcasts`` attribute
-    tells whether each row then equals, bit for bit, the float-parameter
-    evaluation at that row's values (see _broadcasts_exactly).  Its
-    ``unchecked`` attribute runs the same compiled code with no checks or
-    conversions at all, for a caller that has already checked the
-    parameters, passes them as float arrays and holds ``np.errstate``
-    (``SuperpotentialFamily.w_rows``).
+    Its ``unchecked`` attribute runs the same compiled code with no checks
+    or conversions at all, for a caller that has already checked the
+    parameters and holds ``np.errstate`` (``SuperpotentialFamily.w_rows``).
+    It also takes parameter columns against ``x[None, :]`` and tabulates
+    one row per parameter value in a single call, leaving non-finite rows
+    for the caller to reject.  The ``broadcasts`` attribute tells whether
+    each such row equals, bit for bit, the checked evaluation at that row's
+    values (see _broadcasts_exactly).
 
     Every composite subterm whose only free symbol is x (``x**3``,
     ``exp(-x)``, ``sech(x)**2``) is tabulated once per grid and reused by
-    later calls until another grid comes, with float or stacked parameters
-    alike (every caller evaluates one family on one grid at a time); the
-    function's ``subterms`` attribute holds those tables (None when there
-    are none).  Tables are kept only for a read-only x that owns its memory
+    later calls until another grid comes, through either entry (every
+    caller evaluates one family on one grid at a time); the function's
+    ``subterms`` attribute holds those tables (None when there are none).  Tables are kept only for a read-only x that owns its memory
     (``Grid1D.x``) or a full view of one (``Grid1D.x[None, :]``); any other
     x is tabulated on every call.
 

@@ -106,36 +106,6 @@ class GridFunction:
     def x(self) -> np.ndarray:
         return self.grid.x
 
-    # -- pointwise arithmetic (same-grid only) --------------------------------
-
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, GridFunction):
-            if other.grid != self.grid:
-                raise GridMismatchError("grid functions live on different grids")
-            return other.values
-        return np.asarray(other, dtype=float)
-
-    def __add__(self, other):
-        return GridFunction(self.grid, self.values + self._coerce(other))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return GridFunction(self.grid, self.values - self._coerce(other))
-
-    def __rsub__(self, other):
-        return GridFunction(self.grid, self._coerce(other) - self.values)
-
-    def __mul__(self, other):
-        return GridFunction(self.grid, self.values * self._coerce(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
-
     # -- serialization ---------------------------------------------------------
 
     def to_csv(self) -> str:
@@ -243,13 +213,15 @@ def align_sign(f: GridFunction) -> GridFunction:
 
 
 def l2_distance(f: GridFunction, g: GridFunction) -> float:
-    return norm(f - g)
+    if f.grid != g.grid:
+        raise GridMismatchError("grid functions live on different grids")
+    return norm(GridFunction(f.grid, f.values - g.values))
 
 
 def sign_aligned_distance(f: GridFunction, g: GridFunction) -> float:
     """L2 distance after flipping g's sign to best match f."""
     if inner_product(f, g) < 0:
-        g = -g
+        g = GridFunction(g.grid, -g.values)
     return l2_distance(f, g)
 
 

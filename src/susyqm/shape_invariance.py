@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -316,6 +316,20 @@ class Spectrum:
         return [e.energy for e in self.entries]
 
 
+def _partial_sums(steps: Iterable[float]) -> Spectrum:
+    """E₀ = 0 and Eₙ = Σₖ₌₁ⁿ Rₖ over the step energies Rₖ, drawn one at a
+    time; stops with the truncated flag at the first Rₖ ≤ 0, drawing no
+    later step."""
+    entries = [SpectrumEntry(0, 0.0)]
+    energy = 0.0
+    for k, r in enumerate(steps, 1):
+        if r <= 0.0:
+            return Spectrum(entries, truncated=True)
+        energy += r
+        entries.append(SpectrumEntry(k, energy))
+    return Spectrum(entries)
+
+
 def algebraic_spectrum(r_values: Callable[[dict], float], t: ParameterTransform,
                        a0: dict, n_max: int) -> Spectrum:
     """Run the spectrum recursion: partial sums of R along the orbit.
@@ -326,15 +340,7 @@ def algebraic_spectrum(r_values: Callable[[dict], float], t: ParameterTransform,
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     orbit = iterate_params(t, a0, n_max)
-    entries = [SpectrumEntry(0, 0.0)]
-    energy = 0.0
-    for k in range(1, n_max + 1):
-        r = float(r_values(orbit[k]))
-        if r <= 0.0:
-            return Spectrum(entries, truncated=True)
-        energy += r
-        entries.append(SpectrumEntry(k, energy))
-    return Spectrum(entries)
+    return _partial_sums(float(r_values(a)) for a in orbit[1:])
 
 
 def spectrum_from_measured_residuals(family: SuperpotentialFamily, t: ParameterTransform,
@@ -349,15 +355,12 @@ def spectrum_from_measured_residuals(family: SuperpotentialFamily, t: ParameterT
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     orbit = iterate_params(t, a0, n_max)
-    entries = [SpectrumEntry(0, 0.0)]
-    energy = 0.0
-    for k in range(1, n_max + 1):
-        report = si_residual(family, orbit[k - 1], t, grid)
-        if not report.passed or report.residual_mean <= 0.0:
-            return Spectrum(entries, truncated=True)
-        energy += report.residual_mean
-        entries.append(SpectrumEntry(k, energy))
-    return Spectrum(entries)
+
+    def step(a: dict) -> float:
+        report = si_residual(family, a, t, grid)
+        return report.residual_mean if report.passed else 0.0
+
+    return _partial_sums(step(a) for a in orbit[:-1])
 
 
 # -- chain-built wavefunctions ------------------------------------------------------
@@ -444,10 +447,6 @@ class TransformCandidate:
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 80
-
-#: A golden-section refine as a coroutine: yields knob values, is sent their
-#: scores, returns the minimizer (see ``_refine``).
-_Refiner = Generator[tuple[float, ...], tuple[float, ...], float]
 
 #: A found step energy must exceed the residual spread by this factor.
 #: Near an R = 0 degeneracy the refiner can park a knob within machine
@@ -604,13 +603,14 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     is tabulated once per search, and scores are memoized per candidate and
     knob value, so the finalists and a collapsed refine window cost nothing.
     One scoring call (``_score_trials``) takes the coarse samples of every
-    candidate; the refines of all candidates then run in lockstep, each
-    golden-section step scoring every candidate's next knob value in one
-    call.  A call maps each trial's parameters through the candidate's
-    scalar knob map and tabulates the trials in blocks of a few rows
-    (``SuperpotentialFamily.w_rows`` runs a compiled w once over a column
-    of knob values), so its memory stays small and fixed however many
-    trials it scores, and no transform object is built for a trial.
+    candidate; the refines of all candidates then run in lockstep
+    (``_golden_lockstep``), each golden-section step scoring every
+    candidate's next knob value in one call.  A call maps each trial's
+    parameters through the candidate's scalar knob map and tabulates the
+    trials in blocks of a few rows (``SuperpotentialFamily.w_rows`` runs a
+    compiled w's ``unchecked`` entry once over a column of knob values), so
+    its memory stays small and fixed however many trials it scores, and no
+    transform object is built for a trial.
 
     Degenerate "transforms" that merely flip or kill the superpotential can
     flatten the residual without describing a bound-state ladder, so a
@@ -678,7 +678,7 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
                for cand in candidates]
     coarse = iter(objective([(k, th) for k, thetas in enumerate(samples) for th in thetas]))
     finalists: dict[int, list[float]] = {}
-    refiners: dict[int, _Refiner] = {}
+    windows: dict[int, tuple[float, float]] = {}
     for k, (cand, thetas) in enumerate(zip(candidates, samples)):
         scores = [next(coarse)[0] for _ in thetas]
         i_best = int(np.argmin(scores))
@@ -687,11 +687,11 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
         finalists[k] = [thetas[i_best]]
         if cand.lo < cand.hi:
             span = (cand.hi - cand.lo) / (len(thetas) - 1)
-            refiners[k] = _refine(max(cand.lo, thetas[i_best] - span),
-                                  min(cand.hi, thetas[i_best] + span))
+            windows[k] = (max(cand.lo, thetas[i_best] - span),
+                          min(cand.hi, thetas[i_best] + span))
 
-    # Phase 2: every refine advances one step per scoring call.
-    refined = _refine_lockstep(refiners,
+    # Phase 2: every refine advances one golden-section step per scoring call.
+    refined = _golden_lockstep(windows,
                                lambda requests: [score for score, _ in objective(requests)])
     for k, theta in refined.items():
         finalists[k].append(theta)
@@ -712,49 +712,41 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     return None if best is None else (best.transform, best.report)
 
 
-def _refine(lo: float, hi: float) -> _Refiner:
-    """Golden-section minimum on [lo, hi], fixed iteration count.
-
-    A coroutine, so that many refines can share one scoring call per step
-    (see ``_refine_lockstep``): it yields the knob values it needs scored,
-    (c, d) first and then one per iteration, is sent their scores in the
-    same order, and returns the minimizer.
-    """
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = yield (c, d)
-    for _ in range(_REFINE_ITERS):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc, = yield (c,)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd, = yield (d,)
-    return c if fc <= fd else d
-
-
-def _refine_lockstep(refiners: dict[int, _Refiner],
+def _golden_lockstep(windows: dict[int, tuple[float, float]],
                      score: Callable[[list[tuple[int, float]]], list[float]]
                      ) -> dict[int, float]:
-    """Run ``_refine`` coroutines side by side; their minimizers by key.
+    """Golden-section minimum on each [lo, hi] window, fixed iteration
+    count; the minimizers by window key.
 
-    Each step gathers every unfinished refiner's pending knob values into
-    one ``score`` call, as (refiner key, knob value) pairs, and sends each
-    refiner its own scores back.
+    All windows move one step per ``score`` call, which gets (window key,
+    knob value) pairs and returns their scores in order: every window's
+    opening (c, d) in the first call, then one knob value per window per
+    call.  With no windows, ``score`` is never called.
     """
-    results: dict[int, float] = {}
-    pending = {key: next(gen) for key, gen in refiners.items()}
-    while pending:
-        requests = [(key, theta) for key, thetas in pending.items() for theta in thetas]
-        scores = iter(score(requests))
-        step = {}
-        for key, thetas in pending.items():
-            try:
-                step[key] = refiners[key].send(tuple(next(scores) for _ in thetas))
-            except StopIteration as stop:
-                results[key] = stop.value
-        pending = step
-    return results
+    # per window: a, b, c, d and the scores fc, fd of c and d, as floats
+    state = {key: [float(lo), float(hi)] for key, (lo, hi) in windows.items()}
+    if not state:
+        return {}
+    for w in state.values():
+        a, b = w
+        w += (b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+    opening = score([(key, th) for key, w in state.items() for th in w[2:]])
+    for w, fc, fd in zip(state.values(), opening[::2], opening[1::2]):
+        w += (fc, fd)
+    for _ in range(_REFINE_ITERS):
+        moved = []  # state index of each window's new point: 2 (c) or 3 (d)
+        for w in state.values():
+            a, b, c, d, fc, fd = w
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                moved.append(2)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                moved.append(3)
+            w[:] = a, b, c, d, fc, fd
+        scores = score([(key, w[i]) for (key, w), i in zip(state.items(), moved)])
+        for w, i, f in zip(state.values(), moved, scores):
+            w[i + 2] = f
+    return {key: c if fc <= fd else d for key, (_, _, c, d, fc, fd) in state.items()}

@@ -37,18 +37,15 @@ class SuperpotentialFamily:
     ``w_rows`` tabulates w and w′ for a stack of parameter dicts, as the
     transform search does for each block of its trials (a few rows, sized
     by shape_invariance._BLOCK_BYTES), whichever candidates they come from.
-    A callable whose ``broadcasts`` attribute is true (compiled expressions
-    set it when it is exact, see expressions.compile_on_grid) must accept
-    each parameter as a column of values against ``x[None, :]`` and return
-    one row per value, equal bit for bit to calling it with that row's
-    floats; it then answers the whole stack in one call, through its
-    ``unchecked`` attribute where it has one.  Any other
-    callable, and a finite-difference w′, is evaluated row by row with float
-    parameters.  Either way a compiled expression computes its
-    parameter-free subterms such as ``x**3`` once per grid and reuses them
-    on every later call on that grid (see expressions.compile_on_grid), so scoring
-    hundreds of trials on one grid pays only for the terms that carry
-    parameters.
+    A compiled expression whose ``broadcasts`` attribute is true (set when
+    it is exact, see expressions.compile_on_grid) answers the whole stack
+    in one call of its ``unchecked`` entry, with each parameter as a column
+    of values against ``x[None, :]``.  Any other callable, and a
+    finite-difference w′, is evaluated row by row with float parameters.
+    Either way a compiled expression computes its parameter-free subterms
+    such as ``x**3`` once per grid and reuses them on every later call on
+    that grid, so scoring hundreds of trials on one grid pays only for the
+    terms that carry parameters.
 
     ``hard_wall_left`` marks half-line families whose grid starts just off a
     singularity: states are pinned to zero there by the wall, so decay is
@@ -122,10 +119,9 @@ class SuperpotentialFamily:
         parameters raise EvaluationError.
 
         The parameter columns are built once and serve w and w′; a
-        broadcasting function runs once for the whole stack, under the one
-        ``errstate`` of this call, through its ``unchecked`` entry where it
-        has one (compiled expressions do; it skips the per-call checks made
-        here already).
+        broadcasting compiled expression runs once for the whole stack,
+        through its ``unchecked`` entry under the one ``errstate`` of this
+        call (the checks it skips are made here already).
         """
         names = self.parameter_names
         missing = set(names).difference(*rows)
@@ -137,7 +133,7 @@ class SuperpotentialFamily:
 
         def tabulate(fn: WFunc) -> np.ndarray:
             if names and getattr(fn, "broadcasts", False):
-                out = np.asarray(getattr(fn, "unchecked", fn)(x, columns), dtype=float)
+                out = np.asarray(fn.unchecked(x, columns), dtype=float)
                 return out if out.shape == shape else np.broadcast_to(out, shape)
             out = np.empty(shape)
             for i, row in enumerate(rows):

@@ -64,8 +64,10 @@ def test_assembled_family_equals_live_compilation(name):
         assert got.broadcasts == want.broadcasts
         for _ in range(2):  # the second call reads the tables the first one made
             assert np.array_equal(got(grid.x, params), want(grid.x, params))
-            assert np.array_equal(got(grid.x[None, :], columns),
-                                  want(grid.x[None, :], columns))
+            with np.errstate(all="ignore"):
+                stacked = (got.unchecked(grid.x[None, :], columns),
+                           want.unchecked(grid.x[None, :], columns))
+            assert np.array_equal(*stacked)
         if want.subterms is None:
             assert got.subterms is None
         else:

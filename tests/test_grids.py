@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -74,17 +75,15 @@ def test_gridfunction_values_frozen_and_decoupled():
         f.values[0] = 0.0
 
 
-def test_arithmetic_and_grid_mismatch():
+def test_l2_distance_and_grid_mismatch():
     g = make_grid(0.0, 1.0, 5)
     f = GridFunction.from_callable(g, lambda x: x)
     h = GridFunction.from_callable(g, lambda x: 1.0 - x)
-    assert np.allclose((f + h).values, 1.0)
-    assert np.allclose((f - h).values, 2.0 * g.x - 1.0)
-    assert np.allclose((2.0 * f).values, 2.0 * g.x)
-    assert np.allclose((-f).values, -g.x)
+    # f - h = 2x - 1 at x = 0, 0.25, ..., 1: trapezoid of its square is 0.375
+    assert l2_distance(f, h) == pytest.approx(math.sqrt(0.375), rel=1e-15)
     other = GridFunction.from_callable(make_grid(0.0, 2.0, 5), lambda x: x)
-    with pytest.raises(GridMismatchError):
-        f + other
+    with pytest.raises(GridMismatchError, match="grid functions live on different grids"):
+        l2_distance(f, other)
     with pytest.raises(GridMismatchError):
         inner_product(f, other)
 
@@ -195,8 +194,9 @@ def test_align_sign():
 def test_sign_aligned_distance_flips():
     g = make_grid(-5.0, 5.0, 1001)
     f = normalize(GridFunction.from_callable(g, lambda x: np.exp(-x**2)))
-    assert sign_aligned_distance(f, -f) == pytest.approx(0.0, abs=1e-14)
-    assert l2_distance(f, -f) == pytest.approx(2.0, rel=1e-10)
+    minus_f = GridFunction(g, -f.values)
+    assert sign_aligned_distance(f, minus_f) == pytest.approx(0.0, abs=1e-14)
+    assert l2_distance(f, minus_f) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_boundary_amplitude_ratio_sides():

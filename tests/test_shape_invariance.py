@@ -17,9 +17,8 @@ from susyqm import (ChainConstructionError, Cyclic, EvaluationError, GridError,
                     si_residual, sign_aligned_distance, solve_potential,
                     spectrum_from_measured_residuals, wavefunction_chain)
 from susyqm.shape_invariance import (_GOLDEN, _MEAN_OVER_SPREAD, _REFINE_ITERS, EDGE_TRIM,
-                                     _block_rows, _minus_sector_decays, _refine,
-                                     _refine_lockstep, _residual_reports, _score_trials,
-                                     _trial_count)
+                                     _block_rows, _golden_lockstep, _minus_sector_decays,
+                                     _residual_reports, _score_trials, _trial_count)
 
 MORSE = SuperpotentialFamily.from_expression("A - exp(-x)", domain=(-3.5, 10.0))
 MORSE_GRID = make_grid(-3.5, 10.0, 1401)
@@ -162,12 +161,19 @@ def test_algebraic_spectrum_truncates_on_nonpositive_r():
         algebraic_spectrum(lambda a: 1.0, Translation(0.0), {}, -1)
 
 
-def test_measured_residual_spectrum_matches_closed_form():
+def test_measured_residual_spectrum_matches_closed_form(monkeypatch):
+    measured = []
+    real = si_module.si_residual
+    monkeypatch.setattr(si_module, "si_residual",
+                        lambda family, a, *rest: measured.append(a["A"]) or real(family, a, *rest))
     spec = spectrum_from_measured_residuals(MORSE, Translation(-1.0), {"A": 2.0},
                                             MORSE_GRID, 5)
     assert [e.n for e in spec.entries] == [0, 1, 2]
     assert spec.energies == pytest.approx([0.0, 3.0, 4.0], abs=1e-8)
     assert spec.truncated
+    # step 3 (A = 0 -> -1) measures R = -1 and stops the recursion: no
+    # residual is measured past it
+    assert measured == [2.0, 1.0, 0.0]
 
 
 # -- chain wavefunctions --------------------------------------------------------------
@@ -276,8 +282,8 @@ def _naive_score(family, a0, cand, theta, grid):
 
 def scalar_golden(fn, lo, hi):
     """Golden-section minimum of fn on [lo, hi], one fn call per knob value:
-    the plain loop that ``_refine`` runs as a coroutine, kept here as a
-    reference that does not depend on the lockstep driver."""
+    the plain loop that ``_golden_lockstep`` runs for many windows at once,
+    kept here as a reference that does not depend on it."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -460,13 +466,34 @@ def test_lockstep_refine_matches_scalar_golden_section(objectives):
             queries[k].append(th)
         return [objectives[k][2](th) for k, th in requests]
 
-    refined = _refine_lockstep({k: _refine(lo, hi) for k, (lo, hi, _) in enumerate(objectives)},
-                               score)
+    refined = _golden_lockstep({k: (lo, hi) for k, (lo, hi, _) in enumerate(objectives)}, score)
     assert refined == expected
     assert queries == expected_queries
-    # one call for every refiner's opening pair, then one per iteration
+    # one call for every window's opening pair, then one per iteration
     assert len(calls) == _REFINE_ITERS + 1
     assert all(len(c) == len(objectives) for c in calls[1:])
+
+
+def test_lockstep_refine_without_windows_scores_nothing():
+    def score(requests):
+        raise AssertionError(f"scored {requests}")
+
+    assert _golden_lockstep({}, score) == {}
+
+
+def test_lockstep_refine_on_a_window_narrower_than_one_ulp():
+    lo = 1.0
+    hi = math.nextafter(lo, 2.0)
+    queries = []
+
+    def score(requests):
+        queries.extend(th for _, th in requests)
+        return [abs(th - 1.5) for _, th in requests]
+
+    expected = scalar_golden(lambda th: abs(th - 1.5), lo, hi)
+    assert _golden_lockstep({7: (lo, hi)}, score) == {7: expected}
+    assert len(queries) == _REFINE_ITERS + 2
+    assert all(lo <= th <= hi for th in queries)
 
 
 def test_abs_objective_ties_on_the_first_pair():
