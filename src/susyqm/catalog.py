@@ -66,7 +66,7 @@ class SIPRecord:
             return SuperpotentialFamily.from_expression(self.expression, **options)
         w, w_prime = codes
         return SuperpotentialFamily(assemble_on_grid(w), assemble_on_grid(w_prime),
-                                    w.params, source=self.expression, **options)
+                                    w.params, **options)
 
     @cached_property
     def r_function(self) -> Callable[[dict], float]:

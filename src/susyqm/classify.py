@@ -8,7 +8,7 @@ families outside the shape-invariant class exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .catalog import SIPRecord, get_record, merged_params, record_grid
 from .eigensolver import ground_state
@@ -63,13 +63,7 @@ class VennTag:
             raise ValueError("shape_invariant=yes requires exactly_solvable=certified")
 
     def to_dict(self) -> dict:
-        return {
-            "susy": self.susy,
-            "shape_invariant": self.shape_invariant,
-            "ih_factorizable": self.ih_factorizable,
-            "exactly_solvable": self.exactly_solvable,
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
 def _oracle_susy(v_minus: GridFunction, sides: str,

@@ -352,12 +352,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 def _round12(doc):
     """Clamp every float in a JSON document to 12 significant digits."""
-    if isinstance(doc, bool) or doc is None:
-        return doc
-    if isinstance(doc, int):
-        return doc
     if isinstance(doc, float):
-        return float(FLOAT_FMT % doc) if math.isfinite(doc) else doc
+        return float(FLOAT_FMT % doc)
     if isinstance(doc, dict):
         return {k: _round12(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -366,7 +362,8 @@ def _round12(doc):
 
 
 def _json_text(doc) -> str:
-    return json.dumps(_round12(doc), indent=2, sort_keys=True) + "\n"
+    """The document as strict JSON: a non-finite float raises ValueError."""
+    return json.dumps(_round12(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -399,19 +396,18 @@ class _Input:
         return partner_potentials(self.family, self.params, self.grid).v_minus
 
 
-def _read_tabulated(path: str) -> GridFunction:
-    return GridFunction.from_csv(Path(path).read_text())
+def _resolve(ns: argparse.Namespace) -> _Input:
+    """The input source as one _Input; the only place a grid is built.
 
-
-def _grid(ns: argparse.Namespace) -> Grid1D:
-    """Base grid of the input source with the grid flags on top.
-
-    The base is the file's grid, a record's pinned domain, or the default
-    domain.  A record's singular-region rule applies to the result.  No
-    record is compiled, so --dump-config stays cheap.
+    A tabulated file is read once and fixes the grid.  Otherwise the grid
+    flags go on top of a record's pinned domain or the default domain, and
+    a record's singular-region rule applies to the result.  A record's
+    family is assembled from its checked-in numpy code, which loads no
+    sympy, so --dump-config stays cheap.
     """
     if ns.tabulated is not None:
-        return _read_tabulated(ns.tabulated).grid
+        v = GridFunction.from_csv(Path(ns.tabulated).read_text())
+        return _Input(None, None, {}, v.grid, v)
     record = None if ns.catalog is None else get_record(ns.catalog)
     if record is not None and record.domain is not None:
         lo, hi, n = record.domain
@@ -420,19 +416,9 @@ def _grid(ns: argparse.Namespace) -> Grid1D:
     grid = make_grid(lo if ns.x_min is None else ns.x_min,
                      hi if ns.x_max is None else ns.x_max,
                      n if ns.n_points is None else ns.n_points)
-    if record is not None:
-        _check_singular_region(record, grid)
-    return grid
-
-
-def _resolve(ns: argparse.Namespace) -> _Input:
-    if ns.tabulated is not None:
-        v = _read_tabulated(ns.tabulated)
-        return _Input(None, None, {}, v.grid, v)
-    grid = _grid(ns)
-    if ns.catalog is None:
+    if record is None:
         return _Input(None, ns.family, ns.params, grid, None)
-    record = get_record(ns.catalog)
+    _check_singular_region(record, grid)
     return _Input(record, record.family, merged_params(record, ns.params), grid, None)
 
 
@@ -459,19 +445,13 @@ def _cmd_solve(inp: _Input, ns: argparse.Namespace) -> None:
 def _cmd_partner(inp: _Input, ns: argparse.Namespace) -> None:
     grid = inp.grid
     pair = partner_potentials(inp.family, inp.params, grid)
+    header = ("x", "v_minus", "v_plus", "w")
+    columns = [c.tolist() for c in (grid.x, pair.v_minus.values, pair.v_plus.values,
+                                    pair.w_used.values)]
     if ns.fmt == "csv":
-        columns = (grid.x, pair.v_minus.values, pair.v_plus.values, pair.w_used.values)
-        _emit(csv_text(("x", "v_minus", "v_plus", "w"),
-                       zip(*(c.tolist() for c in columns))), ns.output)
+        _emit(csv_text(header, zip(*columns)), ns.output)
     else:
-        doc = {
-            "grid": grid.to_dict(),
-            "x": [float(v) for v in grid.x],
-            "v_minus": [float(v) for v in pair.v_minus.values],
-            "v_plus": [float(v) for v in pair.v_plus.values],
-            "w": [float(v) for v in pair.w_used.values],
-        }
-        _emit(_json_text(doc), ns.output)
+        _emit(_json_text({"grid": grid.to_dict(), **dict(zip(header, columns))}), ns.output)
 
 
 def _cmd_hierarchy(inp: _Input, ns: argparse.Namespace) -> None:
@@ -505,24 +485,17 @@ def _cmd_si_check(inp: _Input, ns: argparse.Namespace) -> None:
         pinned = None
 
     if pinned is not None:
-        report = si_residual(family, a0, pinned, inp.grid, ns.tolerance)
-        doc = {"searched": False, "found": report.passed,
-               "transform": pinned.to_dict(), "params_start": a0,
-               "params_next": pinned.apply(a0), "report": report.to_dict()}
-        _emit(_json_text(doc), ns.output)
-        return
-
-    candidates = [c for c in default_candidates(family.parameter_names)
-                  if ns.transform_kind in (None, c.kind)
-                  and ns.on_param in (None, c.param)]
-    found = search_transform(family, a0, inp.grid, candidates, ns.budget, ns.tolerance)
-    if found is None:
-        doc = {"searched": True, "found": False, "params_start": a0}
+        found = pinned, si_residual(family, a0, pinned, inp.grid, ns.tolerance)
     else:
+        candidates = [c for c in default_candidates(family.parameter_names)
+                      if ns.transform_kind in (None, c.kind)
+                      and ns.on_param in (None, c.param)]
+        found = search_transform(family, a0, inp.grid, candidates, ns.budget, ns.tolerance)
+    doc = {"searched": pinned is None, "found": False, "params_start": a0}
+    if found is not None:  # a search finds only a transform that passes
         transform, report = found
-        doc = {"searched": True, "found": True,
-               "transform": transform.to_dict(), "params_start": a0,
-               "params_next": transform.apply(a0), "report": report.to_dict()}
+        doc.update(found=report.passed, transform=transform.to_dict(),
+                   params_next=transform.apply(a0), report=report.to_dict())
     _emit(_json_text(doc), ns.output)
 
 
@@ -578,7 +551,7 @@ def _cmd_wavefunctions(inp: _Input, ns: argparse.Namespace) -> None:
         _emit(csv_text(header, zip(*(c.tolist() for c in columns))), ns.output)
     else:
         doc = {"grid": inp.grid.to_dict(),
-               "states": [[float(v) for v in s.values] for s in states],
+               "states": [s.values.tolist() for s in states],
                "node_counts": nodes}
         _emit(_json_text(doc), ns.output)
 
@@ -629,7 +602,7 @@ _COMMANDS = {
 def _config_doc(ns: argparse.Namespace) -> dict:
     return {
         "command": ns.command,
-        "grid": _grid(ns).to_dict(),
+        "grid": _resolve(ns).grid.to_dict(),
         "params": ns.params,
         "n_levels": ns.n_levels,
         "depth": ns.depth,

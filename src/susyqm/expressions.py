@@ -62,13 +62,6 @@ def _grammar() -> _Grammar:
     )
 
 
-def __getattr__(name: str):
-    """``X`` (the coordinate symbol) is built with the grammar on first access."""
-    if name == "X":
-        return _grammar().x
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def parse_expression(text: str) -> sympy.Expr:
     """Parse an expression string into a validated sympy expression.
 
@@ -405,7 +398,8 @@ def compile_on_grid(expr: sympy.Expr,
     ``exp(-x)``, ``sech(x)**2``) is tabulated once per grid and reused by
     later calls until another grid comes, through either entry (every
     caller evaluates one family on one grid at a time); the function's
-    ``subterms`` attribute holds those tables (None when there are none).  Tables are kept only for a read-only x that owns its memory
+    ``subterms`` attribute holds those tables (None when there are none).
+    Tables are kept only for a read-only x that owns its memory
     (``Grid1D.x``) or a full view of one (``Grid1D.x[None, :]``); any other
     x is tabulated on every call.
 

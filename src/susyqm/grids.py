@@ -9,7 +9,7 @@ real; all objects are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -69,7 +69,7 @@ class Grid1D:
         return xs
 
     def to_dict(self) -> dict:
-        return {"x_min": self.x_min, "x_max": self.x_max, "n_points": self.n_points}
+        return asdict(self)
 
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid1D:

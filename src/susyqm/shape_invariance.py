@@ -10,12 +10,12 @@ eigensolver involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ChainConstructionError, EvaluationError, TransformError
+from .errors import ChainConstructionError, EvaluationError, GridError, TransformError
 from .grids import Grid1D, GridFunction, align_sign, count_nodes, normalize
 from .susy import (SuperpotentialFamily, _zero_mode_ratios, apply_a_dagger,
                    partner_potentials, zero_mode)
@@ -27,6 +27,12 @@ FINITE_DIFF_TOL = 1e-4
 #: Interior nodes dropped from each end before residual statistics, so edge
 #: stencils of a finite-difference w′ never contaminate the verdict.
 EDGE_TRIM = 2
+
+#: Fewest trimmed-interior samples the residual statistic accepts.  One
+#: sample has no spread, and two are not enough either: on a grid symmetric
+#: about a node, V₊ − V₋ = 2w′ of an odd w is even, so its samples at ±x
+#: always agree and a non-shape-invariant cubic would pass.
+MIN_SAMPLES = 3
 
 
 def _params_close(a: dict, b: dict) -> bool:
@@ -243,16 +249,18 @@ class ResidualReport:
     tolerance_used: float
 
     def to_dict(self) -> dict:
-        return {
-            "residual_mean": self.residual_mean,
-            "residual_stddev": self.residual_stddev,
-            "passed": self.passed,
-            "tolerance_used": self.tolerance_used,
-        }
+        return asdict(self)
 
 
 def _default_tolerance(family: SuperpotentialFamily) -> float:
     return ANALYTIC_TOL if family.analytic_derivative else FINITE_DIFF_TOL
+
+
+def _check_samples(grid: Grid1D) -> None:
+    """Raise GridError if the residual statistic would get too few samples."""
+    if grid.n_points - 2 * EDGE_TRIM < MIN_SAMPLES:
+        raise GridError(f"{grid.n_points} grid points are too few for the shape-invariance "
+                        f"residual; it needs at least {MIN_SAMPLES + 2 * EDGE_TRIM}")
 
 
 def _residual_reports(res: np.ndarray, tolerance: float) -> list[ResidualReport]:
@@ -280,6 +288,7 @@ def _residual_reports(res: np.ndarray, tolerance: float) -> list[ResidualReport]
 def si_residual(family: SuperpotentialFamily, a0: dict, t: ParameterTransform,
                 grid: Grid1D, tolerance: float | None = None) -> ResidualReport:
     """Test V₊(x, a₀) = V₋(x, a₁) + R(a₁) pointwise on the trimmed interior."""
+    _check_samples(grid)
     if tolerance is None:
         tolerance = _default_tolerance(family)
     a1 = t.apply(a0)
@@ -629,8 +638,10 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     evaluated.
 
     Returns None when nothing passes, which is evidence within this budget,
-    not proof of absence.
+    not proof of absence.  A grid too small for the residual statistic
+    raises GridError before any trial is scored.
     """
+    _check_samples(grid)
     if candidates is None:
         candidates = default_candidates(family.parameter_names)
     if tolerance is None:

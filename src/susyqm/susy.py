@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,9 +30,11 @@ class SuperpotentialFamily:
     """A superpotential w(x; a) with named real parameters.
 
     ``w_fn`` and ``w_prime_fn`` map (x array, parameter dict) to value
-    arrays.  When no analytic derivative is available ``w_prime_fn`` is None
-    and tabulated finite differences stand in; residual tests then run at a
-    relaxed tolerance tier (see shape_invariance).
+    arrays; the family keeps no expression text (a compiled expression's
+    errors quote its own).  When no analytic derivative is available
+    ``w_prime_fn`` is None and tabulated finite differences stand in;
+    residual tests then run at a relaxed tolerance tier (see
+    shape_invariance).
 
     ``w_rows`` tabulates w and w′ for a stack of parameter dicts, as the
     transform search does for each block of its trials (a few rows, sized
@@ -56,7 +58,6 @@ class SuperpotentialFamily:
     w_prime_fn: WFunc | None
     parameter_names: tuple[str, ...]
     domain: tuple[float, float] = DEFAULT_DOMAIN
-    source: str | None = None
     hard_wall_left: bool = False
 
     @classmethod
@@ -70,7 +71,6 @@ class SuperpotentialFamily:
             w_prime_fn=compile_on_grid(differentiate(expr), params),
             parameter_names=tuple(params),
             domain=domain,
-            source=text,
             hard_wall_left=hard_wall_left,
         )
 
@@ -78,9 +78,8 @@ class SuperpotentialFamily:
     def from_callables(cls, w_fn: WFunc, w_prime_fn: WFunc | None = None,
                        parameter_names: Sequence[str] = (),
                        domain: tuple[float, float] = DEFAULT_DOMAIN,
-                       source: str | None = None,
                        hard_wall_left: bool = False) -> "SuperpotentialFamily":
-        return cls(w_fn, w_prime_fn, tuple(parameter_names), domain, source, hard_wall_left)
+        return cls(w_fn, w_prime_fn, tuple(parameter_names), domain, hard_wall_left)
 
     @property
     def analytic_derivative(self) -> bool:
@@ -156,12 +155,12 @@ class SuperpotentialFamily:
 
 @dataclass(frozen=True)
 class PartnerPair:
-    """Tabulated partner potentials V∓ = w² ∓ w′ with the w, w′ that built them."""
+    """Tabulated partner potentials V∓ = w² ∓ w′ and the w that built them
+    (the CLI's ``partner`` writes all three)."""
 
     v_minus: GridFunction
     v_plus: GridFunction
     w_used: GridFunction
-    w_prime_used: GridFunction
 
 
 def partner_pair_from_w(w: GridFunction, w_prime: GridFunction | None = None) -> PartnerPair:
@@ -176,7 +175,6 @@ def partner_pair_from_w(w: GridFunction, w_prime: GridFunction | None = None) ->
             v_minus=GridFunction(w.grid, w2 - w_prime.values),
             v_plus=GridFunction(w.grid, w2 + w_prime.values),
             w_used=w,
-            w_prime_used=w_prime,
         )
 
 
@@ -240,27 +238,17 @@ def susy_phase(family: SuperpotentialFamily, params: dict, grid: Grid1D) -> Susy
 # -- ladder maps ---------------------------------------------------------------
 
 
-def apply_a_from_w(w: GridFunction, psi: GridFunction) -> GridFunction:
-    """(d/dx + w)ψ on the grid; destroys a node in the unbroken ladder."""
-    if w.grid != psi.grid:
-        raise GridMismatchError("w and state live on different grids")
-    return GridFunction(psi.grid, derivative(psi).values + w.values * psi.values)
-
-
-def apply_a_dagger_from_w(w: GridFunction, psi: GridFunction) -> GridFunction:
-    """(-d/dx + w)ψ on the grid; creates a node in the unbroken ladder."""
-    if w.grid != psi.grid:
-        raise GridMismatchError("w and state live on different grids")
-    return GridFunction(psi.grid, -derivative(psi).values + w.values * psi.values)
-
-
 def apply_a(family: SuperpotentialFamily, params: dict, psi: GridFunction) -> GridFunction:
-    return apply_a_from_w(family.w_grid(psi.grid, params), psi)
+    """(d/dx + w)ψ on ψ's grid; destroys a node in the unbroken ladder."""
+    w = family.w_grid(psi.grid, params).values
+    return GridFunction(psi.grid, derivative(psi).values + w * psi.values)
 
 
 def apply_a_dagger(family: SuperpotentialFamily, params: dict,
                    psi: GridFunction) -> GridFunction:
-    return apply_a_dagger_from_w(family.w_grid(psi.grid, params), psi)
+    """(-d/dx + w)ψ on ψ's grid; creates a node in the unbroken ladder."""
+    w = family.w_grid(psi.grid, params).values
+    return GridFunction(psi.grid, -derivative(psi).values + w * psi.values)
 
 
 # -- charge algebra --------------------------------------------------------------
@@ -272,11 +260,12 @@ class ChargeMatrices:
 
     The supercharge Q holds A in its lower-left block and Q† holds A† in its
     upper-right one, so ℋ = {Q, Q†} = diag(A†A, AA†); only these m×m blocks
-    are stored (m = n_points − 2).  ``lower`` is A†A, the Hamiltonian of
-    V₋, and ``upper`` is AA†, that of V₊.  Each field is an offset-major
-    band: a float64 array of shape (2h+1, m) whose row k holds the entries
-    (i, i+k−h) for i = 0…m−1, with every entry outside the matrix stored
-    as 0.  A and A† have h = 1; A†A and AA† have h = 2.
+    are stored (m = n_points − 2), and not the grid they were assembled on.
+    ``lower`` is A†A, the Hamiltonian of V₋, and ``upper`` is AA†, that of
+    V₊.  Each field is an offset-major band: a float64 array of shape
+    (2h+1, m) whose row k holds the entries (i, i+k−h) for i = 0…m−1, with
+    every entry outside the matrix stored as 0.  A and A† have h = 1; A†A
+    and AA† have h = 2.
 
     A uses the antisymmetric central-difference matrix plus diag(w), so
     ``a_dagger`` is the exact transpose of ``a`` and the block identities
@@ -284,7 +273,6 @@ class ChargeMatrices:
     approximations.
     """
 
-    grid: Grid1D
     a: np.ndarray
     a_dagger: np.ndarray
     lower: np.ndarray
@@ -332,7 +320,7 @@ def charge_matrices(family: SuperpotentialFamily, params: dict,
     if bad:
         raise GridError(f"charge algebra blocks A†A and AA† are not finite at {bad} "
                         "entries; w or 1/h is too large")
-    return ChargeMatrices(grid, a, a_dag, lower, upper)
+    return ChargeMatrices(a, a_dag, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -353,16 +341,7 @@ class AlgebraReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "q_squared": self.q_squared,
-            "q_dagger_squared": self.q_dagger_squared,
-            "anticommutator_defect": self.anticommutator_defect,
-            "q_commutator": self.q_commutator,
-            "q_dagger_commutator": self.q_dagger_commutator,
-            "h_scale": self.h_scale,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _fro(*bands: np.ndarray) -> float:
@@ -482,14 +461,14 @@ class HierarchyLevel:
     an additive shift, these values reproduce the original spectrum level by
     level.  A final level may carry only the potential (``ground_energy``
     None) when no bound state remains.  ``trust`` is the index window from
-    decay_trust_window of the level's ground state.
+    decay_trust_window of the level's ground state, the window where the
+    next level's potential, built from w = −ψ₀′/ψ₀, can be trusted.
     """
 
     depth: int
     potential: GridFunction
     ground_energy: float | None
     ground_state: GridFunction | None
-    w: GridFunction | None
     trust: tuple[int, int] | None
 
 
@@ -522,11 +501,11 @@ def build_hierarchy(v: GridFunction, depth: int, sides: str = "both") -> Hierarc
         try:
             pair = ground_state(current, sides)
         except NoBoundStateError as exc:
-            levels.append(HierarchyLevel(k, current, None, None, None, None))
+            levels.append(HierarchyLevel(k, current, None, None, None))
             return Hierarchy(levels, truncated=True, note=f"level {k}: {exc}")
         w = superpotential_from_ground_state(pair.state)
         trust = decay_trust_window(pair.state)
-        levels.append(HierarchyLevel(k, current, pair.energy, pair.state, w, trust))
+        levels.append(HierarchyLevel(k, current, pair.energy, pair.state, trust))
         if k < depth:
             w_prime = _derivative_5pt(w.values, grid.h)
             current = GridFunction(grid, w.values**2 + w_prime + pair.energy)

@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -10,7 +12,7 @@ import pytest
 from jsonschema import validate
 
 import susyqm.cli
-from susyqm import GridFunction, make_grid
+from susyqm import AlgebraReport, GridFunction, make_grid
 from susyqm.cli import (MAX_BUDGET, MAX_DEPTH, MAX_LEVELS, MAX_POINTS, main,
                         parse_args)
 from schemas import (ALGEBRA_REPORT_SCHEMA, CATALOG_SCHEMA, HIERARCHY_SCHEMA,
@@ -264,6 +266,77 @@ def test_si_check_knobs_on_several_parameters_need_on(capsys, argv, names):
     code, out, _ = run_cli(capsys, "si-check", *argv, *knobs, "--on", names[0])
     assert code == 0
     assert json.loads(out)["transform"]["param"] == names[0]
+
+
+#: si-check stdout as the two document branches (verify, search) wrote it
+#: before one document served both: verified, found by a search, not found.
+MORSE_STEP = ('  "params_next": {\n'
+              '    "A": 1.0\n'
+              '  },\n'
+              '  "params_start": {\n'
+              '    "A": 2.0\n'
+              '  },\n'
+              '  "report": {\n'
+              '    "passed": true,\n'
+              '    "residual_mean": 3.0,\n'
+              '    "residual_stddev": 1.53052103523e-14,\n'
+              '    "tolerance_used": 1e-06\n'
+              '  },\n')
+MORSE_TRANSFORM = ('  "transform": {\n'
+                   '    "alpha": -1.0,\n'
+                   '    "kind": "translation",\n'
+                   '    "param": "A"\n'
+                   '  }\n'
+                   '}\n')
+SI_CHECK_STDOUT = [
+    (["--catalog", "morse"],
+     '{\n  "found": true,\n' + MORSE_STEP + '  "searched": false,\n' + MORSE_TRANSFORM),
+    (["--catalog", "morse", "--search", "--budget", "9"],
+     '{\n  "found": true,\n' + MORSE_STEP + '  "searched": true,\n' + MORSE_TRANSFORM),
+    (["--w", "omega*x", "--param", "omega=1", "--transform", "projective", "--budget", "9"],
+     '{\n'
+     '  "found": false,\n'
+     '  "params_start": {\n'
+     '    "omega": 1.0\n'
+     '  },\n'
+     '  "searched": true\n'
+     '}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", SI_CHECK_STDOUT, ids=["verified", "found", "none"])
+def test_si_check_stdout_is_pinned(capsys, argv, stdout):
+    assert run_cli(capsys, "si-check", *argv, "--points", "401") == (0, stdout, "")
+
+
+#: Grids too small for the residual statistic.  Before it had a minimum,
+#: the first printed numpy warnings and "residual_mean": NaN with exit 0,
+#: the next three reported found: true on a one-node interior (a cubic, a
+#: scaling of a*x + b with q = 0.03125) or built chain states on one, and
+#: the last exited 2 with "stddev nan" after the warnings.
+TINY_SI_GRIDS = [
+    ("si-check", "--catalog", "poschl-teller", "--x-min=-6", "--x-max", "6",
+     "--points", "4", "--budget", "1"),
+    ("si-check", "--w", "a*x^3 + 0.3", "--param", "a=1", "--transform", "translation",
+     "--alpha", "1", "--points", "5"),
+    ("si-check", "--w", "a*x+b", "--param", "a=1", "--param", "b=0", "--points", "5",
+     "--search"),
+    ("wavefunctions", "--w", "a*x", "--param", "a=1", "--points", "5"),
+    ("wavefunctions", "--catalog", "shifted-harmonic", "--points", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", TINY_SI_GRIDS,
+                         ids=["empty-interior", "verify", "search", "chain", "chain-record"])
+def test_tiny_grid_is_one_line_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    n = argv[argv.index("--points") + 1]
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"susyqm {argv[0]}: {n} grid points are too few for the shape-invariance "
+        "residual; it needs at least 7"]
 
 
 # -- spectrum --------------------------------------------------------------------
@@ -760,6 +833,26 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert path.read_text() == streamed
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_text_refuses_non_finite_floats(value):
+    assert susyqm.cli._json_text({"a": [1.0, 2.5]}) == '{\n  "a": [\n    1.0,\n    2.5\n  ]\n}\n'
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        susyqm.cli._json_text({"a": [1.0, {"b": value}]})
+
+
+def test_non_finite_result_is_one_line_error(capsys, monkeypatch):
+    def nan_report(cm, tolerance):
+        return AlgebraReport(0.0, 0.0, math.nan, 0.0, 0.0, 1.0, tolerance, False)
+
+    monkeypatch.setattr(susyqm.cli, "verify_algebra", nan_report)
+    code, out, err = run_cli(capsys, "algebra-check", "--w", "x", "--points", "21")
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    # Python 3.11 and later append the value's repr
+    assert line.startswith("susyqm algebra-check: Out of range float values are not "
+                           "JSON compliant")
+
+
 def test_dump_config(capsys):
     code, out, _ = run_cli(capsys, "solve", "--catalog", "morse",
                            "--dump-config")
@@ -785,6 +878,66 @@ def test_dump_config_grid_is_the_grid_the_command_uses(capsys, argv):
     code, out, _ = run_cli(capsys, "partner", *argv, "--format", "json")
     assert code == 0
     assert json.loads(out)["grid"] == dumped
+
+
+def _dump_config_text(command, fmt, grid, params, catalog=None, w=None, tabulated=None):
+    return ('{\n'
+            '  "budget": 33,\n'
+            f'  "command": "{command}",\n'
+            '  "depth": 3,\n'
+            f'  "format": "{fmt}",\n'
+            '  "grid": {\n'
+            f'    "n_points": {grid[2]},\n'
+            f'    "x_max": {grid[1]},\n'
+            f'    "x_min": {grid[0]}\n'
+            '  },\n'
+            '  "input": {\n'
+            f'    "catalog": {json.dumps(catalog)},\n'
+            f'    "tabulated": {json.dumps(tabulated)},\n'
+            f'    "w": {json.dumps(w)}\n'
+            '  },\n'
+            '  "n_levels": 3,\n'
+            '  "output": null,\n'
+            f'  "params": {params},\n'
+            '  "tolerance": null\n'
+            '}\n')
+
+
+def test_dump_config_stdout_is_pinned(capsys, well_csv):
+    """The layout --dump-config had while it built its grid apart from the
+    grid commands, for each input source."""
+    assert run_cli(capsys, "solve", "--catalog", "morse", "--dump-config") == (
+        0, _dump_config_text("solve", "csv", (-3.5, 10.0, 2701), "{}", catalog="morse"), "")
+    argv = ("--w", "A*tanh(x)", "--param", "A=2", "--x-min", "-4", "--points", "301")
+    assert run_cli(capsys, "si-check", *argv, "--dump-config") == (
+        0, _dump_config_text("si-check", "json", (-4.0, 10.0, 301),
+                             '{\n    "A": 2.0\n  }', w="A*tanh(x)"), "")
+    assert run_cli(capsys, "classify", "--tabulated", well_csv, "--dump-config") == (
+        0, _dump_config_text("classify", "json", (-10.0, 10.0, 1001), "{}",
+                             tabulated=well_csv), "")
+
+
+#: sha256 of JSON stdout recorded while each array element went through
+#: float() on its own, before the arrays came from tolist().
+JSON_ARRAY_STDOUT = [
+    (["partner", "--catalog", "morse", "--points", "201"],
+     "bafb7bd5858e0b0bb69d1e44d4d13c6746d23e1a9e3f0706ee23c0692ba81ae8"),
+    (["partner", "--w", "A*tanh(x)", "--param", "A=2", "--points", "201"],
+     "4a040c006e0f618427f8dc3e3fe10e4af8d623dfaacc1b58135a8fe5011be103"),
+    (["wavefunctions", "--catalog", "poschl-teller", "--levels", "1", "--points", "401"],
+     "4f7c43af2635dae436f344667c00ed7582a0108289a8a820b332050f6935d7c8"),
+    (["wavefunctions", "--w", "a*x", "--param", "a=1", "--levels", "2", "--points", "401"],
+     "467a283ae0bc35a09d77e2db146d87de0feaefbf3e0063aaf9c5ca2e8ef621c7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", JSON_ARRAY_STDOUT,
+                         ids=["partner-record", "partner-w", "wavefunctions-record",
+                              "wavefunctions-w"])
+def test_json_array_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- input resolution ---------------------------------------------------------------
@@ -842,7 +995,7 @@ def test_degenerate_grid_is_one_line_error(capsys, tmp_path, command, extra, gri
 
 def test_commands_read_only_the_resolved_input():
     """Looking up records, merging parameters and building grids happen in
-    parse_args and the resolve and grid helpers; no _cmd_* does either."""
+    parse_args and _resolve; no _cmd_* does either."""
     banned = {"get_record", "merged_params", "instantiate", "make_grid"}
     tree = ast.parse(Path(susyqm.cli.__file__).read_text())
     commands = [fn for fn in tree.body

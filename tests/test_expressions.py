@@ -5,7 +5,10 @@ import sympy
 from susyqm import (EvaluationError, ExpressionError, compile_on_grid,
                     compile_scalar, differentiate, get_record, list_catalog,
                     make_grid, parse_expression)
-from susyqm.expressions import _NUMPY_EXTRAS, X, parameter_names
+from susyqm.expressions import _NUMPY_EXTRAS, parameter_names
+
+#: The coordinate symbol as the grammar builds it: real, named x.
+X = sympy.Symbol("x", real=True)
 
 
 def test_parse_polynomial_and_caret_power():

@@ -132,7 +132,8 @@ def test_catalog_loads_neither_sympy_nor_scipy(loaded_after):
     assert loaded_after["catalog"] == []
 
 
-def test_dump_config_compiles_no_record(loaded_after):
+def test_dump_config_loads_neither_sympy_nor_scipy(loaded_after):
+    # it assembles the record's checked-in numpy code (susyqm/_compiled_catalog.py)
     assert loaded_after["dump-config"] == []
 
 

@@ -142,6 +142,22 @@ def test_si_residual_dict_shape():
     assert set(d) == {"residual_mean", "residual_stddev", "passed", "tolerance_used"}
 
 
+@pytest.mark.parametrize("n_points", [3, 4, 5, 6])
+def test_statistic_needs_three_samples(n_points):
+    # On [-6, 6] at 6 points the two samples sit at ±1.2, where the even
+    # V₊ − V₋ = 2w′ of the identity translation agrees, so the cubic would pass.
+    cubic = SuperpotentialFamily.from_expression("a*x^3 + 0.3")
+    grid = make_grid(-6.0, 6.0, n_points)
+    message = f"{n_points} grid points are too few .* at least 7"
+    with pytest.raises(GridError, match=message):
+        si_residual(cubic, {"a": 1.0}, Translation(0.0), grid)
+    with pytest.raises(GridError, match=message):
+        search_transform(cubic, {"a": 1.0}, grid, budget=3)
+    grid = make_grid(-6.0, 6.0, 7)
+    assert not si_residual(cubic, {"a": 1.0}, Translation(0.0), grid).passed
+    assert search_transform(cubic, {"a": 1.0}, grid, budget=9) is None
+
+
 # -- spectra ------------------------------------------------------------------------
 
 
