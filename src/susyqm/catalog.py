@@ -13,9 +13,9 @@ from functools import cache, cached_property
 from typing import Callable
 
 from .errors import CatalogError
-from .expressions import (NumpyCode, assemble_on_grid, assemble_scalar, compile_scalar,
-                          differentiate, generate_on_grid, generate_scalar,
-                          parameter_names, parse_expression)
+from .expressions import (NumpyCode, assemble_scalar, compile_scalar, differentiate,
+                          generate_on_grid, generate_scalar, parameter_names,
+                          parse_expression)
 from .grids import Grid1D, GridFunction, make_grid
 from .shape_invariance import (Cyclic, ParameterTransform, Scaling, Spectrum,
                                SpectrumEntry, Translation, algebraic_spectrum,
@@ -37,11 +37,12 @@ class SIPRecord:
     wall on the left.
 
     ``family`` and ``r_function`` are built on first access, so listing or
-    dumping the catalog builds nothing.  They are assembled from the numpy
-    code generated ahead of time for the built-in records
-    (``_compiled_catalog``, looked up by expression text), which loads no
-    sympy; an expression not found there is parsed and compiled from its
-    text.
+    dumping the catalog builds nothing.  ``family`` is
+    SuperpotentialFamily.from_expression of the record's text.  Both are
+    assembled from the numpy code generated ahead of time for the built-in
+    records (``_compiled_catalog``, looked up by expression text), which
+    loads no sympy; an expression not found there is parsed and compiled
+    from its text.
     """
 
     name: str
@@ -58,15 +59,8 @@ class SIPRecord:
     def family(self) -> SuperpotentialFamily | None:
         if self.expression is None:
             return None
-        from . import _compiled_catalog
-
-        options = {"domain": self.domain[:2], "hard_wall_left": self.min_x is not None}
-        codes = _compiled_catalog.FAMILIES.get(self.expression)
-        if codes is None:
-            return SuperpotentialFamily.from_expression(self.expression, **options)
-        w, w_prime = codes
-        return SuperpotentialFamily(assemble_on_grid(w), assemble_on_grid(w_prime),
-                                    w.params, **options)
+        return SuperpotentialFamily.from_expression(
+            self.expression, domain=self.domain[:2], hard_wall_left=self.min_x is not None)
 
     @cached_property
     def r_function(self) -> Callable[[dict], float]:

@@ -14,7 +14,7 @@ from .catalog import SIPRecord, get_record, merged_params, record_grid
 from .eigensolver import ground_state
 from .errors import EvaluationError, NoBoundStateError
 from .grids import Grid1D, GridFunction, boundary_amplitude_ratio
-from .shape_invariance import (ParameterTransform, SearchRow, Translation,
+from .shape_invariance import (DEFAULT_BUDGET, ParameterTransform, SearchRow, Translation,
                                best_accepted, default_candidates,
                                search_transform, si_residual)
 from .susy import (partner_potentials, superpotential_from_ground_state,
@@ -161,13 +161,13 @@ def _classify(family: SuperpotentialFamily, a0: dict, grid: Grid1D, budget: int,
 
 
 def classify_family(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
-                    search_budget: int = 33) -> VennTag:
+                    search_budget: int = DEFAULT_BUDGET) -> VennTag:
     """Classify a parametric superpotential family at given parameter values."""
     return _classify(family, a0, grid, search_budget, [])
 
 
 def classify_record(name_or_record: str | SIPRecord, params: dict | None = None,
-                    search_budget: int = 33) -> VennTag:
+                    search_budget: int = DEFAULT_BUDGET) -> VennTag:
     """Classify a catalog record, leaning on what the record declares.
 
     Records with a superpotential are classified like any family, except

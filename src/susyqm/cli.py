@@ -28,19 +28,20 @@ from .catalog import (SIPRecord, _check_singular_region, catalog_dump,
                       list_catalog, merged_params)
 from .classify import classify_family, classify_record, classify_tabulated, venn_graph_text
 from .eigensolver import solution_to_dict, solve_potential, spectrum_csv
-from .errors import ExpressionError, SusyQMError
+from .errors import ExpressionError, GridError, SusyQMError
 from .grids import (DEFAULT_DOMAIN, DEFAULT_N_POINTS, FLOAT_FMT, Grid1D,
                     GridFunction, count_nodes, csv_text, make_grid)
-from .shape_invariance import (TRANSFORM_KINDS, ParameterTransform,
+from .shape_invariance import (DEFAULT_BUDGET, TRANSFORM_KINDS, ParameterTransform,
                                default_candidates, search_transform,
                                si_residual, spectrum_from_measured_residuals,
                                wavefunction_chain)
-from .susy import (SuperpotentialFamily, build_hierarchy, charge_matrices,
-                   partner_potentials, verify_algebra)
+from .susy import (ALGEBRA_TOL, SuperpotentialFamily, build_hierarchy,
+                   charge_matrices, partner_potentials, verify_algebra)
 
 #: Flag caps.  A search scores its trials in blocks of at most 96 KiB or one
 #: grid row, whatever the budget, so the budget cap bounds its coarse sample
-#: list, its score memo and its run time, and the points cap every grid array.
+#: list, its score memo and its run time, and the points cap every grid array:
+#: it holds for --points and for the nodes of a --tabulated file.
 MAX_POINTS = 20001
 MAX_BUDGET = 129
 
@@ -127,7 +128,7 @@ def _build_parser() -> _Parser:
     # Flags a command lacks read as these values.
     parser.set_defaults(catalog=None, w=None, param=[], x_min=None, x_max=None,
                         n_points=None, n_levels=3, depth=3, tolerance=None,
-                        budget=33, fig=None, transform_kind=None,
+                        budget=DEFAULT_BUDGET, fig=None, transform_kind=None,
                         on_param=None, force_search=False)
 
     p = sub.add_parser("solve", help="oracle bound-state energies and wavefunctions")
@@ -164,7 +165,7 @@ def _build_parser() -> _Parser:
                    help="parameter the transform acts on")
     p.add_argument("--search", action="store_true", dest="force_search",
                    help="search even when the record declares a transform")
-    p.add_argument("--budget", type=int, default=33)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--tolerance", type=float, default=None)
     _add_common_flags(p, fmt_default=None)
     p.set_defaults(fmt="json")
@@ -173,20 +174,20 @@ def _build_parser() -> _Parser:
     _add_input_flags(p, tabulated=False)
     _add_grid_flags(p)
     p.add_argument("--levels", type=int, default=3, dest="n_levels")
-    p.add_argument("--budget", type=int, default=33)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_common_flags(p)
 
     p = sub.add_parser("wavefunctions", help="chain-built states and node counts")
     _add_input_flags(p, tabulated=False)
     _add_grid_flags(p)
     p.add_argument("--levels", type=int, default=2, dest="n_levels")
-    p.add_argument("--budget", type=int, default=33)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_common_flags(p)
 
     p = sub.add_parser("classify", help="four-set membership tag")
     _add_input_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--budget", type=int, default=33)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--fig", metavar="PATH", default=None,
                    help="also write a graph-description text file")
     _add_common_flags(p, fmt_default=None)
@@ -399,14 +400,18 @@ class _Input:
 def _resolve(ns: argparse.Namespace) -> _Input:
     """The input source as one _Input; the only place a grid is built.
 
-    A tabulated file is read once and fixes the grid.  Otherwise the grid
-    flags go on top of a record's pinned domain or the default domain, and
-    a record's singular-region rule applies to the result.  A record's
+    A tabulated file is read once and fixes the grid, which the points cap
+    bounds as it bounds --points.  Otherwise the grid flags go on top of a
+    record's pinned domain or the default domain, and a record's
+    singular-region rule applies to the result.  A record's
     family is assembled from its checked-in numpy code, which loads no
     sympy, so --dump-config stays cheap.
     """
     if ns.tabulated is not None:
         v = GridFunction.from_csv(Path(ns.tabulated).read_text())
+        if v.grid.n_points > MAX_POINTS:
+            raise GridError(f"a tabulated file must have at most {MAX_POINTS} nodes, "
+                            f"got {v.grid.n_points}")
         return _Input(None, None, {}, v.grid, v)
     record = None if ns.catalog is None else get_record(ns.catalog)
     if record is not None and record.domain is not None:
@@ -571,7 +576,7 @@ def _cmd_classify(inp: _Input, ns: argparse.Namespace) -> None:
 
 def _cmd_algebra_check(inp: _Input, ns: argparse.Namespace) -> None:
     cm = charge_matrices(inp.family, inp.params, inp.grid)
-    tolerance = 1e-10 if ns.tolerance is None else ns.tolerance
+    tolerance = ALGEBRA_TOL if ns.tolerance is None else ns.tolerance
     report = verify_algebra(cm, tolerance)
     _emit(_json_text(report.to_dict()), ns.output)
 

@@ -143,34 +143,17 @@ def _broadcasts_exactly(expr: sympy.Expr, parent: sympy.Expr | None = None) -> b
     return all(_broadcasts_exactly(arg, expr) for arg in expr.args)
 
 
-def _frozen_owner(x) -> np.ndarray | None:
-    """The read-only 1D array that owns all of x's memory, or None.
-
-    Such an x (a ``Grid1D.x``, or its ``x[None, :]`` view) holds the owner's
-    values in the owner's order and cannot change, so tables computed from
-    the owner stay valid for it.  A writable x, a view of a writable or
-    borrowed buffer, and a partial or strided view all get None.
-    """
-    if type(x) is not np.ndarray or x.flags.writeable or not x.flags.c_contiguous:
-        return None
-    owner = x if x.base is None else x.base
-    if (type(owner) is not np.ndarray or not owner.flags.owndata or owner.flags.writeable
-            or owner.ndim != 1 or owner.dtype != x.dtype or owner.size != x.size):
-        return None
-    return owner
-
-
 class _SubtermTables:
     """The parameter-free subterms of one compiled expression, on its last grid.
 
-    ``tabulate(x)`` returns one array per subterm.  For a frozen x (see
-    _frozen_owner) the tables of the last owner are kept, read-only, in
-    ``slot`` as one ``(owner, tables)`` tuple: the slot holds its owner, so
-    no other array can take the owner's address while it lives, and a
-    thread that reads the slot during another's update still sees a
-    matching pair.  Any other x is tabulated afresh on every call.
-    ``computed`` counts tabulations.  A race between threads can only
-    repeat a tabulation.
+    ``tabulate(x)`` returns one array per subterm.  For a frozen x, a
+    read-only ndarray that owns its memory (``Grid1D.x``), the tables of the
+    last such x are kept, read-only, in ``slot`` as one ``(x, tables)``
+    tuple: x cannot change, the slot holds it, so no other array can take
+    its address, and a thread that reads the slot during another's update
+    still sees a matching pair.  Any other x, a view included, is
+    tabulated on every call.  ``computed`` counts tabulations; a race
+    between threads can only repeat one.
     """
 
     def __init__(self, tabulate: Callable[[np.ndarray], tuple]):
@@ -178,23 +161,17 @@ class _SubtermTables:
         self.slot: tuple[np.ndarray, tuple] | None = None
         self.computed = 0
 
-    def _compute(self, x) -> tuple:
-        self.computed += 1
-        return self._tabulate(x)
-
     def __call__(self, x) -> tuple:
-        owner = _frozen_owner(x)
-        if owner is None:
-            return self._compute(x)
+        frozen = type(x) is np.ndarray and x.flags.owndata and not x.flags.writeable
         slot = self.slot
-        if slot is None or slot[0] is not owner:
-            tables = self._compute(owner)
+        if frozen and slot is not None and slot[0] is x:
+            return slot[1]
+        self.computed += 1
+        tables = self._tabulate(x)
+        if frozen:
             for table in tables:
                 table.setflags(write=False)
-            slot = self.slot = (owner, tables)
-        tables = slot[1]
-        if x.shape != owner.shape:
-            tables = tuple(table.reshape(x.shape) for table in tables)
+            self.slot = (x, tables)
         return tables
 
 
@@ -351,7 +328,7 @@ def assemble_on_grid(code: NumpyCode) -> Callable[[np.ndarray, dict], np.ndarray
     def unchecked(x: np.ndarray, values: dict) -> np.ndarray:
         # the same code without evaluate's checks and conversions, for a
         # caller that made them and holds np.errstate itself; values may be
-        # parameter columns against x[None, :]
+        # (rows, 1) parameter columns, which broadcast against the 1-D x
         return fn(x, *[values[p] for p in params], subterms(x) if subterms else ())
 
     evaluate.broadcasts = code.broadcasts
@@ -388,11 +365,12 @@ def compile_on_grid(expr: sympy.Expr,
     Its ``unchecked`` attribute runs the same compiled code with no checks
     or conversions at all, for a caller that has already checked the
     parameters and holds ``np.errstate`` (``SuperpotentialFamily.w_rows``).
-    It also takes parameter columns against ``x[None, :]`` and tabulates
-    one row per parameter value in a single call, leaving non-finite rows
-    for the caller to reject.  The ``broadcasts`` attribute tells whether
-    each such row equals, bit for bit, the checked evaluation at that row's
-    values (see _broadcasts_exactly).
+    It also takes (rows, 1) parameter columns, which broadcast against the
+    1-D node array, and tabulates one row per parameter value in a single
+    call, leaving non-finite rows for the caller to reject.  The
+    ``broadcasts`` attribute tells whether each such row equals, bit for
+    bit, the checked evaluation at that row's values (see
+    _broadcasts_exactly).
 
     Every composite subterm whose only free symbol is x (``x**3``,
     ``exp(-x)``, ``sech(x)**2``) is tabulated once per grid and reused by
@@ -400,8 +378,8 @@ def compile_on_grid(expr: sympy.Expr,
     caller evaluates one family on one grid at a time); the function's
     ``subterms`` attribute holds those tables (None when there are none).
     Tables are kept only for a read-only x that owns its memory
-    (``Grid1D.x``) or a full view of one (``Grid1D.x[None, :]``); any other
-    x is tabulated on every call.
+    (``Grid1D.x``, which SuperpotentialFamily passes to both entries); any
+    other x, a view of ``Grid1D.x`` included, is tabulated on every call.
 
     Compilation is two steps.  generate_on_grid prints the numpy source
     with sympy: lambdify's code, with each such subterm read from its table

@@ -117,8 +117,10 @@ class GridFunction:
         """Parse ``x,value`` CSV produced by :meth:`to_csv` (or compatible).
 
         Every row after the header holds exactly two numbers.  The x column
-        must be finite, uniformly spaced and ascending; the grid is
-        reconstructed from its endpoints.
+        must be finite and ascending, and gives the grid of its endpoints
+        and length: each x may sit at most 1e-9 h plus 2e-11 of the largest
+        |x| from its node, which covers the FLOAT_FMT rounding of the x and
+        of the endpoints that place the node.
         """
         lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines or lines[0][1].strip().lower() != "x,value":
@@ -136,11 +138,12 @@ class GridFunction:
             raise GridError("tabulated function needs at least 3 nodes")
         if not np.all(np.isfinite(xs)):
             raise GridError("x column contains a non-finite value")
-        steps = np.diff(xs)
-        h = (xs[-1] - xs[0]) / (xs.size - 1)
-        if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1.0):
+        if not np.all(np.diff(xs) > 0):
             raise GridError("x column is not a uniform ascending grid")
         grid = make_grid(xs[0], xs[-1], xs.size)
+        tolerance = 1e-9 * grid.h + 2e-11 * max(abs(xs[0]), abs(xs[-1]))
+        if np.max(np.abs(xs - grid.x)) > tolerance:
+            raise GridError("x column is not a uniform ascending grid")
         return cls(grid, np.asarray(vs, dtype=float))
 
 

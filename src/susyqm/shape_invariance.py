@@ -34,6 +34,9 @@ EDGE_TRIM = 2
 #: always agree and a non-shape-invariant cubic would pass.
 MIN_SAMPLES = 3
 
+#: Default coarse samples per candidate of a transform search (and --budget).
+DEFAULT_BUDGET = 33
+
 
 def _params_close(a: dict, b: dict) -> bool:
     if set(a) != set(b):
@@ -581,9 +584,13 @@ class SearchRow:
     candidate: TransformCandidate
     finalists: tuple[float, ...]
     theta: float | None
-    score: float
     report: ResidualReport | None
     gate: str | None
+
+    @property
+    def score(self) -> float:
+        """The residual stddev of ``theta``'s trial; inf when none scored finite."""
+        return math.inf if self.report is None else self.report.residual_stddev
 
     @property
     def transform(self) -> ParameterTransform:
@@ -599,7 +606,7 @@ def best_accepted(rows: Iterable[SearchRow]) -> SearchRow | None:
 
 def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
                      candidates: Sequence[TransformCandidate] | None = None,
-                     budget: int = 33,
+                     budget: int = DEFAULT_BUDGET,
                      tolerance: float | None = None,
                      record: list[SearchRow] | None = None
                      ) -> tuple[ParameterTransform, ResidualReport] | None:
@@ -712,11 +719,11 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     rows = []
     for k, cand in enumerate(candidates):
         thetas = finalists.get(k, [])
-        judged = [SearchRow(cand, tuple(thetas), theta, score, report, gate(cand, theta, report))
-                  for theta, (score, report) in zip(thetas, objective([(k, th) for th in thetas]))]
+        judged = [SearchRow(cand, tuple(thetas), theta, report, gate(cand, theta, report))
+                  for theta, (_, report) in zip(thetas, objective([(k, th) for th in thetas]))]
         pool = [row for row in judged if row.gate is None] or judged
         rows.append(min(pool, key=lambda row: row.score) if pool else
-                    SearchRow(cand, (), None, math.inf, None, "no-finite-score"))
+                    SearchRow(cand, (), None, None, "no-finite-score"))
     if record is not None:
         record.extend(rows)
     best = best_accepted(rows)

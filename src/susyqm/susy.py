@@ -17,12 +17,15 @@ import numpy as np
 from .eigensolver import DECAY_RATIO, ground_state
 from .errors import (EvaluationError, GridError, GridMismatchError,
                      NodePresentError, NoBoundStateError)
-from .expressions import (compile_on_grid, differentiate, parameter_names,
-                          parse_expression)
+from .expressions import (assemble_on_grid, compile_on_grid, differentiate,
+                          parameter_names, parse_expression)
 from .grids import (DEFAULT_DOMAIN, Grid1D, GridFunction, align_sign,
                     boundary_amplitude_ratio, count_nodes, derivative)
 
 WFunc = Callable[[np.ndarray, dict], np.ndarray]
+
+#: Default tolerance of verify_algebra (and of algebra-check), relative to ‖ℋ‖.
+ALGEBRA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,12 +45,11 @@ class SuperpotentialFamily:
     A compiled expression whose ``broadcasts`` attribute is true (set when
     it is exact, see expressions.compile_on_grid) answers the whole stack
     in one call of its ``unchecked`` entry, with each parameter as a column
-    of values against ``x[None, :]``.  Any other callable, and a
+    of values against the 1-D ``grid.x``.  Any other callable, and a
     finite-difference w′, is evaluated row by row with float parameters.
-    Either way a compiled expression computes its parameter-free subterms
-    such as ``x**3`` once per grid and reuses them on every later call on
-    that grid, so scoring hundreds of trials on one grid pays only for the
-    terms that carry parameters.
+    Every call passes ``grid.x`` itself, never a view, so a compiled
+    expression computes its parameter-free subterms such as ``x**3`` once
+    per grid and reuses them on every later call on that grid.
 
     ``hard_wall_left`` marks half-line families whose grid starts just off a
     singularity: states are pinned to zero there by the wall, so decay is
@@ -63,16 +65,20 @@ class SuperpotentialFamily:
     @classmethod
     def from_expression(cls, text: str, domain: tuple[float, float] = DEFAULT_DOMAIN,
                         hard_wall_left: bool = False) -> "SuperpotentialFamily":
-        """Build a family from an expression string; w′ is derived analytically."""
-        expr = parse_expression(text)
-        params = parameter_names(expr)
-        return cls(
-            w_fn=compile_on_grid(expr, params),
-            w_prime_fn=compile_on_grid(differentiate(expr), params),
-            parameter_names=tuple(params),
-            domain=domain,
-            hard_wall_left=hard_wall_left,
-        )
+        """Build a family from an expression string; w′ is derived analytically.
+
+        A catalog record's text assembles its checked-in numpy code
+        (``_compiled_catalog``) and loads no sympy; any other is compiled."""
+        from . import _compiled_catalog
+
+        codes = _compiled_catalog.FAMILIES.get(text)
+        if codes is None:
+            expr = parse_expression(text)
+            params = parameter_names(expr)
+            fns = [compile_on_grid(e, params) for e in (expr, differentiate(expr))]
+        else:
+            params, fns = codes[0].params, [assemble_on_grid(code) for code in codes]
+        return cls(*fns, tuple(params), domain, hard_wall_left)
 
     @classmethod
     def from_callables(cls, w_fn: WFunc, w_prime_fn: WFunc | None = None,
@@ -117,22 +123,21 @@ class SuperpotentialFamily:
         ``w_prime_grid`` at that row's parameters bit for bit.  Missing
         parameters raise EvaluationError.
 
-        The parameter columns are built once and serve w and w′; a
-        broadcasting compiled expression runs once for the whole stack,
-        through its ``unchecked`` entry under the one ``errstate`` of this
-        call (the checks it skips are made here already).
+        The (rows, 1) parameter columns are built once and serve w and w′;
+        a broadcasting compiled expression runs once for the whole stack,
+        through its ``unchecked`` entry on ``grid.x`` under the one
+        ``errstate`` of this call (the checks it skips are made here).
         """
         names = self.parameter_names
         missing = set(names).difference(*rows)
         if missing:
             raise EvaluationError(f"missing parameter values for {sorted(missing)}")
         shape = (len(rows), grid.n_points)
-        x = grid.x[None, :]
         columns = {p: np.array([float(row[p]) for row in rows])[:, None] for p in names}
 
         def tabulate(fn: WFunc) -> np.ndarray:
             if names and getattr(fn, "broadcasts", False):
-                out = np.asarray(fn.unchecked(x, columns), dtype=float)
+                out = np.asarray(fn.unchecked(grid.x, columns), dtype=float)
                 return out if out.shape == shape else np.broadcast_to(out, shape)
             out = np.empty(shape)
             for i, row in enumerate(rows):
@@ -356,7 +361,7 @@ def _fro(*bands: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(v, out=v))))
 
 
-def verify_algebra(cm: ChargeMatrices, tolerance: float = 1e-10) -> AlgebraReport:
+def verify_algebra(cm: ChargeMatrices, tolerance: float = ALGEBRA_TOL) -> AlgebraReport:
     """Check Q² = Q†² = 0, {Q,Q†} = ℋ, and [Q,ℋ] = [Q†,ℋ] = 0 numerically.
 
     Each identity reduces to its nonzero block: [Q, ℋ] to A·(A†A) − (AA†)·A,

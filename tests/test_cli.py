@@ -811,6 +811,24 @@ def test_missing_tabulated_file_is_computation_error(capsys, tmp_path):
     assert err != ""
 
 
+def test_tabulated_file_obeys_the_points_cap(capsys, tmp_path, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a file over the points cap reached the solver")
+
+    monkeypatch.setattr(susyqm.cli, "solve_potential", no_solve)
+    paths = []
+    for n in (MAX_POINTS, MAX_POINTS + 1):
+        grid = make_grid(-10.0, 10.0, n)
+        paths.append(tmp_path / f"well_{n}.csv")
+        paths[-1].write_text(GridFunction(grid, grid.x**2).to_csv())
+    code, out, err = run_cli(capsys, "solve", "--tabulated", str(paths[0]), "--dump-config")
+    assert (code, err) == (0, "") and json.loads(out)["grid"]["n_points"] == MAX_POINTS
+    code, out, err = run_cli(capsys, "solve", "--tabulated", str(paths[1]), "--levels", "64")
+    assert (code, out) == (2, "")
+    assert err == (f"susyqm solve: a tabulated file must have at most {MAX_POINTS} "
+                   f"nodes, got {MAX_POINTS + 1}\n")
+
+
 # -- determinism and output routing ------------------------------------------------
 
 

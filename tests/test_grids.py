@@ -10,7 +10,7 @@ from susyqm import (Grid1D, GridError, GridFunction, GridMismatchError,
                     ZeroNormError, boundary_amplitude_ratio, count_nodes,
                     derivative, inner_product, l2_distance, make_grid, norm,
                     normalize, sign_aligned_distance)
-from susyqm.grids import align_sign
+from susyqm.grids import FLOAT_FMT, align_sign
 
 
 def test_grid_basics():
@@ -108,6 +108,9 @@ def test_from_csv_rejects_nonuniform_and_headerless():
         GridFunction.from_csv("x,value\n0,0\n1,0\n2.5,0\n")
     with pytest.raises(GridError):
         GridFunction.from_csv("x,value\n0,0\n1,0\n")
+    # half a spacing off its node, however tiny the spacing
+    with pytest.raises(GridError, match="not a uniform ascending grid"):
+        GridFunction.from_csv("x,value\n0,0\n1e-12,0\n5e-12,0\n6e-12,0\n")
 
 
 def test_from_csv_rejects_non_finite_x():
@@ -125,13 +128,23 @@ def test_from_csv_names_the_line_that_is_not_two_numbers(row):
         GridFunction.from_csv(text)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=3, max_size=40))
-def test_csv_round_trip_property(vals):
-    g = make_grid(0.0, 1.0, len(vals))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=3, max_size=40),
+       st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=-12, max_value=6),
+       st.floats(min_value=0.0, max_value=8.0))
+def test_csv_round_trip_property(vals, where, magnitude, resolution):
+    """A grid comes back from its CSV wherever it lies, x_min up to 1e6 in
+    size, with any spacing down to 1e-8 of 10^magnitude (1e-20 near 0)."""
+    x_min, h = where * 10.0**magnitude, 10.0 ** (magnitude - resolution)
+    g = make_grid(x_min, x_min + (len(vals) - 1) * h, len(vals))
     f = GridFunction(g, np.asarray(vals))
     back = GridFunction.from_csv(f.to_csv())
     assert back.grid.n_points == len(vals)
+    assert (back.grid.x_min, back.grid.x_max) == (float(FLOAT_FMT % g.x_min),
+                                                  float(FLOAT_FMT % g.x_max))
+    # the written ends are 12-digit roundings, so each node moves at most
+    # one unit in the 12th digit of the largest |x|
+    assert np.max(np.abs(back.x - g.x)) <= 1e-11 * max(abs(g.x_min), abs(g.x_max))
     assert np.allclose(back.values, f.values, rtol=1e-11, atol=1e-6)
 
 

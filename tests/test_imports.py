@@ -22,7 +22,7 @@ PROBE = r"""
 import contextlib, io, json, sys
 
 watched, steps, workdir = json.loads(sys.argv[1])
-report = {"stderr": {}}
+report = {"stdout": {}, "stderr": {}}
 
 def loaded():
     return sorted(name for name in watched if name in sys.modules)
@@ -31,15 +31,17 @@ import susyqm
 report["import"] = loaded()
 from susyqm.cli import main
 for label, calls, expected in steps:
-    errors = []
+    outputs, errors = [], []
     for argv in calls:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([a.replace("{work}", workdir) for a in argv])
         if code != expected:
             raise SystemExit(f"{argv} exited {code}: {err.getvalue()}")
+        outputs.append(out.getvalue())
         errors.append(err.getvalue())
     report[label] = loaded()
+    report["stdout"][label] = outputs
     report["stderr"][label] = errors
 print(json.dumps(report))
 """
@@ -100,6 +102,9 @@ CATALOG_STEPS = [
         ["classify", "--catalog", "cyclic-demo"],
     ], 0),
     ("catalog errors", [argv for argv, _ in CATALOG_ERRORS], 2),
+    ("record text", [["partner", "--w", "A - exp(-x)", "--param", "A=2", "--x-min", "-3.5",
+                      "--x-max", "10", "--points", "2701"],
+                     ["partner", "--catalog", "morse"]], 0),
     ("expression", [["partner", "--w", "a*x", "--param", "a=1", "--points", "101"]], 0),
     ("expression classify", [["classify", "--w", "a*x", "--param", "a=1",
                               "--points", "401", "--budget", "9"]], 0),
@@ -142,6 +147,14 @@ def test_catalog_commands_load_no_sympy(catalog_loaded_after):
     assert catalog_loaded_after["catalog partner"] == []
     assert "sympy" not in catalog_loaded_after["catalog commands"]
     assert "sympy" in catalog_loaded_after["expression"]
+
+
+def test_record_text_loads_no_sympy(catalog_loaded_after):
+    # a --w text equal to a record's expression assembles the record's
+    # checked-in code, with the record's own output on the record's grid
+    assert "sympy" not in catalog_loaded_after["record text"]
+    from_text, from_record = catalog_loaded_after["stdout"]["record text"]
+    assert from_text == from_record and from_text.startswith("x,v_minus,v_plus,w\n")
 
 
 def test_solver_commands_load_no_scipy(catalog_loaded_after):
