@@ -1,9 +1,9 @@
 """Generated numpy code of the catalog records' expressions.  Do not edit.
 
-SIPRecord.family and SIPRecord.r_function assemble their callables from
-this code, so a command on a built-in record loads no sympy.  Regenerate
-after changing a record's expression or R, or after upgrading sympy,
-from the root of a source checkout:
+SuperpotentialFamily.from_expression assembles w and w' from this code
+and SIPRecord.r_function assembles R, so a command on a built-in record
+loads no sympy.  Regenerate after changing a record's expression or R, or
+after upgrading sympy, from the root of a source checkout:
 
     PYTHONPATH=src python -c "from susyqm.catalog import _render_compiled_catalog as r; open('src/susyqm/_compiled_catalog.py', 'w').write(r())"
 """

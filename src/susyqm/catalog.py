@@ -8,7 +8,7 @@ domains are pinned per record so results are reproducible without tuning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from typing import Callable
 
@@ -240,20 +240,10 @@ def instantiate(name: str, params: dict | None, grid: Grid1D) -> tuple[PartnerPa
 
 
 def catalog_dump() -> list[dict]:
-    """JSON-ready summary of every record (for docs and the CLI)."""
-    out = []
-    for rec in _catalog().values():
-        out.append({
-            "name": rec.name,
-            "expression": rec.expression,
-            "transform": rec.transform.to_dict(),
-            "r_closed_form": rec.r_closed_form,
-            "default_params": rec.default_params,
-            "domain": list(rec.domain) if rec.domain else None,
-            "min_x": rec.min_x,
-            "notes": rec.notes,
-        })
-    return out
+    """JSON-ready summary of every record (for docs and the CLI): each field
+    but ``validity``, with the transform as its ``to_dict``."""
+    return [{f.name: getattr(rec, f.name) for f in fields(rec) if f.name != "validity"}
+            | {"transform": rec.transform.to_dict()} for rec in _catalog().values()]
 
 
 #: Shell command that rewrites ``_compiled_catalog.py`` from the records.
@@ -279,10 +269,10 @@ def _render_compiled_catalog() -> str:
     lines = [
         '"""Generated numpy code of the catalog records\' expressions.  Do not edit.',
         "",
-        "SIPRecord.family and SIPRecord.r_function assemble their callables from",
-        "this code, so a command on a built-in record loads no sympy.  Regenerate",
-        "after changing a record's expression or R, or after upgrading sympy,",
-        "from the root of a source checkout:",
+        "SuperpotentialFamily.from_expression assembles w and w' from this code",
+        "and SIPRecord.r_function assembles R, so a command on a built-in record",
+        "loads no sympy.  Regenerate after changing a record's expression or R, or",
+        "after upgrading sympy, from the root of a source checkout:",
         "",
         f"    {_REGENERATE}",
         '"""',

@@ -400,18 +400,23 @@ class _Input:
 def _resolve(ns: argparse.Namespace) -> _Input:
     """The input source as one _Input; the only place a grid is built.
 
-    A tabulated file is read once and fixes the grid, which the points cap
-    bounds as it bounds --points.  Otherwise the grid flags go on top of a
-    record's pinned domain or the default domain, and a record's
-    singular-region rule applies to the result.  A record's
+    A tabulated file fixes the grid, which the points cap bounds as it
+    bounds --points: its rows are counted line by line first, so a file over
+    the cap is refused before it is read whole or parsed.  Otherwise the
+    grid flags go on top of a record's pinned domain or the default domain,
+    and a record's singular-region rule applies to the result.  A record's
     family is assembled from its checked-in numpy code, which loads no
     sympy, so --dump-config stays cheap.
     """
     if ns.tabulated is not None:
-        v = GridFunction.from_csv(Path(ns.tabulated).read_text())
-        if v.grid.n_points > MAX_POINTS:
+        path = Path(ns.tabulated)
+        with path.open() as fh:
+            # the non-blank lines from_csv splits the text into, less its header
+            nodes = sum(1 for line in fh for piece in line.splitlines() if piece.strip()) - 1
+        if nodes > MAX_POINTS:
             raise GridError(f"a tabulated file must have at most {MAX_POINTS} nodes, "
-                            f"got {v.grid.n_points}")
+                            f"got {nodes}")
+        v = GridFunction.from_csv(path.read_text())
         return _Input(None, None, {}, v.grid, v)
     record = None if ns.catalog is None else get_record(ns.catalog)
     if record is not None and record.domain is not None:

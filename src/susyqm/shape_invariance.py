@@ -526,7 +526,8 @@ def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
     Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the trial.  Each a₁ comes from
     the candidate's scalar knob check and map (``map_params``), the code
     ``apply`` runs, so the rows see exactly si_residual's parameter values
-    and no transform object is built.  The trials are tabulated and scored
+    and no transform object is built; each row carries a₀'s names, so
+    ``w_rows`` finds no parameter missing.  The trials are tabulated and scored
     in blocks of consecutive rows, whichever candidates they come from, each
     block's arrays within ``_BLOCK_BYTES``: ``w_rows`` tabulates a block in
     one call, and one buffer per call holds V₋ and then the residual of each
@@ -549,10 +550,7 @@ def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
     # A miss row may hold inf or nan, and w² may overflow where w is finite.
     with np.errstate(all="ignore"):
         for start in range(0, len(rows), size):
-            try:
-                w, w_prime = family.w_rows(grid, rows[start:start + size])
-            except EvaluationError:
-                continue
+            w, w_prime = family.w_rows(grid, rows[start:start + size])
             block = live[start:start + size]
             res = buf[:len(block)]
             np.multiply(w, w, out=res)

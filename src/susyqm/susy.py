@@ -45,8 +45,9 @@ class SuperpotentialFamily:
     A compiled expression whose ``broadcasts`` attribute is true (set when
     it is exact, see expressions.compile_on_grid) answers the whole stack
     in one call of its ``unchecked`` entry, with each parameter as a column
-    of values against the 1-D ``grid.x``.  Any other callable, and a
-    finite-difference w′, is evaluated row by row with float parameters.
+    of values against the 1-D ``grid.x``.  Any other callable is evaluated
+    row by row with float parameters; a finite-difference w′ is one
+    ``np.gradient`` along the rows of the whole stack.
     Every call passes ``grid.x`` itself, never a view, so a compiled
     expression computes its parameter-free subterms such as ``x**3`` once
     per grid and reuses them on every later call on that grid.
@@ -117,9 +118,9 @@ class SuperpotentialFamily:
         """w and w′ on the grid for each parameter dict in ``rows``.
 
         Returns two (len(rows), n_points) arrays, unchecked: a row where w
-        or w′ cannot be evaluated holds nan, and a row may hold inf or nan
-        wherever the function does, so the caller tests finiteness on what
-        it computes from them.  Each finite row equals ``w_grid`` /
+        or w′ cannot be evaluated is non-finite, and a row may hold inf or
+        nan wherever the function does, so the caller tests finiteness on
+        what it computes from them.  Each finite row equals ``w_grid`` /
         ``w_prime_grid`` at that row's parameters bit for bit.  Missing
         parameters raise EvaluationError.
 
@@ -150,9 +151,7 @@ class SuperpotentialFamily:
         with np.errstate(all="ignore"):
             w = tabulate(self.w_fn)
             if self.w_prime_fn is None:
-                w_prime = np.full(shape, np.nan)
-                for i in np.flatnonzero(np.isfinite(w).all(axis=1)):
-                    w_prime[i] = derivative(GridFunction(grid, w[i])).values
+                w_prime = np.gradient(w, grid.h, axis=1, edge_order=2)
             else:
                 w_prime = tabulate(self.w_prime_fn)
         return w, w_prime
@@ -389,23 +388,19 @@ def verify_algebra(cm: ChargeMatrices, tolerance: float = ALGEBRA_TOL) -> Algebr
 
 
 def block_spectra(cm: ChargeMatrices) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues of A†A and AA†, each sorted ascending.
+    """The lowest eigenvalue of each block, A†A then AA†, as one-element arrays.
 
     Both blocks are symmetric pentadiagonal by construction, so a banded
     solver sees them exactly; positive semi-definiteness means nothing below
-    roundoff-negative.
+    roundoff-negative.  Rows 2–4 of an offset-major band hold diagonals 0, 1
+    and 2 from column 0, which is LAPACK's lower band storage as it stands,
+    and the index selection asks xSBEVX for the first eigenvalue alone.
     """
     import scipy.linalg
 
-    def banded_eigvals(block: np.ndarray) -> np.ndarray:
-        # LAPACK upper band storage: row 2 − k holds diagonal k from column k
-        m = block.shape[1]
-        band = np.zeros((3, m))
-        for k in range(3):
-            band[2 - k, k:] = block[2 + k, :m - k]
-        return np.sort(scipy.linalg.eigvals_banded(band, lower=False))
-
-    return banded_eigvals(cm.lower), banded_eigvals(cm.upper)
+    return tuple(scipy.linalg.eigvals_banded(block[2:], lower=True, select="i",
+                                             select_range=(0, 0))
+                 for block in (cm.lower, cm.upper))
 
 
 # -- ground-state inversion and the hierarchy ------------------------------------

@@ -823,6 +823,12 @@ def test_tabulated_file_obeys_the_points_cap(capsys, tmp_path, monkeypatch):
         paths[-1].write_text(GridFunction(grid, grid.x**2).to_csv())
     code, out, err = run_cli(capsys, "solve", "--tabulated", str(paths[0]), "--dump-config")
     assert (code, err) == (0, "") and json.loads(out)["grid"]["n_points"] == MAX_POINTS
+
+    def no_parse(text):
+        raise AssertionError("a file over the points cap was parsed")
+
+    # the rows are counted before the file is parsed, however long it is
+    monkeypatch.setattr(GridFunction, "from_csv", no_parse)
     code, out, err = run_cli(capsys, "solve", "--tabulated", str(paths[1]), "--levels", "64")
     assert (code, out) == (2, "")
     assert err == (f"susyqm solve: a tabulated file must have at most {MAX_POINTS} "

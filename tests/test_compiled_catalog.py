@@ -16,7 +16,7 @@ import pytest
 from susyqm import (EvaluationError, ExpressionError, _compiled_catalog,
                     compile_on_grid, compile_scalar, differentiate, get_record,
                     list_catalog, parse_expression, record_grid)
-from susyqm.catalog import _r_key, _render_compiled_catalog
+from susyqm.catalog import _REGENERATE, _r_key, _render_compiled_catalog
 from susyqm.expressions import _namespace, parameter_names
 
 RECORDS = [get_record(name) for name in list_catalog()]
@@ -40,6 +40,11 @@ def _outcome(fn, *args):
 
 def test_checked_in_file_is_what_the_catalog_renders():
     assert Path(_compiled_catalog.__file__).read_text() == _render_compiled_catalog()
+
+
+def test_readme_gives_the_regenerate_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert f"```\n{_REGENERATE}\n```" in readme
 
 
 def test_every_record_is_in_the_table():

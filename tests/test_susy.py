@@ -36,6 +36,20 @@ def test_family_nonfinite_evaluation():
         fam.w_grid(GRID, {})  # grid spans x <= 0
 
 
+def test_w_rows_finite_difference_matches_w_prime_grid():
+    # no analytic w′: one finite difference over the block, equal row by row
+    fam = SuperpotentialFamily.from_callables(
+        lambda x, p: p["a"] * np.tanh(x) + x**3 / p["b"], parameter_names=("a", "b"))
+    rows = [{"a": 1.0, "b": 2.0}, {"a": -0.5, "b": 7.0}, {"a": 3.0, "b": 1e-3},
+            {"a": 1.0, "b": 0.0}]
+    w, w_prime = fam.w_rows(GRID, rows)
+    for i, row in enumerate(rows[:-1]):
+        assert np.array_equal(w[i], fam.w_grid(GRID, row).values)
+        assert np.array_equal(w_prime[i], fam.w_prime_grid(GRID, row).values)
+    # w is not finite at b = 0, and neither is its w′
+    assert not np.isfinite(w[-1]).all() and not np.isfinite(w_prime[-1]).all()
+
+
 def test_partner_potentials_harmonic():
     pair = partner_potentials(HARMONIC, {}, GRID)
     assert np.allclose(pair.v_minus.values, GRID.x**2 - 1.0)
@@ -123,19 +137,19 @@ def _sparse_reference(w, h):
     """AlgebraReport norms and block spectra from scipy.sparse block matrices.
 
     ``w`` holds the interior nodes.  Returns the five defining norms with
-    h_scale, and a function giving the sorted eigenvalues of A†A and AA†.
+    h_scale, and a function giving the lowest eigenvalues of A†A and AA†.
     """
     from scipy import linalg, sparse
 
     def fro(s):
         return float(np.sqrt(s.power(2).sum()))
 
-    def banded_eigvals(s):
+    def lowest_eigval(s):
+        # LAPACK lower band storage: row k holds diagonal k from column 0
         band = np.zeros((3, m))
-        band[2, :] = s.diagonal(0)
-        band[1, 1:] = s.diagonal(1)
-        band[0, 2:] = s.diagonal(2)
-        return np.sort(linalg.eigvals_banded(band, lower=False))
+        for k in range(3):
+            band[k, :m - k] = s.diagonal(k)
+        return linalg.eigvals_banded(band, lower=True, select="i", select_range=(0, 0))
 
     m = w.size
     c = 1.0 / (2.0 * h)
@@ -149,8 +163,8 @@ def _sparse_reference(w, h):
     h_scale = fro(hm)  # sorts the rows of hm in place, as the products read them
     norms = (fro(q @ q), fro(qd @ qd), fro(q @ qd + qd @ q - hm),
              fro(q @ hm - hm @ q), fro(qd @ hm - hm @ qd))
-    return (*norms, h_scale), lambda: (banded_eigvals(a_dag @ a),
-                                       banded_eigvals(a @ a_dag))
+    return (*norms, h_scale), lambda: (lowest_eigval(a_dag @ a),
+                                       lowest_eigval(a @ a_dag))
 
 
 def assert_matches_sparse(family, params, grid, spectra=True):
@@ -198,11 +212,31 @@ def test_catalog_algebra_matches_sparse_bit_for_bit(name):
 def test_block_spectra_positive_and_degenerate():
     cm = charge_matrices(HARMONIC, {}, make_grid(-8.0, 8.0, 501))
     lo, hi = block_spectra(cm)
-    scale = max(lo[-1], hi[-1])
+    assert lo.shape == hi.shape == (1,)
+    scale = max(np.abs(cm.lower).max(), np.abs(cm.upper).max())
     assert lo[0] > -1e-12 * scale
     assert hi[0] > -1e-12 * scale
-    # Square blocks A†A and AA† are similar: identical spectra.
-    assert np.allclose(lo, hi, rtol=1e-9, atol=1e-9 * scale)
+    # Square blocks A†A and AA† are similar: identical spectra, the lowest
+    # values included.
+    assert np.isclose(lo[0], hi[0], rtol=1e-9, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("name", ["shifted-harmonic", "morse", "poschl-teller",
+                                  "coulomb-radial", "random"])
+def test_block_spectra_lowest_matches_dense(name):
+    # an independent solver on the dense blocks, to roundoff of their scale
+    if name == "random":
+        w = np.random.default_rng(5).uniform(-5.0, 5.0, 301)
+        family, params = SuperpotentialFamily.from_callables(lambda x, p: w.copy()), {}
+        grid = make_grid(0.0, 3.0, w.size)
+    else:
+        rec = get_record(name)
+        lo, hi, _ = rec.domain
+        family, params, grid = rec.family, merged_params(rec, None), make_grid(lo, hi, 501)
+    cm = charge_matrices(family, params, grid)
+    for block, lowest in zip((cm.lower, cm.upper), block_spectra(cm)):
+        dense = _dense(block)
+        assert abs(lowest[0] - np.linalg.eigvalsh(dense)[0]) <= 1e-13 * np.abs(dense).max()
 
 
 def test_verify_algebra_flags_violations():
