@@ -101,9 +101,6 @@ def _add_input_flags(p: argparse.ArgumentParser, tabulated: bool = True) -> None
                        help="potential as a two-column x,value CSV file")
     p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                    help="parameter value (repeatable)")
-
-
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-min", type=_finite_float, default=None)
     p.add_argument("--x-max", type=_finite_float, default=None)
     p.add_argument("--points", type=int, default=None, dest="n_points")
@@ -133,26 +130,22 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="oracle bound-state energies and wavefunctions")
     _add_input_flags(p)
-    _add_grid_flags(p)
     p.add_argument("--levels", type=int, default=3, dest="n_levels",
                    help="highest level index n to solve (default 3)")
     _add_common_flags(p)
 
     p = sub.add_parser("partner", help="tabulate V-, V+, and w")
     _add_input_flags(p, tabulated=False)
-    _add_grid_flags(p)
     _add_common_flags(p)
 
     p = sub.add_parser("hierarchy", help="build the partner hierarchy to a depth")
     _add_input_flags(p)
-    _add_grid_flags(p)
     p.add_argument("--depth", type=int, default=3)
     _add_common_flags(p, fmt_default=None)
     p.set_defaults(fmt="json")
 
     p = sub.add_parser("si-check", help="test or search for shape invariance")
     _add_input_flags(p, tabulated=False)
-    _add_grid_flags(p)
     p.add_argument("--transform", choices=tuple(TRANSFORM_KINDS), default=None,
                    dest="transform_kind",
                    help="transform kind to verify (with all its knobs) or to "
@@ -172,21 +165,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="algebraic vs oracle energies side by side")
     _add_input_flags(p, tabulated=False)
-    _add_grid_flags(p)
     p.add_argument("--levels", type=int, default=3, dest="n_levels")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_common_flags(p)
 
     p = sub.add_parser("wavefunctions", help="chain-built states and node counts")
     _add_input_flags(p, tabulated=False)
-    _add_grid_flags(p)
     p.add_argument("--levels", type=int, default=2, dest="n_levels")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_common_flags(p)
 
     p = sub.add_parser("classify", help="four-set membership tag")
     _add_input_flags(p)
-    _add_grid_flags(p)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--fig", metavar="PATH", default=None,
                    help="also write a graph-description text file")
@@ -195,7 +185,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("algebra-check", help="verify the charge algebra numerically")
     _add_input_flags(p, tabulated=False)
-    _add_grid_flags(p)
     p.add_argument("--tolerance", type=float, default=None)
     _add_common_flags(p, fmt_default=None)
     p.set_defaults(fmt="json")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from tokenize import TokenError
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -24,24 +24,20 @@ if TYPE_CHECKING:
 _NUMPY_EXTRAS = {"sech": lambda z: 1.0 / np.cosh(z)}
 
 
-@dataclass(frozen=True)
-class _Grammar:
+class _Symbols(NamedTuple):
     x: sympy.Symbol
     functions: dict
-    function_types: tuple
-    transformations: tuple
-    non_finite: tuple
 
 
 @cache
-def _grammar() -> _Grammar:
-    """The grammar's sympy objects, built when the first expression needs them.
+def _grammar() -> _Symbols:
+    """The coordinate and the function table, built when the first expression
+    needs them.
 
     Importing sympy costs about half a second, which commands that parse no
     expression (``susyqm catalog``, tabulated input) should not pay.
     """
     import sympy
-    from sympy.parsing.sympy_parser import convert_xor, standard_transformations
 
     functions = {
         "exp": sympy.exp,
@@ -52,14 +48,7 @@ def _grammar() -> _Grammar:
         "tanh": sympy.tanh,
         "sech": sympy.sech,
     }
-    return _Grammar(
-        x=sympy.Symbol("x", real=True),
-        functions=functions,
-        function_types=tuple(set(functions.values())),
-        transformations=standard_transformations + (convert_xor,),
-        non_finite=(sympy.S.ComplexInfinity, sympy.S.Infinity,
-                    sympy.S.NegativeInfinity, sympy.S.NaN),
-    )
+    return _Symbols(sympy.Symbol("x", real=True), functions)
 
 
 def parse_expression(text: str) -> sympy.Expr:
@@ -69,13 +58,12 @@ def parse_expression(text: str) -> sympy.Expr:
     when the text does not parse or uses functions outside the grammar.
     """
     import sympy
-    from sympy.parsing.sympy_parser import parse_expr
+    from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
     grammar = _grammar()
-    local = {"x": grammar.x}
-    local.update(grammar.functions)
     try:
-        expr = parse_expr(text, local_dict=local, transformations=grammar.transformations)
+        expr = parse_expr(text, local_dict={"x": grammar.x, **grammar.functions},
+                          transformations=standard_transformations + (convert_xor,))
     except (SyntaxError, TokenError, TypeError, ValueError, AttributeError,
             sympy.SympifyError) as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from exc
@@ -89,15 +77,17 @@ def _validate(expr: sympy.Expr, text: str):
     grammar = _grammar()
     if not isinstance(expr, sympy.Expr):
         raise ExpressionError(f"{text!r} is not a scalar expression")
+    allowed = tuple(grammar.functions.values())
     bad = sorted({type(f).__name__ for f in expr.atoms(sympy.Function)
-                  if not isinstance(f, grammar.function_types)})
+                  if not isinstance(f, allowed)})
     if bad:
         raise ExpressionError(
             f"functions {bad} not in the supported set "
             f"{sorted(set(grammar.functions) - {'log'})} in {text!r}")
     if expr.atoms(sympy.I):
         raise ExpressionError(f"complex constants are not supported in {text!r}")
-    if expr.has(*grammar.non_finite):
+    if expr.has(sympy.S.ComplexInfinity, sympy.S.Infinity, sympy.S.NegativeInfinity,
+                sympy.S.NaN):
         raise ExpressionError(f"{text!r} contains a non-finite constant ({sympy.sstr(expr)})")
     for sym in expr.free_symbols:
         if not sym.name.isidentifier():

@@ -349,8 +349,6 @@ def algebraic_spectrum(r_values: Callable[[dict], float], t: ParameterTransform,
     ``r_values`` evaluates R at an orbit point aₖ (k ≥ 1).  Level 0 is
     exactly zero.  Stops early with the truncated flag when R(aₖ) ≤ 0.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     orbit = iterate_params(t, a0, n_max)
     return _partial_sums(float(r_values(a)) for a in orbit[1:])
 
@@ -364,8 +362,6 @@ def spectrum_from_measured_residuals(family: SuperpotentialFamily, t: ParameterT
     measured.  Truncates when a step fails the residual test or turns
     nonpositive.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     orbit = iterate_params(t, a0, n_max)
 
     def step(a: dict) -> float:
@@ -610,21 +606,16 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
                      ) -> tuple[ParameterTransform, ResidualReport] | None:
     """Scan candidate transforms for one that passes the residual test.
 
-    Each candidate's knob is sampled on a nested deterministic grid, the
-    best sample golden-section refined, and the winner across candidates is
-    the one with the smallest residual stddev (ties to earliest candidate).
-    A trial scores exactly what ``si_residual`` reports for it, but V₊(a₀)
-    is tabulated once per search, and scores are memoized per candidate and
-    knob value, so the finalists and a collapsed refine window cost nothing.
-    One scoring call (``_score_trials``) takes the coarse samples of every
-    candidate; the refines of all candidates then run in lockstep
-    (``_golden_lockstep``), each golden-section step scoring every
-    candidate's next knob value in one call.  A call maps each trial's
-    parameters through the candidate's scalar knob map and tabulates the
-    trials in blocks of a few rows (``SuperpotentialFamily.w_rows`` runs a
-    compiled w's ``unchecked`` entry once over a column of knob values), so
-    its memory stays small and fixed however many trials it scores, and no
-    transform object is built for a trial.
+    Returns (transform, report) for the passing candidate with the smallest
+    residual stddev (ties to the earliest candidate); ``report`` is what
+    ``si_residual`` reports for that transform at a₀.  None means only that
+    no candidate passed within this budget: evidence, not proof of absence.
+
+    Each candidate's knob is sampled on a nested deterministic grid and its
+    best sample golden-section refined, all candidates in lockstep
+    (``_golden_lockstep``); scores are memoized per candidate and knob
+    value.  ``_score_trials`` scores the trials against V₊(a₀), tabulated
+    once per search.
 
     Degenerate "transforms" that merely flip or kill the superpotential can
     flatten the residual without describing a bound-state ladder, so a
@@ -636,15 +627,15 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
 
     Candidates are refined and judged independently, so each one's row is
     what a search over that candidate alone would find.  When ``record`` is
-    a list, the search appends one SearchRow per candidate to it, in
-    candidate order; ``best_accepted`` of any subset of the rows is the
-    result of a search over those candidates alone (classify reads the best
-    translation this way).  Nothing is appended when V₊(a₀) cannot be
-    evaluated.
+    a list, a search that returns appends one SearchRow per candidate to
+    it, in candidate order; ``best_accepted`` of any subset of the rows is
+    the result of a search over those candidates alone (classify reads the
+    best translation this way).
 
-    Returns None when nothing passes, which is evidence within this budget,
-    not proof of absence.  A grid too small for the residual statistic
-    raises GridError before any trial is scored.
+    Raises, before any trial is scored and with nothing appended to
+    ``record``: GridError on a grid too small for the residual statistic
+    or where V₊(a₀) overflows, EvaluationError where w cannot be evaluated
+    at a₀.
     """
     _check_samples(grid)
     if candidates is None:
@@ -652,10 +643,7 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     if tolerance is None:
         tolerance = _default_tolerance(family)
     trials = _trial_count(budget)
-    try:
-        v_plus = partner_potentials(family, a0, grid).v_plus.values
-    except EvaluationError:
-        return None
+    v_plus = partner_potentials(family, a0, grid).v_plus.values
 
     memos: list[dict[float, tuple[float, ResidualReport | None]]] = [{} for _ in candidates]
 

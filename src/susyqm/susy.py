@@ -468,7 +468,6 @@ class HierarchyLevel:
     depth: int
     potential: GridFunction
     ground_energy: float | None
-    ground_state: GridFunction | None
     trust: tuple[int, int] | None
 
 
@@ -480,9 +479,6 @@ class Hierarchy:
 
     def __iter__(self):
         return iter(self.levels)
-
-    def __len__(self) -> int:
-        return len(self.levels)
 
 
 def build_hierarchy(v: GridFunction, depth: int, sides: str = "both") -> Hierarchy:
@@ -501,11 +497,11 @@ def build_hierarchy(v: GridFunction, depth: int, sides: str = "both") -> Hierarc
         try:
             pair = ground_state(current, sides)
         except NoBoundStateError as exc:
-            levels.append(HierarchyLevel(k, current, None, None, None))
+            levels.append(HierarchyLevel(k, current, None, None))
             return Hierarchy(levels, truncated=True, note=f"level {k}: {exc}")
         w = superpotential_from_ground_state(pair.state)
         trust = decay_trust_window(pair.state)
-        levels.append(HierarchyLevel(k, current, pair.energy, pair.state, trust))
+        levels.append(HierarchyLevel(k, current, pair.energy, trust))
         if k < depth:
             w_prime = _derivative_5pt(w.values, grid.h)
             current = GridFunction(grid, w.values**2 + w_prime + pair.energy)

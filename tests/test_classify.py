@@ -129,6 +129,17 @@ def test_unevaluable_family_is_all_unknown():
     assert tag.evidence[0]["kind"] == "evaluation"
 
 
+def test_unevaluable_parameter_point_keeps_its_evaluation_evidence():
+    # classify tabulates the partner pair before any search, so w = x/(a - 2)
+    # at a = 2 is an evaluation entry, not a search that found nothing.
+    tag = classify_family(SuperpotentialFamily.from_expression("x/(a-2)"), {"a": 2.0}, GRID)
+    assert (tag.susy, tag.shape_invariant, tag.ih_factorizable,
+            tag.exactly_solvable) == (UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN)
+    assert tag.evidence == [{"kind": "evaluation", "detail":
+                             "expression 'x/(a - 2)' is non-finite at 1001 grid node(s); "
+                             "check for singularities inside the domain"}]
+
+
 def test_search_trial_whose_v_minus_overflows_is_a_miss():
     # A trial with a >= 2.19 makes w finite but w^2 - w' overflow at x = 300;
     # it must score as a miss, not abort the search.
@@ -294,3 +305,11 @@ def test_random_polynomial_families_classify_consistently():
         got = (tag.susy, tag.shape_invariant, tag.ih_factorizable,
                tag.exactly_solvable)
         assert got == expect, f"shape={shape} a0={a0}: {got} != {expect}"
+
+
+def test_ih_verdict_without_an_accepted_translation_is_no_within_search():
+    # The paper's "SI but not IH" evidence path: a scaling passed, and the
+    # search record holds no accepted translation.
+    evidence = []
+    assert classify_module._ih_verdict(Scaling(0.5), [], 33, evidence) == NO_WITHIN_SEARCH
+    assert evidence == [{"kind": "translation-rescan", "found": False, "budget": 33}]

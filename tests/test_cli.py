@@ -744,6 +744,9 @@ def test_non_numeric_grid_bound_keeps_its_message(capsys):
         "susyqm partner: error: argument --x-min: invalid float value: 'abc'")
 
 
+UNEVALUABLE = "expression 'x/(a - 2)' is non-finite at 2001 grid node(s)"
+
+
 @pytest.mark.parametrize("argv, problem", [
     (("partner", "--catalog", "coulomb-radial", "--param", "l=-1"), "division by zero"),
     (("solve", "--catalog", "coulomb-radial", "--param", "l=-1"), "division by zero"),
@@ -754,6 +757,12 @@ def test_non_numeric_grid_bound_keeps_its_message(capsys):
     (("partner", "--w", "x + a**(-1.5)", "--param", "a=-2"), "is complex"),
     (("si-check", "--w", "A*tanh(x)", "--param", "A=0", "--transform", "power-scaling",
       "--q", "0.5", "--p", "-1"), "transform undefined at A=0.0"),
+    # w cannot be evaluated at a₀, so no search ran: not "found: false" or
+    # "within the search budget", but the expression's own message
+    (("si-check", "--w", "x/(a-2)", "--param", "a=2", "--search"), UNEVALUABLE),
+    (("si-check", "--w", "x/(a-2)", "--param", "a=2"), UNEVALUABLE),
+    (("spectrum", "--w", "x/(a-2)", "--param", "a=2"), UNEVALUABLE),
+    (("wavefunctions", "--w", "x/(a-2)", "--param", "a=2"), UNEVALUABLE),
 ])
 def test_python_float_failure_is_one_line_computation_error(capsys, argv, problem):
     with warnings.catch_warnings():

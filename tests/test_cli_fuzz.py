@@ -152,8 +152,7 @@ def _check_csv(text: str) -> None:
 
 
 def test_cli_fuzz(files):
-    @settings(derandomize=True, database=None, max_examples=80, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
     @given(argvs(files))
     def run(argv):
         code, out, err = _run(argv)

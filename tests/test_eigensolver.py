@@ -160,7 +160,7 @@ def assert_same_bits(ham, k):
         assert np.array_equal(pair.state.values, state.values)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=50)
 @given(n=st.one_of(st.integers(1, 40), st.sampled_from([257, 999])),
        k=st.integers(1, 64), shape=st.sampled_from(["harmonic", "morse", "random"]),
        seed=st.integers(0, 2**32 - 1))

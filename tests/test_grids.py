@@ -128,7 +128,7 @@ def test_from_csv_names_the_line_that_is_not_two_numbers(row):
         GridFunction.from_csv(text)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=3, max_size=40),
        st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=-12, max_value=6),
        st.floats(min_value=0.0, max_value=8.0))

@@ -423,7 +423,7 @@ def residual_tables(draw):
     return offset + spread * rng.standard_normal((rows, n))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(residual_tables())
 def test_in_place_statistic_equals_numpy_mean_and_std(table):
     inner = table[:, EDGE_TRIM:-EDGE_TRIM]
@@ -464,7 +464,7 @@ def golden_objectives(draw):
     return lo, hi, lambda th: (th - m) ** 2 if th < cut else math.inf
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.lists(golden_objectives(), min_size=1, max_size=6))
 def test_lockstep_refine_matches_scalar_golden_section(objectives):
     expected, expected_queries = {}, {}
@@ -646,7 +646,7 @@ def _outcome(call):
         return f"TransformError: {exc}"
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(theta=st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False),
                        st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0))),
        a=st.one_of(st.sampled_from((0.0, -0.0, 1e200, -1e200, -2.0, -4.0)),
@@ -694,3 +694,30 @@ def test_vacuous_search_on_parameter_free_ladder():
     transform, report = found
     assert transform.kind == "translation"
     assert report.residual_mean == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("w, a0, cand", [
+    # w² = exp(2·a₁·x) overflows at x = 1 for every a₁ in 701..801
+    ("exp(a*x)", {"a": 1.0}, TransformCandidate("translation", 700.0, 800.0, param="a")),
+    # 1 + p·a = 0 at a = −2: the knob map raises on every trial
+    ("a*x", {"a": -2.0}, TransformCandidate("projective", 1 / 32, 31 / 32, p=0.5, param="a")),
+], ids=["overflow", "knob-map-raises"])
+def test_candidate_whose_every_trial_misses_gets_a_no_finite_score_row(w, a0, cand):
+    family = SuperpotentialFamily.from_expression(w)
+    record = []
+    assert search_transform(family, a0, make_grid(-1.0, 1.0, 201), [cand],
+                            record=record) is None
+    assert len(record) == 1
+    row = record[0]
+    assert (row.candidate, row.gate, row.finalists, row.theta, row.report) == \
+        (cand, "no-finite-score", (), None, None)
+
+
+def test_search_at_an_unevaluable_a0_raises_and_records_nothing():
+    # "nothing found" must mean that candidates were scored: w = x/(a - 2) is
+    # non-finite at a₀ = 2, so the search has nothing to score against.
+    family = SuperpotentialFamily.from_expression("x/(a-2)")
+    record = []
+    with pytest.raises(EvaluationError, match="non-finite"):
+        search_transform(family, {"a": 2.0}, make_grid(-6.0, 6.0, 201), record=record)
+    assert record == []
