@@ -96,7 +96,7 @@ def _ih_verdict(found_transform: ParameterTransform, record: list[SearchRow], bu
     """
     if isinstance(found_transform, Translation):
         return YES
-    row = best_accepted(row for row in record if row.candidate.kind == Translation.kind)
+    row = best_accepted(row for row in record if row.candidate.cls is Translation)
     # "translation-rescan" names what the row equals: a search over
     # translations alone.
     if row is None:
@@ -138,7 +138,7 @@ def _classify(family: SuperpotentialFamily, a0: dict, grid: Grid1D, budget: int,
         transform = declared
         if not isinstance(declared, Translation):
             translations = [c for c in default_candidates(family.parameter_names)
-                            if c.kind == Translation.kind]
+                            if c.cls is Translation]
             search_transform(family, a0, grid, translations, budget, record=record)
     else:
         if report is not None:

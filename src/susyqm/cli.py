@@ -487,7 +487,7 @@ def _cmd_si_check(inp: _Input, ns: argparse.Namespace) -> None:
         found = pinned, si_residual(family, a0, pinned, inp.grid, ns.tolerance)
     else:
         candidates = [c for c in default_candidates(family.parameter_names)
-                      if ns.transform_kind in (None, c.kind)
+                      if ns.transform_kind in (None, c.cls.kind)
                       and ns.on_param in (None, c.param)]
         found = search_transform(family, a0, inp.grid, candidates, ns.budget, ns.tolerance)
     doc = {"searched": pinned is None, "found": False, "params_start": a0}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -97,14 +97,6 @@ class GridFunction:
             raise GridError("grid function contains non-finite values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_callable(cls, grid: Grid1D, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.x), dtype=float))
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
 
     # -- serialization ---------------------------------------------------------
 

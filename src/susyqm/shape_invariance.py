@@ -54,15 +54,17 @@ class ParameterTransform:
 
     A scalar variant is its knob check and its knob map, both taking the
     knob values in ``knobs`` order: construction runs the check, ``apply``
-    runs the map on the target parameter.  The transform search runs the
-    same two on bare knob values (``TransformCandidate.map_params``), so
-    its trials build no transform objects.
+    runs the map on the target parameter.  A search candidate
+    (``TransformCandidate``) holds the class and its fixed knobs and runs
+    the same two on bare knob values, so its trials build no transform
+    objects.  ``kind`` names the class only at the edges: the CLI's
+    ``--transform`` flag and ``to_dict``.
     """
 
     kind = "base"
     #: (name, type) of each knob in constructor order, after which comes
-    #: ``param``.  The CLI's knob flags and the search's candidates coerce
-    #: to these types, so ``p`` stays an int where the class needs one.
+    #: ``param``.  The CLI's knob flags coerce to these types, so ``p``
+    #: stays an int where the class needs one.
     knobs: tuple[tuple[str, type], ...] = ()
 
     @staticmethod
@@ -407,15 +409,15 @@ def wavefunction_chain(family: SuperpotentialFamily, a0: dict, t: ParameterTrans
 _UNIT_INSET = (1.0 / 32.0, 1.0 - 1.0 / 32.0)
 
 #: The searchable transform classes in scan order, each with the interval
-#: its first knob is scanned on and the fixed values of its second knob
-#: (None for a class with one knob).  Open intervals like q ∈ (0,1) are
-#: scanned on a closed inset.  Ties in residual quality resolve toward the
-#: earliest entry.
+#: its first knob is scanned on and the values its other knobs are fixed
+#: at, one tuple per candidate.  Open intervals like q ∈ (0,1) are scanned
+#: on a closed inset.  Ties in residual quality resolve toward the earliest
+#: entry.
 _SEARCH_SPACES = (
-    (Translation, (-5.0, 5.0), (None,)),
-    (Scaling, _UNIT_INSET, (None,)),
-    (PowerScaling, _UNIT_INSET, (2, 3)),
-    (Projective, _UNIT_INSET, (0.25, 0.5)),
+    (Translation, (-5.0, 5.0), ((),)),
+    (Scaling, _UNIT_INSET, ((),)),
+    (PowerScaling, _UNIT_INSET, ((2,), (3,))),
+    (Projective, _UNIT_INSET, ((0.25,), (0.5,))),
 )
 
 #: Kind name -> class, for every searchable transform kind, in scan order.
@@ -425,32 +427,31 @@ TRANSFORM_KINDS: dict[str, type[ParameterTransform]] = {
 
 @dataclass(frozen=True)
 class TransformCandidate:
-    """One bounded scalar search space: a transform kind, its knob interval,
-    an optional fixed secondary knob p, and the parameter it acts on."""
+    """One bounded scalar search space: a searchable transform class, the
+    interval of its first knob, the values of its other knobs (``fixed``,
+    in ``cls.knobs`` order and of those types), and the parameter it acts
+    on.  A trial at first-knob value θ is ``cls(θ, *fixed, param=param)``.
+    Construction refuses a class that is not in ``TRANSFORM_KINDS``."""
 
-    kind: str
+    cls: type[ParameterTransform]
     lo: float
     hi: float
-    p: float | None = None
+    fixed: tuple = ()
     param: str | None = None
 
-    def _knobs(self, theta: float) -> tuple[type[ParameterTransform], tuple]:
-        cls = TRANSFORM_KINDS.get(self.kind)
-        if cls is None:
-            raise TransformError(f"unknown candidate kind {self.kind!r}")
-        return cls, (theta, *[typ(self.p) for _, typ in cls.knobs[1:]])
+    def __post_init__(self):
+        if self.cls not in TRANSFORM_KINDS.values():
+            raise TransformError(f"{self.cls.__name__} is not a searchable transform class")
 
     def build(self, theta: float) -> ParameterTransform:
-        cls, knobs = self._knobs(theta)
-        return cls(*knobs, param=self.param)
+        return self.cls(theta, *self.fixed, param=self.param)
 
     def map_params(self, theta: float, params: dict) -> dict:
         """``build(theta).apply(params)`` through the class's knob check and
         map alone, with no transform built: the same values, the same
         TransformError texts."""
-        cls, knobs = self._knobs(theta)
-        cls.check_knobs(*knobs)
-        return cls._mapped(params, self.param, knobs)
+        self.cls.check_knobs(theta, *self.fixed)
+        return self.cls._mapped(params, self.param, (theta, *self.fixed))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -470,10 +471,10 @@ def default_candidates(parameter_names: Sequence[str]) -> list[TransformCandidat
     translation candidate.
     """
     if not parameter_names:
-        return [TransformCandidate(Translation.kind, 0.0, 0.0)]
-    return [TransformCandidate(cls.kind, lo, hi, p=p, param=name)
-            for cls, (lo, hi), fixed in _SEARCH_SPACES
-            for name in parameter_names for p in fixed]
+        return [TransformCandidate(Translation, 0.0, 0.0)]
+    return [TransformCandidate(cls, lo, hi, fixed, name)
+            for cls, (lo, hi), knob_sets in _SEARCH_SPACES
+            for name in parameter_names for fixed in knob_sets]
 
 
 #: Byte budget of each float64 array of one scoring block: 6 rows at 2001
@@ -667,10 +668,8 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
             return "tolerance"
         if report.residual_mean <= _MEAN_OVER_SPREAD * report.residual_stddev:
             return "mean-over-spread"
-        try:
-            decays = _minus_sector_decays(family, cand.map_params(theta, a0), grid)
-        except (TransformError, EvaluationError):
-            decays = False
+        # A finite score means a₁ maps and w(a₁) is finite: the zero modes evaluate.
+        decays = _minus_sector_decays(family, cand.map_params(theta, a0), grid)
         return None if decays else "minus-sector-decay"
 
     # Phase 1: coarse scan, every candidate's samples in one scoring call.

@@ -24,6 +24,8 @@ def test_tag_value_sets_enforced():
         VennTag(YES, NO, UNKNOWN, UNKNOWN)  # SI never gets a hard "no"
     with pytest.raises(ValueError):
         VennTag(YES, YES, YES, "no")  # ES is certified or unknown only
+    with pytest.raises(ValueError, match="ih_factorizable='maybe'"):
+        VennTag(YES, YES, "maybe", CERTIFIED)
 
 
 def test_tag_containment_enforced():
@@ -161,7 +163,7 @@ def _poschl_teller(k: str) -> SuperpotentialFamily:
 def _translation_search_entry(family, a0, grid, budget=33) -> dict:
     """The factorizability evidence a translation-only search gives."""
     translations = [c for c in default_candidates(family.parameter_names)
-                    if c.kind == Translation.kind]
+                    if c.cls is Translation]
     found = search_transform(family, a0, grid, translations, budget)
     if found is None:
         return {"kind": "translation-rescan", "found": False, "budget": budget}

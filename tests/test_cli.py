@@ -293,6 +293,8 @@ SI_CHECK_STDOUT = [
      '{\n  "found": true,\n' + MORSE_STEP + '  "searched": false,\n' + MORSE_TRANSFORM),
     (["--catalog", "morse", "--search", "--budget", "9"],
      '{\n  "found": true,\n' + MORSE_STEP + '  "searched": true,\n' + MORSE_TRANSFORM),
+    (["--catalog", "morse", "--transform", "translation", "--budget", "9"],
+     '{\n  "found": true,\n' + MORSE_STEP + '  "searched": true,\n' + MORSE_TRANSFORM),
     (["--w", "omega*x", "--param", "omega=1", "--transform", "projective", "--budget", "9"],
      '{\n'
      '  "found": false,\n'
@@ -304,7 +306,8 @@ SI_CHECK_STDOUT = [
 ]
 
 
-@pytest.mark.parametrize("argv,stdout", SI_CHECK_STDOUT, ids=["verified", "found", "none"])
+@pytest.mark.parametrize("argv,stdout", SI_CHECK_STDOUT,
+                         ids=["verified", "found", "found-translations", "none"])
 def test_si_check_stdout_is_pinned(capsys, argv, stdout):
     assert run_cli(capsys, "si-check", *argv, "--points", "401") == (0, stdout, "")
 
@@ -588,6 +591,32 @@ def test_algebra_check_overflow_reports_one_stderr_line(capsys, w, message):
 
 
 # -- argument handling ----------------------------------------------------------------
+
+
+#: sha256 of the --help text at 80 columns, top level and per command.
+#: Recorded on Python 3.11; argparse's layout may differ on other versions.
+HELP_SHA256 = {
+    (): "84b5a436cb0eedaf831c99aa767be7b374bdbfc8158bf0c686fc644dcd60a07f",
+    ("catalog",): "d11f378faa2bec89d2daec47750cba22f21d881cc70441e8677414e3fdc8ced0",
+    ("solve",): "b0e86f6103f76ec114125587e257ee1a6c8abf1541f17136e65fb78d681f9ed2",
+    ("partner",): "efd78c11eaa442ae4c467aeb2fdfdc5803fcf06ea737522773374c2974cac7fb",
+    ("hierarchy",): "00525cda7d9386d4cedffbd93aad6d227495e8dec84179821cdc3d595c62648a",
+    ("si-check",): "256361d1ad2163b695dd81dbe231f2cff8462a3556d792b97a0b4405a76eb270",
+    ("spectrum",): "0fdb35fd88ca69157c357b78a360385326e988de8462fa8c31f6aa9dc53c7671",
+    ("wavefunctions",): "a07b08d25e60b1f2940c31a4bd0aee7db1d284b7ae467d65c37b707b1e8668f5",
+    ("algebra-check",): "ebbd8060d24064483c9f52860aac4100da6c12a4f6c13b5112ed87a986351522",
+    ("classify",): "2a92163e293b857e022b3414b1029f9ba81d9046a45588341f3f6f9fbc7c2828",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256, ids=lambda c: c[0] if c else "susyqm")
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command], out
 
 
 def test_conflicting_inputs(capsys, well_csv):

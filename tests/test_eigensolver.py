@@ -44,7 +44,7 @@ def test_box_convergence_is_second_order():
 def test_harmonic_energies():
     # V = x², ħ=2m=1: E_n = 2n+1.
     grid = make_grid(-10.0, 10.0, 2001)
-    v = GridFunction.from_callable(grid, lambda x: x**2)
+    v = GridFunction(grid, grid.x**2)
     pairs = solve_potential(v, 5)
     for p in pairs:
         assert p.energy == pytest.approx(2 * p.index + 1, abs=5e-4)
@@ -52,14 +52,14 @@ def test_harmonic_energies():
 
 def test_node_counts_follow_sturm_ordering():
     grid = make_grid(-10.0, 10.0, 2001)
-    v = GridFunction.from_callable(grid, lambda x: x**2)
+    v = GridFunction(grid, grid.x**2)
     for p in solve_potential(v, 5):
         assert count_nodes(p.state) == p.index
 
 
 def test_states_are_normalized_and_sign_aligned():
     grid = make_grid(-10.0, 10.0, 1001)
-    v = GridFunction.from_callable(grid, lambda x: x**2)
+    v = GridFunction(grid, grid.x**2)
     for p in solve_potential(v, 3):
         norm = np.trapezoid(p.state.values**2, p.state.grid.x)
         assert norm == pytest.approx(1.0, abs=1e-12)
@@ -94,7 +94,7 @@ def test_ground_state_rejects_free_particle():
 
 def test_ground_state_accepts_harmonic_well():
     grid = make_grid(-10.0, 10.0, 1201)
-    v = GridFunction.from_callable(grid, lambda x: x**2)
+    v = GridFunction(grid, grid.x**2)
     pair = ground_state(v)
     assert pair.energy == pytest.approx(1.0, abs=1e-3)
 
@@ -188,10 +188,32 @@ def test_catalog_oracle_matches_scipy_bit_for_bit(name, n_points):
 
 def test_scipy_fallback_gives_the_same_bits(monkeypatch):
     grid = make_grid(-10.0, 10.0, 1001)
-    ham = assemble_hamiltonian(GridFunction.from_callable(grid, lambda x: x**2))
+    ham = assemble_hamiltonian(GridFunction(grid, grid.x**2))
     native = solve_lowest(ham, 8)
     monkeypatch.setattr(_lapack, "_openblas", lambda: None)
     fallback = solve_lowest(ham, 8)
+    assert [p.energy for p in fallback] == [p.energy for p in native]
+    for a, b in zip(fallback, native):
+        assert np.array_equal(a.state.values, b.state.values)
+
+
+def test_library_load_failure_falls_back_to_scipy(monkeypatch):
+    grid = make_grid(-10.0, 10.0, 1001)
+    ham = assemble_hamiltonian(GridFunction(grid, grid.x**2))
+    native = solve_lowest(ham, 4)
+
+    def no_library(*args, **kwargs):
+        raise OSError("cannot open shared object file")
+
+    _lapack._openblas.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(_lapack.ctypes, "CDLL", no_library)
+            assert _lapack._openblas() is None
+        # the cached None holds after the library loader is restored
+        fallback = solve_lowest(ham, 4)
+    finally:
+        _lapack._openblas.cache_clear()
     assert [p.energy for p in fallback] == [p.energy for p in native]
     for a, b in zip(fallback, native):
         assert np.array_equal(a.state.values, b.state.values)

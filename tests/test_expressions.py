@@ -154,11 +154,20 @@ def test_compile_rejects_parameters_left_out_of_the_list():
 def test_compile_scalar():
     r = compile_scalar(parse_expression("2*A + 1"), ["A"])
     assert r({"A": 2.0}) == 5.0
+    with pytest.raises(EvaluationError, match=r"missing parameter values for \['A'\]"):
+        r({})
+    with pytest.raises(EvaluationError, match=r"'exp\(a\)' evaluated non-finite"):
+        compile_scalar(parse_expression("exp(a)"), ["a"])({"a": 1000.0})
 
 
 def test_compile_scalar_rejects_x_dependence():
     with pytest.raises(ExpressionError):
         compile_scalar(parse_expression("2*x"), [])
+
+
+def test_tuple_is_not_a_scalar_expression():
+    with pytest.raises(ExpressionError, match="is not a scalar expression"):
+        parse_expression("(1, 2)")
 
 
 @pytest.mark.parametrize("text,params", [
@@ -241,6 +250,15 @@ def test_compile_on_grid_equals_plain_lambdify(text, params, domain):
                     got = fn.unchecked(grid.x, columns)
                 assert np.array_equal(np.broadcast_to(got, stacked),
                                       np.broadcast_to(want_stacked, stacked))
+
+
+def test_parameter_named_like_the_tables_argument():
+    # the tables argument steps aside to "_subterms_"
+    grid = make_grid(-1.0, 1.0, 11)
+    expr = parse_expression("_subterms*x + exp(-x)")
+    assert parameter_names(expr) == ["_subterms"]
+    got = compile_on_grid(expr, ["_subterms"])(grid.x, {"_subterms": 2.0})
+    assert np.array_equal(got, _plain_lambdify(expr, ["_subterms"])(grid.x, 2.0))
 
 
 def test_subterm_tables_never_go_stale():

@@ -77,11 +77,12 @@ def test_gridfunction_values_frozen_and_decoupled():
 
 def test_l2_distance_and_grid_mismatch():
     g = make_grid(0.0, 1.0, 5)
-    f = GridFunction.from_callable(g, lambda x: x)
-    h = GridFunction.from_callable(g, lambda x: 1.0 - x)
+    f = GridFunction(g, g.x)
+    h = GridFunction(g, 1.0 - g.x)
     # f - h = 2x - 1 at x = 0, 0.25, ..., 1: trapezoid of its square is 0.375
     assert l2_distance(f, h) == pytest.approx(math.sqrt(0.375), rel=1e-15)
-    other = GridFunction.from_callable(make_grid(0.0, 2.0, 5), lambda x: x)
+    wide = make_grid(0.0, 2.0, 5)
+    other = GridFunction(wide, wide.x)
     with pytest.raises(GridMismatchError, match="grid functions live on different grids"):
         l2_distance(f, other)
     with pytest.raises(GridMismatchError):
@@ -90,7 +91,7 @@ def test_l2_distance_and_grid_mismatch():
 
 def test_csv_round_trip_is_exact():
     g = make_grid(-2.0, 2.0, 9)
-    f = GridFunction.from_callable(g, lambda x: np.sin(x) * 1e-7 + x**2)
+    f = GridFunction(g, np.sin(g.x) * 1e-7 + g.x**2)
     text = f.to_csv()
     assert text.startswith("x,value\n")
     assert text.endswith("\n") and "\r" not in text
@@ -111,6 +112,8 @@ def test_from_csv_rejects_nonuniform_and_headerless():
     # half a spacing off its node, however tiny the spacing
     with pytest.raises(GridError, match="not a uniform ascending grid"):
         GridFunction.from_csv("x,value\n0,0\n1e-12,0\n5e-12,0\n6e-12,0\n")
+    with pytest.raises(GridError, match="not a uniform ascending grid"):
+        GridFunction.from_csv("x,value\n2,0\n1,0\n0,0\n")
 
 
 def test_from_csv_rejects_non_finite_x():
@@ -144,26 +147,26 @@ def test_csv_round_trip_property(vals, where, magnitude, resolution):
                                                   float(FLOAT_FMT % g.x_max))
     # the written ends are 12-digit roundings, so each node moves at most
     # one unit in the 12th digit of the largest |x|
-    assert np.max(np.abs(back.x - g.x)) <= 1e-11 * max(abs(g.x_min), abs(g.x_max))
+    assert np.max(np.abs(back.grid.x - g.x)) <= 1e-11 * max(abs(g.x_min), abs(g.x_max))
     assert np.allclose(back.values, f.values, rtol=1e-11, atol=1e-6)
 
 
 def test_derivative_linear_exact_and_quadratic_converges():
     g = make_grid(-1.0, 1.0, 101)
-    lin = GridFunction.from_callable(g, lambda x: 3.0 * x + 2.0)
+    lin = GridFunction(g, 3.0 * g.x + 2.0)
     assert np.allclose(derivative(lin).values, 3.0, atol=1e-12)
 
     errs = []
     for n in (201, 401):
         gn = make_grid(-1.0, 1.0, n)
-        f = GridFunction.from_callable(gn, np.sin)
+        f = GridFunction(gn, np.sin(gn.x))
         errs.append(np.max(np.abs(derivative(f).values - np.cos(gn.x))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
 def test_norm_and_normalize_gaussian():
     g = make_grid(-10.0, 10.0, 2001)
-    f = GridFunction.from_callable(g, lambda x: np.exp(-x**2 / 2.0))
+    f = GridFunction(g, np.exp(-g.x**2 / 2.0))
     assert norm(f) == pytest.approx(np.pi**0.25, rel=1e-10)
     u = normalize(f)
     assert norm(u) == pytest.approx(1.0, abs=1e-12)
@@ -179,7 +182,7 @@ def test_count_nodes_oscillator_states():
     # sin(k pi x) on [0,1] has k-1 interior nodes
     g = make_grid(0.0, 1.0, 501)
     for k in (1, 2, 3, 5):
-        f = GridFunction.from_callable(g, lambda x, k=k: np.sin(k * np.pi * x))
+        f = GridFunction(g, np.sin(k * np.pi * g.x))
         assert count_nodes(f) == k - 1
 
 
@@ -194,6 +197,9 @@ def test_count_nodes_zero_raises():
     g = make_grid(0.0, 1.0, 11)
     with pytest.raises(ZeroNormError):
         count_nodes(GridFunction(g, np.zeros(11)))
+    # nonzero only at the endpoints and below the threshold inside
+    with pytest.raises(ZeroNormError, match="no interior values above"):
+        count_nodes(GridFunction(g, np.r_[1.0, np.zeros(4), 1e-12, np.zeros(4), -1.0]))
 
 
 def test_align_sign():
@@ -202,11 +208,13 @@ def test_align_sign():
     aligned = align_sign(f)
     assert aligned.values[1] > 0
     assert align_sign(aligned).values is aligned.values
+    zero = GridFunction(g, np.zeros(5))
+    assert align_sign(zero) is zero
 
 
 def test_sign_aligned_distance_flips():
     g = make_grid(-5.0, 5.0, 1001)
-    f = normalize(GridFunction.from_callable(g, lambda x: np.exp(-x**2)))
+    f = normalize(GridFunction(g, np.exp(-g.x**2)))
     minus_f = GridFunction(g, -f.values)
     assert sign_aligned_distance(f, minus_f) == pytest.approx(0.0, abs=1e-14)
     assert l2_distance(f, minus_f) == pytest.approx(2.0, rel=1e-10)
@@ -215,11 +223,12 @@ def test_sign_aligned_distance_flips():
 def test_boundary_amplitude_ratio_sides():
     g = make_grid(0.0, 1.0, 101)
     # decays to the right only
-    f = GridFunction.from_callable(g, lambda x: np.exp(-20.0 * x))
+    f = GridFunction(g, np.exp(-20.0 * g.x))
     assert boundary_amplitude_ratio(f, "right") < 1e-7
     with pytest.raises(ValueError):
         boundary_amplitude_ratio(f, "left")
     assert boundary_amplitude_ratio(f, "both") == pytest.approx(1.0)
+    assert boundary_amplitude_ratio(GridFunction(g, np.zeros(101))) == 0.0
     with pytest.raises(ValueError):
         boundary_amplitude_ratio(f, "middle")
 

@@ -88,6 +88,8 @@ def test_cyclic_walks_the_cycle():
     assert t.apply({"a": 0.5}) == {"a": 1.0}  # wraps
     with pytest.raises(TransformError):
         t.apply({"a": 7.0})
+    with pytest.raises(TransformError, match="not on the declared cycle"):
+        t.apply({"b": 1.0})
     with pytest.raises(TransformError):
         Cyclic(())
     d = t.to_dict()
@@ -559,50 +561,77 @@ def test_search_equals_naive_search(family, a0, grid):
 def test_default_candidates_shape():
     free = default_candidates(())
     assert len(free) == 1
-    assert free[0].kind == "translation" and free[0].lo == free[0].hi == 0.0
+    assert free == [TransformCandidate(Translation, 0.0, 0.0)]
     one = default_candidates(("A",))
     assert len(one) == 6  # translation, scaling, 2 powers, 2 projective slopes
-    assert [c.kind for c in one[:2]] == ["translation", "scaling"]
+    assert [c.cls for c in one[:2]] == [Translation, Scaling]
     assert len(default_candidates(("A", "B"))) == 12
     # kind, then parameter, then fixed second knob; ties go to the earliest
-    assert [(c.kind, c.param, c.p, c.lo, c.hi) for c in default_candidates(("a", "b"))] == [
-        ("translation", "a", None, -5.0, 5.0),
-        ("translation", "b", None, -5.0, 5.0),
-        ("scaling", "a", None, 1 / 32, 31 / 32),
-        ("scaling", "b", None, 1 / 32, 31 / 32),
-        ("power-scaling", "a", 2, 1 / 32, 31 / 32),
-        ("power-scaling", "a", 3, 1 / 32, 31 / 32),
-        ("power-scaling", "b", 2, 1 / 32, 31 / 32),
-        ("power-scaling", "b", 3, 1 / 32, 31 / 32),
-        ("projective", "a", 0.25, 1 / 32, 31 / 32),
-        ("projective", "a", 0.5, 1 / 32, 31 / 32),
-        ("projective", "b", 0.25, 1 / 32, 31 / 32),
-        ("projective", "b", 0.5, 1 / 32, 31 / 32),
+    rows = [(c.cls, c.param, c.fixed, c.lo, c.hi) for c in default_candidates(("a", "b"))]
+    assert rows == [
+        (Translation, "a", (), -5.0, 5.0),
+        (Translation, "b", (), -5.0, 5.0),
+        (Scaling, "a", (), 1 / 32, 31 / 32),
+        (Scaling, "b", (), 1 / 32, 31 / 32),
+        (PowerScaling, "a", (2,), 1 / 32, 31 / 32),
+        (PowerScaling, "a", (3,), 1 / 32, 31 / 32),
+        (PowerScaling, "b", (2,), 1 / 32, 31 / 32),
+        (PowerScaling, "b", (3,), 1 / 32, 31 / 32),
+        (Projective, "a", (0.25,), 1 / 32, 31 / 32),
+        (Projective, "a", (0.5,), 1 / 32, 31 / 32),
+        (Projective, "b", (0.25,), 1 / 32, 31 / 32),
+        (Projective, "b", (0.5,), 1 / 32, 31 / 32),
     ]
-    for kind in ("rotation", "cyclic"):  # cyclic is declared, never searched
-        with pytest.raises(TransformError):
-            TransformCandidate(kind, 0.0, 1.0).build(0.5)
+    # the fixed knobs are already of the types the classes take
+    assert [type(v) for _, _, fixed, _, _ in rows for v in fixed] == [int] * 4 + [float] * 4
 
 
 @pytest.mark.parametrize("cand, theta, expected", [
-    (TransformCandidate("translation", -5.0, 5.0, param="A"), -1.0,
+    (TransformCandidate(Translation, -5.0, 5.0, param="A"), -1.0,
      {"kind": "translation", "alpha": -1.0, "param": "A"}),
-    (TransformCandidate("scaling", 0.25, 0.75, param="A"), 0.5,
+    (TransformCandidate(Scaling, 0.25, 0.75, param="A"), 0.5,
      {"kind": "scaling", "q": 0.5, "param": "A"}),
-    (TransformCandidate("power-scaling", 0.25, 0.75, p=2, param="A"), 0.5,
+    (TransformCandidate(PowerScaling, 0.25, 0.75, (2,), "A"), 0.5,
      {"kind": "power-scaling", "q": 0.5, "p": 2, "param": "A"}),
-    (TransformCandidate("power-scaling", 0.25, 0.75, p=2.0, param="A"), 0.5,
-     {"kind": "power-scaling", "q": 0.5, "p": 2, "param": "A"}),
-    (TransformCandidate("projective", 0.25, 0.75, p=0.25, param="A"), 0.5,
+    (TransformCandidate(Projective, 0.25, 0.75, (0.25,), "A"), 0.5,
      {"kind": "projective", "q": 0.5, "p": 0.25, "param": "A"}),
-], ids=["translation", "scaling", "power-scaling", "power-scaling-float-p", "projective"])
+], ids=["translation", "scaling", "power-scaling", "projective"])
 def test_candidate_builds_literal_dicts(cand, theta, expected):
     transform = cand.build(theta)
-    assert transform.kind == cand.kind
+    assert type(transform) is cand.cls
     d = transform.to_dict()
     assert d == expected
     assert list(d) == list(expected)
     assert {k: type(v) for k, v in d.items()} == {k: type(v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("cls", [Cyclic, si_module.ParameterTransform],
+                         ids=["cyclic", "base"])
+def test_candidate_refuses_a_class_that_is_not_searchable(cls):
+    # cyclic is declared, never searched: it has no knob map to scan
+    with pytest.raises(TransformError, match="is not a searchable transform class"):
+        TransformCandidate(cls, 0.0, 1.0)
+
+
+def test_candidate_fixed_knobs_are_not_coerced():
+    # a float power is outside PowerScaling's knob domain on both routes
+    cand = TransformCandidate(PowerScaling, 0.25, 0.75, (2.0,), "a")
+    with pytest.raises(TransformError, match="requires integer p, got 2.0"):
+        cand.build(0.5)
+    with pytest.raises(TransformError, match="requires integer p, got 2.0"):
+        cand.map_params(0.5, {"a": 1.0})
+
+
+def test_trial_outside_the_knob_domain_scores_inf():
+    # a user-built range may leave the knob domain: q = 1.25 is no scaling
+    family = SuperpotentialFamily.from_expression("a*x")
+    grid = make_grid(-5.0, 5.0, 201)
+    a0 = {"a": 2.0}
+    cand = TransformCandidate(Scaling, 0.5, 1.5, param="a")
+    v_plus = partner_potentials(family, a0, grid).v_plus.values
+    scored = _score_trials(family, a0, v_plus, [(cand, 0.75), (cand, 1.25)], grid, 1e-6)
+    assert scored[0] == _naive_score(family, a0, cand, 0.75, grid)
+    assert scored[1] == (math.inf, None)
 
 
 def test_transform_kinds_are_spelled_out_in_one_module():
@@ -630,7 +659,7 @@ def test_trial_on_a_parameter_pole_scores_inf():
     family = SuperpotentialFamily.from_expression("x + 1/(a^2 - 4)")
     grid = make_grid(-10.0, 10.0, 401)
     a0 = {"a": 2.625}
-    cand = TransformCandidate("translation", -5.0, 5.0, param="a")
+    cand = TransformCandidate(Translation, -5.0, 5.0, param="a")
     v_plus = partner_potentials(family, a0, grid).v_plus.values
     scored = _score_trials(family, a0, v_plus, [(cand, -0.625), (cand, 0.5)], grid, 1e-6)
     assert scored[0] == (math.inf, None)
@@ -655,10 +684,11 @@ def test_knob_map_equals_apply(theta, a):
     """The search's scalar route gives apply's float bits, or its
     TransformError text, for every searchable kind, inside and outside its
     knob domain, and for every way of naming the target."""
-    for kind, cls in si_module.TRANSFORM_KINDS.items():
-        for p in (2, 3, -1, 0.25, 0.5, 1.0, 1.5) if len(cls.knobs) > 1 else (None,):
+    for cls in si_module.TRANSFORM_KINDS.values():
+        for fixed in [(p,) for p in (2, 3, -1, 0.25, 0.5, 1.0, 1.5)] if len(cls.knobs) > 1 \
+                else [()]:
             for param in ("a", None, "c"):
-                cand = TransformCandidate(kind, -5.0, 5.0, p=p, param=param)
+                cand = TransformCandidate(cls, -5.0, 5.0, fixed, param)
                 for params in ({"a": a}, {"a": a, "b": 2.0}):
                     assert _outcome(lambda: cand.map_params(theta, params)) == \
                         _outcome(lambda: cand.build(theta).apply(params)), (cand, params)
@@ -670,7 +700,7 @@ def test_trial_whose_v_minus_overflows_scores_inf():
     family = SuperpotentialFamily.from_expression("x + exp(a*x - 300)")
     grid = make_grid(-10.0, 300.0, 601)
     a0 = {"a": 1.0}
-    cand = TransformCandidate("translation", -5.0, 5.0, param="a")
+    cand = TransformCandidate(Translation, -5.0, 5.0, param="a")
     with pytest.raises(GridError, match="non-finite"):
         si_residual(family, a0, Translation(2.0, param="a"), grid)
     v_plus = partner_potentials(family, a0, grid).v_plus.values
@@ -698,9 +728,9 @@ def test_vacuous_search_on_parameter_free_ladder():
 
 @pytest.mark.parametrize("w, a0, cand", [
     # w² = exp(2·a₁·x) overflows at x = 1 for every a₁ in 701..801
-    ("exp(a*x)", {"a": 1.0}, TransformCandidate("translation", 700.0, 800.0, param="a")),
+    ("exp(a*x)", {"a": 1.0}, TransformCandidate(Translation, 700.0, 800.0, param="a")),
     # 1 + p·a = 0 at a = −2: the knob map raises on every trial
-    ("a*x", {"a": -2.0}, TransformCandidate("projective", 1 / 32, 31 / 32, p=0.5, param="a")),
+    ("a*x", {"a": -2.0}, TransformCandidate(Projective, 1 / 32, 31 / 32, (0.5,), "a")),
 ], ids=["overflow", "knob-map-raises"])
 def test_candidate_whose_every_trial_misses_gets_a_no_finite_score_row(w, a0, cand):
     family = SuperpotentialFamily.from_expression(w)

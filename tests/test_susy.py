@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
-from susyqm import (EvaluationError, GridFunction, NodePresentError,
+from susyqm import (EvaluationError, GridFunction, GridMismatchError, NodePresentError,
                     SuperpotentialFamily, SusyPhase,
                     apply_a, block_spectra, build_hierarchy, charge_matrices,
                     decay_trust_window, get_record, ground_state, inner_product,
@@ -28,6 +28,8 @@ def test_family_missing_parameter():
     fam = SuperpotentialFamily.from_expression("A*x")
     with pytest.raises(EvaluationError):
         fam.w_grid(GRID, {})
+    with pytest.raises(EvaluationError, match=r"missing parameter values for \['A'\]"):
+        fam.w_rows(GRID, [{}, {}])
 
 
 def test_family_nonfinite_evaluation():
@@ -62,6 +64,12 @@ def test_partner_pair_tabulated_fallback():
     pair = partner_pair_from_w(w)
     exact = np.tanh(GRID.x) ** 2 - 1.0 / np.cosh(GRID.x) ** 2
     assert np.max(np.abs(pair.v_minus.values - exact)) < 1e-4
+
+
+def test_partner_pair_rejects_w_prime_on_another_grid():
+    other = make_grid(-5.0, 5.0, GRID.n_points)
+    with pytest.raises(GridMismatchError, match="different grids"):
+        partner_pair_from_w(GridFunction(GRID, GRID.x), GridFunction(other, np.ones(other.n_points)))
 
 
 def test_partner_spectra_interlace():
