@@ -5,6 +5,18 @@ functions exp, ln, sin, cos, tanh, sech, numeric literals, the coordinate
 ``x``, and named real parameters.  Everything parsed here has an exact
 analytic derivative, which is what lets the shape-invariance residual test
 run at its tight tolerance tier.
+
+Parsing and code generation need sympy.  A closed subset of the grammar
+does not: ``_closed_grammar.closed_grammar_codes`` prints the code of its
+texts without sympy, byte for byte the code generate_on_grid prints, and
+declines (returns None for) every other text, which then goes through
+sympy.  The subset is a sum of terms ``c*p*X``, where the literal c, the
+parameter p and the x-part X are each optional and X is ``x``, ``x^n``
+(n from 2 to 9), ``exp(k*x)`` or ``tanh(k*x)``; at most one term is a
+function of x, and a tanh term stands alone.  Literals are integers or
+decimals of at most four places and four integer digits; parameter names
+are single ASCII letters other than x, E, I, N, O, Q and S, or a few
+Greek letter names.
 """
 
 from __future__ import annotations

@@ -69,10 +69,20 @@ class SuperpotentialFamily:
         """Build a family from an expression string; w′ is derived analytically.
 
         A catalog record's text assembles its checked-in numpy code
-        (``_compiled_catalog``) and loads no sympy; any other is compiled."""
+        (``_compiled_catalog``), and a text of the closed grammar
+        (``_closed_grammar``: sums of literal and parameter multiples of x,
+        x^n and one exp(k*x), or a single tanh(k*x) term) assembles the code
+        printed there; neither loads sympy.  That printer declines every
+        other text, which is compiled with sympy.  All routes give the code
+        sympy generates, so the same results and error messages.  The
+        printer is imported only for a text that is not a record's."""
         from . import _compiled_catalog
 
         codes = _compiled_catalog.FAMILIES.get(text)
+        if codes is None:
+            from ._closed_grammar import closed_grammar_codes
+
+            codes = closed_grammar_codes(text)
         if codes is None:
             expr = parse_expression(text)
             params = parameter_names(expr)
@@ -130,7 +140,7 @@ class SuperpotentialFamily:
         ``errstate`` of this call (the checks it skips are made here).
         """
         names = self.parameter_names
-        missing = set(names).difference(*rows)
+        missing = {p for row in rows for p in names if p not in row}
         if missing:
             raise EvaluationError(f"missing parameter values for {sorted(missing)}")
         shape = (len(rows), grid.n_points)

@@ -17,6 +17,7 @@ from susyqm import (EvaluationError, ExpressionError, _compiled_catalog,
                     compile_on_grid, compile_scalar, differentiate, get_record,
                     list_catalog, parse_expression, record_grid)
 from susyqm.catalog import _REGENERATE, _r_key, _render_compiled_catalog
+from susyqm._closed_grammar import closed_grammar_codes
 from susyqm.expressions import _namespace, parameter_names
 
 RECORDS = [get_record(name) for name in list_catalog()]
@@ -97,6 +98,16 @@ def test_assembled_r_equals_live_compilation(name):
     for shift in (0.0, 0.3, -1.0, 2.5):
         values = {p: v + shift for p, v in rec.default_params.items()}
         assert _outcome(rec.r_function, values) == _outcome(live, values)
+
+
+def test_closed_grammar_prints_the_checked_in_code():
+    """A record text in the closed grammar gets the same code from either
+    sympy-free route: the checked-in table and the closed-grammar printer."""
+    accepted = {text: codes for text, codes in _compiled_catalog.FAMILIES.items()
+                if closed_grammar_codes(text) is not None}
+    assert set(accepted) == {"omega*x", "A - exp(-x)", "A*tanh(x)"}
+    for text, codes in accepted.items():
+        assert closed_grammar_codes(text) == codes
 
 
 def test_record_outside_the_table_compiles_live():

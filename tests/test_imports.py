@@ -1,7 +1,9 @@
 """Which heavy dependencies the package and each CLI command load.
 
-sympy is needed only to parse an expression (a catalog record's numpy code is
-checked in), and no command needs scipy: the oracle's tridiagonal solve calls
+sympy is needed only to parse an expression outside the closed grammar (a
+catalog record's numpy code is checked in, and ``susyqm/_closed_grammar.py``
+prints the code of a closed-grammar text such as ``a*x^3 + 0.3240``), and no
+command needs scipy: the oracle's tridiagonal solve calls
 LAPACK in numpy's own OpenBLAS, and algebra-check's charge algebra is band
 arithmetic in numpy.  Commands must not import what they do not need.  A fresh
 interpreter runs the calls in order and reports, after each step, which of
@@ -69,7 +71,7 @@ CATALOG_ERRORS = [
 STEPS = [
     ("catalog", [["catalog"], ["catalog", "--format", "json"], ["catalog", "morse"]], 0),
     ("dump-config", [["solve", "--catalog", "morse", "--dump-config"]], 0),
-    ("partner", [["partner", "--w", "a*x", "--param", "a=1", "--points", "101"]], 0),
+    ("partner", [["partner", "--w", "a*sech(x)", "--param", "a=1", "--points", "101"]], 0),
     ("every command", [
         ["solve", "--catalog", "morse", "--points", "401"],
         ["hierarchy", "--catalog", "shifted-harmonic", "--depth", "2",
@@ -84,6 +86,25 @@ STEPS = [
     ], 0),
 ]
 
+
+#: One accepted text of each shape the cli-cold workload draws, on the
+#: commands that draw it.
+CLOSED_GRAMMAR_CALLS = [
+    ["partner", "--w", "a*x + 0.3240", "--param", "a=1.2", "--points", "201",
+     "--format", "csv"],
+    ["partner", "--w", "A*tanh(0.8000*x)", "--param", "A=3", "--points", "201"],
+    ["algebra-check", "--w", "A - 0.7344*exp(-x)", "--param", "A=2", "--x-min", "-3.5",
+     "--x-max", "10", "--points", "201"],
+    ["algebra-check", "--w", "a*x^3 + c*x", "--param", "a=1", "--param", "c=0.5",
+     "--x-min", "-4", "--x-max", "4", "--points", "201"],
+    ["si-check", "--w", "A*tanh(0.8000*x)", "--param", "A=3", "--transform", "translation",
+     "--alpha", "-0.8000", "--on", "A"],
+    ["classify", "--w", "a*x^3 + 0.3240", "--param", "a=1", "--x-min", "-6", "--x-max", "6",
+     "--points", "601", "--budget", "9"],
+]
+
+#: An accepted text that fails at evaluation.
+CLOSED_GRAMMAR_ERROR = ["partner", "--w", "exp(1.5000*x)", "--x-max", "1000"]
 
 #: Run in an interpreter of their own: every command on a catalog record
 #: before any step that parses --w.
@@ -105,8 +126,10 @@ CATALOG_STEPS = [
     ("record text", [["partner", "--w", "A - exp(-x)", "--param", "A=2", "--x-min", "-3.5",
                       "--x-max", "10", "--points", "2701"],
                      ["partner", "--catalog", "morse"]], 0),
-    ("expression", [["partner", "--w", "a*x", "--param", "a=1", "--points", "101"]], 0),
-    ("expression classify", [["classify", "--w", "a*x", "--param", "a=1",
+    ("closed grammar", CLOSED_GRAMMAR_CALLS, 0),
+    ("closed grammar error", [CLOSED_GRAMMAR_ERROR], 2),
+    ("expression", [["partner", "--w", "a*sech(x)", "--param", "a=1", "--points", "101"]], 0),
+    ("expression classify", [["classify", "--w", "a*sech(x)", "--param", "a=1",
                               "--points", "401", "--budget", "9"]], 0),
 ]
 
@@ -155,6 +178,29 @@ def test_record_text_loads_no_sympy(catalog_loaded_after):
     assert "sympy" not in catalog_loaded_after["record text"]
     from_text, from_record = catalog_loaded_after["stdout"]["record text"]
     assert from_text == from_record and from_text.startswith("x,v_minus,v_plus,w\n")
+
+
+def test_closed_grammar_texts_load_no_sympy(catalog_loaded_after):
+    assert catalog_loaded_after["closed grammar"] == []
+    assert catalog_loaded_after["closed grammar error"] == []
+
+
+def test_closed_grammar_error_message_equals_the_sympy_route(catalog_loaded_after,
+                                                             monkeypatch, capsys):
+    """The code's text is what sympy prints, so an evaluation failure quotes
+    the same expression as when the text goes through sympy."""
+    from susyqm import _closed_grammar, susy
+    from susyqm.cli import main
+
+    (line,) = catalog_loaded_after["stderr"]["closed grammar error"][0].splitlines()
+    assert line.startswith("susyqm partner: expression 'exp(1.5*x)' is non-finite at ")
+    parsed = []
+    monkeypatch.setattr(_closed_grammar, "closed_grammar_codes", lambda text: None)
+    monkeypatch.setattr(susy, "parse_expression",
+                        lambda text, parse=susy.parse_expression: parsed.append(text) or parse(text))
+    assert main(CLOSED_GRAMMAR_ERROR) == 2
+    assert parsed == ["exp(1.5000*x)"]
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_solver_commands_load_no_scipy(catalog_loaded_after):

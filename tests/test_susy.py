@@ -32,6 +32,13 @@ def test_family_missing_parameter():
         fam.w_rows(GRID, [{}, {}])
 
 
+def test_w_rows_names_a_parameter_that_only_some_rows_lack():
+    fam = SuperpotentialFamily.from_expression("A*x + b")
+    rows = [{"A": 1.0, "b": 0.0}, {"A": 1.0}, {"b": 2.0}]
+    with pytest.raises(EvaluationError, match=r"missing parameter values for \['A', 'b'\]"):
+        fam.w_rows(GRID, rows)
+
+
 def test_family_nonfinite_evaluation():
     fam = SuperpotentialFamily.from_expression("ln(x)")
     with pytest.raises(EvaluationError):
