@@ -36,8 +36,10 @@ import re
 
 from .expressions import NumpyCode, _function_source
 
-#: Parameter names that sympy's parser reads as plain symbols (it binds E, I,
-#: N, O, Q, S, beta, gamma, zeta and pi to its own objects).
+#: Parameter names that sympy's parser reads as plain symbols.  Declined: E
+#: and pi (sympy's constants), I (rejected), and N, O, Q, S, beta, gamma and
+#: zeta, which sympy binds to its own objects and parse_expression rebinds
+#: to plain symbols only where they are not called.
 _PLAIN_NAMES = frozenset("abcdefghijklmnopqrstuvwyzABCDFGHJKLMPRTUVWXYZ") | {
     "alpha", "delta", "epsilon", "eta", "kappa", "lamda", "mu", "nu", "omega",
     "phi", "psi", "rho", "sigma", "tau", "theta"}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from tokenize import TokenError
+from tokenize import NAME, OP, STRING, TokenError
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -34,6 +34,10 @@ if TYPE_CHECKING:
     import sympy
 
 _NUMPY_EXTRAS = {"sech": lambda z: 1.0 / np.cosh(z)}
+
+#: Names that sympy's namespace binds to its own objects (functions, a
+#: class, the S and Q registries) where a user means a parameter.
+_SYMPY_OBJECT_NAMES = frozenset({"N", "O", "Q", "S", "beta", "gamma", "zeta"})
 
 
 class _Symbols(NamedTuple):
@@ -66,8 +70,11 @@ def _grammar() -> _Symbols:
 def parse_expression(text: str) -> sympy.Expr:
     """Parse an expression string into a validated sympy expression.
 
-    Unknown names become real parameter symbols.  Raises ExpressionError
-    when the text does not parse or uses functions outside the grammar.
+    A name sympy does not bind becomes a parameter symbol, and so does each
+    of N, O, Q, S, beta, gamma and zeta where it is not called; called, it
+    stays sympy's function (``gamma(x)`` is outside the grammar).  E and pi
+    are the constants, and I is rejected.  Raises ExpressionError when the
+    text does not parse or uses functions outside the grammar.
     """
     import sympy
     from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
@@ -75,12 +82,26 @@ def parse_expression(text: str) -> sympy.Expr:
     grammar = _grammar()
     try:
         expr = parse_expr(text, local_dict={"x": grammar.x, **grammar.functions},
-                          transformations=standard_transformations + (convert_xor,))
+                          transformations=(_uncalled_as_symbols, *standard_transformations,
+                                           convert_xor))
     except (SyntaxError, TokenError, TypeError, ValueError, AttributeError,
             sympy.SympifyError) as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from exc
     _validate(expr, text)
     return expr
+
+
+def _uncalled_as_symbols(tokens: list, local_dict: dict, global_dict: dict) -> list:
+    """A parse_expr transformation: each of _SYMPY_OBJECT_NAMES that is not
+    called (or attribute-accessed) becomes ``Symbol('name')``, the tokens
+    sympy's auto_symbol writes for a name it does not know."""
+    out = []
+    for (kind, value), (_, following) in zip(tokens, [*tokens[1:], (None, "")]):
+        if kind == NAME and value in _SYMPY_OBJECT_NAMES and following not in ("(", "."):
+            out += [(NAME, "Symbol"), (OP, "("), (STRING, repr(value)), (OP, ")")]
+        else:
+            out.append((kind, value))
+    return out
 
 
 def _validate(expr: sympy.Expr, text: str):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -257,8 +257,14 @@ class ResidualReport:
         return asdict(self)
 
 
-def _default_tolerance(family: SuperpotentialFamily) -> float:
-    return ANALYTIC_TOL if family.analytic_derivative else FINITE_DIFF_TOL
+def _tolerance(family: SuperpotentialFamily, tolerance: float | None) -> float:
+    """The residual tolerance: the family's tier when None; ValueError unless
+    it is positive and finite."""
+    if tolerance is None:
+        return ANALYTIC_TOL if family.analytic_derivative else FINITE_DIFF_TOL
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
+    return tolerance
 
 
 def _check_samples(grid: Grid1D) -> None:
@@ -290,16 +296,26 @@ def _residual_reports(res: np.ndarray, tolerance: float) -> list[ResidualReport]
             for mean, stddev in zip(means[:, 0].tolist(), stddevs.tolist())]
 
 
+def _orbit_steps(family: SuperpotentialFamily, orbit: Sequence[dict], grid: Grid1D,
+                 tolerance: float | None = None) -> Iterator[ResidualReport]:
+    """Each orbit step's report on V₊(aₖ) − V₋(aₖ₊₁), drawn lazily; aₖ₊₁'s pair
+    is carried forward, so each point is tabulated once, none past the last draw."""
+    tolerance = _tolerance(family, tolerance)
+    if len(orbit) > 1:
+        _check_samples(grid)
+        v_plus = partner_potentials(family, orbit[0], grid).v_plus.values
+    for a in orbit[1:]:
+        pair = partner_potentials(family, a, grid)
+        yield _residual_reports(v_plus - pair.v_minus.values, tolerance)[0]
+        v_plus = pair.v_plus.values
+
+
 def si_residual(family: SuperpotentialFamily, a0: dict, t: ParameterTransform,
                 grid: Grid1D, tolerance: float | None = None) -> ResidualReport:
-    """Test V₊(x, a₀) = V₋(x, a₁) + R(a₁) pointwise on the trimmed interior."""
+    """Test V₊(x, a₀) = V₋(x, a₁) + R(a₁) pointwise on the trimmed interior;
+    ValueError unless ``tolerance`` is None or positive and finite."""
     _check_samples(grid)
-    if tolerance is None:
-        tolerance = _default_tolerance(family)
-    a1 = t.apply(a0)
-    v_plus = partner_potentials(family, a0, grid).v_plus
-    v_minus = partner_potentials(family, a1, grid).v_minus
-    return _residual_reports(v_plus.values - v_minus.values, tolerance)[0]
+    return next(_orbit_steps(family, [a0, t.apply(a0)], grid, tolerance))
 
 
 # -- algebraic spectra -------------------------------------------------------------
@@ -333,10 +349,12 @@ class Spectrum:
 def _partial_sums(steps: Iterable[float]) -> Spectrum:
     """E₀ = 0 and Eₙ = Σₖ₌₁ⁿ Rₖ over the step energies Rₖ, drawn one at a
     time; stops with the truncated flag at the first Rₖ ≤ 0, drawing no
-    later step."""
+    later step, and raises EvaluationError at a non-finite Rₖ."""
     entries = [SpectrumEntry(0, 0.0)]
     energy = 0.0
     for k, r in enumerate(steps, 1):
+        if not math.isfinite(r):
+            raise EvaluationError(f"spectrum step {k} has a non-finite energy R = {r}")
         if r <= 0.0:
             return Spectrum(entries, truncated=True)
         energy += r
@@ -349,7 +367,8 @@ def algebraic_spectrum(r_values: Callable[[dict], float], t: ParameterTransform,
     """Run the spectrum recursion: partial sums of R along the orbit.
 
     ``r_values`` evaluates R at an orbit point aₖ (k ≥ 1).  Level 0 is
-    exactly zero.  Stops early with the truncated flag when R(aₖ) ≤ 0.
+    exactly zero.  Stops early with the truncated flag when R(aₖ) ≤ 0, and
+    raises EvaluationError when R(aₖ) is not finite.
     """
     orbit = iterate_params(t, a0, n_max)
     return _partial_sums(float(r_values(a)) for a in orbit[1:])
@@ -361,16 +380,13 @@ def spectrum_from_measured_residuals(family: SuperpotentialFamily, t: ParameterT
 
     This is the route for families discovered by search rather than drawn
     from the catalog: no closed form for R is known, so each orbit step is
-    measured.  Truncates when a step fails the residual test or turns
-    nonpositive.
+    measured (``_orbit_steps``, each orbit point tabulated once, none past
+    the truncating step).  Truncates when a step fails the residual test or
+    turns nonpositive.
     """
     orbit = iterate_params(t, a0, n_max)
-
-    def step(a: dict) -> float:
-        report = si_residual(family, a, t, grid)
-        return report.residual_mean if report.passed else 0.0
-
-    return _partial_sums(step(a) for a in orbit[:-1])
+    return _partial_sums(r.residual_mean if r.passed else 0.0
+                         for r in _orbit_steps(family, orbit, grid))
 
 
 # -- chain-built wavefunctions ------------------------------------------------------
@@ -635,14 +651,13 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
 
     Raises, before any trial is scored and with nothing appended to
     ``record``: GridError on a grid too small for the residual statistic
-    or where V₊(a₀) overflows, EvaluationError where w cannot be evaluated
-    at a₀.
+    or where V₊(a₀) overflows, ValueError on a tolerance that is not
+    positive and finite, EvaluationError where w cannot be evaluated at a₀.
     """
     _check_samples(grid)
     if candidates is None:
         candidates = default_candidates(family.parameter_names)
-    if tolerance is None:
-        tolerance = _default_tolerance(family)
+    tolerance = _tolerance(family, tolerance)
     trials = _trial_count(budget)
     v_plus = partner_potentials(family, a0, grid).v_plus.values
 

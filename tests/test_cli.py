@@ -126,6 +126,15 @@ def test_partner_json_validates(capsys):
     validate(json.loads(out), PARTNER_SCHEMA)
 
 
+@pytest.mark.parametrize("name", ["beta", "gamma", "N", "S"])
+def test_partner_reads_a_sympy_name_as_a_parameter(capsys, name):
+    # sympy binds these names to its own objects; uncalled, they are parameters
+    plain = run_cli(capsys, "partner", "--w", "b*x", "--param", "b=2", "--points", "5")
+    assert run_cli(capsys, "partner", "--w", f"{name}*x", "--param", f"{name}=2",
+                   "--points", "5") == plain
+    assert plain[0] == 0
+
+
 # -- si-check --------------------------------------------------------------------
 
 

@@ -35,7 +35,8 @@ DECLINED = ["a*sech(x)", "foo(1.2*x)", "1.2*x/0", "q/(2*(l+1)) - (l+1)/x", "x/(a
             "beta*x", "x*x_1", "a*0.0000*x", "0.0000*x + a", "a*x + 2*a*x", "0.5 + 0.5*a + 0.2",
             "tanh(-x)", "tanh(x) + a", "exp(x) + exp(2*x)", "0.0001*exp(0.0001*x)",
             "12345*x", "0.12345*x", "x^10", "x^1", "(x)", "2x", "", "x +", "-", "--x",
-            "+x", "a*b*x", "2*3*x", "x*x", "\tx", "A*tanh(0*x)", "exp(0.0*x)"]
+            "+x", "a*b*x", "2*3*x", "x*x", "\tx", "A*tanh(0*x)", "exp(0.0*x)",
+            "I*x", "O*x", "Q*x", "S*x", "gamma*x", "zeta*x"]
 
 
 def _live(text: str):

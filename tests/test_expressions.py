@@ -40,6 +40,19 @@ def test_malformed_text_rejected(text):
         parse_expression(text)
 
 
+@pytest.mark.parametrize("name", ["N", "O", "Q", "S", "beta", "gamma", "zeta"])
+def test_uncalled_sympy_names_are_parameters(name):
+    expr = parse_expression(f"{name}*x + {name}")
+    assert parameter_names(expr) == [name]
+    assert expr == parse_expression("b*x + b").subs(sympy.Symbol("b"), sympy.Symbol(name))
+
+
+def test_called_sympy_names_and_constants_keep_their_meaning():
+    assert parameter_names(parse_expression("E*x + pi")) == []
+    with pytest.raises(ExpressionError, match=r"functions \['gamma'\] not in the supported set"):
+        parse_expression("gamma(x) + gamma")
+
+
 def test_complex_constants_rejected():
     with pytest.raises(ExpressionError):
         parse_expression("I*x")

@@ -12,13 +12,14 @@ from susyqm import (ChainConstructionError, Cyclic, EvaluationError, GridError,
                     PowerScaling, Projective, Scaling, SuperpotentialFamily,
                     TransformCandidate, TransformError, Translation,
                     algebraic_spectrum, classify_family, count_nodes,
-                    default_candidates, get_record, ground_state, iterate_params, make_grid,
+                    default_candidates, get_record, ground_state, iterate_params,
+                    list_catalog, make_grid,
                     partner_potentials, record_grid, search_transform,
                     si_residual, sign_aligned_distance, solve_potential,
                     spectrum_from_measured_residuals, wavefunction_chain)
 from susyqm.shape_invariance import (_GOLDEN, _MEAN_OVER_SPREAD, _REFINE_ITERS, EDGE_TRIM,
                                      _block_rows, _golden_lockstep, _minus_sector_decays,
-                                     _residual_reports, _score_trials, _trial_count)
+                                     _partial_sums, _residual_reports, _score_trials, _trial_count)
 
 MORSE = SuperpotentialFamily.from_expression("A - exp(-x)", domain=(-3.5, 10.0))
 MORSE_GRID = make_grid(-3.5, 10.0, 1401)
@@ -179,19 +180,100 @@ def test_algebraic_spectrum_truncates_on_nonpositive_r():
         algebraic_spectrum(lambda a: 1.0, Translation(0.0), {}, -1)
 
 
+def _per_step_spectrum(family, t, a0, grid, n_max):
+    """The measured spectrum as one si_residual call per orbit step, each
+    tabulating both of its orbit points: the reference the orbit walk of
+    spectrum_from_measured_residuals must equal bit for bit."""
+    orbit = iterate_params(t, a0, n_max)
+
+    def step(a):
+        report = si_residual(family, a, t, grid)
+        return report.residual_mean if report.passed else 0.0
+
+    return _partial_sums(step(a) for a in orbit[:-1])
+
+
+def _counting_tabulations(monkeypatch) -> list[float]:
+    """The A of every partner pair shape_invariance tabulates, in order."""
+    tabulated = []
+    real = si_module.partner_potentials
+    monkeypatch.setattr(si_module, "partner_potentials",
+                        lambda family, a, grid: tabulated.append(a["A"]) or real(family, a, grid))
+    return tabulated
+
+
 def test_measured_residual_spectrum_matches_closed_form(monkeypatch):
-    measured = []
-    real = si_module.si_residual
-    monkeypatch.setattr(si_module, "si_residual",
-                        lambda family, a, *rest: measured.append(a["A"]) or real(family, a, *rest))
+    tabulated = _counting_tabulations(monkeypatch)
     spec = spectrum_from_measured_residuals(MORSE, Translation(-1.0), {"A": 2.0},
                                             MORSE_GRID, 5)
     assert [e.n for e in spec.entries] == [0, 1, 2]
     assert spec.energies == pytest.approx([0.0, 3.0, 4.0], abs=1e-8)
     assert spec.truncated
-    # step 3 (A = 0 -> -1) measures R = -1 and stops the recursion: no
-    # residual is measured past it
-    assert measured == [2.0, 1.0, 0.0]
+    # step 3 (A = 0 -> -1) measures R = -1 and stops the recursion: each
+    # orbit point up to it is tabulated once, and A = -2, -3 never
+    assert tabulated == [2.0, 1.0, 0.0, -1.0]
+    tabulated.clear()
+    assert _per_step_spectrum(MORSE, Translation(-1.0), {"A": 2.0}, MORSE_GRID, 5) == spec
+    assert tabulated == [2.0, 1.0, 1.0, 0.0, 0.0, -1.0]
+    tabulated.clear()
+    si_residual(MORSE, {"A": 2.0}, Translation(-1.0), MORSE_GRID)
+    assert tabulated == [2.0, 1.0]
+
+
+def _morse_finite_down_to(a_min: float) -> SuperpotentialFamily:
+    """Morse from callables, with a w that is NaN at every A below a_min."""
+    def w(x, p):
+        return p["A"] - np.exp(-x) if p["A"] >= a_min else np.full_like(x, np.nan)
+
+    return SuperpotentialFamily.from_callables(w, lambda x, p: np.exp(-x), ("A",),
+                                               domain=(-3.5, 10.0))
+
+
+def test_measured_spectrum_never_tabulates_past_the_truncating_step():
+    # The orbit runs A = 2 .. -3; step 3 (A = 0 -> -1) truncates, so the
+    # NaN w at A = -2 and -3 is never evaluated.
+    spec = spectrum_from_measured_residuals(_morse_finite_down_to(-1.5), Translation(-1.0),
+                                            {"A": 2.0}, MORSE_GRID, 5)
+    assert spec.energies == pytest.approx([0.0, 3.0, 4.0], abs=1e-8)
+    assert spec.truncated
+
+
+def test_measured_spectrum_raises_at_a_drawn_non_finite_step():
+    family = _morse_finite_down_to(-0.5)
+    args = (family, Translation(-1.0), {"A": 2.0}, MORSE_GRID, 5)
+    with pytest.raises(EvaluationError) as parent:
+        _per_step_spectrum(*args)
+    with pytest.raises(EvaluationError) as walk:
+        spectrum_from_measured_residuals(*args)
+    assert str(walk.value) == str(parent.value) == (
+        "superpotential evaluated non-finite on the grid")
+
+
+@pytest.mark.parametrize("name", [name for name in list_catalog()
+                                  if get_record(name).expression is not None])
+def test_measured_spectrum_equals_the_per_step_residual_loop(name):
+    rec = get_record(name)
+    args = (rec.family, rec.transform, rec.default_params, record_grid(rec), 3)
+    assert spectrum_from_measured_residuals(*args) == _per_step_spectrum(*args)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_non_finite_step_energy_names_its_step(r):
+    with pytest.raises(EvaluationError, match=f"spectrum step 1 has a non-finite energy R = {r}"):
+        algebraic_spectrum(lambda a: r, Translation(-1.0), {"A": 2.0}, 3)
+    with pytest.raises(EvaluationError, match="spectrum step 2 "):
+        algebraic_spectrum(lambda a: r if a["A"] < 1.0 else 1.0, Translation(-1.0),
+                           {"A": 2.0}, 3)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_tolerance_must_be_positive_and_finite(tolerance):
+    message = f"tolerance must be a positive finite number, got {tolerance}"
+    with pytest.raises(ValueError, match=message):
+        si_residual(MORSE, {"A": 2.0}, Translation(-1.0), MORSE_GRID, tolerance)
+    with pytest.raises(ValueError, match=message):
+        search_transform(MORSE, {"A": 2.0}, MORSE_GRID, budget=3, tolerance=tolerance)
+    assert si_residual(MORSE, {"A": 2.0}, Translation(-1.0), MORSE_GRID, 1e-3).tolerance_used == 1e-3
 
 
 # -- chain wavefunctions --------------------------------------------------------------
