@@ -8,6 +8,7 @@ domains are pinned per record so results are reproducible without tuning.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from typing import Callable
@@ -196,6 +197,9 @@ def merged_params(record: SIPRecord, params: dict | None) -> dict:
             raise CatalogError(
                 f"record {record.name!r} has no parameters {unknown}; "
                 f"expected among {sorted(out)}")
+        unreal = sorted(p for p, v in params.items() if not isinstance(v, numbers.Real))
+        if unreal:
+            raise CatalogError(f"record {record.name!r} parameters {unreal} are not real numbers")
         out.update(params)
     return out
 

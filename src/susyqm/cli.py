@@ -30,7 +30,7 @@ from .classify import classify_family, classify_record, classify_tabulated, venn
 from .eigensolver import solution_to_dict, solve_potential, spectrum_csv
 from .errors import ExpressionError, GridError, SusyQMError
 from .grids import (DEFAULT_DOMAIN, DEFAULT_N_POINTS, FLOAT_FMT, Grid1D,
-                    GridFunction, count_nodes, csv_text, make_grid)
+                    GridFunction, csv_text, make_grid)
 from .shape_invariance import (DEFAULT_BUDGET, TRANSFORM_KINDS, ParameterTransform,
                                default_candidates, search_transform,
                                si_residual, spectrum_from_measured_residuals,
@@ -543,7 +543,6 @@ def _cmd_wavefunctions(inp: _Input, ns: argparse.Namespace) -> None:
                                         "chain-built wavefunctions need one")
     states = [wavefunction_chain(inp.family, inp.params, transform, n, inp.grid)
               for n in range(ns.n_levels + 1)]
-    nodes = [count_nodes(s) for s in states]
     if ns.fmt == "csv":
         header = ("x", *(f"psi_{n}" for n in range(len(states))))
         columns = (inp.grid.x, *(s.values for s in states))
@@ -551,7 +550,8 @@ def _cmd_wavefunctions(inp: _Input, ns: argparse.Namespace) -> None:
     else:
         doc = {"grid": inp.grid.to_dict(),
                "states": [s.values.tolist() for s in states],
-               "node_counts": nodes}
+               # wavefunction_chain refuses a state without n nodes
+               "node_counts": list(range(len(states)))}
         _emit(_json_text(doc), ns.output)
 
 

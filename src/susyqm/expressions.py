@@ -6,17 +6,9 @@ functions exp, ln, sin, cos, tanh, sech, numeric literals, the coordinate
 analytic derivative, which is what lets the shape-invariance residual test
 run at its tight tolerance tier.
 
-Parsing and code generation need sympy.  A closed subset of the grammar
-does not: ``_closed_grammar.closed_grammar_codes`` prints the code of its
-texts without sympy, byte for byte the code generate_on_grid prints, and
-declines (returns None for) every other text, which then goes through
-sympy.  The subset is a sum of terms ``c*p*X``, where the literal c, the
-parameter p and the x-part X are each optional and X is ``x``, ``x^n``
-(n from 2 to 9), ``exp(k*x)`` or ``tanh(k*x)``; at most one term is a
-function of x, and a tanh term stands alone.  Literals are integers or
-decimals of at most four places and four integer digits; parameter names
-are single ASCII letters other than x, E, I, N, O, Q and S, or a few
-Greek letter names.
+Parsing and code generation need sympy, except for a closed subset of the
+grammar whose code ``_closed_grammar.py`` prints without sympy, byte for
+byte as generate_on_grid prints it; that module states the subset's rules.
 """
 
 from __future__ import annotations
@@ -233,13 +225,22 @@ def _numpy_code(expr: sympy.Expr, params: list[str], source: str,
                 broadcasts: bool = False) -> NumpyCode:
     """The code record of expr, whose parameters must all be in params: the
     assembled function binds no other name (lambdify would bind a sympy
-    Symbol, and fail at the first evaluation)."""
+    Symbol, and fail at the first evaluation).  No parameter may be named as
+    the printed code names one of expr's constants (numpy's ``e`` for E,
+    ``pi``, ``euler_gamma``): as an argument it would shadow the constant."""
     import sympy
+    from sympy.printing.numpy import NumPyPrinter
 
     unknown = sorted(set(parameter_names(expr)) - set(params))
     if unknown:
         raise ExpressionError(f"expression {sympy.sstr(expr)!r} uses parameters "
                               f"{unknown} not among {list(params)}")
+    printer = NumPyPrinter(_printer_settings())
+    shadowing = sorted(set(params).intersection(
+        printer.doprint(c) for c in expr.atoms(sympy.NumberSymbol)))
+    if shadowing:
+        raise ExpressionError(f"parameters {shadowing} of {sympy.sstr(expr)!r} are named "
+                              "like the numpy constants its code uses; rename them")
     return NumpyCode(sympy.sstr(expr), tuple(params), source, broadcasts)
 
 

@@ -43,6 +43,8 @@ class Grid1D:
             raise GridError(f"domain-order violation: x_min={self.x_min} >= x_max={self.x_max}")
         if self.n_points < 3:
             raise GridError(f"n_points={self.n_points} too small, need at least 3")
+        if not isinstance(self.n_points, (int, np.integer)):
+            raise GridError(f"n_points={self.n_points!r} must be an integer")
         if not math.isfinite(self.x_max - self.x_min):
             raise GridError(f"grid span x_max - x_min overflows on [{self.x_min}, {self.x_max}]")
         # The finite-difference Laplacian's diagonal 2/h**2 must be a finite

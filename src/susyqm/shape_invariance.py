@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ChainConstructionError, EvaluationError, GridError, TransformError
 from .grids import Grid1D, GridFunction, align_sign, count_nodes, normalize
-from .susy import (SuperpotentialFamily, _zero_mode_ratios, apply_a_dagger,
-                   partner_potentials, zero_mode)
+from .susy import (SuperpotentialFamily, _checked_tolerance, _zero_mode_ratios,
+                   apply_a_dagger, partner_potentials, zero_mode)
 
 #: Residual-stddev tolerance tiers: exact w′ vs tabulated finite differences.
 ANALYTIC_TOL = 1e-6
@@ -262,9 +262,7 @@ def _tolerance(family: SuperpotentialFamily, tolerance: float | None) -> float:
     it is positive and finite."""
     if tolerance is None:
         return ANALYTIC_TOL if family.analytic_derivative else FINITE_DIFF_TOL
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
-    return tolerance
+    return _checked_tolerance(tolerance)
 
 
 def _check_samples(grid: Grid1D) -> None:

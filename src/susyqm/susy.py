@@ -199,21 +199,27 @@ def partner_potentials(family: SuperpotentialFamily, params: dict,
                                family.w_prime_grid(grid, params))
 
 
+def _zero_modes(family: SuperpotentialFamily, params: dict, grid: Grid1D,
+                signs: Sequence[int]) -> list[GridFunction]:
+    """zero_mode for each sign, from one tabulation of w and one ∫w."""
+    y = family.w_grid(grid, params).values
+    # scipy's cumulative_trapezoid(y, dx=h, initial=0.0), term for term
+    phi = np.concatenate(([0.0], np.cumsum(grid.h * (y[1:] + y[:-1]) / 2.0)))
+    return [GridFunction(grid, np.exp(expo - expo.max()))
+            for expo in (sign * phi for sign in signs)]
+
+
 def zero_mode(family: SuperpotentialFamily, params: dict, grid: Grid1D,
               sign: int = -1) -> GridFunction:
     """Unnormalized zero-energy solution exp(∓∫w): sign -1 for ψ₀⁻, +1 for ψ₀⁺.
 
-    The exponent is referenced to its maximum before exponentiating, which
-    fixes the arbitrary overall constant at peak value 1 and keeps the
-    evaluation overflow-free for any w; tails may flush to zero.
+    The exponent ∓∫w, with ∫w the cumulative trapezoid from the left end, is
+    referenced to its maximum before exponentiating: that fixes the overall
+    constant at peak value 1 and keeps exp overflow-free; tails may flush to 0.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
-    y = family.w_grid(grid, params).values
-    # scipy's cumulative_trapezoid(y, dx=h, initial=0.0), term for term
-    phi = np.concatenate(([0.0], np.cumsum(grid.h * (y[1:] + y[:-1]) / 2.0)))
-    expo = -phi if sign == -1 else phi
-    return GridFunction(grid, np.exp(expo - expo.max()))
+    return _zero_modes(family, params, grid, (sign,))[0]
 
 
 class SusyPhase(enum.Enum):
@@ -225,28 +231,17 @@ class SusyPhase(enum.Enum):
 def _zero_mode_ratios(family: SuperpotentialFamily, params: dict,
                       grid: Grid1D) -> tuple[float, float]:
     """Boundary amplitude ratios of ψ₀⁻ and ψ₀⁺ on the family's decay sides."""
-    sides = family.decay_sides
-    return (boundary_amplitude_ratio(zero_mode(family, params, grid, -1), sides),
-            boundary_amplitude_ratio(zero_mode(family, params, grid, +1), sides))
+    return tuple(boundary_amplitude_ratio(psi, family.decay_sides)
+                 for psi in _zero_modes(family, params, grid, (-1, 1)))
 
 
 def susy_phase(family: SuperpotentialFamily, params: dict, grid: Grid1D) -> SusyPhase:
-    """Classify the phase by which zero mode (if either) passes the decay test.
-
-    Should both raw tests ever pass (possible only for pathological w at the
-    test threshold), the mode with the smaller boundary ratio wins, keeping
-    the verdict single-valued.
-    """
-    r_minus, r_plus = _zero_mode_ratios(family, params, grid)
-    minus_ok = r_minus < DECAY_RATIO
-    plus_ok = r_plus < DECAY_RATIO
-    if minus_ok and plus_ok:
-        return SusyPhase.UNBROKEN_MINUS if r_minus <= r_plus else SusyPhase.UNBROKEN_PLUS
-    if minus_ok:
-        return SusyPhase.UNBROKEN_MINUS
-    if plus_ok:
-        return SusyPhase.UNBROKEN_PLUS
-    return SusyPhase.BROKEN
+    """The zero mode with the smaller boundary ratio (ties to ψ₀⁻) names the
+    phase if it decays (ratio below ``DECAY_RATIO``); BROKEN if neither does."""
+    ratio, phase = min(zip(_zero_mode_ratios(family, params, grid),
+                           (SusyPhase.UNBROKEN_MINUS, SusyPhase.UNBROKEN_PLUS)),
+                       key=lambda pair: pair[0])
+    return phase if ratio < DECAY_RATIO else SusyPhase.BROKEN
 
 
 # -- ladder maps ---------------------------------------------------------------
@@ -370,6 +365,13 @@ def _fro(*bands: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(v, out=v))))
 
 
+def _checked_tolerance(tolerance: float) -> float:
+    """tolerance itself; ValueError unless it is positive and finite."""
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
+    return tolerance
+
+
 def verify_algebra(cm: ChargeMatrices, tolerance: float = ALGEBRA_TOL) -> AlgebraReport:
     """Check Q² = Q†² = 0, {Q,Q†} = ℋ, and [Q,ℋ] = [Q†,ℋ] = 0 numerically.
 
@@ -377,8 +379,9 @@ def verify_algebra(cm: ChargeMatrices, tolerance: float = ALGEBRA_TOL) -> Algebr
     [Q†, ℋ] to A†·(AA†) − (A†A)·A†, and {Q, Q†} − ℋ to A†A and AA†
     recomputed from A and A† minus the stored blocks.  A norm that is not
     finite, as when finite blocks overflow in a product or a square, raises
-    GridError.
+    GridError; a tolerance that is not positive and finite raises ValueError.
     """
+    _checked_tolerance(tolerance)
     a, a_dag, lower, upper = cm.a, cm.a_dagger, cm.lower, cm.upper
     with np.errstate(over="ignore", invalid="ignore"):
         h_scale = _fro(lower, upper)
@@ -417,7 +420,8 @@ def block_spectra(cm: ChargeMatrices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _derivative_5pt(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order central first derivative, second-order one-sided at edges.
+    """Fourth-order central first derivative; at the two nodes of each edge,
+    ``np.gradient``'s second-order values, from the three end nodes there.
 
     Log-derivative tails amplify stencil error by |ψ⁽ᵏ⁾/ψ|, which grows fast
     for confining potentials; the extra two orders keep the rebuilt
@@ -426,9 +430,8 @@ def _derivative_5pt(values: np.ndarray, h: float) -> np.ndarray:
     out = np.empty_like(values)
     out[2:-2] = (values[:-4] - 8.0 * values[1:-3]
                  + 8.0 * values[3:-1] - values[4:]) / (12.0 * h)
-    edges = np.gradient(values, h, edge_order=2)
-    out[:2] = edges[:2]
-    out[-2:] = edges[-2:]
+    out[:2] = np.gradient(values[:3], h, edge_order=2)[:2]
+    out[-2:] = np.gradient(values[-3:], h, edge_order=2)[1:]
     return out
 
 

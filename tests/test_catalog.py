@@ -32,6 +32,8 @@ def test_merged_params():
     assert merged_params(rec, {"A": 5.0}) == {"A": 5.0}
     with pytest.raises(CatalogError):
         merged_params(rec, {"B": 1.0})
+    with pytest.raises(CatalogError, match=r"parameters \['A'\] are not real numbers"):
+        merged_params(rec, {"A": "2"})
 
 
 @pytest.mark.parametrize("name", TRANSLATIONAL)

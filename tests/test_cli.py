@@ -424,6 +424,21 @@ def test_hierarchy_requires_output_dir(capsys):
     assert run_usage_error(capsys, "hierarchy", "--catalog", "morse") == 1
 
 
+def test_parameter_named_like_a_printed_constant_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["partner", "--w", "e*x + E", "--param", "e=2", "--points", "5"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert [ln for ln in err.splitlines() if ": error: " in ln] == [
+        "susyqm: error: --w: parameters ['e'] of 'e*x + E' are named like the numpy "
+        "constants its code uses; rename them"]
+    # without the constant, a parameter e is an ordinary parameter
+    code, out, _ = run_cli(capsys, "partner", "--w", "e*x", "--param", "e=2", "--points", "5")
+    assert code == 0
+    assert out == ("x,v_minus,v_plus,w\n-10,398,402,-20\n-5,98,102,-10\n0,-2,2,0\n"
+                   "5,98,102,10\n10,398,402,20\n")
+
+
 # -- wavefunctions ---------------------------------------------------------------
 
 
@@ -434,6 +449,8 @@ def test_wavefunctions_json(capsys):
     doc = json.loads(out)
     validate(doc, WAVEFUNCTIONS_SCHEMA)
     assert doc["node_counts"] == [0, 1, 2]
+    # the node counts are the levels the chain guarantees, not recounted
+    assert not hasattr(susyqm.cli, "count_nodes")
 
 
 def test_wavefunctions_csv_header(capsys):

@@ -232,6 +232,7 @@ def test_lapack_arguments_checked_before_the_call(monkeypatch):
     d, e = np.zeros(4), np.zeros(3)
     bad = [
         (d, e, 0, "k=0 must be at least 1"),
+        (d, e, 2.0, "k=2.0 must be an integer"),
         (d, e, 5, "k=5 exceeds matrix dimension 4"),
         (np.zeros(1), np.zeros(0), 4, "k=4 exceeds matrix dimension 1"),
         (d.astype(np.float32), e, 1, "diagonal must be a C-contiguous 1-D float64 array"),

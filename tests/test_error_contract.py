@@ -1,10 +1,12 @@
-"""The error contract of the orbit entry points under malformed arguments.
+"""The error contract of the library's entry points under malformed arguments.
 
-Every call either returns or raises a SusyQMError; the one documented
-ValueError outside that hierarchy is a negative level or orbit length, or a
-tolerance that is not positive and finite.  A bare KeyError, TypeError or
-ZeroDivisionError would escape the CLI, which catches only SusyQMError,
-OSError and ValueError, as a traceback.
+Every call either returns or raises a SusyQMError; the documented
+ValueErrors outside that hierarchy are a negative level or orbit length, a
+tolerance that is not positive and finite, a zero-mode sign other than ±1,
+decay sides other than "both" and "right", a hierarchy depth below 1, and a
+level count k that is not an integer of at least 1 and at most the matrix
+dimension.  A bare KeyError, TypeError or ZeroDivisionError would escape the
+CLI, which catches only SusyQMError, OSError and ValueError, as a traceback.
 """
 
 import math
@@ -14,14 +16,23 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from susyqm import (Cyclic, Projective, SuperpotentialFamily, SusyQMError, Translation,
-                    algebraic_spectrum, get_record, iterate_params, make_grid, si_residual,
-                    spectrum_from_measured_residuals, wavefunction_chain)
+from susyqm import (Cyclic, Grid1D, GridFunction, Projective, SuperpotentialFamily,
+                    SusyQMError, Translation, algebraic_spectrum, apply_a, apply_a_dagger,
+                    block_spectra, boundary_amplitude_ratio, build_hierarchy,
+                    charge_matrices, classify_family, classify_record, classify_tabulated,
+                    closed_form_spectrum, count_nodes, decay_trust_window, derivative,
+                    get_record, ground_state, inner_product, instantiate, iterate_params,
+                    list_catalog, make_grid, normalize, partner_pair_from_w,
+                    partner_potentials, si_residual, sign_aligned_distance, solve_potential,
+                    spectrum_from_measured_residuals, superpotential_from_ground_state,
+                    susy_phase, verify_algebra, wavefunction_chain, zero_mode)
 
 MORSE = get_record("morse")
 #: 7 points is the fewest the residual statistic takes; 6 are too few.
 GRIDS = [make_grid(-3.5, 10.0, n) for n in (6, 7, 101)]
-DOCUMENTED_VALUE_ERRORS = ("must be nonnegative", "tolerance must be a positive finite number")
+DOCUMENTED_VALUE_ERRORS = ("must be nonnegative", "tolerance must be a positive finite number",
+                           "sign must be -1 or +1", "sides must be 'both' or 'right'",
+                           "must be at least 1", "must be an integer", "exceeds matrix dimension")
 
 VALUES = st.sampled_from([2.0, 1.0, 0.5, 0.0, -1.0, 1e300, math.nan, math.inf, -math.inf])
 PARAMS = st.one_of(
@@ -74,3 +85,69 @@ def test_orbit_entry_points_raise_only_the_documented_errors(family, a0, t, n, g
         _obeys_the_contract(lambda: wavefunction_chain(family, a0, t, n, grid))
         _obeys_the_contract(lambda: algebraic_spectrum(r, t, a0, n))
 
+
+#: Tabulated functions: zero, a well, a node, a constant and a barrier.
+#: Values whose squares overflow are not drawn: inner_product then warns and
+#: returns inf, which normalize turns into a zero function without an error.
+SHAPES = st.sampled_from([np.zeros_like, np.square, lambda x: x * np.exp(-x**2),
+                          np.ones_like, lambda x: -1e6 * np.exp(-x**2)])
+SIDES = st.sampled_from(["both", "right", "left"])
+
+
+@settings(max_examples=40)
+@example(n_points=3.5, shape=np.square, other=np.square, grid=GRIDS[2], k=2.0, depth=2,
+         sides="both")
+@given(n_points=st.sampled_from([2, 3, 3.5, 7.0, np.int64(7), np.float64(7.0)]),
+       shape=SHAPES, other=SHAPES, grid=st.sampled_from(GRIDS),
+       k=st.sampled_from([-1, 0, 1, 3, 2.0, np.int64(2)]), depth=st.integers(0, 3),
+       sides=SIDES)
+def test_grid_and_solver_entry_points_raise_only_the_documented_errors(
+        n_points, shape, other, grid, k, depth, sides):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _obeys_the_contract(lambda: Grid1D(-3.5, 10.0, n_points).x)
+        v = GridFunction(grid, shape(grid.x))
+        u = GridFunction(GRIDS[1], other(GRIDS[1].x))  # on the 7-point grid, which v's may not be
+        for call in (derivative, normalize, count_nodes, decay_trust_window,
+                     superpotential_from_ground_state, classify_tabulated):
+            _obeys_the_contract(lambda: call(v))
+        _obeys_the_contract(lambda: inner_product(v, u))
+        _obeys_the_contract(lambda: sign_aligned_distance(v, u))
+        _obeys_the_contract(lambda: partner_pair_from_w(v, u))
+        _obeys_the_contract(lambda: boundary_amplitude_ratio(v, sides))
+        _obeys_the_contract(lambda: solve_potential(v, k))
+        _obeys_the_contract(lambda: ground_state(v, sides))
+        _obeys_the_contract(lambda: build_hierarchy(v, depth, sides))
+
+
+@settings(max_examples=40)
+@example(family=MORSE.family, a0={"A": 2.0}, grid=GRIDS[2], sign=-1, tolerance=math.nan)
+@given(family=FAMILIES, a0=PARAMS, grid=st.sampled_from(GRIDS),
+       sign=st.sampled_from([-1, 1, 0]),
+       tolerance=st.sampled_from([1e-10, 0.0, -1.0, math.nan, math.inf]))
+def test_susy_entry_points_raise_only_the_documented_errors(family, a0, grid, sign,
+                                                             tolerance):
+    psi = GridFunction(GRIDS[2], np.exp(-GRIDS[2].x**2))  # on the 101-point grid, which grid may not be
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _obeys_the_contract(lambda: partner_potentials(family, a0, grid))
+        _obeys_the_contract(lambda: zero_mode(family, a0, grid, sign))
+        _obeys_the_contract(lambda: susy_phase(family, a0, grid))
+        _obeys_the_contract(lambda: apply_a(family, a0, psi))
+        _obeys_the_contract(lambda: apply_a_dagger(family, a0, psi))
+        _obeys_the_contract(lambda: verify_algebra(charge_matrices(family, a0, grid), tolerance))
+        _obeys_the_contract(lambda: block_spectra(charge_matrices(family, a0, grid)))
+        _obeys_the_contract(lambda: classify_family(family, a0, grid, 3))
+
+
+@settings(max_examples=40)
+@example(name="morse", params={"A": "2"}, n=2, grid=GRIDS[2])
+@given(name=st.sampled_from([*list_catalog(), "nope"]),
+       params=st.one_of(st.none(), PARAMS, st.builds(lambda a: {"A": a}, st.just("2"))),
+       n=st.integers(-1, 3), grid=st.sampled_from(GRIDS))
+def test_catalog_entry_points_raise_only_the_documented_errors(name, params, n, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _obeys_the_contract(lambda: closed_form_spectrum(name, params, n))
+        _obeys_the_contract(lambda: instantiate(name, params, grid))
+        _obeys_the_contract(lambda: classify_record(name, params, 3))

@@ -53,6 +53,11 @@ def test_called_sympy_names_and_constants_keep_their_meaning():
         parse_expression("gamma(x) + gamma")
 
 
+def test_symbol_name_that_is_not_an_identifier_rejected():
+    with pytest.raises(ExpressionError, match="invalid symbol 'a b'"):
+        parse_expression('Symbol("a b")*x')
+
+
 def test_complex_constants_rejected():
     with pytest.raises(ExpressionError):
         parse_expression("I*x")
@@ -162,6 +167,18 @@ def test_compile_rejects_parameters_left_out_of_the_list():
         compile_on_grid(parse_expression("a*x + b"), ["a"])
     with pytest.raises(ExpressionError, match=r"uses parameters \['B'\]"):
         compile_scalar(parse_expression("2*A + B"), ["A"])
+
+
+@pytest.mark.parametrize("text, name", [("e*x + E", "e"),
+                                        ("euler_gamma*x + EulerGamma", "euler_gamma")])
+def test_compile_rejects_parameters_named_like_a_printed_constant(text, name):
+    # numpy's code prints E as e (EulerGamma as euler_gamma), which the
+    # parameter argument of that name would shadow
+    expr = parse_expression(text)
+    with pytest.raises(ExpressionError, match=rf"parameters \['{name}'\] of "):
+        compile_on_grid(expr, parameter_names(expr))
+    with pytest.raises(ExpressionError, match=rf"parameters \['{name}'\] of "):
+        compile_scalar(expr.subs(X, 1), [name])
 
 
 def test_compile_scalar():

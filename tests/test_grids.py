@@ -32,10 +32,16 @@ def test_grid_x_is_read_only():
     (0.0, 1.0, 2),     # too few points
     (np.nan, 1.0, 11),
     (0.0, np.inf, 11),
+    (0.0, 1.0, 3.5),   # not an integer count
+    (0.0, 1.0, 11.0),
 ])
 def test_grid_rejects_bad_domains(args):
     with pytest.raises(GridError):
         Grid1D(*args)
+
+
+def test_grid_accepts_a_numpy_integer_count():
+    assert Grid1D(0.0, 1.0, np.int64(11)).x.shape == (11,)
 
 
 @pytest.mark.parametrize("args,message", [

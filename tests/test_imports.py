@@ -245,6 +245,34 @@ def test_package_exports_exactly_what_it_imports():
     assert sorted(imported) == sorted(exported)
 
 
+def _unread_imports(source: str) -> list[str]:
+    """Names a module's import statements bind that no expression reads;
+    ``from __future__`` imports bind none."""
+    tree = ast.parse(source)
+    bound = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(set(bound) - read)
+
+
+def test_unused_import_guard_sees_an_unread_name():
+    assert _unread_imports("import os\nimport numpy as np\nfrom x import (a, b)\nb(np)\n") \
+        == ["a", "os"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in (Path(__file__).resolve().parents[1] / "src" / "susyqm").glob("*.py")
+    if p.name != "__init__.py"))
+def test_module_reads_every_name_it_imports(module):
+    """No linter is installed; this is its unused-import rule.  __init__.py
+    imports to re-export, which test_package_exports_exactly_what_it_imports
+    checks instead."""
+    path = Path(__file__).resolve().parents[1] / "src" / "susyqm" / module
+    assert _unread_imports(path.read_text()) == []
+
+
 BLOCKED_SCIPY = r"""
 import contextlib, io, json, sys
 

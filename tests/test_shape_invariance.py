@@ -825,6 +825,30 @@ def test_candidate_whose_every_trial_misses_gets_a_no_finite_score_row(w, a0, ca
         (cand, "no-finite-score", (), None, None)
 
 
+def test_refined_finalist_that_misses_is_gated_while_the_coarse_one_is_kept():
+    # Morse's w = A - exp(-x) with A = 3 - a, defined only at the coarse
+    # samples a = -1, 0, 1 of the translation a -> a + θ from a = 0: the
+    # coarse winner θ = 1 (A: 3 -> 2) is shape invariant, and the refine on
+    # (0, 1) ends at θ = 7.3e-18, where w is non-finite, so that finalist
+    # is gated as "no-finite-score"
+    def w(x, p):
+        a = p["a"]
+        return 3.0 - a - np.exp(-x) if a in (-1.0, 0.0, 1.0) else np.full_like(x, np.nan)
+
+    family = SuperpotentialFamily.from_callables(w, lambda x, p: np.exp(-x), ("a",))
+    grid = make_grid(-3.5, 10.0, 1401)
+    cand = TransformCandidate(Translation, -1.0, 1.0, param="a")
+    record = []
+    found = search_transform(family, {"a": 0.0}, grid, [cand], budget=3, record=record)
+    assert found is not None and found[0] == Translation(1.0, param="a")
+    (row,) = record
+    coarse, refined = row.finalists
+    assert (coarse, row.theta, row.gate) == (1.0, 1.0, None)
+    assert 0.0 < refined < 1e-15
+    with pytest.raises(EvaluationError):
+        si_residual(family, {"a": 0.0}, Translation(refined, param="a"), grid)
+
+
 def test_search_at_an_unevaluable_a0_raises_and_records_nothing():
     # "nothing found" must mean that candidates were scored: w = x/(a - 2) is
     # non-finite at a₀ = 2, so the search has nothing to score against.

@@ -6,12 +6,13 @@ from scipy.integrate import cumulative_trapezoid
 
 from susyqm import (EvaluationError, GridFunction, GridMismatchError, NodePresentError,
                     SuperpotentialFamily, SusyPhase,
-                    apply_a, block_spectra, build_hierarchy, charge_matrices,
-                    decay_trust_window, get_record, ground_state, inner_product,
+                    apply_a, block_spectra, boundary_amplitude_ratio, build_hierarchy,
+                    charge_matrices, decay_trust_window, get_record, ground_state, inner_product,
                     make_grid, merged_params, partner_pair_from_w,
                     partner_potentials, record_grid,
                     superpotential_from_ground_state, susy_phase, verify_algebra,
                     zero_mode)
+from susyqm.susy import _derivative_5pt, _zero_mode_ratios
 
 HARMONIC = SuperpotentialFamily.from_expression("x")
 GRID = make_grid(-10.0, 10.0, 2001)
@@ -260,6 +261,13 @@ def test_verify_algebra_flags_violations():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("tolerance", [np.nan, 0.0, -1.0, np.inf])
+def test_verify_algebra_rejects_a_tolerance_that_is_not_positive_and_finite(tolerance):
+    cm = charge_matrices(HARMONIC, {}, make_grid(-5.0, 5.0, 101))
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        verify_algebra(cm, tolerance)
+
+
 def test_zero_mode_is_annihilated():
     fine = make_grid(-10.0, 10.0, 16001)
     psi = zero_mode(HARMONIC, {}, fine, -1)
@@ -298,6 +306,21 @@ def test_zero_mode_equals_scipy_cumulative_trapezoid(name):
                               np.exp(expo - expo.max()))
 
 
+def test_zero_mode_ratios_tabulate_w_once():
+    calls = []
+
+    def w(x, p):
+        calls.append(p)
+        return 0.7 * x**3 - 1.3 * x
+
+    family = SuperpotentialFamily.from_callables(w, None, ())
+    grid = make_grid(-3.0, 3.0, 1001)
+    ratios = _zero_mode_ratios(family, {}, grid)
+    assert len(calls) == 1
+    assert ratios == tuple(boundary_amplitude_ratio(zero_mode(family, {}, grid, sign))
+                           for sign in (-1, 1))
+
+
 def test_susy_phase_three_ways():
     assert susy_phase(HARMONIC, {}, GRID) is SusyPhase.UNBROKEN_MINUS
     mirror = SuperpotentialFamily.from_expression("-x")
@@ -305,6 +328,17 @@ def test_susy_phase_three_ways():
     # Even w: both zero modes blow up on one side each.
     broken = SuperpotentialFamily.from_expression("x^2")
     assert susy_phase(broken, {}, GRID) is SusyPhase.BROKEN
+
+
+@pytest.mark.parametrize("text, phase", [
+    # both zero modes decay, ratios 9.4e-14 (minus) and 1.1e-13 (plus)
+    ("30*sin(x)", SusyPhase.UNBROKEN_MINUS),
+    # both decay, ratios 9.8e-13 (minus) and 2.3e-13 (plus)
+    ("30*sin(x) + 0.5", SusyPhase.UNBROKEN_PLUS),
+])
+def test_susy_phase_when_both_zero_modes_decay(text, phase):
+    grid = make_grid(-1.5 * np.pi, 1.5 * np.pi, 2001)
+    assert susy_phase(SuperpotentialFamily.from_expression(text), {}, grid) is phase
 
 
 def test_susy_phase_hard_wall():
@@ -322,6 +356,25 @@ def test_superpotential_round_trip():
     w = superpotential_from_ground_state(psi)
     lo, hi = decay_trust_window(psi)
     assert np.max(np.abs(w.values[lo:hi + 1] - GRID.x[lo:hi + 1])) < 5e-6
+
+
+def test_derivative_5pt_edges_equal_the_full_grid_gradient(monkeypatch):
+    # the edges come from np.gradient of the three end nodes on each side,
+    # bit for bit what np.gradient of the whole array gives there
+    gradient, sizes = np.gradient, []
+
+    def spy(f, *args, **kwargs):
+        sizes.append(len(f))
+        return gradient(f, *args, **kwargs)
+
+    monkeypatch.setattr(np, "gradient", spy)
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        values = rng.standard_normal(int(rng.integers(3, 40))) * 10.0 ** rng.integers(-3, 4)
+        h = float(rng.uniform(1e-3, 1.0))
+        out, full = _derivative_5pt(values, h), gradient(values, h, edge_order=2)
+        assert np.array_equal(out[:2], full[:2]) and np.array_equal(out[-2:], full[-2:])
+    assert set(sizes) == {3}
 
 
 def test_superpotential_rejects_excited_state():
