@@ -6,6 +6,8 @@ families, produce bound-state spectra both algebraically and through an
 independent eigensolver, and classify potentials by set membership.
 """
 
+from types import ModuleType as _ModuleType
+
 from .catalog import (SIPRecord, catalog_dump, closed_form_spectrum,
                       get_record, instantiate, list_catalog, merged_params,
                       record_grid)
@@ -40,31 +42,6 @@ from .susy import (AlgebraReport, ChargeMatrices, Hierarchy, HierarchyLevel,
                    partner_potentials, superpotential_from_ground_state,
                    susy_phase, verify_algebra, zero_mode)
 
-__all__ = [
-    "ANALYTIC_TOL", "AlgebraReport", "CERTIFIED", "CatalogError",
-    "ChainConstructionError", "ChargeMatrices", "ConvergenceError", "Cyclic",
-    "DECAY_RATIO", "DEFAULT_DOMAIN", "DEFAULT_N_POINTS", "EigenPair",
-    "EvaluationError", "ExpressionError", "FINITE_DIFF_TOL", "Grid1D",
-    "GridError", "GridFunction", "GridMismatchError", "HamiltonianMatrix",
-    "Hierarchy", "HierarchyLevel", "NO", "NO_WITHIN_SEARCH",
-    "NoBoundStateError", "NodePresentError", "ParameterTransform",
-    "PartnerPair", "Projective", "PowerScaling",
-    "ResidualReport", "SIPRecord", "Scaling", "Spectrum", "SpectrumEntry",
-    "SuperpotentialFamily", "SusyPhase", "SusyQMError", "TransformCandidate",
-    "TransformError", "Translation", "UNKNOWN", "VennTag", "YES",
-    "ZeroNormError", "algebraic_spectrum", "apply_a", "apply_a_dagger",
-    "assemble_hamiltonian", "block_spectra", "boundary_amplitude_ratio",
-    "build_hierarchy", "catalog_dump", "charge_matrices", "classify_family",
-    "classify_record", "classify_tabulated", "closed_form_spectrum",
-    "compile_on_grid", "compile_scalar", "count_nodes", "decay_trust_window",
-    "default_candidates", "derivative", "differentiate",
-    "get_record", "ground_state", "inner_product", "instantiate",
-    "iterate_params", "l2_distance", "list_catalog", "make_grid",
-    "merged_params", "norm", "normalize", "parse_expression",
-    "partner_pair_from_w", "partner_potentials", "record_grid",
-    "search_transform", "si_residual", "sign_aligned_distance",
-    "solve_lowest", "solve_potential", "spectrum_csv",
-    "spectrum_from_measured_residuals", "superpotential_from_ground_state",
-    "susy_phase", "venn_graph_text", "verify_algebra", "wavefunction_chain",
-    "zero_mode",
-]
+#: Every public name bound above; no module, no underscore name.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

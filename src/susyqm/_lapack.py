@@ -52,10 +52,10 @@ def _openblas():
 
 def _check_inputs(d: np.ndarray, e: np.ndarray, k: int) -> None:
     """Reject what would make the LAPACK call read or write out of bounds."""
-    if k < 1:
-        raise ValueError(f"k={k} must be at least 1")
     if not isinstance(k, (int, np.integer)):
         raise ValueError(f"k={k!r} must be an integer")
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     for name, a in (("diagonal", d), ("off-diagonal", e)):
         if a.dtype != np.float64 or a.ndim != 1 or not a.flags.c_contiguous:
             raise ValueError(f"{name} must be a C-contiguous 1-D float64 array")

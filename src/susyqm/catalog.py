@@ -19,8 +19,7 @@ from .expressions import (NumpyCode, assemble_scalar, compile_scalar, differenti
                           parse_expression)
 from .grids import Grid1D, GridFunction, make_grid
 from .shape_invariance import (Cyclic, ParameterTransform, Scaling, Spectrum,
-                               SpectrumEntry, Translation, algebraic_spectrum,
-                               iterate_params)
+                               SpectrumEntry, Translation, _partial_sums, iterate_params)
 from .susy import PartnerPair, SuperpotentialFamily, partner_potentials
 
 
@@ -218,16 +217,15 @@ def closed_form_spectrum(name: str, params: dict | None, n_max: int) -> Spectrum
 
     Energies are exactly those of algebraic_spectrum run on the record's
     closed-form R; entries whose orbit parameters leave the validity region
-    come back flagged invalid rather than dropped.
+    come back flagged invalid rather than dropped.  One orbit serves both.
     """
     rec = get_record(name)
     a0 = merged_params(rec, params)
     check_levels_valid(rec, a0, 0)
-    base = algebraic_spectrum(rec.r_function, rec.transform, a0, n_max)
-    orbit = iterate_params(rec.transform, a0, len(base.entries) - 1)
-    flagged = [SpectrumEntry(e.n, e.energy, rec.validity(orbit[e.n]))
-               for e in base.entries]
-    return Spectrum(flagged, truncated=base.truncated)
+    orbit = iterate_params(rec.transform, a0, n_max)
+    base = _partial_sums(float(rec.r_function(a)) for a in orbit[1:])
+    return Spectrum([SpectrumEntry(e.n, e.energy, rec.validity(orbit[e.n]))
+                     for e in base.entries], truncated=base.truncated)
 
 
 def instantiate(name: str, params: dict | None, grid: Grid1D) -> tuple[PartnerPair, GridFunction]:

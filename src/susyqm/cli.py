@@ -106,10 +106,13 @@ def _add_input_flags(p: argparse.ArgumentParser, tabulated: bool = True) -> None
     p.add_argument("--points", type=int, default=None, dest="n_points")
 
 
-def _add_common_flags(p: argparse.ArgumentParser, fmt_default: str | None = "csv") -> None:
-    if fmt_default is not None:
-        p.add_argument("--format", choices=("csv", "json"), default=fmt_default,
-                       dest="fmt")
+def _add_common_flags(p: argparse.ArgumentParser, formats: tuple = ("csv", "json")) -> None:
+    """The output flags; the one place a command's format is set.  A command
+    with more than one format takes --format, defaulting to the first."""
+    if len(formats) == 1:
+        p.set_defaults(fmt=formats[0])
+    else:
+        p.add_argument("--format", choices=formats, default=formats[0], dest="fmt")
     p.add_argument("--output", "-o", metavar="PATH", default=None,
                    help="write the main document here instead of stdout")
     p.add_argument("--dump-config", action="store_true",
@@ -141,8 +144,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("hierarchy", help="build the partner hierarchy to a depth")
     _add_input_flags(p)
     p.add_argument("--depth", type=int, default=3)
-    _add_common_flags(p, fmt_default=None)
-    p.set_defaults(fmt="json")
+    _add_common_flags(p, formats=("json",))
 
     p = sub.add_parser("si-check", help="test or search for shape invariance")
     _add_input_flags(p, tabulated=False)
@@ -160,8 +162,7 @@ def _build_parser() -> _Parser:
                    help="search even when the record declares a transform")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--tolerance", type=float, default=None)
-    _add_common_flags(p, fmt_default=None)
-    p.set_defaults(fmt="json")
+    _add_common_flags(p, formats=("json",))
 
     p = sub.add_parser("spectrum", help="algebraic vs oracle energies side by side")
     _add_input_flags(p, tabulated=False)
@@ -180,20 +181,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--fig", metavar="PATH", default=None,
                    help="also write a graph-description text file")
-    _add_common_flags(p, fmt_default=None)
-    p.set_defaults(fmt="json")
+    _add_common_flags(p, formats=("json",))
 
     p = sub.add_parser("algebra-check", help="verify the charge algebra numerically")
     _add_input_flags(p, tabulated=False)
     p.add_argument("--tolerance", type=float, default=None)
-    _add_common_flags(p, fmt_default=None)
-    p.set_defaults(fmt="json")
+    _add_common_flags(p, formats=("json",))
 
     p = sub.add_parser("catalog", help="list records or show one")
     p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   dest="fmt")
-    _add_common_flags(p, fmt_default=None)
+    _add_common_flags(p, formats=("text", "json"))
 
     return parser
 
@@ -356,7 +353,9 @@ def _json_text(doc) -> str:
     return json.dumps(_round12(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | Path | None) -> None:
+    """Write a document to stdout, or to the file ``output`` with LF endings;
+    every byte the CLI writes goes through here."""
     if output is None:
         sys.stdout.write(text)
     else:
@@ -461,16 +460,14 @@ def _cmd_hierarchy(inp: _Input, ns: argparse.Namespace) -> None:
     levels = []
     for level in hier:
         ref = f"potential_{level.depth}.csv"
-        with open(out_dir / ref, "w", newline="\n") as fh:
-            fh.write(level.potential.to_csv())
+        _emit(level.potential.to_csv(), out_dir / ref)
         levels.append({"depth": level.depth,
                        "ground_energy": level.ground_energy,
                        "potential_csv_ref": ref})
     doc = {"levels": levels, "truncated": hier.truncated, "note": hier.note}
     text = _json_text(doc)
-    with open(out_dir / "summary.json", "w", newline="\n") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
+    _emit(text, out_dir / "summary.json")
+    _emit(text, None)
 
 
 def _cmd_si_check(inp: _Input, ns: argparse.Namespace) -> None:
@@ -563,8 +560,7 @@ def _cmd_classify(inp: _Input, ns: argparse.Namespace) -> None:
     else:
         tag = classify_family(inp.family, inp.params, inp.grid, ns.budget)
     if ns.fig is not None:
-        with open(ns.fig, "w", newline="\n") as fh:
-            fh.write(venn_graph_text(tag))
+        _emit(venn_graph_text(tag), ns.fig)
     _emit(_json_text(tag.to_dict()), ns.output)
 
 
@@ -619,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if ns.dump_config:
-            sys.stdout.write(_json_text(_config_doc(ns)))
+            _emit(_json_text(_config_doc(ns)), None)
         elif ns.command == "catalog":
             _cmd_catalog(ns)
         else:

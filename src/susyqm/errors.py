@@ -17,6 +17,10 @@ class ZeroNormError(SusyQMError, ValueError):
     """A function is numerically zero where a nonzero one is required."""
 
 
+class NormOverflowError(SusyQMError, ValueError):
+    """A function's L2 norm is too large for a float."""
+
+
 class EvaluationError(SusyQMError, ValueError):
     """A superpotential or potential could not be evaluated finitely."""
 

@@ -313,7 +313,8 @@ def _functions(code: NumpyCode) -> dict:
 def _evaluated(text: str, call: Callable[[], object]):
     """call() with numpy warnings silenced, and with the failures of a
     parameter-only subterm computed in Python floats (``1/(a - 2)`` at a = 2,
-    ``a**400``, ``a**(-1.5)`` at a < 0, which comes out complex) raised as
+    ``a**400``, ``a**(-1.5)`` at a < 0, which comes out complex) or of a
+    parameter's conversion to float (an int of 400 digits) raised as
     EvaluationError."""
     try:
         with np.errstate(all="ignore"):
@@ -337,8 +338,8 @@ def assemble_on_grid(code: NumpyCode) -> Callable[[np.ndarray, dict], np.ndarray
         missing = [p for p in params if p not in values]
         if missing:
             raise EvaluationError(f"missing parameter values for {missing}")
-        args = [float(values[p]) for p in params]
-        out = _evaluated(text, lambda: fn(x, *args, subterms(x) if subterms else ()))
+        out = _evaluated(text, lambda: fn(x, *[float(values[p]) for p in params],
+                                          subterms(x) if subterms else ()))
         out = np.asarray(out, dtype=float)
         if out.shape != np.shape(x):
             out = np.array(np.broadcast_to(out, np.shape(x)))

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GridError, GridMismatchError, ZeroNormError
+from .errors import GridError, GridMismatchError, NormOverflowError, ZeroNormError
 
 #: Default computational box for potentials on the full line.
 DEFAULT_DOMAIN = (-10.0, 10.0)
@@ -41,10 +41,10 @@ class Grid1D:
             raise GridError("grid bounds must be finite")
         if self.x_min >= self.x_max:
             raise GridError(f"domain-order violation: x_min={self.x_min} >= x_max={self.x_max}")
-        if self.n_points < 3:
-            raise GridError(f"n_points={self.n_points} too small, need at least 3")
         if not isinstance(self.n_points, (int, np.integer)):
             raise GridError(f"n_points={self.n_points!r} must be an integer")
+        if self.n_points < 3:
+            raise GridError(f"n_points={self.n_points} too small, need at least 3")
         if not math.isfinite(self.x_max - self.x_min):
             raise GridError(f"grid span x_max - x_min overflows on [{self.x_min}, {self.x_max}]")
         # The finite-difference Laplacian's diagonal 2/h**2 must be a finite
@@ -75,8 +75,11 @@ class Grid1D:
 
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid1D:
-    """Build a uniform grid, validating the domain order and point count."""
-    return Grid1D(float(x_min), float(x_max), int(n_points))
+    """Build a uniform grid; Grid1D validates the domain order and the point
+    count, which must be an integer (a numpy integer becomes an int)."""
+    if isinstance(n_points, np.integer):
+        n_points = int(n_points)
+    return Grid1D(float(x_min), float(x_max), n_points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,12 +172,17 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
 
 
 def norm(f: GridFunction) -> float:
-    return float(np.sqrt(inner_product(f, f)))
+    """The L2 norm; inf, without a warning, when the squares overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(inner_product(f, f)))
 
 
 def normalize(f: GridFunction) -> GridFunction:
-    """Rescale to unit L2 norm.  Raises ZeroNormError at a norm of 1e-12 or less."""
+    """Rescale to unit L2 norm.  Raises ZeroNormError at a norm of 1e-12 or
+    less and NormOverflowError at a norm too large for a float."""
     n = norm(f)
+    if not math.isfinite(n):
+        raise NormOverflowError("norm overflows a float, cannot normalize")
     if n <= 1e-12:
         raise ZeroNormError(f"norm {n:.3e} at or below floor 1.000e-12, cannot normalize")
     return GridFunction(f.grid, f.values / n)

@@ -227,7 +227,10 @@ class Cyclic(ParameterTransform):
 
 
 def iterate_params(t: ParameterTransform, a0: dict, n: int) -> list[dict]:
-    """Orbit a₀..aₙ (length n+1): repeated application of the transform to a0."""
+    """Orbit a₀..aₙ (length n+1): repeated application of the transform to a0.
+    ValueError unless n is a nonnegative integer."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"orbit length n={n!r} must be an integer")
     if n < 0:
         raise ValueError(f"orbit length must be nonnegative, got n={n}")
     orbit = [dict(a0)]

@@ -132,7 +132,7 @@ class SuperpotentialFamily:
         nan wherever the function does, so the caller tests finiteness on
         what it computes from them.  Each finite row equals ``w_grid`` /
         ``w_prime_grid`` at that row's parameters bit for bit.  Missing
-        parameters raise EvaluationError.
+        parameters, and values too large for a float, raise EvaluationError.
 
         The (rows, 1) parameter columns are built once and serve w and w′;
         a broadcasting compiled expression runs once for the whole stack,
@@ -144,7 +144,10 @@ class SuperpotentialFamily:
         if missing:
             raise EvaluationError(f"missing parameter values for {sorted(missing)}")
         shape = (len(rows), grid.n_points)
-        columns = {p: np.array([float(row[p]) for row in rows])[:, None] for p in names}
+        try:
+            columns = {p: np.array([float(row[p]) for row in rows])[:, None] for p in names}
+        except OverflowError as exc:
+            raise EvaluationError(f"parameters cannot be converted to float ({exc})") from None
 
         def tabulate(fn: WFunc) -> np.ndarray:
             if names and getattr(fn, "broadcasts", False):
@@ -501,6 +504,8 @@ def build_hierarchy(v: GridFunction, depth: int, sides: str = "both") -> Hierarc
     lowest state fails the decay test, i.e. the chain has run out of bound
     states.
     """
+    if not isinstance(depth, (int, np.integer)):
+        raise ValueError(f"depth={depth!r} must be an integer")
     if depth < 1:
         raise ValueError(f"depth={depth} must be at least 1")
     grid = v.grid

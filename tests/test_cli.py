@@ -1097,6 +1097,63 @@ def test_commands_read_only_the_resolved_input():
     assert calls == []
 
 
+def _nodes_by_function(tree: ast.AST) -> list[tuple[str | None, ast.AST]]:
+    """Every node under tree, with the name of its innermost enclosing function."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            yield owner, child
+            yield from visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+    return list(visit(tree, None))
+
+
+def _writes(node: ast.AST) -> bool:
+    """A call that writes stdout or a file: sys.stdout.write, Path.write_*,
+    or open with a mode that is not read-only (or not a literal)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = ast.unparse(node.func)
+    if func == "sys.stdout.write" or func.endswith((".write_text", ".write_bytes")):
+        return True
+    if func != "open" and not func.endswith(".open"):
+        return False
+    modes = node.args[1:2] if func == "open" else node.args[:1]
+    modes += [k.value for k in node.keywords if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(m.value) & set("wax+") for m in modes)
+
+
+def _sets_fmt(node: ast.AST) -> bool:
+    """dest="fmt", set_defaults(fmt=...) or an assignment to .fmt."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "fmt" and isinstance(node.ctx, ast.Store)
+    return isinstance(node, ast.Call) and any(
+        (k.arg == "dest" and getattr(k.value, "value", None) == "fmt")
+        or (k.arg == "fmt" and ast.unparse(node.func).endswith(".set_defaults"))
+        for k in node.keywords)
+
+
+def test_output_rules_live_in_one_place_each():
+    """Every document and file the CLI writes goes through _emit, and every
+    command's format is set in _add_common_flags."""
+    nodes = _nodes_by_function(ast.parse(Path(susyqm.cli.__file__).read_text()))
+    assert sorted(owner for owner, node in nodes if _writes(node)) == ["_emit", "_emit"]
+    assert sorted(owner for owner, node in nodes if _sets_fmt(node)) \
+        == ["_add_common_flags", "_add_common_flags"]
+
+
+def test_output_rule_checks_see_each_spelling():
+    """The two predicates above flag what they are meant to, and no read."""
+    calls = {"sys.stdout.write(t)": True, "open(p, 'w', newline='\\n')": True,
+             "path.open('a')": True, "open(p, mode)": True, "p.write_text(t)": True,
+             "path.open()": False, "open(p)": False, "open(p, mode='r')": False,
+             "sys.stderr.write(t)": False}
+    for text, writes in calls.items():
+        assert _writes(ast.parse(text, mode="eval").body) is writes, text
+    sets = {"p.add_argument('--f', dest='fmt')": True, "p.set_defaults(fmt='json')": True,
+            "ns.fmt = 'csv'": True, "ns.fmt == 'csv'": False, "f(fmt='csv')": False}
+    for text, sets_fmt in sets.items():
+        assert any(_sets_fmt(node) for node in ast.walk(ast.parse(text))) is sets_fmt, text
+
+
 def test_overflow_reports_one_stderr_line():
     # w = exp(0.5x) is finite on [-10, 1000] but w² overflows.
     proc = subprocess.run([sys.executable, "-m", "susyqm.cli", "partner",

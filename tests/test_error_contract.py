@@ -3,21 +3,24 @@
 Every call either returns or raises a SusyQMError; the documented
 ValueErrors outside that hierarchy are a negative level or orbit length, a
 tolerance that is not positive and finite, a zero-mode sign other than ±1,
-decay sides other than "both" and "right", a hierarchy depth below 1, and a
-level count k that is not an integer of at least 1 and at most the matrix
-dimension.  A bare KeyError, TypeError or ZeroDivisionError would escape the
-CLI, which catches only SusyQMError, OSError and ValueError, as a traceback.
+decay sides other than "both" and "right", a hierarchy depth below 1, a
+level count k above the matrix dimension or below 1, and an orbit length,
+hierarchy depth or k that is not an integer.  A bare KeyError, TypeError,
+OverflowError or ZeroDivisionError would escape the CLI, which catches only
+SusyQMError, OSError and ValueError, as a traceback.
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from susyqm import (Cyclic, Grid1D, GridFunction, Projective, SuperpotentialFamily,
-                    SusyQMError, Translation, algebraic_spectrum, apply_a, apply_a_dagger,
+from susyqm import (Cyclic, EvaluationError, Grid1D, GridFunction, Projective,
+                    SuperpotentialFamily, SusyQMError, Translation, UNKNOWN,
+                    algebraic_spectrum, apply_a, apply_a_dagger,
                     block_spectra, boundary_amplitude_ratio, build_hierarchy,
                     charge_matrices, classify_family, classify_record, classify_tabulated,
                     closed_form_spectrum, count_nodes, decay_trust_window, derivative,
@@ -72,9 +75,9 @@ def _obeys_the_contract(call) -> None:
          grid=GRIDS[2], r=MORSE.r_function, tolerance=None)
 @example(family=MORSE.family, a0={"A": 0.5}, t=Cyclic(({"A": 2.0}, {"A": 1.0})), n=1,
          grid=GRIDS[2], r=MORSE.r_function, tolerance=None)
-@given(family=FAMILIES, a0=PARAMS, t=TRANSFORMS, n=st.integers(-2, 3),
-       grid=st.sampled_from(GRIDS), r=R_FUNCTIONS,
-       tolerance=st.sampled_from([None, 1e-6, 0.0, -1.0, math.nan, math.inf]))
+@given(family=FAMILIES, a0=PARAMS, t=TRANSFORMS,
+       n=st.one_of(st.integers(-2, 3), st.just(2.0)), grid=st.sampled_from(GRIDS),
+       r=R_FUNCTIONS, tolerance=st.sampled_from([None, 1e-6, 0.0, -1.0, math.nan, math.inf]))
 def test_orbit_entry_points_raise_only_the_documented_errors(family, a0, t, n, grid, r,
                                                              tolerance):
     with warnings.catch_warnings():
@@ -87,8 +90,9 @@ def test_orbit_entry_points_raise_only_the_documented_errors(family, a0, t, n, g
 
 
 #: Tabulated functions: zero, a well, a node, a constant and a barrier.
-#: Values whose squares overflow are not drawn: inner_product then warns and
-#: returns inf, which normalize turns into a zero function without an error.
+#: Values whose squares overflow are not drawn: normalize refuses them
+#: (tests/test_grids.py), but the inner product of two of them still warns
+#: of the overflow and returns inf.
 SHAPES = st.sampled_from([np.zeros_like, np.square, lambda x: x * np.exp(-x**2),
                           np.ones_like, lambda x: -1e6 * np.exp(-x**2)])
 SIDES = st.sampled_from(["both", "right", "left"])
@@ -97,9 +101,10 @@ SIDES = st.sampled_from(["both", "right", "left"])
 @settings(max_examples=40)
 @example(n_points=3.5, shape=np.square, other=np.square, grid=GRIDS[2], k=2.0, depth=2,
          sides="both")
-@given(n_points=st.sampled_from([2, 3, 3.5, 7.0, np.int64(7), np.float64(7.0)]),
+@given(n_points=st.sampled_from([2, 3, 3.5, 7.0, "7", np.int64(7), np.float64(7.0)]),
        shape=SHAPES, other=SHAPES, grid=st.sampled_from(GRIDS),
-       k=st.sampled_from([-1, 0, 1, 3, 2.0, np.int64(2)]), depth=st.integers(0, 3),
+       k=st.sampled_from([-1, 0, 1, 3, 2.0, "2", np.int64(2)]),
+       depth=st.sampled_from([0, 1, 2, 3, 2.0, "2", np.int64(2)]),
        sides=SIDES)
 def test_grid_and_solver_entry_points_raise_only_the_documented_errors(
         n_points, shape, other, grid, k, depth, sides):
@@ -144,10 +149,46 @@ def test_susy_entry_points_raise_only_the_documented_errors(family, a0, grid, si
 @example(name="morse", params={"A": "2"}, n=2, grid=GRIDS[2])
 @given(name=st.sampled_from([*list_catalog(), "nope"]),
        params=st.one_of(st.none(), PARAMS, st.builds(lambda a: {"A": a}, st.just("2"))),
-       n=st.integers(-1, 3), grid=st.sampled_from(GRIDS))
+       n=st.one_of(st.integers(-1, 3), st.just(2.0)), grid=st.sampled_from(GRIDS))
 def test_catalog_entry_points_raise_only_the_documented_errors(name, params, n, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _obeys_the_contract(lambda: closed_form_spectrum(name, params, n))
         _obeys_the_contract(lambda: instantiate(name, params, grid))
         _obeys_the_contract(lambda: classify_record(name, params, 3))
+
+
+MORSE_A0 = {"A": 2.0}
+HARMONIC = GridFunction(GRIDS[2], np.square(GRIDS[2].x))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: iterate_params(MORSE.transform, MORSE_A0, 2.0),
+    lambda: algebraic_spectrum(MORSE.r_function, MORSE.transform, MORSE_A0, 2.0),
+    lambda: closed_form_spectrum("morse", None, 2.0),
+    lambda: spectrum_from_measured_residuals(MORSE.family, MORSE.transform, MORSE_A0,
+                                             GRIDS[2], 2.0),
+    lambda: wavefunction_chain(MORSE.family, MORSE_A0, MORSE.transform, 2.0, GRIDS[2]),
+    lambda: build_hierarchy(HARMONIC, 2.0),
+], ids=["iterate_params", "algebraic_spectrum", "closed_form_spectrum",
+        "spectrum_from_measured_residuals", "wavefunction_chain", "build_hierarchy"])
+def test_a_float_count_is_a_documented_value_error(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+#: An int parameter too large for a float.
+HUGE = 10**400
+
+
+def test_an_int_parameter_too_large_for_a_float_is_an_evaluation_error():
+    family, grid = MORSE.family, GRIDS[2]
+    for call in (lambda: family.w_grid(grid, {"A": HUGE}),
+                 lambda: family.w_rows(grid, [MORSE_A0, {"A": HUGE}]),
+                 lambda: MORSE.r_function({"A": HUGE})):
+        with pytest.raises(EvaluationError, match="int too large to convert to float"):
+            call()
+    tag = classify_family(family, {"A": HUGE}, grid, 3)
+    assert (tag.susy, tag.shape_invariant, tag.ih_factorizable, tag.exactly_solvable) \
+        == (UNKNOWN,) * 4
+    assert [e["kind"] for e in tag.evidence] == ["evaluation"]

@@ -10,6 +10,7 @@ from susyqm import (Grid1D, GridError, GridFunction, GridMismatchError,
                     ZeroNormError, boundary_amplitude_ratio, count_nodes,
                     derivative, inner_product, l2_distance, make_grid, norm,
                     normalize, sign_aligned_distance)
+from susyqm.errors import NormOverflowError
 from susyqm.grids import FLOAT_FMT, align_sign
 
 
@@ -42,6 +43,17 @@ def test_grid_rejects_bad_domains(args):
 
 def test_grid_accepts_a_numpy_integer_count():
     assert Grid1D(0.0, 1.0, np.int64(11)).x.shape == (11,)
+
+
+@pytest.mark.parametrize("n_points", [101.7, 101.0, 2.5, "101"])
+def test_make_grid_refuses_a_non_integer_count(n_points):
+    with pytest.raises(GridError, match="must be an integer"):
+        make_grid(-5.0, 5.0, n_points)
+
+
+def test_make_grid_takes_a_numpy_integer_count_as_an_int():
+    grid = make_grid(-5.0, 5.0, np.int64(101))
+    assert type(grid.n_points) is int and grid == make_grid(-5.0, 5.0, 101)
 
 
 @pytest.mark.parametrize("args,message", [
@@ -176,6 +188,13 @@ def test_norm_and_normalize_gaussian():
     assert norm(f) == pytest.approx(np.pi**0.25, rel=1e-10)
     u = normalize(f)
     assert norm(u) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_normalize_refuses_a_norm_that_overflows():
+    f = GridFunction(make_grid(-5.0, 5.0, 101), np.full(101, 1e300))
+    assert norm(f) == math.inf  # without the overflow warning, an error in this suite
+    with pytest.raises(NormOverflowError, match="norm overflows a float"):
+        normalize(f)
 
 
 def test_normalize_zero_raises():
