@@ -18,7 +18,7 @@ class ZeroNormError(SusyQMError, ValueError):
 
 
 class NormOverflowError(SusyQMError, ValueError):
-    """A function's L2 norm is too large for a float."""
+    """A function's L2 norm, or the inner product of two, is too large for a float."""
 
 
 class EvaluationError(SusyQMError, ValueError):

@@ -164,17 +164,27 @@ def derivative(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, np.gradient(f.values, f.grid.h, edge_order=2))
 
 
-def inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Trapezoidal quadrature of the pointwise product over the grid."""
+def _quadrature(f: GridFunction, g: GridFunction) -> float:
+    """Trapezoidal quadrature of f·g, without a warning: inf or nan where
+    the product or its sum overflows, since both hold finite values only."""
     if f.grid != g.grid:
         raise GridMismatchError("inner product requires both functions on the same grid")
-    return float(np.trapezoid(f.values * g.values, dx=f.grid.h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.trapezoid(f.values * g.values, dx=f.grid.h))
+
+
+def inner_product(f: GridFunction, g: GridFunction) -> float:
+    """Trapezoidal quadrature of the pointwise product over the grid.
+    Raises NormOverflowError where the product or its sum overflows a float."""
+    value = _quadrature(f, g)
+    if not math.isfinite(value):
+        raise NormOverflowError("inner product overflows a float")
+    return value
 
 
 def norm(f: GridFunction) -> float:
     """The L2 norm; inf, without a warning, when the squares overflow."""
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(inner_product(f, f)))
+    return float(np.sqrt(_quadrature(f, f)))
 
 
 def normalize(f: GridFunction) -> GridFunction:

@@ -275,26 +275,42 @@ def _check_samples(grid: Grid1D) -> None:
                         f"residual; it needs at least {MIN_SAMPLES + 2 * EDGE_TRIM}")
 
 
-def _residual_reports(res: np.ndarray, tolerance: float) -> list[ResidualReport]:
-    """One report per row of V₊ − V₋ (full grid): trimmed-interior mean,
-    spread, and the pass rule.  The only place the statistic is computed.
+def _report(mean: float, stddev: float, tolerance: float) -> ResidualReport:
+    """The report of one residual's statistic: the pass rule, stated once."""
+    return ResidualReport(mean, stddev, stddev < tolerance * (1.0 + abs(mean)), tolerance)
 
-    res is overwritten.  The mean is computed once and serves both figures;
-    each row goes through the ufuncs of ``inner.mean(axis=1)`` and
-    ``inner.std(axis=1)`` in their order, so both come out equal to those
-    bit for bit, without their temporaries.
+
+def _trimmed_stats(rows: np.ndarray, trim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of columns [trim, n − trim) of each row of
+    a 2-D array.  The only place the residual statistic is computed.
+
+    rows is overwritten: the means are subtracted and the result squared in
+    place over the whole rows, which on contiguous rows runs about twice as
+    fast as on a strided interior view and leaves the interior values the
+    same.  The mean is computed once and serves both figures; each row goes
+    through the ufuncs of ``inner.mean(axis=1)`` and ``inner.std(axis=1)``
+    in their order, so both come out equal to those bit for bit, without
+    their temporaries.
     """
-    inner = np.atleast_2d(res)[:, EDGE_TRIM:-EDGE_TRIM]
+    inner = rows[:, trim:rows.shape[1] - trim]
     count = inner.shape[1]
     means = np.add.reduce(inner, axis=1, keepdims=True)
     np.true_divide(means, count, out=means)
-    np.subtract(inner, means, out=inner)
-    np.square(inner, out=inner)
+    np.subtract(rows, means, out=rows)
+    np.square(rows, out=rows)
     stddevs = np.add.reduce(inner, axis=1)
     np.true_divide(stddevs, count, out=stddevs)
     np.sqrt(stddevs, out=stddevs)
-    return [ResidualReport(mean, stddev, stddev < tolerance * (1.0 + abs(mean)), tolerance)
-            for mean, stddev in zip(means[:, 0].tolist(), stddevs.tolist())]
+    return means[:, 0], stddevs
+
+
+def _residual_reports(res: np.ndarray, tolerance: float) -> list[ResidualReport]:
+    """One report per row of V₊ − V₋ (full grid): ``_trimmed_stats`` of the
+    trimmed interior and ``_report``'s pass rule.  res is overwritten, its
+    edge nodes untouched, so an edge value cannot raise a warning."""
+    means, stddevs = _trimmed_stats(np.atleast_2d(res)[:, EDGE_TRIM:-EDGE_TRIM], 0)
+    return [_report(mean, stddev, tolerance)
+            for mean, stddev in zip(means.tolist(), stddevs.tolist())]
 
 
 def _orbit_steps(family: SuperpotentialFamily, orbit: Sequence[dict], grid: Grid1D,
@@ -530,52 +546,115 @@ def _minus_sector_decays(family: SuperpotentialFamily, params: dict,
     return r_minus < 1.0 and r_minus < r_plus
 
 
-def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
-                  trials: Sequence[tuple[TransformCandidate, float]], grid: Grid1D,
-                  tolerance: float) -> list[tuple[float, ResidualReport | None]]:
-    """si_residual's report for each (candidate, knob value) trial, against a
-    V₊(a₀) tabulated once; (inf, None) where si_residual would raise
-    TransformError or EvaluationError, or where V₋(a₁) is not finite.
+#: Column index of each edge node the residual statistic trims.
+_EDGE_NODES = np.array([*range(EDGE_TRIM), *range(-EDGE_TRIM, 0)])
 
-    Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the trial.  Each a₁ comes from
-    the candidate's scalar knob check and map (``map_params``), the code
-    ``apply`` runs, so the rows see exactly si_residual's parameter values
-    and no transform object is built; each row carries a₀'s names, so
-    ``w_rows`` finds no parameter missing.  The trials are tabulated and scored
-    in blocks of consecutive rows, whichever candidates they come from, each
-    block's arrays within ``_BLOCK_BYTES``: ``w_rows`` tabulates a block in
-    one call, and one buffer per call holds V₋ and then the residual of each
-    block.  One finiteness pass over V₋ finds the misses: a non-finite w or
-    w′, or a w² − w′ that overflows (si_residual raises GridError there;
-    in a search it is a trial the search made up, so it scores as a miss).
-    A row's ufuncs do not depend on its block, so every score equals
-    si_residual's bit for bit however the trials are split.
+
+def _mapped_trials(a0: dict, trials: Sequence[tuple[TransformCandidate, float]]
+                   ) -> tuple[list[int], list[str | None], list[float]]:
+    """The trials whose a₁ maps: their indices, target names and images.
+
+    Each candidate's target is resolved once (``_target``); each trial runs
+    the class's knob check and knob map on floats, the code ``map_params``
+    runs, so a trial misses exactly where map_params raises TransformError:
+    on a TransformError, ZeroDivisionError or OverflowError, or a
+    non-finite image.  A target of None (no parameters) keeps a₀ as it is.
     """
-    scored: list[tuple[float, ResidualReport | None]] = [(math.inf, None)] * len(trials)
-    live, rows = [], []
+    live, targets, images = [], [], []
+    resolved: dict[int, tuple] = {}
     for i, (cand, theta) in enumerate(trials):
+        spec = resolved.get(id(cand))
+        if spec is None:
+            try:
+                target = cand.cls._target(a0, cand.param)
+                value = None if target is None else float(a0[target])
+                spec = (cand.cls.check_knobs, cand.cls.knob_map, cand.fixed, target, value)
+            except (TransformError, OverflowError):
+                spec = ()  # every trial of this candidate misses
+            resolved[id(cand)] = spec
+        if not spec:
+            continue
+        check, knob_map, fixed, target, value = spec
         try:
-            rows.append(cand.map_params(theta, a0))
-        except TransformError:
+            check(theta, *fixed)
+            new = None if target is None else knob_map(value, theta, *fixed)
+        except (TransformError, ZeroDivisionError, OverflowError):
+            continue
+        if new is not None and not math.isfinite(new):
             continue
         live.append(i)
+        targets.append(target)
+        images.append(new)
+    return live, targets, images
+
+
+def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
+                  trials: Sequence[tuple[TransformCandidate, float]], grid: Grid1D
+                  ) -> list[tuple[float, float | None]]:
+    """(stddev, mean) of si_residual's statistic for each (candidate, knob
+    value) trial, against a V₊(a₀) tabulated once; (inf, None) where
+    si_residual would raise TransformError or EvaluationError, or where
+    V₋(a₁) is not finite.  a₀ must hold every parameter of the family.
+
+    Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the trial.  ``_mapped_trials``
+    maps each a₁ from floats, through the code ``apply`` runs, so the rows
+    see exactly si_residual's parameter values.  The trials are tabulated
+    and scored in blocks of consecutive rows, whichever candidates they come
+    from, each block's arrays within ``_BLOCK_BYTES``.  A family whose w and
+    analytic w′ broadcast (``_w_columns``) gets (rows, 1) parameter columns
+    built straight from the floats: a₁'s image in its target's column,
+    float(a₀[p]) in every other; any other family tabulates parameter dicts
+    through ``w_rows``.  One buffer per call holds V₋ and then the residual
+    of each block, and ``_trimmed_stats`` scores it in place.
+
+    A row is live when w² − w′ is finite (si_residual raises GridError
+    where it overflows; in a search it is a trial the search made up, so it
+    scores as a miss).  The interior sum the mean needs decides that: a row
+    whose mean and edge nodes are finite holds a finite residual, so a
+    finite w² − w′; every other row gets the exact isfinite(w² − w′) test.
+    A row's ufuncs do not depend on its block, so every figure equals
+    si_residual's bit for bit however the trials are split.
+    """
+    scored: list[tuple[float, float | None]] = [(math.inf, None)] * len(trials)
+    live, targets, images = _mapped_trials(a0, trials)
     size = _block_rows(grid)
-    buf = np.empty((min(size, len(rows)), grid.n_points))
+    if family._broadcasts:
+        names = family.parameter_names
+        base = {p: float(a0[p]) for p in names}
+        values = np.array([[new if t == p else base[p] for t, new in zip(targets, images)]
+                           for p in names])
+
+        def tabulate(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            return family._w_columns(grid, {p: values[j, start:stop, None]
+                                            for j, p in enumerate(names)})
+    else:
+        rows = [dict(a0) if t is None else {**a0, t: new} for t, new in zip(targets, images)]
+
+        def tabulate(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            return family.w_rows(grid, rows[start:stop])
+
+    buf = np.empty((min(size, len(live)), grid.n_points))
     # A miss row may hold inf or nan, and w² may overflow where w is finite.
     with np.errstate(all="ignore"):
-        for start in range(0, len(rows), size):
-            w, w_prime = family.w_rows(grid, rows[start:start + size])
+        for start in range(0, len(live), size):
             block = live[start:start + size]
+            w, w_prime = tabulate(start, start + len(block))
             res = buf[:len(block)]
             np.multiply(w, w, out=res)
             np.subtract(res, w_prime, out=res)
-            finite = np.isfinite(res).all(axis=1)
-            if not finite.all():
-                block = [i for i, ok in zip(block, finite) if ok]
-                res = res[finite]
             np.subtract(v_plus, res, out=res)
-            for i, report in zip(block, _residual_reports(res, tolerance)):
-                scored[i] = (report.residual_stddev, report)
+            edges = np.isfinite(res.take(_EDGE_NODES, axis=1)).all(axis=1)
+            means, stddevs = _trimmed_stats(res, EDGE_TRIM)
+            ok = edges & np.isfinite(means)
+            if not ok.all():
+                rest = np.flatnonzero(~ok)
+                w_rest, w_prime_rest = (np.broadcast_to(t, res.shape)[rest]
+                                        for t in (w, w_prime))
+                ok[rest] = np.isfinite(w_rest * w_rest - w_prime_rest).all(axis=1)
+            for i, keep, mean, stddev in zip(block, ok.tolist(), means.tolist(),
+                                             stddevs.tolist()):
+                if keep:
+                    scored[i] = (stddev, mean)
     return scored
 
 
@@ -631,9 +710,10 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
 
     Each candidate's knob is sampled on a nested deterministic grid and its
     best sample golden-section refined, all candidates in lockstep
-    (``_golden_lockstep``); scores are memoized per candidate and knob
-    value.  ``_score_trials`` scores the trials against V₊(a₀), tabulated
-    once per search.
+    (``_golden_lockstep``); each trial's (stddev, mean) is memoized per
+    candidate and knob value.  ``_score_trials`` scores the trials against
+    V₊(a₀), tabulated once per search, and only the finalists are made
+    into reports.
 
     Degenerate "transforms" that merely flip or kill the superpotential can
     flatten the residual without describing a bound-state ladder, so a
@@ -662,15 +742,14 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     trials = _trial_count(budget)
     v_plus = partner_potentials(family, a0, grid).v_plus.values
 
-    memos: list[dict[float, tuple[float, ResidualReport | None]]] = [{} for _ in candidates]
+    memos: list[dict[float, tuple[float, float | None]]] = [{} for _ in candidates]
 
-    def objective(requests: Sequence[tuple[int, float]]
-                  ) -> list[tuple[float, ResidualReport | None]]:
+    def objective(requests: Sequence[tuple[int, float]]) -> list[tuple[float, float | None]]:
         # requests are (candidate index, knob value); one call scores them all
         new = [(k, th) for k, th in dict.fromkeys(requests) if th not in memos[k]]
         if new:
             scored = _score_trials(family, a0, v_plus, [(candidates[k], th) for k, th in new],
-                                   grid, tolerance)
+                                   grid)
             for (k, th), score in zip(new, scored):
                 memos[k][th] = score
         return [memos[k][th] for k, th in requests]
@@ -716,12 +795,15 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
         finalists[k].append(theta)
 
     # Phase 3: judge each candidate's finalists; keep the best accepted one,
-    # else the best scored one, with the gate that rejected it.
+    # else the best scored one, with the gate that rejected it.  Only
+    # finalists get a report.
     rows = []
     for k, cand in enumerate(candidates):
         thetas = finalists.get(k, [])
+        reports = [None if mean is None else _report(mean, score, tolerance)
+                   for score, mean in objective([(k, th) for th in thetas])]
         judged = [SearchRow(cand, tuple(thetas), theta, report, gate(cand, theta, report))
-                  for theta, (_, report) in zip(thetas, objective([(k, th) for th in thetas]))]
+                  for theta, report in zip(thetas, reports)]
         pool = [row for row in judged if row.gate is None] or judged
         rows.append(min(pool, key=lambda row: row.score) if pool else
                     SearchRow(cand, (), None, None, "no-finite-score"))

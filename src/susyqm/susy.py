@@ -39,18 +39,20 @@ class SuperpotentialFamily:
     residual tests then run at a relaxed tolerance tier (see
     shape_invariance).
 
-    ``w_rows`` tabulates w and w′ for a stack of parameter dicts, as the
-    transform search does for each block of its trials (a few rows, sized
-    by shape_invariance._BLOCK_BYTES), whichever candidates they come from.
-    A compiled expression whose ``broadcasts`` attribute is true (set when
-    it is exact, see expressions.compile_on_grid) answers the whole stack
-    in one call of its ``unchecked`` entry, with each parameter as a column
-    of values against the 1-D ``grid.x``.  Any other callable is evaluated
-    row by row with float parameters; a finite-difference w′ is one
-    ``np.gradient`` along the rows of the whole stack.
-    Every call passes ``grid.x`` itself, never a view, so a compiled
-    expression computes its parameter-free subterms such as ``x**3`` once
-    per grid and reuses them on every later call on that grid.
+    The transform search tabulates w and w′ for each block of its trials
+    (a few rows, sized by shape_invariance._BLOCK_BYTES), whichever
+    candidates they come from.  When w and an analytic w′ are compiled
+    expressions whose ``broadcasts`` attribute is true (set when it is
+    exact, see expressions.compile_on_grid), ``_w_columns`` answers the
+    whole stack in one call of each ``unchecked`` entry, with each parameter
+    as a (rows, 1) column of floats against the 1-D ``grid.x``; the search
+    builds those columns itself.  ``w_rows`` takes the stack as parameter
+    dicts and serves every family: it wraps ``_w_columns`` where that
+    applies, and otherwise evaluates each row with float parameters, with a
+    finite-difference w′ as one ``np.gradient`` along the rows of the
+    whole stack.  Every call passes ``grid.x`` itself, never a view, so a
+    compiled expression computes its parameter-free subterms such as
+    ``x**3`` once per grid and reuses them on every later call on that grid.
 
     ``hard_wall_left`` marks half-line families whose grid starts just off a
     singularity: states are pinned to zero there by the wall, so decay is
@@ -123,6 +125,26 @@ class SuperpotentialFamily:
             return derivative(self.w_grid(grid, params))
         return self._eval(self.w_prime_fn, grid, params)
 
+    @property
+    def _broadcasts(self) -> bool:
+        """Whether w and an analytic w′ both take (rows, 1) parameter columns
+        (``_w_columns``)."""
+        return bool(self.parameter_names) and all(
+            getattr(fn, "broadcasts", False) for fn in (self.w_fn, self.w_prime_fn))
+
+    def _w_columns(self, grid: Grid1D, columns: dict[str, np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """w and w′ of a ``_broadcasts`` family at (rows, 1) parameter columns.
+
+        One call of each compiled ``unchecked`` entry on ``grid.x`` tabulates
+        the whole stack; each result broadcasts to (rows, n_points) and is
+        unchecked, so a row may hold inf or nan.  The caller holds
+        ``np.errstate``.  Each finite row equals ``w_grid`` / ``w_prime_grid``
+        at that row's parameters bit for bit.
+        """
+        return (np.asarray(self.w_fn.unchecked(grid.x, columns), dtype=float),
+                np.asarray(self.w_prime_fn.unchecked(grid.x, columns), dtype=float))
+
     def w_rows(self, grid: Grid1D, rows: Sequence[dict]
                ) -> tuple[np.ndarray, np.ndarray]:
         """w and w′ on the grid for each parameter dict in ``rows``.
@@ -134,10 +156,10 @@ class SuperpotentialFamily:
         ``w_prime_grid`` at that row's parameters bit for bit.  Missing
         parameters, and values too large for a float, raise EvaluationError.
 
-        The (rows, 1) parameter columns are built once and serve w and w′;
-        a broadcasting compiled expression runs once for the whole stack,
-        through its ``unchecked`` entry on ``grid.x`` under the one
-        ``errstate`` of this call (the checks it skips are made here).
+        The (rows, 1) parameter columns are built once; a ``_broadcasts``
+        family tabulates the whole stack from them through ``_w_columns``
+        under the one ``errstate`` of this call (the checks it skips are
+        made here).  Any other family is evaluated row by row.
         """
         names = self.parameter_names
         missing = {p for row in rows for p in names if p not in row}
@@ -150,9 +172,6 @@ class SuperpotentialFamily:
             raise EvaluationError(f"parameters cannot be converted to float ({exc})") from None
 
         def tabulate(fn: WFunc) -> np.ndarray:
-            if names and getattr(fn, "broadcasts", False):
-                out = np.asarray(fn.unchecked(grid.x, columns), dtype=float)
-                return out if out.shape == shape else np.broadcast_to(out, shape)
             out = np.empty(shape)
             for i, row in enumerate(rows):
                 try:
@@ -162,6 +181,9 @@ class SuperpotentialFamily:
             return out
 
         with np.errstate(all="ignore"):
+            if self._broadcasts:
+                return tuple(out if out.shape == shape else np.broadcast_to(out, shape)
+                             for out in self._w_columns(grid, columns))
             w = tabulate(self.w_fn)
             if self.w_prime_fn is None:
                 w_prime = np.gradient(w, grid.h, axis=1, edge_order=2)

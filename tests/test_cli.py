@@ -522,6 +522,13 @@ def test_search_trials_that_overflow_are_misses(capsys):
     assert doc["searched"] is True and doc["found"] is False
 
 
+def test_readme_overflowing_trials_example_reports_no_within_search(capsys):
+    # the README's example, at the default budget
+    code, out, err = run_cli(capsys, "classify", *OVERFLOWING_TRIALS[:-2])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["shape_invariant"] == "no-within-search"
+
+
 def test_classify_fig_writes_graph(capsys, tmp_path):
     fig = tmp_path / "venn.dot"
     code, out, _ = run_cli(capsys, "classify", "--catalog", "scaling-demo",

@@ -89,12 +89,12 @@ def test_orbit_entry_points_raise_only_the_documented_errors(family, a0, t, n, g
         _obeys_the_contract(lambda: algebraic_spectrum(r, t, a0, n))
 
 
-#: Tabulated functions: zero, a well, a node, a constant and a barrier.
-#: Values whose squares overflow are not drawn: normalize refuses them
-#: (tests/test_grids.py), but the inner product of two of them still warns
-#: of the overflow and returns inf.
+#: Tabulated functions: zero, a well, a node, a constant, a barrier, and a
+#: constant whose square overflows (normalize and the inner product refuse
+#: it with NormOverflowError).
 SHAPES = st.sampled_from([np.zeros_like, np.square, lambda x: x * np.exp(-x**2),
-                          np.ones_like, lambda x: -1e6 * np.exp(-x**2)])
+                          np.ones_like, lambda x: -1e6 * np.exp(-x**2),
+                          lambda x: np.full_like(x, 1e300)])
 SIDES = st.sampled_from(["both", "right", "left"])
 
 

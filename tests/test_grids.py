@@ -197,6 +197,22 @@ def test_normalize_refuses_a_norm_that_overflows():
         normalize(f)
 
 
+def test_inner_product_refuses_a_product_that_overflows():
+    g = make_grid(-5.0, 5.0, 101)
+    big = GridFunction(g, np.full(101, 1e300))
+    alternating = GridFunction(g, 1e300 * (-1.0) ** np.arange(101))
+    # each product overflows; with mixed signs the sum would be inf - inf
+    for other in (big, alternating):
+        with pytest.raises(NormOverflowError, match="inner product overflows a float"):
+            inner_product(big, other)
+        with pytest.raises(NormOverflowError, match="inner product overflows a float"):
+            sign_aligned_distance(big, other)
+    # finite products whose sum overflows
+    with pytest.raises(NormOverflowError, match="inner product overflows a float"):
+        inner_product(GridFunction(g, np.full(101, 1e200)), GridFunction(g, np.full(101, 1.7e108)))
+    assert norm(big) == math.inf
+
+
 def test_normalize_zero_raises():
     g = make_grid(0.0, 1.0, 11)
     with pytest.raises(ZeroNormError):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import susyqm.shape_invariance as si_module
@@ -380,6 +380,14 @@ def _naive_score(family, a0, cand, theta, grid):
     return report.residual_stddev, report
 
 
+def _naive_figures(family, a0, cand, theta, grid):
+    """What _score_trials returns for one trial, from si_residual's report:
+    (stddev, mean), or (inf, None) where si_residual raises."""
+    _, report = _naive_score(family, a0, cand, theta, grid)
+    return (math.inf, None) if report is None else (report.residual_stddev,
+                                                   report.residual_mean)
+
+
 def scalar_golden(fn, lo, hi):
     """Golden-section minimum of fn on [lo, hi], one fn call per knob value:
     the plain loop that ``_golden_lockstep`` runs for many windows at once,
@@ -441,19 +449,17 @@ def test_batched_scores_equal_per_trial_residuals(family):
     grid = make_grid(0.5, 10.0, 401)
     a0 = {"a": 1.0}
     v_plus = partner_potentials(family, a0, grid).v_plus.values
-    tol = 1e-6 if family.analytic_derivative else 1e-4
     candidates = default_candidates(family.parameter_names)
     trials = [(cand, th) for cand in candidates for th in np.linspace(cand.lo, cand.hi, 33)]
-    naive = [_naive_score(family, a0, cand, th, grid)[0] for cand, th in trials]
+    naive = [_naive_figures(family, a0, cand, th, grid) for cand, th in trials]
     for k, cand in enumerate(candidates):
-        batched = [score for score, _ in _score_trials(family, a0, v_plus,
-                                                        trials[33 * k:33 * (k + 1)], grid, tol)]
+        batched = _score_trials(family, a0, v_plus, trials[33 * k:33 * (k + 1)], grid)
         assert batched == naive[33 * k:33 * (k + 1)], cand
     # every candidate's coarse scan in one call: rows from different
     # transforms share one tabulation and one statistic
-    mixed = _score_trials(family, a0, v_plus, trials, grid, tol)
-    assert mixed == [_naive_score(family, a0, cand, th, grid) for cand, th in trials]
-    assert naive.count(math.inf) == 12  # alpha = -5 ... -1.5625 on the translation scan
+    assert _score_trials(family, a0, v_plus, trials, grid) == naive
+    # alpha = -5 ... -1.5625 on the translation scan
+    assert naive.count((math.inf, None)) == 12
 
 
 def test_blocked_scores_equal_per_trial_residuals_across_block_boundaries():
@@ -467,27 +473,39 @@ def test_blocked_scores_equal_per_trial_residuals_across_block_boundaries():
     v_plus = partner_potentials(LN, a0, grid).v_plus.values
     trials = [(cand, th) for cand in default_candidates(LN.parameter_names)
               for th in np.linspace(cand.lo, cand.hi, 33)]
-    naive = [_naive_score(LN, a0, cand, th, grid) for cand, th in trials]
+    naive = [_naive_figures(LN, a0, cand, th, grid) for cand, th in trials]
     size = _block_rows(grid)
     assert size == 6 and len(trials) > size
-    assert [score for score, _ in naive].count(math.inf) == 12
+    assert naive.count((math.inf, None)) == 12
     for shift in range(size):
-        assert _score_trials(LN, a0, v_plus, trials[shift:], grid, 1e-6) == naive[shift:], shift
+        assert _score_trials(LN, a0, v_plus, trials[shift:], grid) == naive[shift:], shift
+
+
+def _rows_of(columns):
+    """The number of rows a stack of (rows, 1) parameter columns holds."""
+    lengths = {len(column) for column in columns.values()}
+    assert len(lengths) == 1
+    return lengths.pop()
 
 
 def test_classify_never_tabulates_more_rows_than_a_block(monkeypatch):
-    """The memory of a search is bounded by its blocks: every w_rows call in
+    """The memory of a search is bounded by its blocks: every tabulation in
     a classify at 2001 points, coarse scan and two-parameter refine steps
-    included, sees at most one block of rows."""
-    real = SuperpotentialFamily.w_rows
+    included, sees at most one block of rows.  The family broadcasts, so
+    the search tabulates through ``_w_columns`` alone."""
+    real = SuperpotentialFamily._w_columns
     seen = []
 
-    def guarded(self, grid, rows):
-        seen.append(len(rows))
-        assert len(rows) <= _block_rows(grid)
-        return real(self, grid, rows)
+    def guarded(self, grid, columns):
+        seen.append(_rows_of(columns))
+        assert seen[-1] <= _block_rows(grid)
+        return real(self, grid, columns)
 
-    monkeypatch.setattr(SuperpotentialFamily, "w_rows", guarded)
+    def unused(self, grid, rows):
+        raise AssertionError("a broadcasting family's search tabulated parameter dicts")
+
+    monkeypatch.setattr(SuperpotentialFamily, "_w_columns", guarded)
+    monkeypatch.setattr(SuperpotentialFamily, "w_rows", unused)
     family = SuperpotentialFamily.from_expression("a*x^3 + c*x + 0.3", domain=(-6.0, 6.0))
     grid = make_grid(-6.0, 6.0, 2001)
     tag = classify_family(family, {"a": 1.0, "c": 0.5}, grid)
@@ -609,9 +627,9 @@ def test_cubic_classify_batches_every_refine_step(monkeypatch):
     real = si_module._score_trials
     calls = []
 
-    def counted(family, a0, v_plus, trials, grid, tolerance):
+    def counted(family, a0, v_plus, trials, grid):
         calls.append(len(trials))
-        return real(family, a0, v_plus, trials, grid, tolerance)
+        return real(family, a0, v_plus, trials, grid)
 
     monkeypatch.setattr(si_module, "_score_trials", counted)
     family = SuperpotentialFamily.from_expression("a*x^3 + 0.3", domain=(-6.0, 6.0))
@@ -619,6 +637,30 @@ def test_cubic_classify_batches_every_refine_step(monkeypatch):
     assert tag.shape_invariant == "no-within-search"
     assert sum(calls) == 623
     assert len(calls) == 1 + 81
+
+
+def test_cubic_classify_tabulates_a_fixed_number_of_rows(monkeypatch):
+    """The search's work is pinned: one classify of ``a*x^3 + 0.3`` at
+    a = 1.1 tabulates 624 rows in 115 blocks over 82 scoring calls.  A
+    change to the per-row cost of scoring must leave these counts alone."""
+    real_columns, real_score = SuperpotentialFamily._w_columns, si_module._score_trials
+    blocks, calls = [], []
+
+    def columns(self, grid, cols):
+        blocks.append(_rows_of(cols))
+        return real_columns(self, grid, cols)
+
+    def score(family, a0, v_plus, trials, grid):
+        calls.append(len(trials))
+        return real_score(family, a0, v_plus, trials, grid)
+
+    monkeypatch.setattr(SuperpotentialFamily, "_w_columns", columns)
+    monkeypatch.setattr(si_module, "_score_trials", score)
+    family = SuperpotentialFamily.from_expression("a*x^3 + 0.3", domain=(-6.0, 6.0))
+    tag = classify_family(family, {"a": 1.1}, make_grid(-6.0, 6.0, 2001))
+    assert tag.shape_invariant == "no-within-search"
+    assert (sum(blocks), len(blocks), len(calls)) == (624, 115, 82)
+    assert sum(calls) == 624  # every trial maps, so every one is tabulated
 
 
 CUBIC_GRID = make_grid(-6.0, 6.0, 601)
@@ -711,8 +753,8 @@ def test_trial_outside_the_knob_domain_scores_inf():
     a0 = {"a": 2.0}
     cand = TransformCandidate(Scaling, 0.5, 1.5, param="a")
     v_plus = partner_potentials(family, a0, grid).v_plus.values
-    scored = _score_trials(family, a0, v_plus, [(cand, 0.75), (cand, 1.25)], grid, 1e-6)
-    assert scored[0] == _naive_score(family, a0, cand, 0.75, grid)
+    scored = _score_trials(family, a0, v_plus, [(cand, 0.75), (cand, 1.25)], grid)
+    assert scored[0] == _naive_figures(family, a0, cand, 0.75, grid)
     assert scored[1] == (math.inf, None)
 
 
@@ -743,7 +785,7 @@ def test_trial_on_a_parameter_pole_scores_inf():
     a0 = {"a": 2.625}
     cand = TransformCandidate(Translation, -5.0, 5.0, param="a")
     v_plus = partner_potentials(family, a0, grid).v_plus.values
-    scored = _score_trials(family, a0, v_plus, [(cand, -0.625), (cand, 0.5)], grid, 1e-6)
+    scored = _score_trials(family, a0, v_plus, [(cand, -0.625), (cand, 0.5)], grid)
     assert scored[0] == (math.inf, None)
     assert math.isfinite(scored[1][0]) and scored[1][1] is not None
 
@@ -758,22 +800,32 @@ def _outcome(call):
 
 
 @settings(max_examples=100)
+@example(theta=math.inf, a=1.0)     # a translation image that is not finite
+@example(theta=1e308, a=1e3)        # a projective image that overflows
 @given(theta=st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False),
                        st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0))),
        a=st.one_of(st.sampled_from((0.0, -0.0, 1e200, -1e200, -2.0, -4.0)),
                    st.floats(-1e3, 1e3)))
 def test_knob_map_equals_apply(theta, a):
-    """The search's scalar route gives apply's float bits, or its
+    """The search's scalar routes give apply's float bits, or its
     TransformError text, for every searchable kind, inside and outside its
-    knob domain, and for every way of naming the target."""
+    knob domain, and for every way of naming the target: map_params, and
+    the scoring kernel's _mapped_trials, which misses exactly where apply
+    raises."""
     for cls in si_module.TRANSFORM_KINDS.values():
         for fixed in [(p,) for p in (2, 3, -1, 0.25, 0.5, 1.0, 1.5)] if len(cls.knobs) > 1 \
                 else [()]:
             for param in ("a", None, "c"):
                 cand = TransformCandidate(cls, -5.0, 5.0, fixed, param)
                 for params in ({"a": a}, {"a": a, "b": 2.0}):
-                    assert _outcome(lambda: cand.map_params(theta, params)) == \
-                        _outcome(lambda: cand.build(theta).apply(params)), (cand, params)
+                    applied = _outcome(lambda: cand.build(theta).apply(params))
+                    assert _outcome(lambda: cand.map_params(theta, params)) == applied, \
+                        (cand, params)
+                    live, targets, images = si_module._mapped_trials(params, [(cand, theta)])
+                    mapped = (_outcome(lambda: {**params, targets[0]: images[0]}) if live
+                              else "miss")
+                    assert mapped == (applied if isinstance(applied, list) else "miss"), \
+                        (cand, params)
 
 
 def test_trial_whose_v_minus_overflows_scores_inf():
@@ -787,9 +839,51 @@ def test_trial_whose_v_minus_overflows_scores_inf():
         si_residual(family, a0, Translation(2.0, param="a"), grid)
     v_plus = partner_potentials(family, a0, grid).v_plus.values
     scored = _score_trials(family, a0, v_plus, [(cand, 2.0), (cand, -0.5), (cand, 2.5)],
-                           grid, 1e-6)
+                           grid)
     assert scored[0] == scored[2] == (math.inf, None)
-    assert scored[1] == _naive_score(family, a0, cand, -0.5, grid)
+    assert scored[1] == _naive_figures(family, a0, cand, -0.5, grid)
+
+
+@pytest.mark.parametrize("w, lo, hi, edge", [
+    ("x + exp(a*x - 300)", -10.0, 300.0, -1),
+    ("x - exp(-a*x - 300)", -300.0, 10.0, 0),
+], ids=["last-node", "first-node"])
+def test_trial_whose_v_minus_overflows_only_at_an_edge_node_scores_inf(w, lo, hi, edge):
+    # At a1 = 2.185, w² overflows at the end node alone: the trimmed
+    # interior, and so the mean, stays finite, and the edge rule must
+    # still find the miss.
+    family = SuperpotentialFamily.from_expression(w)
+    grid = make_grid(lo, hi, 601)
+    a0 = {"a": 1.0}
+    cand = TransformCandidate(Translation, -5.0, 5.0, param="a")
+    with np.errstate(over="ignore"):
+        w_edge = family.w_grid(grid, {"a": 2.185}).values
+        v_minus = w_edge * w_edge - family.w_prime_grid(grid, {"a": 2.185}).values
+    assert [i for i in range(grid.n_points) if not np.isfinite(v_minus[i])] == \
+        [edge % grid.n_points]
+    with pytest.raises(GridError, match="non-finite"):
+        si_residual(family, a0, Translation(1.185, param="a"), grid)
+    v_plus = partner_potentials(family, a0, grid).v_plus.values
+    assert _score_trials(family, a0, v_plus, [(cand, 1.185), (cand, -0.5)], grid) == \
+        [(math.inf, None), _naive_figures(family, a0, cand, -0.5, grid)]
+
+
+def test_trial_whose_interior_sum_overflows_keeps_its_figures():
+    # Every residual value is finite, but their interior sum is not: w² − w′
+    # is finite, so the row is no miss, and it keeps the statistic's figures
+    # (an infinite mean and spread), as it did when every row went through
+    # the full finiteness test.
+    family = SuperpotentialFamily.from_expression("a*x")
+    grid = make_grid(-5.0, 5.0, 201)
+    cand = TransformCandidate(Translation, -5.0, 5.0, param="a")
+    v_plus = np.full(grid.n_points, 1.5e308)
+    v_minus = partner_potentials(family, {"a": 1.5}, grid).v_minus.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(v_plus - v_minus).all()
+        [want] = _residual_reports(v_plus - v_minus, 1e-6)
+    assert want.residual_mean == want.residual_stddev == math.inf
+    assert _score_trials(family, {"a": 1.0}, v_plus, [(cand, 0.5)], grid) == \
+        [(want.residual_stddev, want.residual_mean)]
 
 
 def test_trial_counts_nest():
@@ -823,6 +917,34 @@ def test_candidate_whose_every_trial_misses_gets_a_no_finite_score_row(w, a0, ca
     row = record[0]
     assert (row.candidate, row.gate, row.finalists, row.theta, row.report) == \
         (cand, "no-finite-score", (), None, None)
+
+
+#: One input of each search-sweep benchmark template: text, parameters,
+#: domain and whether the left end is a hard wall.
+SWEEP_TEMPLATES = [
+    ("a*x + 0.3127", {"a": 1.1}, (-10.0, 10.0), False),
+    ("A*tanh(1.0312*x)", {"A": 3.2}, (-10.0, 10.0), False),
+    ("A - 1.1875*exp(-x)", {"A": 2.5}, (-5.0, 10.0), False),
+    ("2.2500/(2*(l+1)) - (l+1)/x", {"l": 0.0}, (1e-3, 160.0), True),
+    ("a*x^3 - 0.2500", {"a": 1.1}, (-6.0, 6.0), False),
+    ("a*x^3 + c*x + 0.4375", {"a": 0.75, "c": 0.5}, (-6.0, 6.0), False),
+]
+
+
+@pytest.mark.parametrize("text, a0, domain, wall", SWEEP_TEMPLATES,
+                         ids=["harmonic", "poschl-teller", "morse", "coulomb", "cubic",
+                              "cubic-linear"])
+def test_lazy_row_reports_equal_si_residual(text, a0, domain, wall):
+    # The search keeps (stddev, mean) per trial and builds a report only
+    # for the finalist a row keeps; it must be si_residual's at that θ.
+    family = SuperpotentialFamily.from_expression(text, domain=domain, hard_wall_left=wall)
+    grid = make_grid(*domain, 2001)
+    record = []
+    search_transform(family, a0, grid, record=record)
+    scored = [row for row in record if row.report is not None]
+    assert scored
+    for row in scored:
+        assert row.report == si_residual(family, a0, row.transform, grid), row.candidate
 
 
 def test_refined_finalist_that_misses_is_gated_while_the_coarse_one_is_kept():
