@@ -4,6 +4,9 @@ Four translational records carry full superpotential forms (full line,
 exponential wall, and half line); the scaling and cyclic records declare
 only the parameter map and R, which is all their spectrum needs.  Default
 domains are pinned per record so results are reproducible without tuning.
+
+The records, their names and their JSON summary load no numpy: this module
+imports the numeric layers inside the functions that compute.
 """
 
 from __future__ import annotations
@@ -11,16 +14,16 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import CatalogError
-from .expressions import (NumpyCode, assemble_scalar, compile_scalar, differentiate,
-                          generate_on_grid, generate_scalar, parameter_names,
-                          parse_expression)
-from .grids import Grid1D, GridFunction, make_grid
-from .shape_invariance import (Cyclic, ParameterTransform, Scaling, Spectrum,
-                               SpectrumEntry, Translation, _partial_sums, iterate_params)
-from .susy import PartnerPair, SuperpotentialFamily, partner_potentials
+from .transforms import Cyclic, ParameterTransform, Scaling, Translation
+
+if TYPE_CHECKING:
+    from .expressions import NumpyCode
+    from .grids import Grid1D, GridFunction
+    from .shape_invariance import Spectrum
+    from .susy import PartnerPair, SuperpotentialFamily
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,15 @@ class SIPRecord:
     def family(self) -> SuperpotentialFamily | None:
         if self.expression is None:
             return None
+        from .susy import SuperpotentialFamily
+
         return SuperpotentialFamily.from_expression(
             self.expression, domain=self.domain[:2], hard_wall_left=self.min_x is not None)
 
     @cached_property
     def r_function(self) -> Callable[[dict], float]:
         from . import _compiled_catalog
+        from .expressions import assemble_scalar, compile_scalar, parse_expression
 
         code = _compiled_catalog.R_FUNCTIONS.get(_r_key(self))
         if code is None:
@@ -174,6 +180,8 @@ def get_record(name: str) -> SIPRecord:
 
 def record_grid(record: SIPRecord) -> Grid1D:
     """The record's pinned default grid."""
+    from .grids import make_grid
+
     if record.domain is None:
         raise CatalogError(f"record {record.name!r} has no x-space form, so no grid")
     return make_grid(*record.domain)
@@ -206,6 +214,8 @@ def merged_params(record: SIPRecord, params: dict | None) -> dict:
 def check_levels_valid(record: SIPRecord, a0: dict, n_max: int) -> None:
     """Raise CatalogError unless levels 0..n_max of the orbit from a0 all
     pass the record's validity rule, i.e. are genuine bound states."""
+    from .shape_invariance import iterate_params
+
     for n, params in enumerate(iterate_params(record.transform, a0, n_max)):
         if not record.validity(params):
             raise CatalogError(
@@ -219,6 +229,8 @@ def closed_form_spectrum(name: str, params: dict | None, n_max: int) -> Spectrum
     closed-form R; entries whose orbit parameters leave the validity region
     come back flagged invalid rather than dropped.  One orbit serves both.
     """
+    from .shape_invariance import Spectrum, SpectrumEntry, _partial_sums, iterate_params
+
     rec = get_record(name)
     a0 = merged_params(rec, params)
     check_levels_valid(rec, a0, 0)
@@ -230,6 +242,8 @@ def closed_form_spectrum(name: str, params: dict | None, n_max: int) -> Spectrum
 
 def instantiate(name: str, params: dict | None, grid: Grid1D) -> tuple[PartnerPair, GridFunction]:
     """Tabulate a record's partner potentials and superpotential on a grid."""
+    from .susy import partner_potentials
+
     rec = get_record(name)
     if rec.family is None:
         raise CatalogError(
@@ -268,6 +282,9 @@ def _render_compiled_catalog() -> str:
     """The text of ``_compiled_catalog.py``: the numpy code that
     SuperpotentialFamily.from_expression and compile_scalar generate for
     each record's w, w′ and R.  Needs sympy."""
+    from .expressions import (differentiate, generate_on_grid, generate_scalar,
+                              parameter_names, parse_expression)
+
     lines = [
         '"""Generated numpy code of the catalog records\' expressions.  Do not edit.',
         "",

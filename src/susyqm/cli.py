@@ -10,6 +10,12 @@ Identical invocations produce byte-identical output.
 into one ``_Input`` (record, family, parameters, grid, tabulated
 potential), and each grid command reads its input from that alone.
 
+Import rule: this module imports only the standard library at its top.
+``parse_args``, ``_resolve`` and each command import the library modules
+they read inside their own bodies, so a call loads only what its command
+reads: ``catalog``, ``--help`` and the usage errors that ``parse_args``
+refuses load no numpy.
+
 Exit codes: 0 success, 1 usage error, 2 computation failure.
 """
 
@@ -22,21 +28,13 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .catalog import (SIPRecord, _check_singular_region, catalog_dump,
-                      check_levels_valid, closed_form_spectrum, get_record,
-                      list_catalog, merged_params)
-from .classify import classify_family, classify_record, classify_tabulated, venn_graph_text
-from .eigensolver import solution_to_dict, solve_potential, spectrum_csv
-from .errors import ExpressionError, GridError, SusyQMError
-from .grids import (DEFAULT_DOMAIN, DEFAULT_N_POINTS, FLOAT_FMT, Grid1D,
-                    GridFunction, csv_text, make_grid)
-from .shape_invariance import (DEFAULT_BUDGET, TRANSFORM_KINDS, ParameterTransform,
-                               default_candidates, search_transform,
-                               si_residual, spectrum_from_measured_residuals,
-                               wavefunction_chain)
-from .susy import (ALGEBRA_TOL, SuperpotentialFamily, build_hierarchy,
-                   charge_matrices, partner_potentials, verify_algebra)
+if TYPE_CHECKING:
+    from .catalog import SIPRecord
+    from .grids import Grid1D, GridFunction
+    from .susy import SuperpotentialFamily
+    from .transforms import ParameterTransform
 
 #: Flag caps.  A search scores its trials in blocks of at most 96 KiB or one
 #: grid row, whatever the budget, so the budget cap bounds its coarse sample
@@ -50,10 +48,6 @@ MAX_BUDGET = 129
 #: O(levels²) A† applications (65 states, about 10 MB, at the caps).
 MAX_LEVELS = 64
 MAX_DEPTH = 64
-
-#: si-check's knob flags, one per transform knob name (--alpha, --q, --p).
-_KNOBS = tuple(dict.fromkeys(name for cls in TRANSFORM_KINDS.values()
-                             for name, _ in cls.knobs))
 
 #: Commands that need a superpotential (expression or family-bearing record).
 _NEEDS_FAMILY = ("solve", "partner", "hierarchy", "si-check", "wavefunctions",
@@ -119,7 +113,17 @@ def _add_common_flags(p: argparse.ArgumentParser, formats: tuple = ("csv", "json
                    help="print the resolved configuration as JSON and exit")
 
 
+def _knob_names() -> tuple[str, ...]:
+    """si-check's knob flags, one per transform knob name (--alpha, --q, --p)."""
+    from .transforms import TRANSFORM_KINDS
+
+    return tuple(dict.fromkeys(name for cls in TRANSFORM_KINDS.values()
+                               for name, _ in cls.knobs))
+
+
 def _build_parser() -> _Parser:
+    from .transforms import DEFAULT_BUDGET, TRANSFORM_KINDS
+
     parser = _Parser(prog="susyqm",
                      description="partner Hamiltonians, shape invariance, "
                                  "spectra, and potential classification")
@@ -152,7 +156,7 @@ def _build_parser() -> _Parser:
                    dest="transform_kind",
                    help="transform kind to verify (with all its knobs) or to "
                         "restrict the search to (with none)")
-    for knob in _KNOBS:
+    for knob in _knob_names():
         kinds = [kind for kind, cls in TRANSFORM_KINDS.items() if knob in dict(cls.knobs)]
         p.add_argument(f"--{knob}", type=_finite_float, default=None,
                        help=f"knob of {'/'.join(kinds)}")
@@ -213,8 +217,11 @@ def _parse_params(parser: _Parser, pairs: list[str]) -> dict:
 def _parse_knobs(parser: _Parser, ns: argparse.Namespace) -> dict:
     """si-check's knob values, typed as the --transform kind's class types
     them: all of the kind's knobs (verify) or none (search)."""
+    from .transforms import TRANSFORM_KINDS
+
     kind = ns.transform_kind
-    given = {name: getattr(ns, name) for name in _KNOBS if getattr(ns, name) is not None}
+    given = {name: getattr(ns, name) for name in _knob_names()
+             if getattr(ns, name) is not None}
     if given and kind is None:
         parser.error(f"--{next(iter(given))} needs --transform")
     if not given:
@@ -250,6 +257,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
     if ns.command == "catalog":
         if ns.name is not None:
+            from .catalog import get_record
+            from .errors import SusyQMError
+
             try:
                 get_record(ns.name)
             except SusyQMError as exc:
@@ -297,6 +307,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
     names: tuple = ()
     if ns.w is not None:
+        from .errors import ExpressionError
+        from .susy import SuperpotentialFamily
+
         try:
             ns.family = SuperpotentialFamily.from_expression(ns.w)
         except ExpressionError as exc:
@@ -310,6 +323,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             parser.error(f"--param names {extra} do not appear in the expression")
 
     if ns.catalog is not None:
+        from .catalog import get_record, merged_params
+        from .errors import SusyQMError
+
         try:
             rec = get_record(ns.catalog)
             names = tuple(merged_params(rec, ns.params))
@@ -337,20 +353,21 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 # -- output plumbing ------------------------------------------------------------
 
 
-def _round12(doc):
-    """Clamp every float in a JSON document to 12 significant digits."""
-    if isinstance(doc, float):
-        return float(FLOAT_FMT % doc)
-    if isinstance(doc, dict):
-        return {k: _round12(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_round12(v) for v in doc]
-    return doc
-
-
 def _json_text(doc) -> str:
-    """The document as strict JSON: a non-finite float raises ValueError."""
-    return json.dumps(_round12(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The document as strict JSON, every float clamped to 12 significant
+    digits: a non-finite float raises ValueError."""
+    from ._format import FLOAT_FMT
+
+    def round12(doc):
+        if isinstance(doc, float):
+            return float(FLOAT_FMT % doc)
+        if isinstance(doc, dict):
+            return {k: round12(v) for k, v in doc.items()}
+        if isinstance(doc, (list, tuple)):
+            return [round12(v) for v in doc]
+        return doc
+
+    return json.dumps(round12(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, output: str | Path | None) -> None:
@@ -382,6 +399,8 @@ class _Input:
         V- otherwise."""
         if self.tabulated is not None:
             return self.tabulated
+        from .susy import partner_potentials
+
         return partner_potentials(self.family, self.params, self.grid).v_minus
 
 
@@ -390,12 +409,14 @@ def _resolve(ns: argparse.Namespace) -> _Input:
 
     A tabulated file fixes the grid, which the points cap bounds as it
     bounds --points: its rows are counted line by line first, so a file over
-    the cap is refused before it is read whole or parsed.  Otherwise the
-    grid flags go on top of a record's pinned domain or the default domain,
-    and a record's singular-region rule applies to the result.  A record's
-    family is assembled from its checked-in numpy code, which loads no
-    sympy, so --dump-config stays cheap.
+    the cap is refused before it is read whole or parsed, and a missing file
+    before numpy loads.  Otherwise the grid flags go on top of a record's
+    pinned domain or the default domain, and a record's singular-region rule
+    applies to the result.  A record's family is assembled from its
+    checked-in numpy code, which loads no sympy, so --dump-config stays cheap.
     """
+    from .errors import GridError
+
     if ns.tabulated is not None:
         path = Path(ns.tabulated)
         with path.open() as fh:
@@ -404,13 +425,20 @@ def _resolve(ns: argparse.Namespace) -> _Input:
         if nodes > MAX_POINTS:
             raise GridError(f"a tabulated file must have at most {MAX_POINTS} nodes, "
                             f"got {nodes}")
+        from .grids import GridFunction
+
         v = GridFunction.from_csv(path.read_text())
         return _Input(None, None, {}, v.grid, v)
-    record = None if ns.catalog is None else get_record(ns.catalog)
-    if record is not None and record.domain is not None:
-        lo, hi, n = record.domain
-    else:
-        (lo, hi), n = DEFAULT_DOMAIN, DEFAULT_N_POINTS
+    from .grids import DEFAULT_DOMAIN, DEFAULT_N_POINTS, make_grid
+
+    record = None
+    (lo, hi), n = DEFAULT_DOMAIN, DEFAULT_N_POINTS
+    if ns.catalog is not None:
+        from .catalog import _check_singular_region, get_record, merged_params
+
+        record = get_record(ns.catalog)
+        if record.domain is not None:
+            lo, hi, n = record.domain
     grid = make_grid(lo if ns.x_min is None else ns.x_min,
                      hi if ns.x_max is None else ns.x_max,
                      n if ns.n_points is None else ns.n_points)
@@ -422,6 +450,9 @@ def _resolve(ns: argparse.Namespace) -> _Input:
 
 def _searched_transform(inp: _Input, budget: int, need: str) -> ParameterTransform:
     """The transform an unrestricted search finds; failing that, say what needed one."""
+    from .errors import SusyQMError
+    from .shape_invariance import search_transform
+
     found = search_transform(inp.family, inp.params, inp.grid, None, budget)
     if found is None:
         raise SusyQMError(
@@ -433,6 +464,8 @@ def _searched_transform(inp: _Input, budget: int, need: str) -> ParameterTransfo
 
 
 def _cmd_solve(inp: _Input, ns: argparse.Namespace) -> None:
+    from .eigensolver import solution_to_dict, solve_potential, spectrum_csv
+
     pairs = solve_potential(inp.potential(), ns.n_levels + 1)
     if ns.fmt == "csv":
         _emit(spectrum_csv(pairs), ns.output)
@@ -441,6 +474,9 @@ def _cmd_solve(inp: _Input, ns: argparse.Namespace) -> None:
 
 
 def _cmd_partner(inp: _Input, ns: argparse.Namespace) -> None:
+    from .grids import csv_text
+    from .susy import partner_potentials
+
     grid = inp.grid
     pair = partner_potentials(inp.family, inp.params, grid)
     header = ("x", "v_minus", "v_plus", "w")
@@ -453,6 +489,8 @@ def _cmd_partner(inp: _Input, ns: argparse.Namespace) -> None:
 
 
 def _cmd_hierarchy(inp: _Input, ns: argparse.Namespace) -> None:
+    from .susy import build_hierarchy
+
     sides = "both" if inp.family is None else inp.family.decay_sides
     hier = build_hierarchy(inp.potential(), ns.depth, sides=sides)
     out_dir = Path(ns.output)
@@ -471,6 +509,9 @@ def _cmd_hierarchy(inp: _Input, ns: argparse.Namespace) -> None:
 
 
 def _cmd_si_check(inp: _Input, ns: argparse.Namespace) -> None:
+    from .shape_invariance import default_candidates, search_transform, si_residual
+    from .transforms import TRANSFORM_KINDS
+
     family, a0 = inp.family, inp.params
     if ns.knobs:
         pinned = TRANSFORM_KINDS[ns.transform_kind](**ns.knobs, param=ns.on_param)
@@ -499,6 +540,10 @@ def _spectrum_rows(inp: _Input, ns: argparse.Namespace) -> tuple[list[dict], boo
     """(n, algebraic, oracle) rows; oracle is None for records without a
     superpotential.  Oracle energies are reported relative to the oracle
     ground level, matching the algebraic convention E0 = 0."""
+    from .catalog import closed_form_spectrum
+    from .eigensolver import solve_potential
+    from .shape_invariance import spectrum_from_measured_residuals
+
     if inp.record is not None:
         spec = closed_form_spectrum(inp.record.name, inp.params, ns.n_levels)
         entries = [e for e in spec.entries if e.valid]
@@ -522,6 +567,8 @@ def _spectrum_rows(inp: _Input, ns: argparse.Namespace) -> tuple[list[dict], boo
 
 
 def _cmd_spectrum(inp: _Input, ns: argparse.Namespace) -> None:
+    from .grids import csv_text
+
     rows, truncated = _spectrum_rows(inp, ns)
     if ns.fmt == "csv":
         header = ("n", "algebraic", "oracle")
@@ -531,6 +578,10 @@ def _cmd_spectrum(inp: _Input, ns: argparse.Namespace) -> None:
 
 
 def _cmd_wavefunctions(inp: _Input, ns: argparse.Namespace) -> None:
+    from .catalog import check_levels_valid
+    from .grids import csv_text
+    from .shape_invariance import wavefunction_chain
+
     if inp.record is not None:
         # past the record's last bound level the chain has no state to build
         check_levels_valid(inp.record, inp.params, ns.n_levels)
@@ -553,6 +604,9 @@ def _cmd_wavefunctions(inp: _Input, ns: argparse.Namespace) -> None:
 
 
 def _cmd_classify(inp: _Input, ns: argparse.Namespace) -> None:
+    from .classify import (classify_family, classify_record, classify_tabulated,
+                           venn_graph_text)
+
     if inp.record is not None:
         tag = classify_record(inp.record, inp.params, ns.budget)
     elif inp.tabulated is not None:
@@ -565,6 +619,8 @@ def _cmd_classify(inp: _Input, ns: argparse.Namespace) -> None:
 
 
 def _cmd_algebra_check(inp: _Input, ns: argparse.Namespace) -> None:
+    from .susy import ALGEBRA_TOL, charge_matrices, verify_algebra
+
     cm = charge_matrices(inp.family, inp.params, inp.grid)
     tolerance = ALGEBRA_TOL if ns.tolerance is None else ns.tolerance
     report = verify_algebra(cm, tolerance)
@@ -572,6 +628,8 @@ def _cmd_algebra_check(inp: _Input, ns: argparse.Namespace) -> None:
 
 
 def _cmd_catalog(ns: argparse.Namespace) -> None:
+    from .catalog import catalog_dump, list_catalog
+
     if ns.name is not None:
         entry = next(e for e in catalog_dump() if e["name"] == ns.name)
         _emit(_json_text(entry), ns.output)
@@ -612,6 +670,8 @@ def _config_doc(ns: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     """Run one invocation; exit code 0 success, 2 computation failure
     (usage errors exit 1 from parse_args)."""
+    from .errors import SusyQMError
+
     ns = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if ns.dump_config:

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._format import FLOAT_FMT
 from .errors import GridError, GridMismatchError, NormOverflowError, ZeroNormError
 
 #: Default computational box for potentials on the full line.
@@ -23,9 +24,6 @@ DEFAULT_N_POINTS = 2001
 
 #: Node-counting ignores values below this fraction of the peak amplitude.
 NODE_THRESHOLD = 1e-6
-
-#: Significant digits used by the text serializers (bit-exact output contract).
-FLOAT_FMT = "%.12g"
 
 
 @dataclass(frozen=True)

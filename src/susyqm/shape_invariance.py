@@ -1,10 +1,14 @@
-"""Shape invariance: parameter transforms, the residual test, and spectra.
+"""Shape invariance: the residual test, spectra, chain states and the transform search.
 
 A family is shape invariant under a parameter map f when
 V₊(x, a₀) = V₋(x, a₁) + R(a₁) with a₁ = f(a₀) and R independent of x.  When
 that holds, the bound spectrum is the running sum of R over the parameter
 orbit and the excited states follow from repeated A† applications, no
 eigensolver involved.
+
+The parameter transforms live in ``transforms``, which loads no numpy, and
+are re-exported here; an import spelled ``X as X`` is a re-export that this
+module does not read.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from .errors import ChainConstructionError, EvaluationError, GridError, Transfor
 from .grids import Grid1D, GridFunction, align_sign, count_nodes, normalize
 from .susy import (SuperpotentialFamily, _checked_tolerance, _zero_mode_ratios,
                    apply_a_dagger, partner_potentials, zero_mode)
+from .transforms import (_SEARCH_SPACES, DEFAULT_BUDGET, TRANSFORM_KINDS, Cyclic as Cyclic,
+                         ParameterTransform, PowerScaling as PowerScaling,
+                         Projective as Projective, Scaling as Scaling, Translation)
 
 #: Residual-stddev tolerance tiers: exact w′ vs tabulated finite differences.
 ANALYTIC_TOL = 1e-6
@@ -33,197 +40,6 @@ EDGE_TRIM = 2
 #: about a node, V₊ − V₋ = 2w′ of an odd w is even, so its samples at ±x
 #: always agree and a non-shape-invariant cubic would pass.
 MIN_SAMPLES = 3
-
-#: Default coarse samples per candidate of a transform search (and --budget).
-DEFAULT_BUDGET = 33
-
-
-def _params_close(a: dict, b: dict) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(abs(a[k] - b[k]) <= 1e-12 * (1.0 + abs(a[k])) for k in a)
-
-
-class ParameterTransform:
-    """Base of the five parameter-map variants; maps a parameter dict forward.
-
-    Scalar variants act on one named parameter (``param``), defaulting to
-    the only parameter when the dict has exactly one.  Applied to a
-    parameter-free family (empty dict) every scalar variant is vacuous and
-    the orbit is constant.
-
-    A scalar variant is its knob check and its knob map, both taking the
-    knob values in ``knobs`` order: construction runs the check, ``apply``
-    runs the map on the target parameter.  A search candidate
-    (``TransformCandidate``) holds the class and its fixed knobs and runs
-    the same two on bare knob values, so its trials build no transform
-    objects.  ``kind`` names the class only at the edges: the CLI's
-    ``--transform`` flag and ``to_dict``.
-    """
-
-    kind = "base"
-    #: (name, type) of each knob in constructor order, after which comes
-    #: ``param``.  The CLI's knob flags coerce to these types, so ``p``
-    #: stays an int where the class needs one.
-    knobs: tuple[tuple[str, type], ...] = ()
-
-    @staticmethod
-    def check_knobs(*knobs) -> None:
-        """Raise TransformError unless the knob values are in the class's domain."""
-
-    @staticmethod
-    def knob_map(a: float, *knobs) -> float:
-        """The image of one parameter value under the class's map at these knobs."""
-        raise NotImplementedError
-
-    def __post_init__(self):
-        self.check_knobs(*self._knob_values())
-
-    def _knob_values(self) -> tuple:
-        return tuple(getattr(self, name) for name, _ in self.knobs)
-
-    def apply(self, params: dict) -> dict:
-        return self._mapped(params, self.param, self._knob_values())
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **{name: getattr(self, name) for name, _ in self.knobs},
-                "param": self.param}
-
-    @staticmethod
-    def _target(params: dict, param: str | None) -> str | None:
-        if not params:
-            return None
-        if param is not None:
-            if param not in params:
-                raise TransformError(f"transform targets {param!r}, not in parameters {sorted(params)}")
-            return param
-        if len(params) == 1:
-            return next(iter(params))
-        raise TransformError(
-            f"transform target is ambiguous for parameters {sorted(params)}; set param=")
-
-    @classmethod
-    def _mapped(cls, params: dict, param: str | None, knobs: tuple) -> dict:
-        """params with the target parameter sent through ``knob_map``."""
-        out = dict(params)
-        target = cls._target(params, param)
-        if target is None:
-            return out
-        try:
-            new = cls.knob_map(float(params[target]), *knobs)
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise TransformError(f"transform undefined at {target}={params[target]}: "
-                                 f"{exc.args[-1]}") from None
-        if not math.isfinite(new):
-            raise TransformError(f"transform sends {target}={params[target]} to a non-finite value")
-        out[target] = new
-        return out
-
-
-@dataclass(frozen=True)
-class Translation(ParameterTransform):
-    """a → a + alpha."""
-
-    alpha: float
-    param: str | None = None
-    kind = "translation"
-    knobs = (("alpha", float),)
-
-    @staticmethod
-    def knob_map(a: float, alpha: float) -> float:
-        return a + alpha
-
-
-@dataclass(frozen=True)
-class Scaling(ParameterTransform):
-    """a → q·a with 0 < q < 1."""
-
-    q: float
-    param: str | None = None
-    kind = "scaling"
-    knobs = (("q", float),)
-
-    @staticmethod
-    def check_knobs(q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise TransformError(f"scaling requires 0 < q < 1, got q={q}")
-
-    @staticmethod
-    def knob_map(a: float, q: float) -> float:
-        return q * a
-
-
-@dataclass(frozen=True)
-class PowerScaling(ParameterTransform):
-    """a → q·aᵖ with 0 < q < 1 and integer p."""
-
-    q: float
-    p: int
-    param: str | None = None
-    kind = "power-scaling"
-    knobs = (("q", float), ("p", int))
-
-    @staticmethod
-    def check_knobs(q: float, p: int) -> None:
-        if not 0.0 < q < 1.0:
-            raise TransformError(f"power scaling requires 0 < q < 1, got q={q}")
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise TransformError(f"power scaling requires integer p, got {p!r}")
-
-    @staticmethod
-    def knob_map(a: float, q: float, p: int) -> float:
-        return q * a**p
-
-
-@dataclass(frozen=True)
-class Projective(ParameterTransform):
-    """a → q·a/(1 + p·a) with q > 0 and p < 1."""
-
-    q: float
-    p: float
-    param: str | None = None
-    kind = "projective"
-    knobs = (("q", float), ("p", float))
-
-    @staticmethod
-    def check_knobs(q: float, p: float) -> None:
-        if not q > 0.0:
-            raise TransformError(f"projective requires q > 0, got q={q}")
-        if not p < 1.0:
-            raise TransformError(f"projective requires p < 1, got p={p}")
-
-    @staticmethod
-    def knob_map(a: float, q: float, p: float) -> float:
-        denom = 1.0 + p * a
-        if denom == 0.0:
-            raise TransformError(f"projective map singular at a={a}")
-        return q * a / denom
-
-
-@dataclass(frozen=True)
-class Cyclic(ParameterTransform):
-    """Extensional cycle a₀ → a₁ → ... → a_{p-1} → a₀ of parameter dicts."""
-
-    values: tuple[dict, ...]
-    kind = "cyclic"
-
-    def __post_init__(self):
-        if len(self.values) < 1:
-            raise TransformError("cyclic transform needs at least one parameter map")
-        object.__setattr__(self, "values", tuple(dict(v) for v in self.values))
-
-    @property
-    def period(self) -> int:
-        return len(self.values)
-
-    def apply(self, params: dict) -> dict:
-        for k, v in enumerate(self.values):
-            if _params_close(params, v):
-                return dict(self.values[(k + 1) % self.period])
-        raise TransformError(f"parameters {params} are not on the declared cycle")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "period": self.period, "values": list(self.values)}
 
 
 def iterate_params(t: ParameterTransform, a0: dict, n: int) -> list[dict]:
@@ -437,25 +253,6 @@ def wavefunction_chain(family: SuperpotentialFamily, a0: dict, t: ParameterTrans
 
 
 # -- transform search ---------------------------------------------------------------
-
-
-_UNIT_INSET = (1.0 / 32.0, 1.0 - 1.0 / 32.0)
-
-#: The searchable transform classes in scan order, each with the interval
-#: its first knob is scanned on and the values its other knobs are fixed
-#: at, one tuple per candidate.  Open intervals like q ∈ (0,1) are scanned
-#: on a closed inset.  Ties in residual quality resolve toward the earliest
-#: entry.
-_SEARCH_SPACES = (
-    (Translation, (-5.0, 5.0), ((),)),
-    (Scaling, _UNIT_INSET, ((),)),
-    (PowerScaling, _UNIT_INSET, ((2,), (3,))),
-    (Projective, _UNIT_INSET, ((0.25,), (0.5,))),
-)
-
-#: Kind name -> class, for every searchable transform kind, in scan order.
-TRANSFORM_KINDS: dict[str, type[ParameterTransform]] = {
-    cls.kind: cls for cls, _, _ in _SEARCH_SPACES}
 
 
 @dataclass(frozen=True)

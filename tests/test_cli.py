@@ -12,6 +12,8 @@ import pytest
 from jsonschema import validate
 
 import susyqm.cli
+import susyqm.eigensolver
+import susyqm.susy
 from susyqm import AlgebraReport, GridFunction, make_grid
 from susyqm.cli import (MAX_BUDGET, MAX_DEPTH, MAX_LEVELS, MAX_POINTS, main,
                         parse_args)
@@ -886,7 +888,7 @@ def test_tabulated_file_obeys_the_points_cap(capsys, tmp_path, monkeypatch):
     def no_solve(*args):
         raise AssertionError("a file over the points cap reached the solver")
 
-    monkeypatch.setattr(susyqm.cli, "solve_potential", no_solve)
+    monkeypatch.setattr(susyqm.eigensolver, "solve_potential", no_solve)
     paths = []
     for n in (MAX_POINTS, MAX_POINTS + 1):
         grid = make_grid(-10.0, 10.0, n)
@@ -939,7 +941,7 @@ def test_non_finite_result_is_one_line_error(capsys, monkeypatch):
     def nan_report(cm, tolerance):
         return AlgebraReport(0.0, 0.0, math.nan, 0.0, 0.0, 1.0, tolerance, False)
 
-    monkeypatch.setattr(susyqm.cli, "verify_algebra", nan_report)
+    monkeypatch.setattr(susyqm.susy, "verify_algebra", nan_report)
     code, out, err = run_cli(capsys, "algebra-check", "--w", "x", "--points", "21")
     assert (code, out) == (2, "")
     [line] = err.splitlines()

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susyqm import (Cyclic, EvaluationError, Grid1D, GridFunction, Projective,
-                    SuperpotentialFamily, SusyQMError, Translation, UNKNOWN,
+                    SuperpotentialFamily, SusyQMError, TransformError, Translation, UNKNOWN,
                     algebraic_spectrum, apply_a, apply_a_dagger,
                     block_spectra, boundary_amplitude_ratio, build_hierarchy,
                     charge_matrices, classify_family, classify_record, classify_tabulated,
@@ -192,3 +192,20 @@ def test_an_int_parameter_too_large_for_a_float_is_an_evaluation_error():
     assert (tag.susy, tag.shape_invariant, tag.ih_factorizable, tag.exactly_solvable) \
         == (UNKNOWN,) * 4
     assert [e["kind"] for e in tag.evidence] == ["evaluation"]
+
+
+@pytest.mark.parametrize("value", [None, "x", [1.0], 1j], ids=["None", "str", "list", "complex"])
+@pytest.mark.parametrize("call", [
+    lambda a0: MORSE.transform.apply(a0),
+    lambda a0: iterate_params(MORSE.transform, a0, 2),
+    lambda a0: si_residual(MORSE.family, a0, MORSE.transform, GRIDS[2]),
+    lambda a0: spectrum_from_measured_residuals(MORSE.family, MORSE.transform, a0,
+                                                GRIDS[2], 2),
+    lambda a0: wavefunction_chain(MORSE.family, a0, MORSE.transform, 1, GRIDS[2]),
+], ids=["apply", "iterate_params", "si_residual", "spectrum_from_measured_residuals",
+        "wavefunction_chain"])
+def test_a_target_that_is_not_a_number_is_a_transform_error(call, value):
+    with pytest.raises(TransformError, match=r"transform target A=.* is not a real number") \
+            as exc:
+        call({"A": value})
+    assert f"A={value!r}" in str(exc.value)

@@ -1,16 +1,21 @@
 """Which heavy dependencies the package and each CLI command load.
 
-sympy is needed only to parse an expression outside the closed grammar (a
+``import susyqm`` binds its names on first use, and the CLI imports the
+library modules a command reads when it runs, so a call that computes
+nothing (``catalog``, ``--help``, a usage error that parse_args refuses)
+loads no numpy.  sympy is needed only to parse an expression outside the closed grammar (a
 catalog record's numpy code is checked in, and ``susyqm/_closed_grammar.py``
 prints the code of a closed-grammar text such as ``a*x^3 + 0.3240``), and no
 command needs scipy: the oracle's tridiagonal solve calls
 LAPACK in numpy's own OpenBLAS, and algebra-check's charge algebra is band
 arithmetic in numpy.  Commands must not import what they do not need.  A fresh
 interpreter runs the calls in order and reports, after each step, which of
-the watched modules are in ``sys.modules``.  Module names only, never times.
+the watched modules are in ``sys.modules``; a call that must start from a
+clean slate runs in a process of its own.  Module names only, never times.
 """
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -18,7 +23,9 @@ from pathlib import Path
 
 import pytest
 
-WATCHED = ("sympy", "scipy", "scipy.integrate", "numpy.f2py")
+import susyqm
+
+WATCHED = ("sympy", "scipy", "scipy.integrate", "numpy.f2py", "numpy")
 
 PROBE = r"""
 import contextlib, io, json, sys
@@ -134,6 +141,100 @@ CATALOG_STEPS = [
 ]
 
 
+#: Calls that compute nothing, each with its exit code: they must load no
+#: numpy.  The usage errors are the cli-cold workload's inputs that
+#: parse_args refuses, with its seeded literals fixed; a missing
+#: --tabulated file is refused before the grid module loads.
+NUMPY_FREE_CALLS = [
+    (["catalog"], 0),
+    (["catalog", "--format", "json"], 0),
+    (["catalog", "morse"], 0),
+    (["--help"], 0),
+    *(([command, "--help"], 0) for command in (
+        "solve", "partner", "hierarchy", "si-check", "spectrum", "wavefunctions",
+        "classify", "algebra-check", "catalog")),
+    (["solve", "--catalog", "no-such-record-7"], 1),
+    (["partner", "--w", "a*x", "--param", "a=1.2345", "--points", "2"], 1),
+    (["solve", "--catalog", "morse", "--w", "x"], 1),
+    (["algebra-check"], 1),
+    (["classify", "--w", "a*x", "--param", "a"], 1),
+    (["solve", "--catalog", "morse", "--levels", "-1"], 1),
+    (["si-check", "--catalog", "morse", "--alpha", "1.2345"], 1),
+    (["hierarchy", "--catalog", "morse", "--depth", "2"], 1),
+    (["solve", "--catalog", "scaling-demo"], 1),
+    (["classify", "--w", "a*x", "--param", "a=nan"], 1),
+    (["classify", "--w", "a*x", "--param", "a=inf"], 1),
+    (["solve", "--tabulated", "{work}/missing.csv"], 2),
+]
+
+#: Commands that compute without a transform search or a classification.
+LEAN_CALLS = [
+    (["partner", "--w", "a*x + 0.3240", "--param", "a=1.2", "--points", "201"], 0),
+    (["algebra-check", "--w", "A*tanh(0.8000*x)", "--param", "A=3", "--points", "201"], 0),
+    (["solve", "--catalog", "morse", "--points", "401"], 0),
+    (["hierarchy", "--catalog", "morse", "--points", "401", "--output", "{work}/h"], 0),
+]
+
+#: The library layers a lean command must not load.
+SEARCH_LAYERS = ("susyqm.shape_invariance", "susyqm.classify")
+
+#: Runs each call in a child forked from an interpreter that has imported
+#: only susyqm and susyqm.cli, so no call sees what another loaded.  A
+#: module counts once it has run: the package registers its submodules in
+#: sys.modules unexecuted, as importlib.util.LazyLoader modules.
+ISOLATED_PROBE = r"""
+import contextlib, io, json, os, sys, types
+
+watched, calls, workdir = json.loads(sys.argv[1])
+import susyqm
+from susyqm.cli import main
+
+report = []
+for argv in calls:
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main([a.replace("{work}", workdir) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+        with os.fdopen(write, "w") as fh:
+            json.dump([code, sorted(name for name in watched
+                                    if type(sys.modules.get(name)) is types.ModuleType)], fh)
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as fh:
+        report.append(json.load(fh))
+    os.waitpid(pid, 0)
+print(json.dumps(report))
+"""
+
+
+def _isolated(calls, workdir, env) -> list[tuple[list[str], int, list[str]]]:
+    """(argv, exit code, loaded watched modules) of each call, each in a process of its own."""
+    proc = subprocess.run(
+        [sys.executable, "-c", ISOLATED_PROBE,
+         json.dumps([WATCHED + SEARCH_LAYERS, [argv for argv, _ in calls], workdir])],
+        env=env, cwd=workdir, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [(argv, code, loaded)
+            for (argv, _), (code, loaded) in zip(calls, json.loads(proc.stdout))]
+
+
+def test_calls_that_compute_nothing_load_no_numpy(tmp_path, package_env):
+    got = _isolated(NUMPY_FREE_CALLS, str(tmp_path), package_env)
+    assert [(argv, code, loaded) for argv, code, loaded in got] \
+        == [(argv, code, []) for argv, code in NUMPY_FREE_CALLS]
+
+
+def test_lean_commands_load_no_search_or_classify(tmp_path, package_env):
+    got = _isolated(LEAN_CALLS, str(tmp_path), package_env)
+    assert [(argv, code, loaded) for argv, code, loaded in got] \
+        == [(argv, code, ["numpy"]) for argv, code in LEAN_CALLS]
+
+
 def _probe(steps, workdir, env):
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps([WATCHED, steps, workdir])],
@@ -162,12 +263,12 @@ def test_catalog_loads_neither_sympy_nor_scipy(loaded_after):
 
 def test_dump_config_loads_neither_sympy_nor_scipy(loaded_after):
     # it assembles the record's checked-in numpy code (susyqm/_compiled_catalog.py)
-    assert loaded_after["dump-config"] == []
+    assert loaded_after["dump-config"] == ["numpy"]
 
 
 def test_catalog_commands_load_no_sympy(catalog_loaded_after):
     # the records' numpy code is checked in (susyqm/_compiled_catalog.py)
-    assert catalog_loaded_after["catalog partner"] == []
+    assert catalog_loaded_after["catalog partner"] == ["numpy"]
     assert "sympy" not in catalog_loaded_after["catalog commands"]
     assert "sympy" in catalog_loaded_after["expression"]
 
@@ -181,8 +282,8 @@ def test_record_text_loads_no_sympy(catalog_loaded_after):
 
 
 def test_closed_grammar_texts_load_no_sympy(catalog_loaded_after):
-    assert catalog_loaded_after["closed grammar"] == []
-    assert catalog_loaded_after["closed grammar error"] == []
+    assert catalog_loaded_after["closed grammar"] == ["numpy"]
+    assert catalog_loaded_after["closed grammar error"] == ["numpy"]
 
 
 def test_closed_grammar_error_message_equals_the_sympy_route(catalog_loaded_after,
@@ -205,8 +306,8 @@ def test_closed_grammar_error_message_equals_the_sympy_route(catalog_loaded_afte
 
 def test_solver_commands_load_no_scipy(catalog_loaded_after):
     # solve, hierarchy, si-check --search, spectrum, wavefunctions, classify
-    assert catalog_loaded_after["catalog commands"] == []
-    assert catalog_loaded_after["expression classify"] == ["sympy"]
+    assert catalog_loaded_after["catalog commands"] == ["numpy"]
+    assert catalog_loaded_after["expression classify"] == ["numpy", "sympy"]
 
 
 def test_algebra_check_loads_neither_sympy_nor_scipy(tmp_path, package_env):
@@ -214,7 +315,7 @@ def test_algebra_check_loads_neither_sympy_nor_scipy(tmp_path, package_env):
     # record's numpy code is checked in
     steps = [("algebra-check", [["algebra-check", "--catalog", "coulomb-radial",
                                  "--points", "201"]], 0)]
-    assert _probe(steps, str(tmp_path), package_env)["algebra-check"] == []
+    assert _probe(steps, str(tmp_path), package_env)["algebra-check"] == ["numpy"]
 
 
 def test_catalog_error_messages_need_no_sympy(catalog_loaded_after):
@@ -224,7 +325,7 @@ def test_catalog_error_messages_need_no_sympy(catalog_loaded_after):
 
 
 def test_expression_command_without_solver_skips_scipy(loaded_after):
-    assert loaded_after["partner"] == ["sympy"]
+    assert loaded_after["partner"] == ["numpy", "sympy"]
 
 
 def test_no_command_loads_scipy(loaded_after):
@@ -233,26 +334,128 @@ def test_no_command_loads_scipy(loaded_after):
 
 
 def test_package_exports_exactly_what_it_imports():
-    """The package's __all__ holds every name its relative imports bind, once
-    each, and nothing else: no helper import made to derive it."""
-    import susyqm
+    """The package's __all__ holds every name of its export table, once each,
+    and nothing else; __init__.py imports no submodule itself."""
+    listed = [name for names in susyqm._EXPORTS.values() for name in names]
+    assert len(set(listed)) == len(listed)
+    assert susyqm.__all__ == sorted(listed)
+    assert not any(name.startswith("_") for name in listed)
+    tree = ast.parse(Path(susyqm.__file__).read_text())
+    assert not [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
 
-    init = Path(susyqm.__file__)
-    tree = ast.parse(init.read_text())
-    imported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.level == 1
-                for alias in node.names]
-    assert len(set(susyqm.__all__)) == len(susyqm.__all__)
-    assert sorted(imported) == sorted(susyqm.__all__)
+
+@pytest.mark.parametrize("name", susyqm.__all__)
+def test_each_export_is_its_module_attribute(name):
+    module = importlib.import_module(f"susyqm.{susyqm._MODULE_OF[name]}")
+    assert getattr(susyqm, name) is getattr(module, name)
+
+
+LAZY_PROBE = r"""
+import json, sys, types
+import susyqm
+
+def bound():
+    return sorted(name for name in susyqm.__all__ if name in vars(susyqm))
+
+def executed():
+    return sorted(name for name, module in sys.modules.items()
+                  if name.startswith("susyqm") and type(module) is types.ModuleType)
+
+report = {"bound at import": bound(),
+          "executed at import": executed(),
+          "registered at import": sorted(m for m in sys.modules if m.startswith("susyqm.")),
+          "missing from dir": sorted(set(susyqm.__all__) - set(dir(susyqm)))}
+susyqm.Translation
+report["bound after one access"] = bound()
+report["executed after one access"] = executed()
+try:
+    susyqm.no_such_name
+except AttributeError as exc:
+    report["unknown name"] = str(exc)
+namespace = {}
+exec("from susyqm import *", namespace)
+report["star import"] = sorted(name for name in namespace if name != "__builtins__")
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def lazy_report(package_env):
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], env=package_env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_binds_no_name_and_runs_no_submodule(lazy_report):
+    assert lazy_report["bound at import"] == []
+    assert lazy_report["executed at import"] == ["susyqm"]
+    # registered unexecuted, so a tool that walks the loaded modules sees them
+    assert lazy_report["registered at import"] \
+        == sorted(f"susyqm.{module}" for module in susyqm._EXPORTS)
+
+
+def test_first_access_binds_the_name_in_the_package(lazy_report):
+    assert lazy_report["bound after one access"] == ["Translation"]
+    # Translation's module and what it imports, nothing else
+    assert lazy_report["executed after one access"] \
+        == ["susyqm", "susyqm.errors", "susyqm.transforms"]
+
+
+def test_dir_lists_every_export(lazy_report):
+    assert lazy_report["missing from dir"] == []
+
+
+def test_unknown_name_is_an_attribute_error(lazy_report):
+    assert lazy_report["unknown name"] == "module 'susyqm' has no attribute 'no_such_name'"
+
+
+def test_star_import_binds_every_export(lazy_report):
+    assert lazy_report["star import"] == susyqm.__all__
+
+
+def _import_time_imports(source: str) -> list[str]:
+    """Modules named by the import statements that run when a module is
+    imported: outside function bodies and ``if TYPE_CHECKING:`` blocks.  A
+    relative import is named with its leading dots."""
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                continue
+            if isinstance(child, ast.Import):
+                yield from (alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                yield "." * child.level + (child.module or "")
+            else:
+                yield from visit(child)
+    return list(visit(ast.parse(source)))
+
+
+def test_import_time_import_check_sees_each_spelling():
+    source = ("from __future__ import annotations\nimport os\nfrom . import errors\n"
+              "from .grids import make_grid\nif TYPE_CHECKING:\n    import numpy\n"
+              "def f():\n    import numpy\nclass C:\n    import json\n"
+              "try:\n    import sympy\nexcept ImportError:\n    pass\n")
+    assert _import_time_imports(source) == ["__future__", "os", ".", ".grids", "json", "sympy"]
+
+
+def test_cli_imports_only_the_standard_library_at_its_top():
+    names = _import_time_imports(Path(susyqm.cli.__file__).read_text())
+    assert names and all(name.split(".")[0] in sys.stdlib_module_names for name in names), names
 
 
 def _unread_imports(source: str) -> list[str]:
-    """Names a module's import statements bind that no expression reads;
-    ``from __future__`` imports bind none."""
+    """Names a module's import statements, at any depth, bind that no
+    expression reads; ``from __future__`` imports bind none, and an import
+    spelled ``X as X`` is an explicit re-export, which the module need not read."""
     tree = ast.parse(source)
     bound = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom))
-             and getattr(node, "module", None) != "__future__" for alias in node.names]
+             and getattr(node, "module", None) != "__future__" for alias in node.names
+             if alias.asname != alias.name]
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted(set(bound) - read)
@@ -261,6 +464,12 @@ def _unread_imports(source: str) -> list[str]:
 def test_unused_import_guard_sees_an_unread_name():
     assert _unread_imports("import os\nimport numpy as np\nfrom x import (a, b)\nb(np)\n") \
         == ["a", "os"]
+
+
+def test_unused_import_guard_sees_function_level_imports():
+    source = ("def f():\n    from .grids import csv_text, make_grid\n    return make_grid\n"
+              "from .transforms import Scaling as Scaling, Translation as T\n")
+    assert _unread_imports(source) == ["T", "csv_text"]
 
 
 @pytest.mark.parametrize("module", sorted(

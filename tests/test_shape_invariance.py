@@ -760,14 +760,14 @@ def test_trial_outside_the_knob_domain_scores_inf():
 
 def test_transform_kinds_are_spelled_out_in_one_module():
     """The non-translation kind names appear as string literals only in
-    shape_invariance.py; everything else derives them from its table."""
+    transforms.py; everything else derives them from its table."""
     package = Path(si_module.__file__).parent
     kinds = {"scaling", "power-scaling", "projective"}
     spelled = sorted(
         path.name for path in package.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Constant) and node.value in kinds)
-    assert set(spelled) == {"shape_invariance.py"}
+    assert set(spelled) == {"transforms.py"}
 
 
 def test_power_scaling_pole_is_a_transform_error():
