@@ -3,12 +3,12 @@
 ``import susyqm`` binds its names on first use, and the CLI imports the
 library modules a command reads when it runs, so a call that computes
 nothing (``catalog``, ``--help``, a usage error that parse_args refuses)
-loads no numpy.  sympy is needed only to parse an expression outside the closed grammar (a
-catalog record's numpy code is checked in, and ``susyqm/_closed_grammar.py``
-prints the code of a closed-grammar text such as ``a*x^3 + 0.3240``), and no
-command needs scipy: the oracle's tridiagonal solve calls
-LAPACK in numpy's own OpenBLAS, and algebra-check's charge algebra is band
-arithmetic in numpy.  Commands must not import what they do not need.  A fresh
+loads no numpy.  sympy is needed only to parse an expression outside the
+closed grammar (a catalog record's numpy code is checked in, and
+``susyqm/_closed_grammar.py`` prints the code of a closed-grammar text such
+as ``a*x^3 + 0.3240``), and no command needs scipy: the oracle's tridiagonal
+solve calls LAPACK in numpy's own OpenBLAS, and algebra-check's charge
+algebra is band arithmetic in numpy.  Commands must not import what they do not need.  A fresh
 interpreter runs the calls in order and reports, after each step, which of
 the watched modules are in ``sys.modules``; a call that must start from a
 clean slate runs in a process of its own.  Module names only, never times.
@@ -224,14 +224,12 @@ def _isolated(calls, workdir, env) -> list[tuple[list[str], int, list[str]]]:
 
 
 def test_calls_that_compute_nothing_load_no_numpy(tmp_path, package_env):
-    got = _isolated(NUMPY_FREE_CALLS, str(tmp_path), package_env)
-    assert [(argv, code, loaded) for argv, code, loaded in got] \
+    assert _isolated(NUMPY_FREE_CALLS, str(tmp_path), package_env) \
         == [(argv, code, []) for argv, code in NUMPY_FREE_CALLS]
 
 
 def test_lean_commands_load_no_search_or_classify(tmp_path, package_env):
-    got = _isolated(LEAN_CALLS, str(tmp_path), package_env)
-    assert [(argv, code, loaded) for argv, code, loaded in got] \
+    assert _isolated(LEAN_CALLS, str(tmp_path), package_env) \
         == [(argv, code, ["numpy"]) for argv, code in LEAN_CALLS]
 
 
