@@ -6,9 +6,7 @@ that holds, the bound spectrum is the running sum of R over the parameter
 orbit and the excited states follow from repeated A† applications, no
 eigensolver involved.
 
-The parameter transforms live in ``transforms``, which loads no numpy, and
-are re-exported here; an import spelled ``X as X`` is a re-export that this
-module does not read.
+The parameter transforms live in ``transforms``, which loads no numpy.
 """
 
 from __future__ import annotations
@@ -23,9 +21,8 @@ from .errors import ChainConstructionError, EvaluationError, GridError, Transfor
 from .grids import Grid1D, GridFunction, align_sign, count_nodes, normalize
 from .susy import (SuperpotentialFamily, _checked_tolerance, _zero_mode_ratios,
                    apply_a_dagger, partner_potentials, zero_mode)
-from .transforms import (_SEARCH_SPACES, DEFAULT_BUDGET, TRANSFORM_KINDS, Cyclic as Cyclic,
-                         ParameterTransform, PowerScaling as PowerScaling,
-                         Projective as Projective, Scaling as Scaling, Translation)
+from .transforms import (_SEARCH_SPACES, DEFAULT_BUDGET, TRANSFORM_KINDS, ParameterTransform,
+                         Translation)
 
 #: Residual-stddev tolerance tiers: exact w′ vs tabulated finite differences.
 ANALYTIC_TOL = 1e-6

@@ -5,7 +5,7 @@ scalar variants (translation, scaling, power scaling, projective) act on
 one named parameter and are the kinds a transform search scans; a cyclic
 transform is declared extensionally and never searched.  This module is
 pure Python: the catalog's records and the CLI's parser read it without
-loading numpy.  ``shape_invariance`` re-exports its names.
+loading numpy.
 """
 
 from __future__ import annotations
