@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._lapack import band_lowest
 from .eigensolver import DECAY_RATIO, ground_state
 from .errors import (EvaluationError, GridError, GridMismatchError,
                      NodePresentError, NoBoundStateError)
@@ -432,13 +433,10 @@ def block_spectra(cm: ChargeMatrices) -> tuple[np.ndarray, np.ndarray]:
     solver sees them exactly; positive semi-definiteness means nothing below
     roundoff-negative.  Rows 2–4 of an offset-major band hold diagonals 0, 1
     and 2 from column 0, which is LAPACK's lower band storage as it stands,
-    and the index selection asks xSBEVX for the first eigenvalue alone.
+    and the index selection asks xSBEVX for the first eigenvalue alone.  A
+    block that is not a finite (5, m) band, m ≥ 1, raises ValueError.
     """
-    import scipy.linalg
-
-    return tuple(scipy.linalg.eigvals_banded(block[2:], lower=True, select="i",
-                                             select_range=(0, 0))
-                 for block in (cm.lower, cm.upper))
+    return tuple(band_lowest(block) for block in (cm.lower, cm.upper))
 
 
 # -- ground-state inversion and the hierarchy ------------------------------------

@@ -219,12 +219,21 @@ def test_library_load_failure_falls_back_to_scipy(monkeypatch):
         assert np.array_equal(a.state.values, b.state.values)
 
 
-def test_bundled_openblas_is_called_where_numpy_ships_it():
+def test_bundled_openblas_is_called_where_numpy_ships_it(monkeypatch):
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     if (lapack["name"] != "scipy-openblas"
             or "USE64BITINT" not in lapack.get("openblas configuration", "")):
         pytest.skip("numpy bundles no ILP64 scipy-openblas")
     assert _lapack._openblas() is not None
+    for fallback in ("_scipy_lowest", "_scipy_band_lowest"):
+        monkeypatch.setattr(_lapack, fallback,
+                            lambda *args, name=fallback: pytest.fail(f"{name} ran"))
+    # tridiag(-1, 2, -1) of order 3, whose lowest eigenvalue is 2 - √2
+    assert np.isclose(_lapack.eigh_lowest(np.full(3, 2.0), np.full(2, -1.0), 1)[0][0],
+                      2.0 - np.sqrt(2.0), rtol=0.0, atol=1e-15)
+    band = np.zeros((5, 3))
+    band[2], band[3, :2] = 2.0, -1.0
+    assert np.isclose(_lapack.band_lowest(band)[0], 2.0 - np.sqrt(2.0), rtol=0.0, atol=1e-15)
 
 
 def test_lapack_arguments_checked_before_the_call(monkeypatch):
@@ -248,6 +257,28 @@ def test_lapack_arguments_checked_before_the_call(monkeypatch):
         assert str(exc.value) == message
 
 
+def test_band_arguments_checked_before_the_call(monkeypatch):
+    monkeypatch.setattr(_lapack, "_openblas", lambda: pytest.fail("LAPACK was called"))
+    band = np.zeros((5, 4))
+    prefix = "band must be a finite float64 array of shape (5, m), m >= 1; got "
+    bad = [
+        (None, "dtype object"),
+        ("band", "dtype <U4"),
+        (band.astype(complex), "dtype complex128"),
+        (band[:2], "shape (2, 4)"),
+        (band[:3], "shape (3, 4)"),
+        (np.zeros((7, 4)), "shape (7, 4)"),
+        (np.zeros((5, 0)), "shape (5, 0)"),
+        (band.ravel(), "shape (20,)"),
+        (np.full((5, 4), np.nan), "entries that are not finite"),
+        (np.full((5, 4), -np.inf), "entries that are not finite"),
+    ]
+    for band_, detail in bad:
+        with pytest.raises(ValueError) as exc:
+            _lapack.band_lowest(band_)
+        assert str(exc.value) == prefix + detail
+
+
 def test_lapack_info_mapping():
     _lapack._check_info("dstebz", 0)
     _lapack._check_info("dstein", 0)
@@ -255,6 +286,9 @@ def test_lapack_info_mapping():
         _lapack._check_info("dstein", 3)
     with pytest.raises(ConvergenceError, match=r"dstebz: bisection did not converge \(INFO=2\)"):
         _lapack._check_info("dstebz", 2)
+    # with JOBZ='N', DSBEVX's INFO > 0 is that of its DSTEBZ bisection
+    with pytest.raises(ConvergenceError, match=r"dsbevx: bisection did not converge \(INFO=1\)"):
+        _lapack._check_info("dsbevx", 1)
     with pytest.raises(RuntimeError, match="internal error: dstein rejected argument 9") as exc:
         _lapack._check_info("dstein", -9)
     assert not isinstance(exc.value, ConvergenceError)

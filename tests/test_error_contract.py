@@ -4,12 +4,14 @@ Every call either returns or raises a SusyQMError; the documented
 ValueErrors outside that hierarchy are a negative level or orbit length, a
 tolerance that is not positive and finite, a zero-mode sign other than ±1,
 decay sides other than "both" and "right", a hierarchy depth below 1, a
-level count k above the matrix dimension or below 1, and an orbit length,
-hierarchy depth or k that is not an integer.  A bare KeyError, TypeError,
+level count k above the matrix dimension or below 1, an orbit length,
+hierarchy depth or k that is not an integer, and a charge-matrix block that
+is not a finite float64 band of shape (5, m), m >= 1.  A bare KeyError, TypeError,
 OverflowError or ZeroDivisionError would escape the CLI, which catches only
 SusyQMError, OSError and ValueError, as a traceback.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -35,7 +37,8 @@ MORSE = get_record("morse")
 GRIDS = [make_grid(-3.5, 10.0, n) for n in (6, 7, 101)]
 DOCUMENTED_VALUE_ERRORS = ("must be nonnegative", "tolerance must be a positive finite number",
                            "sign must be -1 or +1", "sides must be 'both' or 'right'",
-                           "must be at least 1", "must be an integer", "exceeds matrix dimension")
+                           "must be at least 1", "must be an integer", "exceeds matrix dimension",
+                           "band must be a finite float64 array of shape (5, m)")
 
 VALUES = st.sampled_from([2.0, 1.0, 0.5, 0.0, -1.0, 1e300, math.nan, math.inf, -math.inf])
 PARAMS = st.one_of(
@@ -209,3 +212,39 @@ def test_a_target_that_is_not_a_number_is_a_transform_error(call, value):
             as exc:
         call({"A": value})
     assert f"A={value!r}" in str(exc.value)
+
+
+#: Charge matrices on ten interior nodes, whose blocks the cases below replace.
+CM = charge_matrices(MORSE.family, MORSE_A0, make_grid(-3.5, 10.0, 12))
+
+
+def _with_entry(value):
+    band = CM.lower.copy()
+    band[2, 3] = value
+    return band
+
+
+@pytest.mark.parametrize("band", [
+    None, CM.lower[:2], np.zeros((5, 0)), CM.lower[2:], np.vstack([CM.lower, CM.lower[:2]]),
+    CM.lower.ravel(), _with_entry(math.nan), _with_entry(math.inf), _with_entry(-math.inf),
+    CM.lower.astype(complex), CM.lower.astype(str), CM.lower.astype(object), "band",
+], ids=["None", "2-rows", "5-by-0", "3-rows", "7-rows", "1-D", "nan", "inf", "-inf",
+        "complex", "str", "object", "text"])
+@pytest.mark.parametrize("field", ["lower", "upper"])
+def test_a_block_that_is_not_a_finite_five_row_band_is_a_documented_value_error(field, band):
+    # before this check, None escaped as a TypeError, 2 rows or 0 columns
+    # returned an empty array, 3 or 7 rows were solved as another band width,
+    # and NaN or inf raised scipy's ValueError
+    cm = dataclasses.replace(CM, **{field: band})
+    with pytest.raises(ValueError, match=r"band must be a finite float64 array of shape "
+                                         r"\(5, m\), m >= 1; got ") as exc:
+        block_spectra(cm)
+    assert not isinstance(exc.value, SusyQMError)
+
+
+def test_a_block_that_converts_cleanly_to_float64_is_accepted():
+    ints = np.rint(CM.lower * 100.0).astype(np.int64)
+    want = block_spectra(dataclasses.replace(CM, lower=ints.astype(np.float64)))
+    for band in (ints, ints.tolist(), ints.astype(np.int32)):
+        got = block_spectra(dataclasses.replace(CM, lower=band))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -6,9 +6,11 @@ nothing (``catalog``, ``--help``, a usage error that parse_args refuses)
 loads no numpy.  sympy is needed only to parse an expression outside the
 closed grammar (a catalog record's numpy code is checked in, and
 ``susyqm/_closed_grammar.py`` prints the code of a closed-grammar text such
-as ``a*x^3 + 0.3240``), and no command needs scipy: the oracle's tridiagonal
-solve calls LAPACK in numpy's own OpenBLAS, and algebra-check's charge
-algebra is band arithmetic in numpy.  Commands must not import what they do not need.  A fresh
+as ``a*x^3 + 0.3240``), and neither a command nor the library needs scipy:
+the oracle's tridiagonal solve and ``block_spectra`` call LAPACK in numpy's
+own OpenBLAS, and algebra-check's charge algebra is band arithmetic in
+numpy.  scipy is an optional extra, imported only by ``_lapack.py``'s
+fallbacks.  Commands must not import what they do not need.  A fresh
 interpreter runs the calls in order and reports, after each step, which of
 the watched modules are in ``sys.modules``; a call that must start from a
 clean slate runs in a process of its own.  Module names only, never times.
@@ -17,6 +19,7 @@ clean slate runs in a process of its own.  Module names only, never times.
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -479,8 +482,9 @@ def test_module_reads_every_name_it_imports(module):
     assert _unread_imports(path.read_text()) == []
 
 
-BLOCKED_SCIPY = r"""
-import contextlib, io, json, sys
+#: Makes every later import of scipy fail, as where scipy is not installed.
+NO_SCIPY = r"""
+import sys
 
 class NoScipy:
     def find_spec(self, name, path=None, target=None):
@@ -488,6 +492,11 @@ class NoScipy:
             raise ImportError(f"import of {name} blocked")
 
 sys.meta_path.insert(0, NoScipy())
+"""
+
+BLOCKED_SCIPY = NO_SCIPY + r"""
+import contextlib, io, json
+
 from susyqm.cli import main
 results = []
 for argv in json.loads(sys.argv[1]):
@@ -525,3 +534,140 @@ def test_solver_commands_run_without_scipy(tmp_path, package_env, capsys):
     assert files == sorted(p.name for p in free.iterdir()) and files
     for name in files:
         assert (blocked / name).read_bytes() == (free / name).read_bytes()
+
+
+#: Where numpy bundles no OpenBLAS and scipy is missing: the CLI's solve,
+#: then block_spectra and solve_potential in the library.
+NO_LAPACK = NO_SCIPY + r"""
+import contextlib, io, json
+
+from susyqm import _lapack
+_lapack._openblas = lambda: None
+import susyqm as sq
+from susyqm.cli import main
+
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(["solve", "--catalog", "morse"])
+rec = sq.get_record("morse")
+grid = sq.make_grid(-3.5, 10.0, 101)
+pair, _ = sq.instantiate("morse", None, grid)
+errors = []
+for call in (lambda: sq.block_spectra(sq.charge_matrices(rec.family, {"A": 2.0}, grid)),
+             lambda: sq.solve_potential(pair.v_minus, 2)):
+    try:
+        call()
+    except sq.SusyQMError as exc:
+        errors.append([type(exc).__name__, str(exc)])
+print(json.dumps([code, out.getvalue(), err.getvalue(), errors]))
+"""
+
+NO_LAPACK_MESSAGE = ("no LAPACK: numpy bundles no ILP64 OpenBLAS and scipy is not installed; "
+                     "pip install 'susyqm[scipy]'")
+
+
+def test_a_fallback_without_scipy_is_one_error_naming_the_extra(package_env):
+    proc = subprocess.run([sys.executable, "-c", NO_LAPACK], env=package_env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, out, err, errors = json.loads(proc.stdout)
+    assert (code, out, err) == (2, "", f"susyqm solve: {NO_LAPACK_MESSAGE}\n")
+    assert errors == [["SusyQMError", NO_LAPACK_MESSAGE]] * 2
+
+
+#: The library calls of one oracle-verify operation on a catalog record:
+#: the watched modules loaded after them, and the block spectra's bits.
+ORACLE_SEQUENCE = r"""
+import json, sys
+
+import susyqm as sq
+
+watched = json.loads(sys.argv[1])
+name, params, levels = "morse", {"A": 3.5}, 2
+rec = sq.get_record(name)
+lo, hi, _ = rec.domain
+grid = sq.make_grid(lo, hi, 2001)
+pair, _ = sq.instantiate(name, params, grid)
+sq.closed_form_spectrum(name, params, levels)
+sq.solve_potential(pair.v_minus, levels + 1)
+sq.spectrum_from_measured_residuals(rec.family, rec.transform, params, grid, levels)
+for n in range(levels + 1):
+    sq.wavefunction_chain(rec.family, params, rec.transform, n, grid)
+sq.build_hierarchy(pair.v_minus, 3, sides=rec.family.decay_sides)
+assert sq.verify_algebra(sq.charge_matrices(rec.family, params, grid)).passed
+coarse = sq.make_grid(lo, hi, (grid.n_points - 1) // 16 + 1)
+spectra = sq.block_spectra(sq.charge_matrices(rec.family, params, coarse))
+print(json.dumps([sorted(n for n in watched if n in sys.modules),
+                  [float(s[0]).hex() for s in spectra]]))
+"""
+
+
+def test_oracle_sequence_loads_no_scipy(package_env):
+    """The calls of an oracle-verify operation, block_spectra included, load
+    no scipy, and with scipy unimportable they give the same bits."""
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", prefix + ORACLE_SEQUENCE, json.dumps(WATCHED)],
+        env=package_env, capture_output=True, text=True, timeout=300, check=True).stdout)
+        for prefix in ("", NO_SCIPY)]
+    (loaded, spectra), (_, blocked_spectra) = runs
+    assert loaded == ["numpy"]
+    assert blocked_spectra == spectra
+
+
+def _scipy_imports(source: str) -> list[tuple[str | None, str]]:
+    """(innermost enclosing function or None, module) of each import of
+    scipy in a module: import statements at any depth, and
+    ``importlib.import_module`` or ``__import__`` of a literal name."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            elif (isinstance(child, ast.Call) and child.args
+                  and isinstance(child.args[0], ast.Constant)
+                  and isinstance(child.args[0].value, str)
+                  and getattr(child.func, "id", getattr(child.func, "attr", None))
+                  in ("__import__", "import_module")):
+                names = [child.args[0].value]
+            sites.extend((function, name) for name in names if name.split(".")[0] == "scipy")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_scipy_import_check_sees_each_spelling():
+    source = ("import scipy\nimport numpy, scipy.sparse as sp\nfrom . import scipy_x\n"
+              "import scipyx\ndef f():\n    def g():\n        from scipy.linalg import eigh\n"
+              "    importlib.import_module('scipy.linalg')\n    return __import__('scipy')\n")
+    assert _scipy_imports(source) == [(None, "scipy"), (None, "scipy.sparse"),
+                                      ("g", "scipy.linalg"), ("f", "scipy.linalg"),
+                                      ("f", "scipy")]
+
+
+def test_only_the_lapack_fallbacks_import_scipy():
+    """No linter is installed; this is the rule that keeps scipy optional:
+    only a ``_scipy_*`` function of ``_lapack.py`` imports it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "susyqm"
+    sites = [(path.name, function, module) for path in sorted(src.glob("*.py"))
+             for function, module in _scipy_imports(path.read_text())]
+    assert sites and all(name == "_lapack.py" and (function or "").startswith("_scipy_")
+                         for name, function, _ in sites), sites
+
+
+def test_scipy_is_an_optional_extra():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+
+    def names(requirements):
+        return {re.split(r"[\s<>=!~\[;]", r, maxsplit=1)[0].lower() for r in requirements}
+
+    assert "scipy" not in names(project["dependencies"])
+    extras = project["optional-dependencies"]
+    assert "scipy" in names(extras["scipy"]) and "scipy" in names(extras["test"])

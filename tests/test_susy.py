@@ -12,6 +12,7 @@ from susyqm import (EvaluationError, GridFunction, GridMismatchError, NodePresen
                     partner_potentials, record_grid,
                     superpotential_from_ground_state, susy_phase, verify_algebra,
                     zero_mode)
+from susyqm import _lapack
 from susyqm.susy import _derivative_5pt, _zero_mode_ratios
 
 HARMONIC = SuperpotentialFamily.from_expression("x")
@@ -253,6 +254,39 @@ def test_block_spectra_lowest_matches_dense(name):
     for block, lowest in zip((cm.lower, cm.upper), block_spectra(cm)):
         dense = _dense(block)
         assert abs(lowest[0] - np.linalg.eigvalsh(dense)[0]) <= 1e-13 * np.abs(dense).max()
+
+
+def _morse_blocks():
+    rec = get_record("morse")
+    lo, hi, _ = rec.domain
+    return charge_matrices(rec.family, merged_params(rec, None), make_grid(lo, hi, 563))
+
+
+def test_block_spectra_scipy_fallback_gives_the_same_bits(monkeypatch):
+    cm = _morse_blocks()
+    native = block_spectra(cm)
+    monkeypatch.setattr(_lapack, "_openblas", lambda: None)
+    fallback = block_spectra(cm)
+    assert all(np.array_equal(a, b) for a, b in zip(fallback, native))
+
+
+def test_block_spectra_library_load_failure_falls_back_to_scipy(monkeypatch):
+    cm = _morse_blocks()
+    native = block_spectra(cm)
+
+    def no_library(*args, **kwargs):
+        raise OSError("cannot open shared object file")
+
+    _lapack._openblas.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(_lapack.ctypes, "CDLL", no_library)
+            assert _lapack._openblas() is None
+        # the cached None holds after the library loader is restored
+        fallback = block_spectra(cm)
+    finally:
+        _lapack._openblas.cache_clear()
+    assert all(np.array_equal(a, b) for a, b in zip(fallback, native))
 
 
 def test_verify_algebra_flags_violations():
