@@ -15,7 +15,7 @@ from .eigensolver import ground_state
 from .errors import EvaluationError, NoBoundStateError
 from .grids import Grid1D, GridFunction, boundary_amplitude_ratio
 from .shape_invariance import (DEFAULT_BUDGET, ParameterTransform, SearchRow, Translation,
-                               best_accepted, default_candidates,
+                               _checked_budget, best_accepted, default_candidates,
                                search_transform, si_residual)
 from .susy import (partner_potentials, superpotential_from_ground_state,
                    susy_phase, SuperpotentialFamily)
@@ -162,8 +162,11 @@ def _classify(family: SuperpotentialFamily, a0: dict, grid: Grid1D, budget: int,
 
 def classify_family(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
                     search_budget: int = DEFAULT_BUDGET) -> VennTag:
-    """Classify a parametric superpotential family at given parameter values."""
-    return _classify(family, a0, grid, search_budget, [])
+    """Classify a parametric superpotential family at given parameter values.
+
+    ValueError, before anything is evaluated, on a search budget that is
+    not an integer in [1, MAX_BUDGET], whether or not a search runs."""
+    return _classify(family, a0, grid, _checked_budget(search_budget), [])
 
 
 def classify_record(name_or_record: str | SIPRecord, params: dict | None = None,
@@ -174,8 +177,9 @@ def classify_record(name_or_record: str | SIPRecord, params: dict | None = None,
     that their declared transform is tried before a search; records that
     declare only (transform, R) are shape invariant by construction, and
     their factorizability verdict can rest only on the declared transform's
-    kind.
+    kind.  A search budget is checked as classify_family checks it.
     """
+    _checked_budget(search_budget)
     rec = name_or_record if isinstance(name_or_record, SIPRecord) else get_record(name_or_record)
     a0 = merged_params(rec, params)
     evidence: list[dict] = [{"kind": "catalog-record", "name": rec.name,

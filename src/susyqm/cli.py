@@ -36,12 +36,10 @@ if TYPE_CHECKING:
     from .susy import SuperpotentialFamily
     from .transforms import ParameterTransform
 
-#: Flag caps.  A search scores its trials in blocks of at most 96 KiB or one
-#: grid row, whatever the budget, so the budget cap bounds its coarse sample
-#: list, its score memo and its run time, and the points cap every grid array:
-#: it holds for --points and for the nodes of a --tabulated file.
+#: --points cap, which bounds every grid array: it holds for --points and
+#: for the nodes of a --tabulated file.  The --budget cap is the library's
+#: (transforms.MAX_BUDGET).
 MAX_POINTS = 20001
-MAX_BUDGET = 129
 
 #: --levels and --depth caps.  Orbits, spectra and hierarchies grow with
 #: them, and wavefunctions keeps levels + 1 grid-sized states built in
@@ -248,6 +246,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     values), ``family`` (the parsed --w expression, or None) and, for
     si-check, ``knobs`` (see _parse_knobs).
     """
+    from .transforms import MAX_BUDGET
+
     parser = _build_parser()
     ns = parser.parse_args(argv)
     takes_tabulated = hasattr(ns, "tabulated")

@@ -389,8 +389,8 @@ def compile_on_grid(expr: sympy.Expr,
 
     Its ``unchecked`` attribute runs the same compiled code with no checks
     or conversions at all, for a caller that has already checked the
-    parameters and holds ``np.errstate`` (``SuperpotentialFamily._w_columns``,
-    which the transform search and ``w_rows`` call).
+    parameters and holds ``np.errstate`` (``SuperpotentialFamily._w_blocks``,
+    the transform search's one stacked tabulation, is its only caller).
     It also takes (rows, 1) parameter columns, which broadcast against the
     1-D node array, and tabulates one row per parameter value in a single
     call, leaving non-finite rows for the caller to reject.  The

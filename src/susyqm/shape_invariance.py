@@ -12,6 +12,7 @@ The parameter transforms live in ``transforms``, which loads no numpy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -21,8 +22,8 @@ from .errors import ChainConstructionError, EvaluationError, GridError, Transfor
 from .grids import Grid1D, GridFunction, align_sign, count_nodes, normalize
 from .susy import (SuperpotentialFamily, _checked_tolerance, _zero_mode_ratios,
                    apply_a_dagger, partner_potentials, zero_mode)
-from .transforms import (_SEARCH_SPACES, DEFAULT_BUDGET, TRANSFORM_KINDS, ParameterTransform,
-                         Translation)
+from .transforms import (_SEARCH_SPACES, DEFAULT_BUDGET, MAX_BUDGET, TRANSFORM_KINDS,
+                         ParameterTransform, Translation)
 
 #: Residual-stddev tolerance tiers: exact w′ vs tabulated finite differences.
 ANALYTIC_TOL = 1e-6
@@ -258,7 +259,9 @@ class TransformCandidate:
     interval of its first knob, the values of its other knobs (``fixed``,
     in ``cls.knobs`` order and of those types), and the parameter it acts
     on.  A trial at first-knob value θ is ``cls(θ, *fixed, param=param)``.
-    Construction refuses a class that is not in ``TRANSFORM_KINDS``."""
+    Construction refuses a class that is not in ``TRANSFORM_KINDS``, and a
+    ``fixed`` that is not a tuple of one real number per knob after the
+    first; the class's knob check judges their values, trial by trial."""
 
     cls: type[ParameterTransform]
     lo: float
@@ -269,16 +272,14 @@ class TransformCandidate:
     def __post_init__(self):
         if self.cls not in TRANSFORM_KINDS.values():
             raise TransformError(f"{self.cls.__name__} is not a searchable transform class")
+        names = [name for name, _ in self.cls.knobs[1:]]
+        if not (isinstance(self.fixed, tuple) and len(self.fixed) == len(names)
+                and all(isinstance(v, numbers.Real) for v in self.fixed)):
+            raise TransformError(f"{self.cls.__name__} candidates fix {names} to real "
+                                 f"numbers, got fixed={self.fixed!r}")
 
     def build(self, theta: float) -> ParameterTransform:
         return self.cls(theta, *self.fixed, param=self.param)
-
-    def map_params(self, theta: float, params: dict) -> dict:
-        """``build(theta).apply(params)`` through the class's knob check and
-        map alone, with no transform built: the same values, the same
-        TransformError texts."""
-        self.cls.check_knobs(theta, *self.fixed)
-        return self.cls._mapped(params, self.param, (theta, *self.fixed))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -320,8 +321,16 @@ def _block_rows(grid: Grid1D) -> int:
     return max(1, _BLOCK_BYTES // (8 * grid.n_points))
 
 
+def _checked_budget(budget: int) -> int:
+    """The search budget; ValueError unless it is an integer in [1, MAX_BUDGET]."""
+    if not (isinstance(budget, (int, np.integer)) and 1 <= budget <= MAX_BUDGET):
+        raise ValueError(f"budget must be an integer in [1, {MAX_BUDGET}], got {budget!r}")
+    return budget
+
+
 def _trial_count(budget: int) -> int:
-    # next 2^m + 1 at or above the budget, so larger budgets nest smaller ones
+    """Coarse samples per candidate: the next 2^m + 1 at or above the
+    budget, so larger budgets nest smaller ones."""
     m = 1
     while 2**m + 1 < max(3, budget):
         m += 1
@@ -345,14 +354,13 @@ _EDGE_NODES = np.array([*range(EDGE_TRIM), *range(-EDGE_TRIM, 0)])
 
 
 def _mapped_trials(a0: dict, trials: Sequence[tuple[TransformCandidate, float]]
-                   ) -> tuple[list[int], list[str | None], list[float]]:
+                   ) -> tuple[list[int], list[str | None], list[float | None]]:
     """The trials whose a₁ maps: their indices, target names and images.
 
     Each candidate's target is resolved once (``_target``); each trial runs
-    the class's knob check and knob map on floats, the code ``map_params``
-    runs, so a trial misses exactly where map_params raises TransformError:
-    on a TransformError, ZeroDivisionError or OverflowError, or a
-    non-finite image.  A target of None (no parameters) keeps a₀ as it is.
+    the class's knob check and ``_image``, the code ``apply`` runs, so a
+    trial misses exactly where ``build(theta).apply(a0)`` raises
+    TransformError.  A target of None (no parameters) keeps a₀ as it is.
     """
     live, targets, images = [], [], []
     resolved: dict[int, tuple] = {}
@@ -360,21 +368,18 @@ def _mapped_trials(a0: dict, trials: Sequence[tuple[TransformCandidate, float]]
         spec = resolved.get(id(cand))
         if spec is None:
             try:
-                target = cand.cls._target(a0, cand.param)
-                value = None if target is None else float(a0[target])
-                spec = (cand.cls.check_knobs, cand.cls.knob_map, cand.fixed, target, value)
-            except (TransformError, OverflowError):
+                spec = cand.cls._target(a0, cand.param)
+            except TransformError:
                 spec = ()  # every trial of this candidate misses
             resolved[id(cand)] = spec
         if not spec:
             continue
-        check, knob_map, fixed, target, value = spec
+        target, value = spec
+        knobs = (theta, *cand.fixed)
         try:
-            check(theta, *fixed)
-            new = None if target is None else knob_map(value, theta, *fixed)
-        except (TransformError, ZeroDivisionError, OverflowError):
-            continue
-        if new is not None and not math.isfinite(new):
+            cand.cls.check_knobs(*knobs)
+            new = None if target is None else cand.cls._image(a0, target, value, knobs)
+        except TransformError:
             continue
         live.append(i)
         targets.append(target)
@@ -391,15 +396,12 @@ def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
     V₋(a₁) is not finite.  a₀ must hold every parameter of the family.
 
     Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the trial.  ``_mapped_trials``
-    maps each a₁ from floats, through the code ``apply`` runs, so the rows
-    see exactly si_residual's parameter values.  The trials are tabulated
-    and scored in blocks of consecutive rows, whichever candidates they come
-    from, each block's arrays within ``_BLOCK_BYTES``.  A family whose w and
-    analytic w′ broadcast (``_w_columns``) gets (rows, 1) parameter columns
-    built straight from the floats: a₁'s image in its target's column,
-    float(a₀[p]) in every other; any other family tabulates parameter dicts
-    through ``w_rows``.  One buffer per call holds V₋ and then the residual
-    of each block, and ``_trimmed_stats`` scores it in place.
+    maps each a₁ through ``_image``, the code ``apply`` runs, so the rows
+    see exactly si_residual's parameter values.  The live trials are
+    tabulated by ``SuperpotentialFamily._w_blocks`` and scored in blocks of
+    consecutive rows, whichever candidates they come from, each block's
+    arrays within ``_BLOCK_BYTES``.  One buffer per call holds V₋ and then
+    the residual of each block, and ``_trimmed_stats`` scores it in place.
 
     A row is live when w² − w′ is finite (si_residual raises GridError
     where it overflows; in a search it is a trial the search made up, so it
@@ -412,27 +414,12 @@ def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
     scored: list[tuple[float, float | None]] = [(math.inf, None)] * len(trials)
     live, targets, images = _mapped_trials(a0, trials)
     size = _block_rows(grid)
-    if family._broadcasts:
-        names = family.parameter_names
-        base = {p: float(a0[p]) for p in names}
-        values = np.array([[new if t == p else base[p] for t, new in zip(targets, images)]
-                           for p in names])
-
-        def tabulate(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            return family._w_columns(grid, {p: values[j, start:stop, None]
-                                            for j, p in enumerate(names)})
-    else:
-        rows = [dict(a0) if t is None else {**a0, t: new} for t, new in zip(targets, images)]
-
-        def tabulate(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            return family.w_rows(grid, rows[start:stop])
-
     buf = np.empty((min(size, len(live)), grid.n_points))
     # A miss row may hold inf or nan, and w² may overflow where w is finite.
     with np.errstate(all="ignore"):
-        for start in range(0, len(live), size):
+        blocks = family._w_blocks(grid, a0, targets, images, size)
+        for start, (w, w_prime) in zip(range(0, len(live), size), blocks, strict=True):
             block = live[start:start + size]
-            w, w_prime = tabulate(start, start + len(block))
             res = buf[:len(block)]
             np.multiply(w, w, out=res)
             np.subtract(res, w_prime, out=res)
@@ -527,13 +514,14 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     Raises, before any trial is scored and with nothing appended to
     ``record``: GridError on a grid too small for the residual statistic
     or where V₊(a₀) overflows, ValueError on a tolerance that is not
-    positive and finite, EvaluationError where w cannot be evaluated at a₀.
+    positive and finite or a budget that is not an integer in [1,
+    MAX_BUDGET], EvaluationError where w cannot be evaluated at a₀.
     """
     _check_samples(grid)
     if candidates is None:
         candidates = default_candidates(family.parameter_names)
     tolerance = _tolerance(family, tolerance)
-    trials = _trial_count(budget)
+    trials = _trial_count(_checked_budget(budget))
     v_plus = partner_potentials(family, a0, grid).v_plus.values
 
     memos: list[dict[float, tuple[float, float | None]]] = [{} for _ in candidates]
@@ -558,7 +546,7 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
         if report.residual_mean <= _MEAN_OVER_SPREAD * report.residual_stddev:
             return "mean-over-spread"
         # A finite score means a₁ maps and w(a₁) is finite: the zero modes evaluate.
-        decays = _minus_sector_decays(family, cand.map_params(theta, a0), grid)
+        decays = _minus_sector_decays(family, cand.build(theta).apply(a0), grid)
         return None if decays else "minus-sector-decay"
 
     # Phase 1: coarse scan, every candidate's samples in one scoring call.

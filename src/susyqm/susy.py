@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,19 +40,17 @@ class SuperpotentialFamily:
     residual tests then run at a relaxed tolerance tier (see
     shape_invariance).
 
-    The transform search tabulates w and w′ for each block of its trials
-    (a few rows, sized by shape_invariance._BLOCK_BYTES), whichever
-    candidates they come from.  When w and an analytic w′ are compiled
-    expressions whose ``broadcasts`` attribute is true (set when it is
-    exact, see expressions.compile_on_grid), ``_w_columns`` answers the
-    whole stack in one call of each ``unchecked`` entry, with each parameter
-    as a (rows, 1) column of floats against the 1-D ``grid.x``; the search
-    builds those columns itself.  ``w_rows`` takes the stack as parameter
-    dicts and serves every family: it wraps ``_w_columns`` where that
-    applies, and otherwise evaluates each row with float parameters, with a
-    finite-difference w′ as one ``np.gradient`` along the rows of the
-    whole stack.  Every call passes ``grid.x`` itself, never a view, so a
-    compiled expression computes its parameter-free subterms such as
+    The transform search tabulates w and w′ for its trials through
+    ``_w_blocks``, a few rows at a time (sized by
+    shape_invariance._BLOCK_BYTES), whichever candidates they come from.
+    When w and an analytic w′ are compiled expressions whose ``broadcasts``
+    attribute is true (set when it is exact, see
+    expressions.compile_on_grid), each block is one call of each
+    ``unchecked`` entry, with each parameter as a (rows, 1) column of
+    floats against the 1-D ``grid.x``.  Any other family is evaluated row
+    by row, with a finite-difference w′ as one ``np.gradient`` along the
+    rows of each block.  Every call passes ``grid.x`` itself, never a view,
+    so a compiled expression computes its parameter-free subterms such as
     ``x**3`` once per grid and reuses them on every later call on that grid.
 
     ``hard_wall_left`` marks half-line families whose grid starts just off a
@@ -126,71 +124,52 @@ class SuperpotentialFamily:
             return derivative(self.w_grid(grid, params))
         return self._eval(self.w_prime_fn, grid, params)
 
-    @property
-    def _broadcasts(self) -> bool:
-        """Whether w and an analytic w′ both take (rows, 1) parameter columns
-        (``_w_columns``)."""
-        return bool(self.parameter_names) and all(
-            getattr(fn, "broadcasts", False) for fn in (self.w_fn, self.w_prime_fn))
+    def _w_blocks(self, grid: Grid1D, a0: dict, targets: Sequence[str | None],
+                  images: Sequence[float | None], size: int
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """w and w′ on the grid at a₀ with ``targets[i]`` set to ``images[i]``
+        (a₀ itself where the target is None), ``size`` rows per block.
 
-    def _w_columns(self, grid: Grid1D, columns: dict[str, np.ndarray]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """w and w′ of a ``_broadcasts`` family at (rows, 1) parameter columns.
+        Each block's pair broadcasts to (rows, n_points) and is unchecked:
+        a row where w or w′ cannot be evaluated is nan, and a row may hold
+        inf or nan wherever the function does, so the caller tests
+        finiteness on what it computes from them, under its own
+        ``np.errstate``.  Each finite row equals ``w_grid`` /
+        ``w_prime_grid`` at that row's parameters bit for bit.  a₀ must
+        hold every parameter, each convertible to float (as
+        ``partner_potentials`` at a₀ checks).
 
-        One call of each compiled ``unchecked`` entry on ``grid.x`` tabulates
-        the whole stack; each result broadcasts to (rows, n_points) and is
-        unchecked, so a row may hold inf or nan.  The caller holds
-        ``np.errstate``.  Each finite row equals ``w_grid`` / ``w_prime_grid``
-        at that row's parameters bit for bit.
+        A family whose w and analytic w′ broadcast gets its (rows, 1)
+        parameter columns built once, the image in its target's column and
+        float(a₀[p]) in every other, and one ``unchecked`` call of each per
+        block; any other family evaluates each row on ``{**a0, target:
+        image}``, the parameters si_residual sees.
         """
-        return (np.asarray(self.w_fn.unchecked(grid.x, columns), dtype=float),
-                np.asarray(self.w_prime_fn.unchecked(grid.x, columns), dtype=float))
+        names, fns = self.parameter_names, (self.w_fn, self.w_prime_fn)
+        if names and all(getattr(fn, "broadcasts", False) for fn in fns):
+            base = [float(a0[p]) for p in names]
+            columns = np.array([[new if t == p else b for t, new in zip(targets, images)]
+                                for p, b in zip(names, base)])
+            for start in range(0, len(targets), size):
+                block = {p: columns[j, start:start + size, None] for j, p in enumerate(names)}
+                yield tuple(np.asarray(fn.unchecked(grid.x, block), dtype=float) for fn in fns)
+            return
+        rows = [a0 if t is None else {**a0, t: new} for t, new in zip(targets, images)]
 
-    def w_rows(self, grid: Grid1D, rows: Sequence[dict]
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """w and w′ on the grid for each parameter dict in ``rows``.
-
-        Returns two (len(rows), n_points) arrays, unchecked: a row where w
-        or w′ cannot be evaluated is non-finite, and a row may hold inf or
-        nan wherever the function does, so the caller tests finiteness on
-        what it computes from them.  Each finite row equals ``w_grid`` /
-        ``w_prime_grid`` at that row's parameters bit for bit.  Missing
-        parameters, and values too large for a float, raise EvaluationError.
-
-        The (rows, 1) parameter columns are built once; a ``_broadcasts``
-        family tabulates the whole stack from them through ``_w_columns``
-        under the one ``errstate`` of this call (the checks it skips are
-        made here).  Any other family is evaluated row by row.
-        """
-        names = self.parameter_names
-        missing = {p for row in rows for p in names if p not in row}
-        if missing:
-            raise EvaluationError(f"missing parameter values for {sorted(missing)}")
-        shape = (len(rows), grid.n_points)
-        try:
-            columns = {p: np.array([float(row[p]) for row in rows])[:, None] for p in names}
-        except OverflowError as exc:
-            raise EvaluationError(f"parameters cannot be converted to float ({exc})") from None
-
-        def tabulate(fn: WFunc) -> np.ndarray:
-            out = np.empty(shape)
-            for i, row in enumerate(rows):
+        def tabulate(fn: WFunc, block: list[dict]) -> np.ndarray:
+            out = np.empty((len(block), grid.n_points))
+            for i, row in enumerate(block):
                 try:
                     out[i] = self._eval(fn, grid, row).values
                 except EvaluationError:
                     out[i] = np.nan
             return out
 
-        with np.errstate(all="ignore"):
-            if self._broadcasts:
-                return tuple(out if out.shape == shape else np.broadcast_to(out, shape)
-                             for out in self._w_columns(grid, columns))
-            w = tabulate(self.w_fn)
-            if self.w_prime_fn is None:
-                w_prime = np.gradient(w, grid.h, axis=1, edge_order=2)
-            else:
-                w_prime = tabulate(self.w_prime_fn)
-        return w, w_prime
+        for start in range(0, len(rows), size):
+            block = rows[start:start + size]
+            w = tabulate(self.w_fn, block)
+            yield w, (np.gradient(w, grid.h, axis=1, edge_order=2) if self.w_prime_fn is None
+                      else tabulate(self.w_prime_fn, block))
 
 
 @dataclass(frozen=True)

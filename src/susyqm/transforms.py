@@ -3,9 +3,11 @@
 A transform maps a family's parameter dict one step along its orbit.  The
 scalar variants (translation, scaling, power scaling, projective) act on
 one named parameter and are the kinds a transform search scans; a cyclic
-transform is declared extensionally and never searched.  This module is
-pure Python: the catalog's records and the CLI's parser read it without
-loading numpy.
+transform is declared extensionally and never searched.  A scalar
+variant's image of one parameter value has one rule,
+``ParameterTransform._image``, which ``apply`` and every search trial run.
+This module is pure Python: the catalog's records and the CLI's parser
+read it without loading numpy.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from .errors import TransformError
 
 #: Default coarse samples per candidate of a transform search (and --budget).
 DEFAULT_BUDGET = 33
+#: Largest budget a search (and --budget) takes.  A search scores its trials
+#: in blocks of at most 96 KiB or one grid row, whatever the budget, so the
+#: cap bounds its coarse sample list, its score memo and its run time.
+MAX_BUDGET = 129
 
 
 def _params_close(a: dict, b: dict) -> bool:
@@ -71,30 +77,33 @@ class ParameterTransform:
                 "param": self.param}
 
     @staticmethod
-    def _target(params: dict, param: str | None) -> str | None:
+    def _target(params: dict, param: str | None) -> tuple[str, float] | tuple[None, None]:
+        """The target parameter's name and float value; (None, None) for no
+        parameters.  TransformError where the target is missing, ambiguous
+        or not a real number."""
         if not params:
-            return None
-        if param is not None:
-            if param not in params:
-                raise TransformError(f"transform targets {param!r}, not in parameters {sorted(params)}")
-            return param
-        if len(params) == 1:
-            return next(iter(params))
-        raise TransformError(
-            f"transform target is ambiguous for parameters {sorted(params)}; set param=")
+            return None, None
+        if param is None:
+            if len(params) != 1:
+                raise TransformError(
+                    f"transform target is ambiguous for parameters {sorted(params)}; set param=")
+            param = next(iter(params))
+        elif param not in params:
+            raise TransformError(f"transform targets {param!r}, not in parameters {sorted(params)}")
+        try:
+            return param, float(params[param])
+        except (TypeError, ValueError):
+            raise TransformError(f"transform target {param}={params[param]!r} "
+                                 "is not a real number") from None
+        except OverflowError as exc:
+            raise TransformError(f"transform target {param}={params[param]!r} "
+                                 f"cannot be converted to float ({exc})") from None
 
     @classmethod
-    def _mapped(cls, params: dict, param: str | None, knobs: tuple) -> dict:
-        """params with the target parameter sent through ``knob_map``."""
-        out = dict(params)
-        target = cls._target(params, param)
-        if target is None:
-            return out
-        try:
-            value = float(params[target])
-        except (TypeError, ValueError):
-            raise TransformError(f"transform target {target}={params[target]!r} "
-                                 "is not a real number") from None
+    def _image(cls, params: dict, target: str, value: float, knobs: tuple) -> float:
+        """``knob_map`` of ``value`` = float(params[target]) at these knobs:
+        the one place a knob map runs.  TransformError where the map divides
+        by zero, overflows or is not finite, naming the value as given."""
         try:
             new = cls.knob_map(value, *knobs)
         except (ZeroDivisionError, OverflowError) as exc:
@@ -102,7 +111,15 @@ class ParameterTransform:
                                  f"{exc.args[-1]}") from None
         if not math.isfinite(new):
             raise TransformError(f"transform sends {target}={params[target]} to a non-finite value")
-        out[target] = new
+        return new
+
+    @classmethod
+    def _mapped(cls, params: dict, param: str | None, knobs: tuple) -> dict:
+        """params with the target parameter sent through ``_image``."""
+        out = dict(params)
+        target, value = cls._target(params, param)
+        if target is not None:
+            out[target] = cls._image(params, target, value, knobs)
         return out
 
 

@@ -15,8 +15,8 @@ import susyqm.cli
 import susyqm.eigensolver
 import susyqm.susy
 from susyqm import AlgebraReport, GridFunction, make_grid
-from susyqm.cli import (MAX_BUDGET, MAX_DEPTH, MAX_LEVELS, MAX_POINTS, main,
-                        parse_args)
+from susyqm.cli import MAX_DEPTH, MAX_LEVELS, MAX_POINTS, main, parse_args
+from susyqm.transforms import MAX_BUDGET
 from schemas import (ALGEBRA_REPORT_SCHEMA, CATALOG_SCHEMA, HIERARCHY_SCHEMA,
                      PARTNER_SCHEMA, RUN_CONFIG_SCHEMA, SI_CHECK_SCHEMA,
                      SOLUTION_SCHEMA, SPECTRUM_TABLE_SCHEMA, VENN_TAG_SCHEMA,

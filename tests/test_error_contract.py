@@ -5,14 +5,16 @@ ValueErrors outside that hierarchy are a negative level or orbit length, a
 tolerance that is not positive and finite, a zero-mode sign other than ±1,
 decay sides other than "both" and "right", a hierarchy depth below 1, a
 level count k above the matrix dimension or below 1, an orbit length,
-hierarchy depth or k that is not an integer, and a charge-matrix block that
-is not a finite float64 band of shape (5, m), m >= 1.  A bare KeyError, TypeError,
+hierarchy depth or k that is not an integer, a charge-matrix block that
+is not a finite float64 band of shape (5, m), m >= 1, and a search budget
+that is not an integer in [1, MAX_BUDGET].  A bare KeyError, TypeError,
 OverflowError or ZeroDivisionError would escape the CLI, which catches only
 SusyQMError, OSError and ValueError, as a traceback.
 """
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,17 +22,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from susyqm import (Cyclic, EvaluationError, Grid1D, GridFunction, Projective,
-                    SuperpotentialFamily, SusyQMError, TransformError, Translation, UNKNOWN,
+from susyqm import (Cyclic, EvaluationError, Grid1D, GridFunction, PowerScaling, Projective,
+                    SuperpotentialFamily, SusyQMError, TransformCandidate, TransformError,
+                    Translation, UNKNOWN,
                     algebraic_spectrum, apply_a, apply_a_dagger,
                     block_spectra, boundary_amplitude_ratio, build_hierarchy,
                     charge_matrices, classify_family, classify_record, classify_tabulated,
                     closed_form_spectrum, count_nodes, decay_trust_window, derivative,
                     get_record, ground_state, inner_product, instantiate, iterate_params,
                     list_catalog, make_grid, normalize, partner_pair_from_w,
-                    partner_potentials, si_residual, sign_aligned_distance, solve_potential,
+                    partner_potentials, search_transform, si_residual, sign_aligned_distance,
+                    solve_potential,
                     spectrum_from_measured_residuals, superpotential_from_ground_state,
                     susy_phase, verify_algebra, wavefunction_chain, zero_mode)
+from susyqm.transforms import MAX_BUDGET
 
 MORSE = get_record("morse")
 #: 7 points is the fewest the residual statistic takes; 6 are too few.
@@ -38,7 +43,8 @@ GRIDS = [make_grid(-3.5, 10.0, n) for n in (6, 7, 101)]
 DOCUMENTED_VALUE_ERRORS = ("must be nonnegative", "tolerance must be a positive finite number",
                            "sign must be -1 or +1", "sides must be 'both' or 'right'",
                            "must be at least 1", "must be an integer", "exceeds matrix dimension",
-                           "band must be a finite float64 array of shape (5, m)")
+                           "band must be a finite float64 array of shape (5, m)",
+                           f"budget must be an integer in [1, {MAX_BUDGET}]")
 
 VALUES = st.sampled_from([2.0, 1.0, 0.5, 0.0, -1.0, 1e300, math.nan, math.inf, -math.inf])
 PARAMS = st.one_of(
@@ -187,7 +193,6 @@ HUGE = 10**400
 def test_an_int_parameter_too_large_for_a_float_is_an_evaluation_error():
     family, grid = MORSE.family, GRIDS[2]
     for call in (lambda: family.w_grid(grid, {"A": HUGE}),
-                 lambda: family.w_rows(grid, [MORSE_A0, {"A": HUGE}]),
                  lambda: MORSE.r_function({"A": HUGE})):
         with pytest.raises(EvaluationError, match="int too large to convert to float"):
             call()
@@ -195,6 +200,19 @@ def test_an_int_parameter_too_large_for_a_float_is_an_evaluation_error():
     assert (tag.susy, tag.shape_invariant, tag.ih_factorizable, tag.exactly_solvable) \
         == (UNKNOWN,) * 4
     assert [e["kind"] for e in tag.evidence] == ["evaluation"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda a0: MORSE.transform.apply(a0),
+    lambda a0: iterate_params(MORSE.transform, a0, 2),
+    lambda a0: si_residual(MORSE.family, a0, MORSE.transform, GRIDS[2]),
+    lambda a0: wavefunction_chain(MORSE.family, a0, MORSE.transform, 1, GRIDS[2]),
+], ids=["apply", "iterate_params", "si_residual", "wavefunction_chain"])
+def test_a_target_too_large_for_a_float_is_a_transform_error(call):
+    # float(10**400) raised a bare OverflowError out of apply
+    with pytest.raises(TransformError, match=r"transform target A=1000.* cannot be converted "
+                                             r"to float \(int too large to convert to float\)"):
+        call({"A": HUGE})
 
 
 @pytest.mark.parametrize("value", [None, "x", [1.0], 1j], ids=["None", "str", "list", "complex"])
@@ -248,3 +266,56 @@ def test_a_block_that_converts_cleanly_to_float64_is_accepted():
     for band in (ints, ints.tolist(), ints.astype(np.int32)):
         got = block_spectra(dataclasses.replace(CM, lower=band))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+#: A bound family whose classify runs a full transform search.
+LINEAR = SuperpotentialFamily.from_expression("a*x", domain=(-10.0, 10.0))
+LINEAR_GRID = make_grid(-10.0, 10.0, 401)
+#: A family with no zero mode, whose classify stops before any search.
+FLAT = SuperpotentialFamily.from_expression("a + 0*x", domain=(-10.0, 10.0))
+
+
+@pytest.mark.parametrize("budget", [None, "33", 0, -1, MAX_BUDGET + 1, 2**31, 33.0, 1.5],
+                         ids=["None", "str", "zero", "negative", "above-cap", "2**31",
+                              "float", "fraction"])
+@pytest.mark.parametrize("call", [
+    lambda budget, record: search_transform(LINEAR, {"a": 1.0}, LINEAR_GRID, budget=budget,
+                                            record=record),
+    lambda budget, record: classify_family(LINEAR, {"a": 1.0}, LINEAR_GRID, budget),
+    lambda budget, record: classify_family(FLAT, {"a": 1.0}, LINEAR_GRID, budget),
+    lambda budget, record: classify_record("morse", None, budget),
+    lambda budget, record: classify_record("scaling-demo", None, budget),
+], ids=["search_transform", "classify_family", "classify_family-no-search",
+        "classify_record-declared", "classify_record-no-family"])
+def test_a_budget_outside_the_cap_is_a_documented_value_error(call, budget):
+    # None and "33" escaped as a bare TypeError; nothing capped 2**31, which
+    # sized each candidate's coarse sample list.  A classify that runs no
+    # search (no zero mode, a passing declared translation, or a record
+    # with no family) refuses the budget all the same.
+    record = []
+    with pytest.raises(ValueError, match=rf"budget must be an integer in \[1, {MAX_BUDGET}\], "
+                                         rf"got {re.escape(repr(budget))}$") as exc:
+        call(budget, record)
+    assert not isinstance(exc.value, SusyQMError)
+    assert record == []
+
+
+@pytest.mark.parametrize("budget", [1, MAX_BUDGET, np.int64(9)], ids=["one", "cap", "int64"])
+def test_a_budget_inside_the_cap_is_searched(budget):
+    found = search_transform(LINEAR, {"a": 1.0}, LINEAR_GRID, budget=budget)
+    assert found is not None and found[1].passed
+
+
+@pytest.mark.parametrize("cls, fixed", [
+    (PowerScaling, ()),            # p missing
+    (Translation, (2,)),           # a knob the class does not have
+    (Projective, ("x",)),          # not a number
+    (Projective, (0.25, 0.5)),     # one knob too many
+    (Projective, [0.25]),          # not a tuple
+    (Projective, 0.25),            # not a sequence
+], ids=["missing", "extra", "str", "two", "list", "scalar"])
+def test_a_candidate_with_malformed_fixed_knobs_is_a_transform_error(cls, fixed):
+    # the first three escaped search_transform as a bare TypeError
+    with pytest.raises(TransformError, match=rf"{cls.__name__} candidates fix .* to real "
+                                             r"numbers, got fixed="):
+        TransformCandidate(cls, 0.1, 0.9, fixed)

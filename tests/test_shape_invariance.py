@@ -481,32 +481,69 @@ def test_blocked_scores_equal_per_trial_residuals_across_block_boundaries():
         assert _score_trials(LN, a0, v_plus, trials[shift:], grid) == naive[shift:], shift
 
 
-def _rows_of(columns):
-    """The number of rows a stack of (rows, 1) parameter columns holds."""
-    lengths = {len(column) for column in columns.values()}
-    assert len(lengths) == 1
-    return lengths.pop()
+TANH_LINEAR = [
+    SuperpotentialFamily.from_callables(lambda x, p: p["a"] * np.tanh(x) + p["n"] * x / 8,
+                                        lambda x, p: p["a"] / np.cosh(x)**2 + p["n"] / 8,
+                                        ("a", "n")),
+    SuperpotentialFamily.from_callables(lambda x, p: p["a"] * np.tanh(x) + p["n"] * x / 8,
+                                        parameter_names=("a", "n")),
+    SuperpotentialFamily.from_expression("a*tanh(x) + n*x/8"),
+]
+
+
+@pytest.mark.parametrize("family", TANH_LINEAR, ids=["callables", "finite-difference",
+                                                     "compiled"])
+def test_rows_keep_the_untouched_parameters_as_given(family):
+    # n = 2 is an int: a trial on a leaves it an int in its row, as apply
+    # does, and a trial on n replaces it with a float image
+    grid = make_grid(-10.0, 10.0, 401)
+    a0 = {"a": 1.5, "n": 2}
+    v_plus = partner_potentials(family, a0, grid).v_plus.values
+    trials = [(cand, th) for cand in default_candidates(family.parameter_names)
+              for th in np.linspace(cand.lo, cand.hi, 9)]
+    naive = [_naive_figures(family, a0, cand, th, grid) for cand, th in trials]
+    assert _score_trials(family, a0, v_plus, trials, grid) == naive
+    assert all(math.isfinite(stddev) for stddev, _ in naive)
+
+
+def _record_blocks(monkeypatch, family, blocks):
+    """Patch ``_w_blocks`` to append the row count of each block it yields
+    to ``blocks``, checking that the search asks for ``_block_rows`` rows
+    per block and that no block holds more.  ``family`` broadcasts, so each
+    block must be one ``unchecked`` call of its w and one of its w′, with
+    no row evaluated on its own."""
+    real = SuperpotentialFamily._w_blocks
+    unchecked = []
+    for fn in (family.w_fn, family.w_prime_fn):
+        assert fn.broadcasts
+
+        def counted(x, values, real_fn=fn.unchecked):
+            unchecked.append(real_fn)
+            return real_fn(x, values)
+
+        monkeypatch.setattr(fn, "unchecked", counted)
+
+    def recorded(self, grid, a0, targets, images, size):
+        assert size == _block_rows(grid)
+        for w, w_prime in real(self, grid, a0, targets, images, size):
+            rows, points = np.broadcast(w, w_prime).shape
+            assert points == grid.n_points and rows <= size
+            assert len(unchecked) == 2 * len(blocks) + 2, \
+                "a broadcasting family's search evaluated rows one by one"
+            blocks.append(rows)
+            yield w, w_prime
+
+    monkeypatch.setattr(SuperpotentialFamily, "_w_blocks", recorded)
 
 
 def test_classify_never_tabulates_more_rows_than_a_block(monkeypatch):
     """The memory of a search is bounded by its blocks: every tabulation in
     a classify at 2001 points, coarse scan and two-parameter refine steps
     included, sees at most one block of rows.  The family broadcasts, so
-    the search tabulates through ``_w_columns`` alone."""
-    real = SuperpotentialFamily._w_columns
+    the search tabulates each block in one ``unchecked`` call of w and w′."""
     seen = []
-
-    def guarded(self, grid, columns):
-        seen.append(_rows_of(columns))
-        assert seen[-1] <= _block_rows(grid)
-        return real(self, grid, columns)
-
-    def unused(self, grid, rows):
-        raise AssertionError("a broadcasting family's search tabulated parameter dicts")
-
-    monkeypatch.setattr(SuperpotentialFamily, "_w_columns", guarded)
-    monkeypatch.setattr(SuperpotentialFamily, "w_rows", unused)
     family = SuperpotentialFamily.from_expression("a*x^3 + c*x + 0.3", domain=(-6.0, 6.0))
+    _record_blocks(monkeypatch, family, seen)
     grid = make_grid(-6.0, 6.0, 2001)
     tag = classify_family(family, {"a": 1.0, "c": 0.5}, grid)
     assert tag.shape_invariant == "no-within-search"
@@ -643,20 +680,16 @@ def test_cubic_classify_tabulates_a_fixed_number_of_rows(monkeypatch):
     """The search's work is pinned: one classify of ``a*x^3 + 0.3`` at
     a = 1.1 tabulates 624 rows in 115 blocks over 82 scoring calls.  A
     change to the per-row cost of scoring must leave these counts alone."""
-    real_columns, real_score = SuperpotentialFamily._w_columns, si_module._score_trials
+    real_score = si_module._score_trials
     blocks, calls = [], []
-
-    def columns(self, grid, cols):
-        blocks.append(_rows_of(cols))
-        return real_columns(self, grid, cols)
 
     def score(family, a0, v_plus, trials, grid):
         calls.append(len(trials))
         return real_score(family, a0, v_plus, trials, grid)
 
-    monkeypatch.setattr(SuperpotentialFamily, "_w_columns", columns)
-    monkeypatch.setattr(si_module, "_score_trials", score)
     family = SuperpotentialFamily.from_expression("a*x^3 + 0.3", domain=(-6.0, 6.0))
+    _record_blocks(monkeypatch, family, blocks)
+    monkeypatch.setattr(si_module, "_score_trials", score)
     tag = classify_family(family, {"a": 1.1}, make_grid(-6.0, 6.0, 2001))
     assert tag.shape_invariant == "no-within-search"
     assert (sum(blocks), len(blocks), len(calls)) == (624, 115, 82)
@@ -742,8 +775,7 @@ def test_candidate_fixed_knobs_are_not_coerced():
     cand = TransformCandidate(PowerScaling, 0.25, 0.75, (2.0,), "a")
     with pytest.raises(TransformError, match="requires integer p, got 2.0"):
         cand.build(0.5)
-    with pytest.raises(TransformError, match="requires integer p, got 2.0"):
-        cand.map_params(0.5, {"a": 1.0})
+    assert si_module._mapped_trials({"a": 1.0}, [(cand, 0.5)]) == ([], [], [])
 
 
 def test_trial_outside_the_knob_domain_scores_inf():
@@ -768,6 +800,57 @@ def test_transform_kinds_are_spelled_out_in_one_module():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Constant) and node.value in kinds)
     assert set(spelled) == {"transforms.py"}
+
+
+def _reaches(node: ast.AST, name: str) -> bool:
+    """A node that calls or takes hold of the attribute ``name``: a call
+    of ``name`` or ``x.name``, a read of ``x.name`` (which may be called
+    later), or ``getattr(x, "name")``.  A definition, or an assignment to
+    ``x.name``, is neither."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == name and isinstance(node.ctx, ast.Load)
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Name) and node.func.id == name:
+        return True
+    return (ast.unparse(node.func) == "getattr" and len(node.args) > 1
+            and getattr(node.args[1], "value", None) == name)
+
+
+def _owners(name: str) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of every node in the package
+    that ``_reaches`` the attribute ``name``."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if _reaches(child, name):
+                yield owner
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if inner else owner)
+
+    package = Path(si_module.__file__).parent
+    return sorted((path.name, owner) for path in package.glob("*.py")
+                  for owner in visit(ast.parse(path.read_text()), None))
+
+
+def test_each_step_of_a_trial_has_one_implementation():
+    """A knob map runs only in the one image rule, which apply and every
+    search trial share, and a compiled expression's unchecked entry only in
+    the one stacked tabulation, which every search block goes through."""
+    assert _owners("knob_map") == [("transforms.py", "_image")]
+    assert _owners("unchecked") == [("susy.py", "_w_blocks")]
+
+
+def test_one_implementation_check_sees_each_spelling():
+    """The predicate above flags a call, a held reference and a getattr of
+    the name, and neither its definition nor an assignment to it."""
+    spellings = {"cls.knob_map(a, q)": True, "knob_map(a, q)": True,
+                 "f = cand.cls.knob_map": True, "getattr(cls, 'knob_map')(a)": True,
+                 "spec = (check, cls.knob_map)": True,
+                 "def knob_map(a, q):\n    return a": False, "evaluate.knob_map = knob_map": False,
+                 "knob_maps(a)": False, "cls.knob_map_count": False, "'knob_map'": False}
+    for text, reaches in spellings.items():
+        assert any(_reaches(node, "knob_map") for node in ast.walk(ast.parse(text))) \
+            is reaches, text
 
 
 def test_power_scaling_pole_is_a_transform_error():
@@ -807,10 +890,9 @@ def _outcome(call):
        a=st.one_of(st.sampled_from((0.0, -0.0, 1e200, -1e200, -2.0, -4.0)),
                    st.floats(-1e3, 1e3)))
 def test_knob_map_equals_apply(theta, a):
-    """The search's scalar routes give apply's float bits, or its
-    TransformError text, for every searchable kind, inside and outside its
-    knob domain, and for every way of naming the target: map_params, and
-    the scoring kernel's _mapped_trials, which misses exactly where apply
+    """The scoring kernel's _mapped_trials gives apply's float bits for
+    every searchable kind, inside and outside its knob domain, and for
+    every way of naming the target, and misses exactly where apply
     raises."""
     for cls in si_module.TRANSFORM_KINDS.values():
         for fixed in [(p,) for p in (2, 3, -1, 0.25, 0.5, 1.0, 1.5)] if len(cls.knobs) > 1 \
@@ -819,8 +901,6 @@ def test_knob_map_equals_apply(theta, a):
                 cand = TransformCandidate(cls, -5.0, 5.0, fixed, param)
                 for params in ({"a": a}, {"a": a, "b": 2.0}):
                     applied = _outcome(lambda: cand.build(theta).apply(params))
-                    assert _outcome(lambda: cand.map_params(theta, params)) == applied, \
-                        (cand, params)
                     live, targets, images = si_module._mapped_trials(params, [(cand, theta)])
                     mapped = (_outcome(lambda: {**params, targets[0]: images[0]}) if live
                               else "miss")

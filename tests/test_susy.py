@@ -30,15 +30,6 @@ def test_family_missing_parameter():
     fam = SuperpotentialFamily.from_expression("A*x")
     with pytest.raises(EvaluationError):
         fam.w_grid(GRID, {})
-    with pytest.raises(EvaluationError, match=r"missing parameter values for \['A'\]"):
-        fam.w_rows(GRID, [{}, {}])
-
-
-def test_w_rows_names_a_parameter_that_only_some_rows_lack():
-    fam = SuperpotentialFamily.from_expression("A*x + b")
-    rows = [{"A": 1.0, "b": 0.0}, {"A": 1.0}, {"b": 2.0}]
-    with pytest.raises(EvaluationError, match=r"missing parameter values for \['A', 'b'\]"):
-        fam.w_rows(GRID, rows)
 
 
 def test_family_nonfinite_evaluation():
@@ -47,14 +38,19 @@ def test_family_nonfinite_evaluation():
         fam.w_grid(GRID, {})  # grid spans x <= 0
 
 
-def test_w_rows_finite_difference_matches_w_prime_grid():
-    # no analytic w′: one finite difference over the block, equal row by row
+@pytest.mark.parametrize("size", [1, 3, 4, 5])
+def test_w_blocks_finite_difference_matches_w_prime_grid(size):
+    # no analytic w′: one finite difference over each block, equal row by row
     fam = SuperpotentialFamily.from_callables(
         lambda x, p: p["a"] * np.tanh(x) + x**3 / p["b"], parameter_names=("a", "b"))
-    rows = [{"a": 1.0, "b": 2.0}, {"a": -0.5, "b": 7.0}, {"a": 3.0, "b": 1e-3},
-            {"a": 1.0, "b": 0.0}]
-    w, w_prime = fam.w_rows(GRID, rows)
-    for i, row in enumerate(rows[:-1]):
+    a0 = {"a": 1.0, "b": 2.0}
+    targets, images = [None, "a", "b", "a", "b"], [None, -0.5, 1e-3, 3.0, 0.0]
+    rows = [a0, {"a": -0.5, "b": 2.0}, {"a": 1.0, "b": 1e-3}, {"a": 3.0, "b": 2.0}]
+    with np.errstate(all="ignore"):  # the caller's, as in the search
+        blocks = list(fam._w_blocks(GRID, a0, targets, images, size))
+    assert [len(w) for w, _ in blocks] == [min(size, 5 - k) for k in range(0, 5, size)]
+    w, w_prime = (np.concatenate(part) for part in zip(*blocks))
+    for i, row in enumerate(rows):
         assert np.array_equal(w[i], fam.w_grid(GRID, row).values)
         assert np.array_equal(w_prime[i], fam.w_prime_grid(GRID, row).values)
     # w is not finite at b = 0, and neither is its w′
