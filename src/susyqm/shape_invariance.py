@@ -40,13 +40,19 @@ EDGE_TRIM = 2
 MIN_SAMPLES = 3
 
 
+def _check_count(n, what: str) -> None:
+    """ValueError unless the count n (an orbit length or level index) is a
+    nonnegative integer."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{what} n={n!r} must be an integer")
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative, got n={n}")
+
+
 def iterate_params(t: ParameterTransform, a0: dict, n: int) -> list[dict]:
     """Orbit a₀..aₙ (length n+1): repeated application of the transform to a0.
     ValueError unless n is a nonnegative integer."""
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"orbit length n={n!r} must be an integer")
-    if n < 0:
-        raise ValueError(f"orbit length must be nonnegative, got n={n}")
+    _check_count(n, "orbit length")
     orbit = [dict(a0)]
     for _ in range(n):
         orbit.append(t.apply(orbit[-1]))
@@ -228,10 +234,10 @@ def wavefunction_chain(family: SuperpotentialFamily, a0: dict, t: ParameterTrans
     """ψₙ⁻(x, a₀) = A†(a₀)···A†(a_{n-1}) ψ₀⁻(x, aₙ), normalized.
 
     Requires the residual test to pass first; the built state must carry
-    exactly n nodes or the construction is reported as failed.
+    exactly n nodes or the construction is reported as failed.  ValueError
+    unless n is a nonnegative integer, before any evaluation.
     """
-    if n < 0:
-        raise ValueError(f"level index must be nonnegative, got n={n}")
+    _check_count(n, "level index")
     report = si_residual(family, a0, t, grid)
     if not report.passed:
         raise TransformError(

@@ -72,11 +72,14 @@ class SuperpotentialFamily:
         A catalog record's text assembles its checked-in numpy code
         (``_compiled_catalog``), and a text of the closed grammar
         (``_closed_grammar``: sums of literal and parameter multiples of x,
-        x^n and one exp(k*x), or a single tanh(k*x) term) assembles the code
-        printed there; neither loads sympy.  That printer declines every
-        other text, which is compiled with sympy.  All routes give the code
-        sympy generates, so the same results and error messages.  The
-        printer is imported only for a text that is not a record's."""
+        x^n and one exp(k*x), or a single tanh(k*x) term; and radial terms,
+        a literal or parameter over a group such as ``2*(l+1)`` and a
+        literal, parameter or group over x, as in ``q/(2*(l+1)) - (l+1)/x``)
+        assembles the code printed there; neither loads sympy.  That printer
+        declines every other text, which is compiled with sympy.  All routes
+        give the code sympy generates, so the same results and error
+        messages.  The printer is imported only for a text that is not a
+        record's."""
         from . import _compiled_catalog
 
         codes = _compiled_catalog.FAMILIES.get(text)

@@ -6,6 +6,7 @@ term order, factor order and float printing, so these tests compare it
 with live sympy.  A sympy that prints otherwise fails here.
 """
 
+import importlib
 import itertools
 import json
 import re
@@ -27,16 +28,25 @@ ROOT = Path(__file__).resolve().parents[1]
 #: One text of each shape the CLI workloads and the docs use.
 SHAPES = ["a*x", "a*x + 0.3240", "a*x - 0.3240", "x", "A*tanh(0.8000*x)", "2*tanh(x)",
           "A*tanh(x)", "A - 0.7344*exp(-x)", "exp(1.5000*x)", "a*x^3 + 0.3240",
-          "a*x^3 - 0.3240", "a*x^3 + c*x", "a*x^3 + c*x - 0.2000", "a*x^3 + c*x + 0.2000"]
+          "a*x^3 - 0.3240", "a*x^3 + c*x", "a*x^3 + c*x - 0.2000", "a*x^3 + c*x + 0.2000",
+          "2.0134/(2*(l+1)) - (l+1)/x", "q/(2*(l+1)) - (l+1)/x"]
 
 #: Texts outside the grammar, or whose print the printer does not copy.
-DECLINED = ["a*sech(x)", "foo(1.2*x)", "1.2*x/0", "q/(2*(l+1)) - (l+1)/x", "x/(a-2)",
+DECLINED = ["a*sech(x)", "foo(1.2*x)", "1.2*x/0", "x/0", "x/(a-2)",
             "1.3e154", "1e100*x", "x*a**400", "x + a**(-1.5)", "E*x", "pi*x", "N*x",
             "beta*x", "x*x_1", "a*0.0000*x", "0.0000*x + a", "a*x + 2*a*x", "0.5 + 0.5*a + 0.2",
             "tanh(-x)", "tanh(x) + a", "exp(x) + exp(2*x)", "0.0001*exp(0.0001*x)",
             "12345*x", "0.12345*x", "x^10", "x^1", "(x)", "2x", "", "x +", "-", "--x",
             "+x", "a*b*x", "2*3*x", "x*x", "\tx", "A*tanh(0*x)", "exp(0.0*x)",
-            "I*x", "O*x", "Q*x", "S*x", "gamma*x", "zeta*x"]
+            "I*x", "O*x", "Q*x", "S*x", "gamma*x", "zeta*x",
+            # a dropped 0.0 makes the number a float, printed in full
+            "1 - 0.00", "a*x + 1 + 0.0",
+            # radial texts outside the grammar
+            "1/x", "0/x", "1/(l+1)", "1.0/(l+1)", "1/(2*(l+1)) - (l+1)/x", "2/0",
+            "2/(l+0)", "q/(1*(l+1))", "q/(2*l+2)", "q/(l+l)", "(l+1)/x**2", "(l+1)/x*2",
+            "(l+1)/x/2", "2/(l+1)/x", "x/(l+1)", "a*(l+1)/x", "(x+1)/x", "a + -(l+1)/x", "a/x + b/x",
+            "a/(l+1) + 2/(l+1)", "exp(x) + 1/x", "tanh(x) - 2/x", "(l+1)/x + 0.0 + 1",
+            "q/(2*(l+1)"]
 
 
 def _live(text: str):
@@ -82,6 +92,31 @@ HAZARDS = {
     "A*tanh(1.2631*x)": ("A*tanh(1.2631*x)", "A*(1.2631 - 1.2631*tanh(1.2631*x)**2)",
                          ("tanh(1.2631*x)",), ("1.2631 - 1.2631*tanh(1.2631*x)**2",)),
     "-tanh(x)": ("-tanh(x)", "tanh(x)**2 - 1", ("-tanh(x)",), ("tanh(x)**2 - 1",)),
+    # radial terms: a scale literal distributes over its group, trailing
+    # zeros go, and x**2 of w′ is a table while x of w is not
+    "1.5090/(2*(l+1)) - (l+1)/x": ("1.509/(2*l + 2) - (l + 1)/x", "(l + 1)/x**2", (),
+                                   ("x**2",)),
+    "2.0000/(2*(l+1)) - (l+1)/x": ("2.0/(2*l + 2) - (l + 1)/x", "(l + 1)/x**2", (),
+                                   ("x**2",)),
+    "3/(2*(l+1))": ("3/(2*l + 2)", "0", (), ()),
+    "q/(0.5*(l+1))": ("q/(0.5*l + 0.5)", "0", (), ()),
+    "2.0000*(l+1.50)/x": ("(2.0*l + 3.0)/x", "-(2.0*l + 3.0)/x**2", (), ("x**2",)),
+    "(l - 1)/x": ("(l - 1)/x", "-(l - 1)/x**2", (), ("x**2",)),
+    "(1 + l)/x": ("(l + 1)/x", "-(l + 1)/x**2", (), ("x**2",)),
+    # a leading minus distributes into the group, a subtracted one does not
+    "-(l - 1)/x": ("(1 - l)/x", "-(1 - l)/x**2", (), ("x**2",)),
+    "-2*(l+1)/x": ("(-2*l - 2)/x", "-(-2*l - 2)/x**2", (), ("x**2",)),
+    "a - 2*(l+1)/x": ("a - (2*l + 2)/x", "(2*l + 2)/x**2", (), ("x**2",)),
+    # both signs of the x⁻¹ term; a literal over x is an x-only subterm
+    "q/(2*(l+1)) + (l+1)/x": ("q/(2*l + 2) + (l + 1)/x", "-(l + 1)/x**2", (), ("x**2",)),
+    "0.5 - 2.5/x": ("0.5 - 2.5/x", "2.5/x**2", ("0.5 - 2.5/x",), ("2.5/x**2",)),
+    "2.5/x": ("2.5/x", "-2.5/x**2", ("2.5/x",), ("-2.5/x**2",)),
+    # Greek names and term order
+    "mu/(2*(nu+1)) - (nu+1)/x": ("mu/(2*nu + 2) - (nu + 1)/x", "(nu + 1)/x**2", (),
+                                 ("x**2",)),
+    "lamda/x + alpha": ("alpha + lamda/x", "-lamda/x**2", (), ("x**2",)),
+    "a*x^2 + 2/(l+1) - (l+1)/x": ("a*x**2 + 2/(l + 1) - (l + 1)/x", "2*a*x + (l + 1)/x**2",
+                                  ("x**2",), ("x**2",)),
 }
 
 
@@ -168,6 +203,57 @@ def test_accepted_texts_print_as_sympy_prints_them():
     assert sum(accepted) > len(accepted) / 2
 
 
+# Radial terms: a literal or parameter over x or over a one-parameter
+# affine group, and a group over x.  A group is (p ± d) or (d ± p), with or
+# without a scale literal; a few names recur so that a numerator and a
+# group share their parameter.
+RADIAL_NAMES = st.sampled_from(["l", "q", "nu"]) | st.sampled_from(NAMES)
+SPACES = st.sampled_from(["", " "])
+AFFINE = st.builds(
+    lambda p, op, d, flip, space: f"({d}{space}{op}{space}{p})" if flip
+    else f"({p}{space}{op}{space}{d})",
+    RADIAL_NAMES, st.sampled_from(["+", "-"]), LITERALS, st.booleans(), SPACES)
+GROUPS = AFFINE | st.builds(lambda k, group: f"{k}*{group}", LITERALS, AFFINE)
+OVER_GROUP = st.builds(lambda n, g: f"{n}/{g}" if g.startswith("(") else f"{n}/({g})",
+                       LITERALS | RADIAL_NAMES, GROUPS)
+OVER_X = st.builds(lambda n: f"{n}/x", LITERALS | RADIAL_NAMES | GROUPS)
+
+
+@st.composite
+def radial_texts(draw) -> str:
+    """Up to two polynomial terms, a term over a group or none, and a term
+    over x, in any order, with both signs and optional spaces."""
+    parts = []
+    for spec in draw(st.lists(_specs(POLYNOMIAL), max_size=2)):
+        factors = [spec[i] for i in draw(ORDERS) if spec[i]] or [draw(LITERALS)]
+        parts.append(draw(TIMES).join(factors))
+    if draw(st.booleans()):
+        parts.append(draw(OVER_GROUP))
+    if draw(st.booleans()) or not parts:
+        parts.append(draw(OVER_X))
+    parts = draw(st.permutations(parts))
+    return ("-" if draw(st.booleans()) else "") + "".join(
+        part if i == 0 else draw(PLUS) + part for i, part in enumerate(parts))
+
+
+def test_accepted_radial_texts_print_as_sympy_prints_them():
+    """The same gate on the radial terms; a text sympy rejects is declined."""
+    accepted = []
+
+    @settings(max_examples=300)
+    @given(radial_texts())
+    def sweep(text):
+        try:
+            _live(text)
+        except ExpressionError:
+            assert closed_grammar_codes(text) is None, text
+        else:
+            accepted.append(_assert_same_as_sympy(text) is not None)
+
+    sweep()
+    assert sum(accepted) > len(accepted) / 2
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_plain_names_are_plain_symbols(name):
     assert _assert_same_as_sympy(f"{name}*x^3 + x*{name} - {name}") is not None
@@ -193,19 +279,28 @@ def _repository_texts() -> set[str]:
         for op in json.loads(path.read_text())["ops"]:
             argv = op["argv"]
             found.update(argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--w")
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import cli_cold
-        import search_sweep
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
+    cli_cold = _perfbench("cli_cold")
     for seed in range(3):
         for block, _ in zip(cli_cold.blocks(seed), range(48)):
             argv = block[0].argv
             found.update(argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--w")
-        for block, _ in zip(search_sweep.blocks(seed), range(2)):
-            found.update(op.text for op in block)
+        found.update(_search_sweep_texts(seed))
     return found
+
+
+def _perfbench(name: str):
+    """The benchmark's workload module of that name."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
+def _search_sweep_texts(seed: int, n_blocks: int = 2) -> list[str]:
+    """The texts of the search-sweep workload's first blocks."""
+    blocks = _perfbench("search_sweep").blocks(seed)
+    return [op.text for block, _ in zip(blocks, range(n_blocks)) for op in block]
 
 
 REPOSITORY_TEXTS = sorted(_repository_texts())
@@ -224,6 +319,53 @@ def test_repository_text_equals_sympy_or_is_declined(text):
         assert closed_grammar_codes(text) is None
     else:
         _assert_same_as_sympy(text)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_search_sweep_texts_are_accepted(seed):
+    # every template of the workload, the radial Coulomb one included, so
+    # its operations load no sympy
+    texts = _search_sweep_texts(seed, n_blocks=4)
+    assert any(text.endswith("- (l+1)/x") for text in texts)
+    for text in texts:
+        assert _assert_same_as_sympy(text) is not None, text
+
+
+#: A radial Coulomb --w text, which is not the catalog record's.
+COULOMB = ["partner", "--w", "1.5090/(2*(l+1)) - (l+1)/x", "--x-min", "0.001",
+           "--x-max", "160", "--points", "201"]
+
+
+def test_coulomb_cli_bytes_equal_the_sympy_route(monkeypatch, capsys):
+    """partner prints the same table at l = 0, and the same error line at
+    l = -1, whether the text's code comes from the printer or from sympy."""
+    from susyqm import _closed_grammar
+    from susyqm.cli import main
+
+    def run() -> list[tuple[int, str, str]]:
+        outputs = []
+        for value in ("0", "-1"):
+            code = main([*COULOMB, "--param", f"l={value}"])
+            outputs.append((code, *capsys.readouterr()))
+        return outputs
+
+    def refuse(text):
+        raise AssertionError(f"{text!r} went to sympy")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(susy, "parse_expression", refuse)
+        closed = run()
+    parsed = []
+    monkeypatch.setattr(_closed_grammar, "closed_grammar_codes", lambda text: None)
+    monkeypatch.setattr(susy, "parse_expression",
+                        lambda text, parse=susy.parse_expression:
+                        parsed.append(text) or parse(text))
+    assert run() == closed
+    assert parsed == [COULOMB[2]] * 2
+    assert closed[0][0] == 0 and closed[0][1].startswith("x,v_minus,v_plus,w\n0.001,")
+    assert closed[1] == (2, "", "susyqm partner: expression '1.509/(2*l + 2) - (l + 1)/x' "
+                                "cannot be evaluated at these parameters (float division "
+                                "by zero)\n")
 
 
 def test_family_of_an_accepted_text_needs_no_parse(monkeypatch):

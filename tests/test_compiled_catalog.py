@@ -105,7 +105,7 @@ def test_closed_grammar_prints_the_checked_in_code():
     sympy-free route: the checked-in table and the closed-grammar printer."""
     accepted = {text: codes for text, codes in _compiled_catalog.FAMILIES.items()
                 if closed_grammar_codes(text) is not None}
-    assert set(accepted) == {"omega*x", "A - exp(-x)", "A*tanh(x)"}
+    assert set(accepted) == {"omega*x", "A - exp(-x)", "A*tanh(x)", "q/(2*(l+1)) - (l+1)/x"}
     for text, codes in accepted.items():
         assert closed_grammar_codes(text) == codes
 

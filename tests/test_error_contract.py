@@ -5,9 +5,9 @@ ValueErrors outside that hierarchy are a negative level or orbit length, a
 tolerance that is not positive and finite, a zero-mode sign other than ±1,
 decay sides other than "both" and "right", a hierarchy depth below 1, a
 level count k above the matrix dimension or below 1, an orbit length,
-hierarchy depth or k that is not an integer, a charge-matrix block that
-is not a finite float64 band of shape (5, m), m >= 1, and a search budget
-that is not an integer in [1, MAX_BUDGET].  A bare KeyError, TypeError,
+level index, hierarchy depth or k that is not an integer, a charge-matrix
+block that is not a finite float64 band of shape (5, m), m >= 1, and a
+search budget that is not an integer in [1, MAX_BUDGET].  A bare KeyError, TypeError,
 OverflowError or ZeroDivisionError would escape the CLI, which catches only
 SusyQMError, OSError and ValueError, as a traceback.
 """
@@ -35,6 +35,7 @@ from susyqm import (Cyclic, EvaluationError, Grid1D, GridFunction, PowerScaling,
                     solve_potential,
                     spectrum_from_measured_residuals, superpotential_from_ground_state,
                     susy_phase, verify_algebra, wavefunction_chain, zero_mode)
+from susyqm import shape_invariance
 from susyqm.transforms import MAX_BUDGET
 
 MORSE = get_record("morse")
@@ -85,8 +86,9 @@ def _obeys_the_contract(call) -> None:
 @example(family=MORSE.family, a0={"A": 0.5}, t=Cyclic(({"A": 2.0}, {"A": 1.0})), n=1,
          grid=GRIDS[2], r=MORSE.r_function, tolerance=None)
 @given(family=FAMILIES, a0=PARAMS, t=TRANSFORMS,
-       n=st.one_of(st.integers(-2, 3), st.just(2.0)), grid=st.sampled_from(GRIDS),
-       r=R_FUNCTIONS, tolerance=st.sampled_from([None, 1e-6, 0.0, -1.0, math.nan, math.inf]))
+       n=st.one_of(st.integers(-2, 3), st.sampled_from([2.0, "3", None])),
+       grid=st.sampled_from(GRIDS), r=R_FUNCTIONS,
+       tolerance=st.sampled_from([None, 1e-6, 0.0, -1.0, math.nan, math.inf]))
 def test_orbit_entry_points_raise_only_the_documented_errors(family, a0, t, n, grid, r,
                                                              tolerance):
     with warnings.catch_warnings():
@@ -184,6 +186,18 @@ HARMONIC = GridFunction(GRIDS[2], np.square(GRIDS[2].x))
 def test_a_float_count_is_a_documented_value_error(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("n", ["3", None, 2.0], ids=["str", "None", "float"])
+def test_wavefunction_chain_checks_its_level_before_the_residual_test(n, monkeypatch):
+    # a str or None reached n < 0 as a bare TypeError, and a float ran the
+    # residual test before iterate_params refused it
+    def refuse(*args):
+        raise AssertionError("the residual test ran")
+
+    monkeypatch.setattr(shape_invariance, "si_residual", refuse)
+    with pytest.raises(ValueError, match=r"^level index n=.* must be an integer$"):
+        wavefunction_chain(MORSE.family, MORSE_A0, MORSE.transform, n, GRIDS[2])
 
 
 #: An int parameter too large for a float.

@@ -614,6 +614,36 @@ def test_oracle_sequence_loads_no_scipy(package_env):
     assert blocked_spectra == spectra
 
 
+#: One text of each search-sweep template, each classified as the workload
+#: classifies it; the radial Coulomb text has its hard wall at x = 1e-3.
+SEARCH_SWEEP_SEQUENCE = r"""
+import json, sys
+
+import susyqm as sq
+
+watched = json.loads(sys.argv[1])
+for text, params, domain, wall in [
+        ("a*x + 0.3240", {"a": 1.2}, (-10.0, 10.0), False),
+        ("2.0134/(2*(l+1)) - (l+1)/x", {"l": 0.0}, (1e-3, 160.0), True),
+        ("A - 0.7344*exp(-x)", {"A": 2.5}, (-5.0, 10.0), False),
+        ("A*tanh(0.8000*x)", {"A": 3.0}, (-10.0, 10.0), False),
+        ("a*x^3 - 0.2000", {"a": 1.0}, (-6.0, 6.0), False),
+        ("a*x^3 + c*x + 0.2000", {"a": 1.0, "c": 0.5}, (-6.0, 6.0), False)]:
+    family = sq.SuperpotentialFamily.from_expression(text, domain=domain, hard_wall_left=wall)
+    sq.classify_family(family, params, sq.make_grid(*domain, 2001))
+print(json.dumps(sorted(n for n in watched if n in sys.modules)))
+"""
+
+
+def test_search_sweep_sequence_loads_no_sympy(package_env):
+    """The closed grammar prints every search-sweep template's code, the
+    radial Coulomb one included, so its classifications load only numpy."""
+    proc = subprocess.run([sys.executable, "-c", SEARCH_SWEEP_SEQUENCE, json.dumps(WATCHED)],
+                          env=package_env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["numpy"]
+
+
 def _scipy_imports(source: str) -> list[tuple[str | None, str]]:
     """(innermost enclosing function or None, module) of each import of
     scipy in a module: import statements at any depth, and
