@@ -2,10 +2,14 @@
 
 ``closed_grammar_codes(text)`` returns the two ``NumpyCode`` records that
 ``generate_on_grid`` makes for w = text and for its derivative, equal in
-every field, or None when text is outside the closed grammar below or
-would print in a form this printer does not reproduce.  None is never an
-error: the caller then compiles the text with sympy, so every error
-message, and every text outside the grammar, is what it was.
+every field.  For two kinds of text outside the grammar, one call of an
+unknown function and one product term over zero, it raises the
+ExpressionError that ``parse_expression`` raises, with the same message
+(``_refusals.py`` states those rules).  It returns None for every other
+text outside the closed grammar, or one that would print in a form this
+printer does not reproduce; the caller then compiles the text with sympy,
+so every other error message, and every other text outside the grammar,
+is what it was.
 
 The grammar: a sum of terms, each the product of an optional literal, an
 optional parameter and an optional x-part, in any factor order, or a
@@ -368,6 +372,7 @@ def _closed_code(node: tuple, params: list[str]) -> NumpyCode:
 def closed_grammar_codes(text: str) -> tuple[NumpyCode, NumpyCode] | None:
     """The code of w and w′ that generate_on_grid prints for text, or None
     when text is outside the closed grammar (see the module docstring).
+    Raises parse_expression's ExpressionError for the two refusals.
 
     Every parameter enters as a plain factor or in a group that a product
     divides by, which prints as a division, so the code always broadcasts
@@ -381,4 +386,8 @@ def closed_grammar_codes(text: str) -> tuple[NumpyCode, NumpyCode] | None:
         w = _sum([_term(*t) for t in terms])
         return _closed_code(w, params), _closed_code(_derivative(terms), params)
     except _Decline:
-        return None
+        pass
+    from ._refusals import refuse  # a declined text only: the accepted path stays as it was
+
+    refuse(text)
+    return None

@@ -47,15 +47,9 @@ def _grammar() -> _Symbols:
     """
     import sympy
 
-    functions = {
-        "exp": sympy.exp,
-        "ln": sympy.log,
-        "log": sympy.log,
-        "sin": sympy.sin,
-        "cos": sympy.cos,
-        "tanh": sympy.tanh,
-        "sech": sympy.sech,
-    }
+    from ._refusals import FUNCTIONS
+
+    functions = {name: getattr(sympy, function) for name, function in FUNCTIONS.items()}
     return _Symbols(sympy.Symbol("x", real=True), functions)
 
 
@@ -79,6 +73,8 @@ def parse_expression(text: str) -> sympy.Expr:
     except (SyntaxError, TokenError, TypeError, ValueError, AttributeError,
             sympy.SympifyError) as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from exc
+    except ZeroDivisionError as exc:  # a float literal over a float zero, 2.5/0.0
+        raise ExpressionError(f"cannot parse expression {text!r}: division by zero") from exc
     _validate(expr, text)
     return expr
 
@@ -99,6 +95,8 @@ def _uncalled_as_symbols(tokens: list, local_dict: dict, global_dict: dict) -> l
 def _validate(expr: sympy.Expr, text: str):
     import sympy
 
+    from ._refusals import non_finite_message, unknown_functions_message
+
     grammar = _grammar()
     if not isinstance(expr, sympy.Expr):
         raise ExpressionError(f"{text!r} is not a scalar expression")
@@ -106,14 +104,12 @@ def _validate(expr: sympy.Expr, text: str):
     bad = sorted({type(f).__name__ for f in expr.atoms(sympy.Function)
                   if not isinstance(f, allowed)})
     if bad:
-        raise ExpressionError(
-            f"functions {bad} not in the supported set "
-            f"{sorted(set(grammar.functions) - {'log'})} in {text!r}")
+        raise ExpressionError(unknown_functions_message(bad, text))
     if expr.atoms(sympy.I):
         raise ExpressionError(f"complex constants are not supported in {text!r}")
     if expr.has(sympy.S.ComplexInfinity, sympy.S.Infinity, sympy.S.NegativeInfinity,
                 sympy.S.NaN):
-        raise ExpressionError(f"{text!r} contains a non-finite constant ({sympy.sstr(expr)})")
+        raise ExpressionError(non_finite_message(text, sympy.sstr(expr)))
     for sym in expr.free_symbols:
         if not sym.name.isidentifier():
             raise ExpressionError(f"invalid symbol {sym.name!r} in {text!r}")

@@ -76,6 +76,9 @@ class SuperpotentialFamily:
         a literal or parameter over a group such as ``2*(l+1)`` and a
         literal, parameter or group over x, as in ``q/(2*(l+1)) - (l+1)/x``)
         assembles the code printed there; neither loads sympy.  That printer
+        also raises, without sympy, parse_expression's ExpressionError for a
+        text with one call of an unknown function (``foo(1.2*x)``) or one
+        product term over zero (``1.2*x/0``) among closed-grammar terms, and
         declines every other text, which is compiled with sympy.  All routes
         give the code sympy generates, so the same results and error
         messages.  The printer is imported only for a text that is not a

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from susyqm import (ExpressionError, SuperpotentialFamily, differentiate, make_grid,
                     parse_expression, susy)
+from susyqm import _parser_namespace
 from susyqm._closed_grammar import _PLAIN_NAMES, closed_grammar_codes
+from susyqm._refusals import REGENERATE_NAMESPACE, render_parser_namespace
 from susyqm.expressions import assemble_on_grid, generate_on_grid, parameter_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,7 +34,7 @@ SHAPES = ["a*x", "a*x + 0.3240", "a*x - 0.3240", "x", "A*tanh(0.8000*x)", "2*tan
           "2.0134/(2*(l+1)) - (l+1)/x", "q/(2*(l+1)) - (l+1)/x"]
 
 #: Texts outside the grammar, or whose print the printer does not copy.
-DECLINED = ["a*sech(x)", "foo(1.2*x)", "1.2*x/0", "x/0", "x/(a-2)",
+DECLINED = ["a*sech(x)", "x/(a-2)",
             "1.3e154", "1e100*x", "x*a**400", "x + a**(-1.5)", "E*x", "pi*x", "N*x",
             "beta*x", "x*x_1", "a*0.0000*x", "0.0000*x + a", "a*x + 2*a*x", "0.5 + 0.5*a + 0.2",
             "tanh(-x)", "tanh(x) + a", "exp(x) + exp(2*x)", "0.0001*exp(0.0001*x)",
@@ -42,11 +44,30 @@ DECLINED = ["a*sech(x)", "foo(1.2*x)", "1.2*x/0", "x/0", "x/(a-2)",
             # a dropped 0.0 makes the number a float, printed in full
             "1 - 0.00", "a*x + 1 + 0.0",
             # radial texts outside the grammar
-            "1/x", "0/x", "1/(l+1)", "1.0/(l+1)", "1/(2*(l+1)) - (l+1)/x", "2/0",
+            "1/x", "0/x", "1/(l+1)", "1.0/(l+1)", "1/(2*(l+1)) - (l+1)/x",
             "2/(l+0)", "q/(1*(l+1))", "q/(2*l+2)", "q/(l+l)", "(l+1)/x**2", "(l+1)/x*2",
             "(l+1)/x/2", "2/(l+1)/x", "x/(l+1)", "a*(l+1)/x", "(x+1)/x", "a + -(l+1)/x", "a/x + b/x",
             "a/(l+1) + 2/(l+1)", "exp(x) + 1/x", "tanh(x) - 2/x", "(l+1)/x + 0.0 + 1",
-            "q/(2*(l+1)"]
+            "q/(2*(l+1)",
+            # sympy folds or cancels the call or the zero divisor, or binds the name
+            "foo(x)*0", "0*foo(x)", "foo(x) - foo(x)", "exp(1.2*x)/0", "x/0 - x/0", "0*x/0",
+            "0.3 + 1/0", "2/0 - 2*x", "x/0 + x", "gamma(x)", "Abs(x)", "sqrt(x)", "re(x)",
+            "zoo*x",
+            # calls and divisions outside the two refusals
+            "a(a*x)", "x(2)", "foo(x)^2", "foo(x,1)", "foo()", "2foo(x)", "lambda(x)",
+            "foo(x)/0", "foo(x)*bar(x)", "x/foo(x)", "x/0*2", "x/0/2", "x/(0)", "x/-0",
+            "2/x/0", "tanh(x)/0", "2.5/0.0", "-2.5/0.0", "x/00"]
+
+#: Texts the printer refuses without sympy, with the ExpressionError that
+#: parse_expression raises: one unknown function call, or one product term
+#: over a zero literal.
+REFUSED = ["foo(1.2*x)", "1.2*x/0", "x/0", "2/0", "foo(x)", "2*foo(x)/x", "a*foo(x) - 3",
+           "-foo(x) + a*x^3", "3 - Foo(0.5*x)*x", "exp(x)*f_1(1.2*x)", "foo (x) + 2",
+           "int(x)", "type(x)", "match(x)", "_(x)", "a - 2*(l+1)/x + g(x)",
+           "a*x^3 + 0.3/0", "-x/0", "a*x/0", "2*a*x^2/0.00", "x / 0", "2/0.0",
+           "x*2.5/0.0", "0.5 - x/0", "x/0 + 0.0", "2/0 + (l+1)/x", "2/0 + a*exp(x)",
+           "a*x/0 + a*x^2", "x/0 + a*x + 2", "b/0 + a", "x/0 + 2/(l+1)",
+           "a*x^3 + 0.3240 + x^2/0", "lamda*x/0 - 2.5"]
 
 
 def _live(text: str):
@@ -59,6 +80,23 @@ def _assert_same_as_sympy(text: str):
     got = closed_grammar_codes(text)
     if got is not None:
         assert got == _live(text), text
+    return got
+
+
+def _outcome(compile_text, text: str):
+    """compile_text(text), or the message of the ExpressionError it raised."""
+    try:
+        return compile_text(text)
+    except ExpressionError as exc:
+        return str(exc)
+
+
+def _assert_declined_or_same_as_sympy(text: str):
+    """The printer's codes or refusal message for text, which must equal
+    sympy's, or None when the printer declines text."""
+    got = _outcome(closed_grammar_codes, text)
+    if got is not None:
+        assert got == _outcome(_live, text), text
     return got
 
 
@@ -131,6 +169,24 @@ def test_printing_hazards(text):
 @pytest.mark.parametrize("text", DECLINED)
 def test_declined(text):
     assert closed_grammar_codes(text) is None
+
+
+def test_parser_namespace_file_is_what_sympy_binds():
+    # a sympy that binds other names fails here, until the file is regenerated
+    assert Path(_parser_namespace.__file__).read_text() == render_parser_namespace()
+    assert {"gamma", "Abs", "sqrt", "re", "print", "max"} <= _parser_namespace.NAMES
+    assert not {"foo", "int", "type", "x"} & _parser_namespace.NAMES
+
+
+def test_readme_gives_the_namespace_regenerate_command():
+    assert f"```\n{REGENERATE_NAMESPACE}\n```" in (ROOT / "README.md").read_text()
+
+
+@pytest.mark.parametrize("text", REFUSED)
+def test_refused_with_the_message_sympy_gives(text):
+    with pytest.raises(ExpressionError) as caught:
+        closed_grammar_codes(text)
+    assert str(caught.value) == _outcome(_live, text)
 
 
 # -- the sweep of the grammar --------------------------------------------------------
@@ -243,15 +299,69 @@ def test_accepted_radial_texts_print_as_sympy_prints_them():
     @settings(max_examples=300)
     @given(radial_texts())
     def sweep(text):
-        try:
-            _live(text)
-        except ExpressionError:
-            assert closed_grammar_codes(text) is None, text
-        else:
-            accepted.append(_assert_same_as_sympy(text) is not None)
+        got = _assert_declined_or_same_as_sympy(text)
+        if not isinstance(_outcome(_live, text), str):
+            accepted.append(got is not None)
 
     sweep()
     assert sum(accepted) > len(accepted) / 2
+
+
+# The two refusals: one call of a function sympy's parser does not bind,
+# or one product term over a zero literal, among closed-grammar terms.  The
+# names include ones sympy binds, grammar functions, x, parameters and a
+# keyword, and the sums include terms sympy collects with or absorbs into
+# a term over zero; the printer must decline those.
+CALL_NAMES = st.sampled_from(["foo", "f", "g_1", "Foo", "bar2", "_h", "int", "type", "match",
+                              "gamma", "Abs", "sqrt", "re", "beta", "N", "sin", "ln", "exp",
+                              "tanh", "x", "a", "lambda", "print"])
+ZEROS = st.sampled_from(["0", "0.0", "0.00", "0.0000"])
+CLOSED_ARGS = st.sampled_from(["x", "1.2*x", "-x", "a*x + 0.3240", "x^2", "exp(-x)", "a",
+                               "0", "1.2345*x"])
+
+
+def _product(draw, extra: list[str]) -> str:
+    """A polynomial term's factors and extra ones, in any order."""
+    literal, name, power = draw(st.tuples(st.none() | LITERALS, st.none() | st.sampled_from(NAMES),
+                                          st.none() | POLYNOMIAL.filter(bool)))
+    factors = [f for f in (literal, name, power) if f] + extra
+    return draw(TIMES).join(draw(st.permutations(factors))) or draw(LITERALS)
+
+
+@st.composite
+def refusal_texts(draw) -> str:
+    """A call term or a term over zero among up to two polynomial terms, an
+    exp term or a radial term, in any order, with both signs."""
+    if draw(st.booleans()):
+        special = _product(draw, [f"{draw(CALL_NAMES)}({draw(CLOSED_ARGS)})"])
+    else:
+        special = f"{_product(draw, [])}{draw(SPACES)}/{draw(SPACES)}{draw(ZEROS)}"
+    parts = [_product(draw, []) for _ in range(draw(UP_TO[2]))] + [special]
+    parts += draw(st.sampled_from([[], [], ["exp(-x)"], ["A*exp(0.5*x)"], ["2/(l+1)"],
+                                   ["(l+1)/x"], ["2.5/x"]]))
+    parts = draw(st.permutations(parts))
+    return ("-" if draw(st.booleans()) else "") + "".join(
+        part if i == 0 else draw(PLUS) + part for i, part in enumerate(parts))
+
+
+def test_refusals_equal_sympy_s():
+    """On a sweep of calls and zero divisors among closed-grammar terms,
+    every text the printer refuses raises sympy's message, every text it
+    accepts prints as sympy does, and it refuses most of the texts whose
+    only fault is an unknown call or a zero divisor."""
+    refused, faults = [], []
+
+    @settings(max_examples=400)
+    @given(refusal_texts())
+    def sweep(text):
+        got = _assert_declined_or_same_as_sympy(text)
+        live = _outcome(_live, text)
+        if isinstance(live, str) and live.startswith(("functions", repr(text))):
+            faults.append(text)
+            refused.append(isinstance(got, str))
+
+    sweep()
+    assert sum(refused) > len(faults) / 2
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -313,12 +423,16 @@ def test_repository_texts_are_found():
 
 @pytest.mark.parametrize("text", REPOSITORY_TEXTS)
 def test_repository_text_equals_sympy_or_is_declined(text):
-    try:
-        _live(text)
-    except ExpressionError:  # a text sympy rejects must be declined
-        assert closed_grammar_codes(text) is None
-    else:
-        _assert_same_as_sympy(text)
+    # a text sympy rejects is declined, or refused with sympy's message
+    _assert_declined_or_same_as_sympy(text)
+
+
+def test_repository_refusals_are_decided_without_sympy():
+    # the cli-cold workload's foo(...) and .../0 inputs among them
+    refused = [text for text in REPOSITORY_TEXTS
+               if isinstance(_outcome(closed_grammar_codes, text), str)]
+    assert any(re.fullmatch(r"foo\(\d\.\d+\*x\)", text) for text in refused)
+    assert any(re.fullmatch(r"\d\.\d+\*x/0", text) for text in refused)
 
 
 @pytest.mark.parametrize("seed", range(3))

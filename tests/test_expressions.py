@@ -69,6 +69,13 @@ def test_non_finite_constants_rejected(text):
         parse_expression(text)
 
 
+@pytest.mark.parametrize("text", ["2.5/0.0", "-1.0/0.0", "a - 2.5/0.00"])
+def test_a_float_over_a_float_zero_is_an_expression_error(text):
+    # sympy's Float division raises ZeroDivisionError while parsing
+    with pytest.raises(ExpressionError, match=r"^cannot parse expression .*: division by zero$"):
+        parse_expression(text)
+
+
 def test_differentiate_is_exact():
     expr = parse_expression("A*tanh(x)")
     d = differentiate(expr)

@@ -6,7 +6,8 @@ nothing (``catalog``, ``--help``, a usage error that parse_args refuses)
 loads no numpy.  sympy is needed only to parse an expression outside the
 closed grammar (a catalog record's numpy code is checked in, and
 ``susyqm/_closed_grammar.py`` prints the code of a closed-grammar text such
-as ``a*x^3 + 0.3240``), and neither a command nor the library needs scipy:
+as ``a*x^3 + 0.3240`` and refuses ``foo(1.2*x)`` and ``1.2*x/0`` itself),
+and neither a command nor the library needs scipy:
 the oracle's tridiagonal solve and ``block_spectra`` call LAPACK in numpy's
 own OpenBLAS, and algebra-check's charge algebra is band arithmetic in
 numpy.  scipy is an optional extra, imported only by ``_lapack.py``'s
@@ -303,6 +304,54 @@ def test_closed_grammar_error_message_equals_the_sympy_route(catalog_loaded_afte
     assert main(CLOSED_GRAMMAR_ERROR) == 2
     assert parsed == ["exp(1.5000*x)"]
     assert capsys.readouterr().err.splitlines() == [line]
+
+
+#: The cli-cold workload's malformed and known-defect --w inputs, which the
+#: closed grammar refuses without sympy.
+REFUSALS = ["foo(1.2345*x)", "1.2345*x/0"]
+
+#: Every command that takes --w.
+W_COMMANDS = ["solve", "partner", "hierarchy", "si-check", "spectrum", "wavefunctions",
+              "classify", "algebra-check"]
+
+
+def test_refusals_load_no_sympy(tmp_path, package_env):
+    calls = [(["partner", "--w", text], 1) for text in REFUSALS]
+    assert _isolated(calls, str(tmp_path), package_env) \
+        == [(argv, 1, ["numpy"]) for argv, _ in calls]
+
+
+@pytest.mark.parametrize("command", W_COMMANDS)
+def test_refusals_print_what_the_sympy_route_prints(command, monkeypatch, capsys):
+    """Each refusal exits as the sympy route exits, with the same stderr,
+    and without the printer the text does go to sympy."""
+    from susyqm import _closed_grammar, susy
+    from susyqm.cli import main
+
+    def run() -> list[tuple[int, str, str]]:
+        outputs = []
+        for text in REFUSALS:
+            with pytest.raises(SystemExit) as caught:
+                main([command, "--w", text])
+            outputs.append((caught.value.code, *capsys.readouterr()))
+        return outputs
+
+    def refuse(text):
+        raise AssertionError(f"{text!r} went to sympy")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(susy, "parse_expression", refuse)
+        refused = run()
+    parsed = []
+    monkeypatch.setattr(_closed_grammar, "closed_grammar_codes", lambda text: None)
+    monkeypatch.setattr(susy, "parse_expression",
+                        lambda text, parse=susy.parse_expression: parsed.append(text) or parse(text))
+    assert run() == refused
+    assert parsed == REFUSALS
+    assert [(code, out, err.splitlines()[-1]) for code, out, err in refused] == [
+        (1, "", "susyqm: error: --w: functions ['foo'] not in the supported set ['cos', "
+                "'exp', 'ln', 'sech', 'sin', 'tanh'] in 'foo(1.2345*x)'"),
+        (1, "", "susyqm: error: --w: '1.2345*x/0' contains a non-finite constant (zoo*x)")]
 
 
 def test_solver_commands_load_no_scipy(catalog_loaded_after):
