@@ -40,8 +40,9 @@ The printer copies sympy 1.14 for this grammar only: the term order of
 mpmath's 15-digit float printing (in full when the float is the whole
 expression), and generate_on_grid's subterm tables.  The tests compare it
 with live sympy on a sweep of the grammar and on every ``--w`` text in
-the repository, so a sympy that prints otherwise fails them.  This module
-is imported only for a text that is not a catalog record's.
+the repository, so a sympy that prints otherwise fails them.  Every
+catalog record's text is in the grammar, so this module is the one
+sympy-free route from a superpotential text to its code.
 """
 
 from __future__ import annotations
@@ -378,6 +379,8 @@ def closed_grammar_codes(text: str) -> tuple[NumpyCode, NumpyCode] | None:
     divides by, which prints as a division, so the code always broadcasts
     (see expressions._broadcasts_exactly).
     """
+    if not isinstance(text, str):
+        return None  # parse_expression refuses it
     try:
         terms = _closed_terms(text)
         names = {p[1] if isinstance(p, tuple) else p for _, p, _, _ in terms}

@@ -6,7 +6,9 @@ only the parameter map and R, which is all their spectrum needs.  Default
 domains are pinned per record so results are reproducible without tuning.
 
 The records, their names and their JSON summary load no numpy: this module
-imports the numeric layers inside the functions that compute.
+imports the numeric layers inside the functions that compute.  No record
+loads sympy: each w is a text of the closed grammar (``_closed_grammar``),
+and each R's code is generated ahead of time (``_compiled_catalog``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .errors import CatalogError
 from .transforms import Cyclic, ParameterTransform, Scaling, Translation
 
 if TYPE_CHECKING:
-    from .expressions import NumpyCode
     from .grids import Grid1D, GridFunction
     from .shape_invariance import Spectrum
     from .susy import PartnerPair, SuperpotentialFamily
@@ -41,11 +42,9 @@ class SIPRecord:
 
     ``family`` and ``r_function`` are built on first access, so listing or
     dumping the catalog builds nothing.  ``family`` is
-    SuperpotentialFamily.from_expression of the record's text.  Both are
-    assembled from the numpy code generated ahead of time for the built-in
-    records (``_compiled_catalog``, looked up by expression text), which
-    loads no sympy; an expression not found there is parsed and compiled
-    from its text.
+    SuperpotentialFamily.from_expression of the record's text; ``r_function``
+    assembles the checked-in code of R (``_compiled_catalog``, looked up by
+    R's text and parameters), or parses and compiles an R not found there.
     """
 
     name: str
@@ -173,7 +172,7 @@ def list_catalog() -> list[str]:
 def get_record(name: str) -> SIPRecord:
     try:
         return _catalog()[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a dict key
         raise CatalogError(
             f"unknown catalog record {name!r}; available: {', '.join(_catalog())}") from None
 
@@ -267,53 +266,37 @@ _REGENERATE = ("PYTHONPATH=src python -c \"from susyqm.catalog import _render_co
                "as r; open('src/susyqm/_compiled_catalog.py', 'w').write(r())\"")
 
 
-def _render_code(code: NumpyCode, indent: str) -> list[str]:
-    return [f"{indent}NumpyCode(",
-            f"{indent}    text={code.text!r},",
-            f"{indent}    params={code.params!r},",
-            f"{indent}    source=(",
-            *(f"{indent}        {line!r}" for line in code.source.splitlines(keepends=True)),
-            f"{indent}    ),",
-            f"{indent}    broadcasts={code.broadcasts!r},",
-            f"{indent}),"]
-
-
 def _render_compiled_catalog() -> str:
     """The text of ``_compiled_catalog.py``: the numpy code that
-    SuperpotentialFamily.from_expression and compile_scalar generate for
-    each record's w, w′ and R.  Needs sympy."""
-    from .expressions import (differentiate, generate_on_grid, generate_scalar,
-                              parameter_names, parse_expression)
+    compile_scalar generates for each record's R.  Needs sympy."""
+    from .expressions import generate_scalar, parse_expression
 
     lines = [
-        '"""Generated numpy code of the catalog records\' expressions.  Do not edit.',
+        '"""Generated numpy code of the catalog records\' R.  Do not edit.',
         "",
-        "SuperpotentialFamily.from_expression assembles w and w' from this code",
-        "and SIPRecord.r_function assembles R, so a command on a built-in record",
-        "loads no sympy.  Regenerate after changing a record's expression or R, or",
-        "after upgrading sympy, from the root of a source checkout:",
+        "SIPRecord.r_function assembles R from this code, so a command on a",
+        "built-in record loads no sympy (each record's w is a closed-grammar text).",
+        "Regenerate after changing a record's R, or after upgrading sympy, from",
+        "the root of a source checkout:",
         "",
         f"    {_REGENERATE}",
         '"""',
         "",
         "from .expressions import NumpyCode",
         "",
-        "#: Superpotential text -> (w, w') code.",
-        "FAMILIES = {",
+        "#: (R text, sorted parameter names) -> R code.",
+        "R_FUNCTIONS = {",
     ]
-    records = list(_catalog().values())
-    for rec in records:
-        if rec.expression is None:
-            continue
-        expr = parse_expression(rec.expression)
-        params = parameter_names(expr)
-        lines.append(f"    {rec.expression!r}: (")
-        for e in (expr, differentiate(expr)):
-            lines += _render_code(generate_on_grid(e, params), " " * 8)
-        lines.append("    ),")
-    lines += ["}", "", "#: (R text, sorted parameter names) -> R code.", "R_FUNCTIONS = {"]
-    for key in dict.fromkeys(_r_key(rec) for rec in records):
-        lines.append(f"    {key!r}:")
-        lines += _render_code(generate_scalar(parse_expression(key[0]), list(key[1])), " " * 8)
+    for key in dict.fromkeys(_r_key(rec) for rec in _catalog().values()):
+        code = generate_scalar(parse_expression(key[0]), list(key[1]))
+        lines += [f"    {key!r}:",
+                  "        NumpyCode(",
+                  f"            text={code.text!r},",
+                  f"            params={code.params!r},",
+                  "            source=(",
+                  *(f"                {line!r}" for line in code.source.splitlines(keepends=True)),
+                  "            ),",
+                  f"            broadcasts={code.broadcasts!r},",
+                  "        ),"]
     lines.append("}")
     return "\n".join(lines) + "\n"

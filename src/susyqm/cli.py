@@ -412,8 +412,9 @@ def _resolve(ns: argparse.Namespace) -> _Input:
     the cap is refused before it is read whole or parsed, and a missing file
     before numpy loads.  Otherwise the grid flags go on top of a record's
     pinned domain or the default domain, and a record's singular-region rule
-    applies to the result.  A record's family is assembled from its
-    checked-in numpy code, which loads no sympy, so --dump-config stays cheap.
+    applies to the result.  A record's family is assembled from the code
+    the closed grammar prints for its text, which loads no sympy, so
+    --dump-config stays cheap.
     """
     from .errors import GridError
 

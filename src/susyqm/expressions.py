@@ -407,9 +407,11 @@ def compile_on_grid(expr: sympy.Expr,
     with sympy: lambdify's code, with each such subterm read from its table
     in the same place, so every result equals plain lambdify's bit for bit.
     assemble_on_grid, which needs no sympy, executes that source in
-    lambdify's namespace and wraps it in the checks above.  The catalog
-    records' sources are generated ahead of time (``_compiled_catalog``)
-    and go through the same assembly step.
+    lambdify's namespace and wraps it in the checks above.  The code of a
+    closed-grammar text, every catalog record's w among them, is printed
+    without sympy (``_closed_grammar``) and goes through the same assembly
+    step, as does each record's R, generated ahead of time
+    (``_compiled_catalog``).
     """
     return assemble_on_grid(generate_on_grid(expr, params))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -69,27 +70,21 @@ class SuperpotentialFamily:
                         hard_wall_left: bool = False) -> "SuperpotentialFamily":
         """Build a family from an expression string; w′ is derived analytically.
 
-        A catalog record's text assembles its checked-in numpy code
-        (``_compiled_catalog``), and a text of the closed grammar
-        (``_closed_grammar``: sums of literal and parameter multiples of x,
-        x^n and one exp(k*x), or a single tanh(k*x) term; and radial terms,
-        a literal or parameter over a group such as ``2*(l+1)`` and a
-        literal, parameter or group over x, as in ``q/(2*(l+1)) - (l+1)/x``)
-        assembles the code printed there; neither loads sympy.  That printer
-        also raises, without sympy, parse_expression's ExpressionError for a
-        text with one call of an unknown function (``foo(1.2*x)``) or one
-        product term over zero (``1.2*x/0``) among closed-grammar terms, and
-        declines every other text, which is compiled with sympy.  All routes
-        give the code sympy generates, so the same results and error
-        messages.  The printer is imported only for a text that is not a
-        record's."""
-        from . import _compiled_catalog
+        A text of the closed grammar (``_closed_grammar``: sums of literal
+        and parameter multiples of x, x^n and one exp(k*x), or a single
+        tanh(k*x) term; and radial terms, a literal or parameter over a
+        group such as ``2*(l+1)`` and a literal, parameter or group over x,
+        as in ``q/(2*(l+1)) - (l+1)/x``) assembles the code printed there,
+        which loads no sympy; every catalog record's text is one.  That
+        printer also raises, without sympy, parse_expression's
+        ExpressionError for a text with one call of an unknown function
+        (``foo(1.2*x)``) or one product term over zero (``1.2*x/0``) among
+        closed-grammar terms, and declines every other text, which is
+        compiled with sympy.  Both routes give the code sympy generates, so
+        the same results and error messages."""
+        from ._closed_grammar import closed_grammar_codes
 
-        codes = _compiled_catalog.FAMILIES.get(text)
-        if codes is None:
-            from ._closed_grammar import closed_grammar_codes
-
-            codes = closed_grammar_codes(text)
+        codes = closed_grammar_codes(text)
         if codes is None:
             expr = parse_expression(text)
             params = parameter_names(expr)
@@ -377,8 +372,9 @@ def _fro(*bands: np.ndarray) -> float:
 
 
 def _checked_tolerance(tolerance: float) -> float:
-    """tolerance itself; ValueError unless it is positive and finite."""
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
+    """tolerance itself; ValueError unless it is a positive finite real number."""
+    if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance)
+            and tolerance > 0.0):
         raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
     return tolerance
 

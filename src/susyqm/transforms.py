@@ -13,6 +13,7 @@ read it without loading numpy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import TransformError
@@ -40,12 +41,12 @@ class ParameterTransform:
     the orbit is constant.
 
     A scalar variant is its knob check and its knob map, both taking the
-    knob values in ``knobs`` order: construction runs the check, ``apply``
-    runs the map on the target parameter.  A search candidate
-    (``TransformCandidate``) holds the class and its fixed knobs and runs
-    the same two on bare knob values, so its trials build no transform
-    objects.  ``kind`` names the class only at the edges: the CLI's
-    ``--transform`` flag and ``to_dict``.
+    knob values in ``knobs`` order: construction refuses a knob that is not
+    a real number, then runs the check; ``apply`` runs the map on the target
+    parameter.  A search candidate (``TransformCandidate``) holds the class
+    and its fixed knobs and runs the same two on bare knob values, so its
+    trials build no transform objects.  ``kind`` names the class only at
+    the edges: the CLI's ``--transform`` flag and ``to_dict``.
     """
 
     kind = "base"
@@ -64,7 +65,11 @@ class ParameterTransform:
         raise NotImplementedError
 
     def __post_init__(self):
-        self.check_knobs(*self._knob_values())
+        values = self._knob_values()
+        for (name, _), value in zip(self.knobs, values):
+            if not isinstance(value, numbers.Real):
+                raise TransformError(f"{self.kind} knob {name}={value!r} is not a real number")
+        self.check_knobs(*values)
 
     def _knob_values(self) -> tuple:
         return tuple(getattr(self, name) for name, _ in self.knobs)

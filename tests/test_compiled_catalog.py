@@ -1,8 +1,11 @@
-"""The checked-in numpy code of the catalog records (``susyqm/_compiled_catalog.py``).
+"""The catalog records' sympy-free code: w and w′ from the closed grammar,
+R from the checked-in table (``susyqm/_compiled_catalog.py``).
 
-Records build their families and R functions from that file without sympy,
-through the same assembly step as a live compilation, so the file must be
-exactly what the catalog renders and every callable built from it must
+Records build their families from the code ``susyqm/_closed_grammar.py``
+prints for their texts, and their R functions from that file, through the
+same assembly step as a live compilation.  The file must be exactly what
+the catalog renders and hold R alone, the closed grammar must be the only
+route a record's family takes, and every callable built either way must
 equal a live compilation bit for bit.
 """
 
@@ -15,14 +18,16 @@ import pytest
 
 from susyqm import (EvaluationError, ExpressionError, _compiled_catalog,
                     compile_on_grid, compile_scalar, differentiate, get_record,
-                    list_catalog, parse_expression, record_grid)
+                    list_catalog, parse_expression, record_grid, susy)
 from susyqm.catalog import _REGENERATE, _r_key, _render_compiled_catalog
 from susyqm._closed_grammar import closed_grammar_codes
-from susyqm.expressions import _namespace, parameter_names
+from susyqm.expressions import _namespace, generate_on_grid, parameter_names
 
+SRC = Path(susy.__file__).parent
 RECORDS = [get_record(name) for name in list_catalog()]
 FAMILY_NAMES = [rec.name for rec in RECORDS if rec.expression is not None]
-CODES = [code for pair in _compiled_catalog.FAMILIES.values() for code in pair] + list(
+CODES = [code for rec in RECORDS if rec.expression is not None
+         for code in closed_grammar_codes(rec.expression)] + list(
     _compiled_catalog.R_FUNCTIONS.values())
 
 
@@ -48,10 +53,49 @@ def test_readme_gives_the_regenerate_command():
     assert f"```\n{_REGENERATE}\n```" in readme
 
 
-def test_every_record_is_in_the_table():
-    assert set(_compiled_catalog.FAMILIES) == {rec.expression for rec in RECORDS
-                                               if rec.expression is not None}
+def test_every_record_r_is_in_the_table():
     assert set(_compiled_catalog.R_FUNCTIONS) == {_r_key(rec) for rec in RECORDS}
+
+
+def test_only_the_catalog_imports_the_table():
+    importers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "_compiled_catalog" for name in names):
+                importers.add(path.name)
+    assert importers == {"catalog.py"}
+
+
+def test_table_binds_r_functions_and_no_other_table():
+    tree = ast.parse(Path(_compiled_catalog.__file__).read_text())
+    bound = [target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets]
+    assert bound == ["R_FUNCTIONS"]
+    assert all(isinstance(node, (ast.Assign, ast.ImportFrom, ast.Expr)) for node in tree.body)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_record_family_takes_the_closed_grammar_route(name, monkeypatch):
+    """A record's family is assembled from the code the closed grammar
+    prints for its text, without parse_expression; a record text outside
+    the grammar fails here by name."""
+    def refuse(text):
+        raise AssertionError(f"{text!r} went to sympy")
+
+    assembled = []
+    monkeypatch.setattr(susy, "parse_expression", refuse)
+    monkeypatch.setattr(susy, "assemble_on_grid",
+                        lambda code, assemble=susy.assemble_on_grid:
+                        assembled.append(code) or assemble(code))
+    rec = _fresh(name)
+    assert rec.family is not None
+    assert assembled == list(closed_grammar_codes(rec.expression))
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -100,23 +144,22 @@ def test_assembled_r_equals_live_compilation(name):
         assert _outcome(rec.r_function, values) == _outcome(live, values)
 
 
-def test_closed_grammar_prints_the_checked_in_code():
-    """A record text in the closed grammar gets the same code from either
-    sympy-free route: the checked-in table and the closed-grammar printer."""
-    accepted = {text: codes for text, codes in _compiled_catalog.FAMILIES.items()
-                if closed_grammar_codes(text) is not None}
-    assert set(accepted) == {"omega*x", "A - exp(-x)", "A*tanh(x)", "q/(2*(l+1)) - (l+1)/x"}
-    for text, codes in accepted.items():
-        assert closed_grammar_codes(text) == codes
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_closed_grammar_prints_what_sympy_generates_for_the_record(name):
+    text = get_record(name).expression
+    expr = parse_expression(text)
+    params = parameter_names(expr)
+    assert closed_grammar_codes(text) == tuple(
+        generate_on_grid(e, params) for e in (expr, differentiate(expr)))
 
 
-def test_record_outside_the_table_compiles_live():
-    rec = _fresh("morse", expression="B - exp(-2*x)", r_closed_form="4*B + 4",
+def test_record_outside_the_grammar_and_the_table_compiles_live():
+    rec = _fresh("morse", expression="B*sech(2*x)", r_closed_form="4*B + 4",
                  default_params={"B": 2.0})
-    assert rec.expression not in _compiled_catalog.FAMILIES
+    assert closed_grammar_codes(rec.expression) is None
     assert _r_key(rec) not in _compiled_catalog.R_FUNCTIONS
     x = record_grid(rec).x
-    want = compile_on_grid(parse_expression("B - exp(-2*x)"), ["B"])
+    want = compile_on_grid(parse_expression("B*sech(2*x)"), ["B"])
     assert np.array_equal(rec.family.w_fn(x, {"B": 1.5}), want(x, {"B": 1.5}))
     assert rec.r_function({"B": 1.5}) == 10.0
     # R's code depends on the parameter list as well: the same text over

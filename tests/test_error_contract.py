@@ -2,7 +2,7 @@
 
 Every call either returns or raises a SusyQMError; the documented
 ValueErrors outside that hierarchy are a negative level or orbit length, a
-tolerance that is not positive and finite, a zero-mode sign other than ±1,
+tolerance that is not a positive finite real number, a zero-mode sign other than ±1,
 decay sides other than "both" and "right", a hierarchy depth below 1, a
 level count k above the matrix dimension or below 1, an orbit length,
 level index, hierarchy depth or k that is not an integer, a charge-matrix
@@ -22,7 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from susyqm import (Cyclic, EvaluationError, Grid1D, GridFunction, PowerScaling, Projective,
+from susyqm import (CatalogError, Cyclic, EvaluationError, ExpressionError, Grid1D,
+                    GridFunction, PowerScaling, Projective, Scaling,
                     SuperpotentialFamily, SusyQMError, TransformCandidate, TransformError,
                     Translation, UNKNOWN,
                     algebraic_spectrum, apply_a, apply_a_dagger,
@@ -333,3 +334,48 @@ def test_a_candidate_with_malformed_fixed_knobs_is_a_transform_error(cls, fixed)
     with pytest.raises(TransformError, match=rf"{cls.__name__} candidates fix .* to real "
                                              r"numbers, got fixed="):
         TransformCandidate(cls, 0.1, 0.9, fixed)
+
+
+@pytest.mark.parametrize("text", [None, 3], ids=["None", "int"])
+def test_a_text_that_is_not_a_str_is_an_expression_error(text):
+    # the closed grammar took the length of the text, a bare TypeError
+    with pytest.raises(ExpressionError, match=rf"^cannot parse expression {text}: "):
+        SuperpotentialFamily.from_expression(text)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: si_residual(MORSE.family, MORSE_A0, MORSE.transform, GRIDS[2], tolerance="1e-6"),
+    lambda: search_transform(LINEAR, {"a": 1.0}, LINEAR_GRID, tolerance="x"),
+    lambda: verify_algebra(CM, None),
+    lambda: verify_algebra(CM, "1e-10"),
+    lambda: verify_algebra(CM, 1j),
+], ids=["si_residual", "search_transform", "verify_algebra-None", "verify_algebra-str",
+        "verify_algebra-complex"])
+def test_a_tolerance_that_is_not_a_real_number_is_a_documented_value_error(call):
+    # each escaped math.isfinite as a bare TypeError
+    with pytest.raises(ValueError, match=r"^tolerance must be a positive finite number, got ") \
+            as exc:
+        call()
+    assert not isinstance(exc.value, SusyQMError)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Scaling("0.5"),
+    lambda: Projective(0.5, "0.2"),
+    lambda: Translation("a"),
+    lambda: Translation(None, param="A"),
+    lambda: PowerScaling([0.5], 2),
+], ids=["scaling", "projective", "translation", "translation-None", "power-scaling"])
+def test_a_knob_that_is_not_a_real_number_is_a_transform_error(build):
+    # scaling and projective raised a bare TypeError from their knob check,
+    # and a translation built, then raised one from apply
+    with pytest.raises(TransformError, match=r"^[a-z-]+ knob \w+=.* is not a real number$"):
+        build()
+
+
+@pytest.mark.parametrize("name", [["morse"], {"morse": 1}, None, 3],
+                         ids=["list", "dict", "None", "int"])
+def test_a_record_name_that_is_not_a_str_is_a_catalog_error(name):
+    # an unhashable name raised "unhashable type"
+    with pytest.raises(CatalogError, match=r"^unknown catalog record "):
+        get_record(name)

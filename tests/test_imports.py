@@ -4,9 +4,10 @@
 library modules a command reads when it runs, so a call that computes
 nothing (``catalog``, ``--help``, a usage error that parse_args refuses)
 loads no numpy.  sympy is needed only to parse an expression outside the
-closed grammar (a catalog record's numpy code is checked in, and
-``susyqm/_closed_grammar.py`` prints the code of a closed-grammar text such
-as ``a*x^3 + 0.3240`` and refuses ``foo(1.2*x)`` and ``1.2*x/0`` itself),
+closed grammar (``susyqm/_closed_grammar.py`` prints the code of a
+closed-grammar text such as ``a*x^3 + 0.3240``, every catalog record's w
+among them, and refuses ``foo(1.2*x)`` and ``1.2*x/0`` itself; a record's R
+is checked in as ``susyqm/_compiled_catalog.py``),
 and neither a command nor the library needs scipy:
 the oracle's tridiagonal solve and ``block_spectra`` call LAPACK in numpy's
 own OpenBLAS, and algebra-check's charge algebra is band arithmetic in
@@ -264,20 +265,20 @@ def test_catalog_loads_neither_sympy_nor_scipy(loaded_after):
 
 
 def test_dump_config_loads_neither_sympy_nor_scipy(loaded_after):
-    # it assembles the record's checked-in numpy code (susyqm/_compiled_catalog.py)
+    # the record's w is a closed-grammar text, and its R code is checked in
     assert loaded_after["dump-config"] == ["numpy"]
 
 
 def test_catalog_commands_load_no_sympy(catalog_loaded_after):
-    # the records' numpy code is checked in (susyqm/_compiled_catalog.py)
+    # the records' w are closed-grammar texts, and their R code is checked in
     assert catalog_loaded_after["catalog partner"] == ["numpy"]
     assert "sympy" not in catalog_loaded_after["catalog commands"]
     assert "sympy" in catalog_loaded_after["expression"]
 
 
 def test_record_text_loads_no_sympy(catalog_loaded_after):
-    # a --w text equal to a record's expression assembles the record's
-    # checked-in code, with the record's own output on the record's grid
+    # a --w text equal to a record's expression takes the record's route,
+    # the closed grammar, with the record's own output on the record's grid
     assert "sympy" not in catalog_loaded_after["record text"]
     from_text, from_record = catalog_loaded_after["stdout"]["record text"]
     assert from_text == from_record and from_text.startswith("x,v_minus,v_plus,w\n")
