@@ -363,7 +363,7 @@ def test_solver_commands_load_no_scipy(catalog_loaded_after):
 
 def test_algebra_check_loads_neither_sympy_nor_scipy(tmp_path, package_env):
     # charge_matrices and verify_algebra work on numpy bands; a catalog
-    # record's numpy code is checked in
+    # record's w is a closed-grammar text
     steps = [("algebra-check", [["algebra-check", "--catalog", "coulomb-radial",
                                  "--points", "201"]], 0)]
     assert _probe(steps, str(tmp_path), package_env)["algebra-check"] == ["numpy"]
