@@ -45,14 +45,18 @@ class Grid1D:
             raise GridError(f"n_points={self.n_points} too small, need at least 3")
         if not math.isfinite(self.x_max - self.x_min):
             raise GridError(f"grid span x_max - x_min overflows on [{self.x_min}, {self.x_max}]")
+        try:
+            h = self.h
+        except OverflowError:
+            raise GridError(f"n_points={self.n_points} is too large for a float") from None
         # The finite-difference Laplacian's diagonal 2/h**2 must be a finite
         # float: h**2 may neither underflow to 0 nor overflow.
         try:
-            finite = math.isfinite(2.0 / self.h**2)
+            finite = math.isfinite(2.0 / h**2)
         except (ZeroDivisionError, OverflowError):
             finite = False
         if not finite:
-            raise GridError(f"grid spacing h={self.h} is out of range: "
+            raise GridError(f"grid spacing h={h} is out of range: "
                             "h**2 and 2/h**2 must both be finite")
 
     @property
@@ -74,10 +78,16 @@ class Grid1D:
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid1D:
     """Build a uniform grid; Grid1D validates the domain order and the point
-    count, which must be an integer (a numpy integer becomes an int)."""
+    count, which must be an integer (a numpy integer becomes an int).  A
+    bound that does not convert to float raises GridError."""
     if isinstance(n_points, np.integer):
         n_points = int(n_points)
-    return Grid1D(float(x_min), float(x_max), n_points)
+    try:
+        bounds = float(x_min), float(x_max)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GridError(f"grid bounds x_min={x_min!r}, x_max={x_max!r} do not convert "
+                        f"to float ({exc})") from None
+    return Grid1D(*bounds, n_points)
 
 
 @dataclass(frozen=True, eq=False)

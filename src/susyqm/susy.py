@@ -77,11 +77,11 @@ class SuperpotentialFamily:
         as in ``q/(2*(l+1)) - (l+1)/x``) assembles the code printed there,
         which loads no sympy; every catalog record's text is one.  That
         printer also raises, without sympy, parse_expression's
-        ExpressionError for a text with one call of an unknown function
-        (``foo(1.2*x)``) or one product term over zero (``1.2*x/0``) among
-        closed-grammar terms, and declines every other text, which is
-        compiled with sympy.  Both routes give the code sympy generates, so
-        the same results and error messages."""
+        ExpressionError for a text that is one call of an unknown function
+        (``foo(1.2*x)``) or one product term over zero (``1.2*x/0``), and
+        declines every other text, which is compiled with sympy.  Both
+        routes give the code sympy generates, so the same results and error
+        messages."""
         from ._closed_grammar import closed_grammar_codes
 
         codes = closed_grammar_codes(text)
@@ -372,9 +372,14 @@ def _fro(*bands: np.ndarray) -> float:
 
 
 def _checked_tolerance(tolerance: float) -> float:
-    """tolerance itself; ValueError unless it is a positive finite real number."""
-    if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance)
-            and tolerance > 0.0):
+    """tolerance itself; ValueError unless it is a positive finite real number
+    (an int too large for a float is not)."""
+    try:
+        valid = (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance)
+                 and tolerance > 0.0)
+    except OverflowError:
+        valid = False
+    if not valid:
         raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
     return tolerance
 

@@ -59,15 +59,18 @@ DECLINED = ["a*sech(x)", "x/(a-2)",
             "2/x/0", "tanh(x)/0", "2.5/0.0", "-2.5/0.0", "x/00"]
 
 #: Texts the printer refuses without sympy, with the ExpressionError that
-#: parse_expression raises: one unknown function call, or one product term
-#: over a zero literal.
-REFUSED = ["foo(1.2*x)", "1.2*x/0", "x/0", "2/0", "foo(x)", "2*foo(x)/x", "a*foo(x) - 3",
-           "-foo(x) + a*x^3", "3 - Foo(0.5*x)*x", "exp(x)*f_1(1.2*x)", "foo (x) + 2",
-           "int(x)", "type(x)", "match(x)", "_(x)", "a - 2*(l+1)/x + g(x)",
-           "a*x^3 + 0.3/0", "-x/0", "a*x/0", "2*a*x^2/0.00", "x / 0", "2/0.0",
-           "x*2.5/0.0", "0.5 - x/0", "x/0 + 0.0", "2/0 + (l+1)/x", "2/0 + a*exp(x)",
-           "a*x/0 + a*x^2", "x/0 + a*x + 2", "b/0 + a", "x/0 + 2/(l+1)",
-           "a*x^3 + 0.3240 + x^2/0", "lamda*x/0 - 2.5"]
+#: parse_expression raises: a whole text that is one unknown function call,
+#: or one product term over a zero literal.
+REFUSED = ["foo(1.2*x)", "1.2*x/0", "x/0", "2/0", "foo(x)", "int(x)", "type(x)", "match(x)",
+           "_(x)", "-x/0", "a*x/0", "2*a*x^2/0.00", "x / 0", "2/0.0", "x*2.5/0.0"]
+
+#: Texts with an unknown call or a zero divisor that is not the whole text:
+#: the printer declines them, and sympy refuses them.
+LEFT_TO_SYMPY = ["2*foo(x)/x", "a*foo(x) - 3", "-foo(x) + a*x^3", "3 - Foo(0.5*x)*x",
+                 "exp(x)*f_1(1.2*x)", "foo (x) + 2", "a - 2*(l+1)/x + g(x)", "a*x^3 + 0.3/0",
+                 "0.5 - x/0", "x/0 + 0.0", "2/0 + (l+1)/x", "2/0 + a*exp(x)",
+                 "a*x/0 + a*x^2", "x/0 + a*x + 2", "b/0 + a", "x/0 + 2/(l+1)",
+                 "a*x^3 + 0.3240 + x^2/0", "lamda*x/0 - 2.5"]
 
 
 def _live(text: str):
@@ -189,6 +192,13 @@ def test_refused_with_the_message_sympy_gives(text):
     assert str(caught.value) == _outcome(_live, text)
 
 
+@pytest.mark.parametrize("text", LEFT_TO_SYMPY)
+def test_left_to_sympy_which_refuses_it(text):
+    assert closed_grammar_codes(text) is None
+    with pytest.raises(ExpressionError):
+        parse_expression(text)
+
+
 # -- the sweep of the grammar --------------------------------------------------------
 
 NAMES = sorted(_PLAIN_NAMES)
@@ -308,10 +318,10 @@ def test_accepted_radial_texts_print_as_sympy_prints_them():
 
 
 # The two refusals: one call of a function sympy's parser does not bind,
-# or one product term over a zero literal, among closed-grammar terms.  The
-# names include ones sympy binds, grammar functions, x, parameters and a
-# keyword, and the sums include terms sympy collects with or absorbs into
-# a term over zero; the printer must decline those.
+# or one product term over a zero literal.  The names include ones sympy
+# binds, grammar functions, x, parameters and a keyword.  The wide sweep
+# puts the call or the zero divisor among closed-grammar terms, where the
+# printer must decline what sympy collects, absorbs or cancels.
 CALL_NAMES = st.sampled_from(["foo", "f", "g_1", "Foo", "bar2", "_h", "int", "type", "match",
                               "gamma", "Abs", "sqrt", "re", "beta", "N", "sin", "ln", "exp",
                               "tanh", "x", "a", "lambda", "print"])
@@ -328,6 +338,10 @@ def _product(draw, extra: list[str]) -> str:
     return draw(TIMES).join(draw(st.permutations(factors))) or draw(LITERALS)
 
 
+def _over_zero(draw) -> str:
+    return f"{_product(draw, [])}{draw(SPACES)}/{draw(SPACES)}{draw(ZEROS)}"
+
+
 @st.composite
 def refusal_texts(draw) -> str:
     """A call term or a term over zero among up to two polynomial terms, an
@@ -335,7 +349,7 @@ def refusal_texts(draw) -> str:
     if draw(st.booleans()):
         special = _product(draw, [f"{draw(CALL_NAMES)}({draw(CLOSED_ARGS)})"])
     else:
-        special = f"{_product(draw, [])}{draw(SPACES)}/{draw(SPACES)}{draw(ZEROS)}"
+        special = _over_zero(draw)
     parts = [_product(draw, []) for _ in range(draw(UP_TO[2]))] + [special]
     parts += draw(st.sampled_from([[], [], ["exp(-x)"], ["A*exp(0.5*x)"], ["2/(l+1)"],
                                    ["(l+1)/x"], ["2.5/x"]]))
@@ -344,19 +358,42 @@ def refusal_texts(draw) -> str:
         part if i == 0 else draw(PLUS) + part for i, part in enumerate(parts))
 
 
+@st.composite
+def whole_refusal_texts(draw) -> str:
+    """A whole text that is one call, or one product over zero with either sign."""
+    if draw(st.booleans()):
+        return f"{draw(CALL_NAMES)}({draw(CLOSED_ARGS)})"
+    return ("-" if draw(st.booleans()) else "") + _over_zero(draw)
+
+
+def _is_fault(text: str, live) -> bool:
+    """Whether live, sympy's outcome for text, is an unknown call or a non-finite constant."""
+    return isinstance(live, str) and live.startswith(("functions", repr(text)))
+
+
 def test_refusals_equal_sympy_s():
     """On a sweep of calls and zero divisors among closed-grammar terms,
-    every text the printer refuses raises sympy's message, every text it
-    accepts prints as sympy does, and it refuses most of the texts whose
-    only fault is an unknown call or a zero divisor."""
-    refused, faults = [], []
-
+    every text the printer refuses raises sympy's message, and every text
+    it accepts prints as sympy does."""
     @settings(max_examples=400)
     @given(refusal_texts())
     def sweep(text):
+        _assert_declined_or_same_as_sympy(text)
+
+    sweep()
+
+
+def test_whole_text_refusals_are_mostly_decided_without_sympy():
+    """On a sweep of whole-text calls and products over zero, every refusal
+    is sympy's, and the printer refuses most texts whose only fault is an
+    unknown call or a zero divisor."""
+    refused, faults = [], []
+
+    @settings(max_examples=200)
+    @given(whole_refusal_texts())
+    def sweep(text):
         got = _assert_declined_or_same_as_sympy(text)
-        live = _outcome(_live, text)
-        if isinstance(live, str) and live.startswith(("functions", repr(text))):
+        if _is_fault(text, _outcome(_live, text)):
             faults.append(text)
             refused.append(isinstance(got, str))
 
@@ -389,11 +426,8 @@ def _repository_texts() -> set[str]:
         for op in json.loads(path.read_text())["ops"]:
             argv = op["argv"]
             found.update(argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--w")
-    cli_cold = _perfbench("cli_cold")
     for seed in range(3):
-        for block, _ in zip(cli_cold.blocks(seed), range(48)):
-            argv = block[0].argv
-            found.update(argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--w")
+        found.update(_cli_cold_texts(seed))
         found.update(_search_sweep_texts(seed))
     return found
 
@@ -405,6 +439,12 @@ def _perfbench(name: str):
         return importlib.import_module(name)
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+
+
+def _cli_cold_texts(seed: int) -> list[str]:
+    """The --w texts of the cli-cold workload's first 48 blocks."""
+    argvs = [block[0].argv for block, _ in zip(_perfbench("cli_cold").blocks(seed), range(48))]
+    return [argv[i + 1] for argv in argvs for i, a in enumerate(argv[:-1]) if a == "--w"]
 
 
 def _search_sweep_texts(seed: int, n_blocks: int = 2) -> list[str]:
@@ -428,11 +468,14 @@ def test_repository_text_equals_sympy_or_is_declined(text):
 
 
 def test_repository_refusals_are_decided_without_sympy():
-    # the cli-cold workload's foo(...) and .../0 inputs among them
-    refused = [text for text in REPOSITORY_TEXTS
-               if isinstance(_outcome(closed_grammar_codes, text), str)]
+    # every cli-cold text that sympy refuses, its foo(...) and .../0 inputs
+    # among them, is refused with sympy's message, never declined
+    texts = sorted({text for seed in range(3) for text in _cli_cold_texts(seed)})
+    refused = [text for text in texts if isinstance(_outcome(_live, text), str)]
     assert any(re.fullmatch(r"foo\(\d\.\d+\*x\)", text) for text in refused)
     assert any(re.fullmatch(r"\d\.\d+\*x/0", text) for text in refused)
+    for text in refused:
+        assert _outcome(closed_grammar_codes, text) == _outcome(_live, text), text
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from susyqm import (CatalogError, Cyclic, EvaluationError, ExpressionError, Grid1D,
+from susyqm import (CatalogError, Cyclic, EvaluationError, ExpressionError, Grid1D, GridError,
                     GridFunction, PowerScaling, Projective, Scaling,
                     SuperpotentialFamily, SusyQMError, TransformCandidate, TransformError,
                     Translation, UNKNOWN,
@@ -357,6 +357,31 @@ def test_a_tolerance_that_is_not_a_real_number_is_a_documented_value_error(call)
             as exc:
         call()
     assert not isinstance(exc.value, SusyQMError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: si_residual(MORSE.family, MORSE_A0, MORSE.transform, GRIDS[2], tolerance=HUGE),
+    lambda: search_transform(LINEAR, {"a": 1.0}, LINEAR_GRID, tolerance=HUGE),
+    lambda: verify_algebra(CM, HUGE),
+], ids=["si_residual", "search_transform", "verify_algebra"])
+def test_a_tolerance_too_large_for_a_float_is_a_documented_value_error(call):
+    # each escaped math.isfinite as a bare OverflowError
+    with pytest.raises(ValueError, match=r"^tolerance must be a positive finite number, got 1000"):
+        call()
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, HUGE, 11), "do not convert to float (int too large to convert to float)"),
+    ((0, 1, HUGE), "is too large for a float"),
+    ((None, 1, 3), "do not convert to float (float() argument must be"),
+    (([0], 1, 3), "do not convert to float (float() argument must be"),
+    (("a", 1, 3), "do not convert to float (could not convert string to float: 'a')"),
+], ids=["huge-bound", "huge-count", "None", "list", "str"])
+def test_make_grid_arguments_that_do_not_convert_are_grid_errors(args, message):
+    # the first two escaped as a bare OverflowError, None and [0] as a bare
+    # TypeError, and "a" as float()'s own ValueError
+    with pytest.raises(GridError, match=re.escape(message)):
+        make_grid(*args)
 
 
 @pytest.mark.parametrize("build", [

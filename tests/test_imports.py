@@ -627,12 +627,13 @@ def test_a_fallback_without_scipy_is_one_error_naming_the_extra(package_env):
 
 #: The library calls of one oracle-verify operation on a catalog record:
 #: the watched modules loaded after them, and the block spectra's bits.
+#: The watch list adds the refusal code, which no in-process workload loads.
 ORACLE_SEQUENCE = r"""
 import json, sys
 
 import susyqm as sq
 
-watched = json.loads(sys.argv[1])
+watched = json.loads(sys.argv[1]) + ["susyqm._refusals", "susyqm._parser_namespace"]
 name, params, levels = "morse", {"A": 3.5}, 2
 rec = sq.get_record(name)
 lo, hi, _ = rec.domain
@@ -654,7 +655,8 @@ print(json.dumps([sorted(n for n in watched if n in sys.modules),
 
 def test_oracle_sequence_loads_no_scipy(package_env):
     """The calls of an oracle-verify operation, block_spectra included, load
-    no scipy, and with scipy unimportable they give the same bits."""
+    no scipy and no refusal code, and with scipy unimportable they give the
+    same bits."""
     runs = [json.loads(subprocess.run(
         [sys.executable, "-c", prefix + ORACLE_SEQUENCE, json.dumps(WATCHED)],
         env=package_env, capture_output=True, text=True, timeout=300, check=True).stdout)
@@ -666,12 +668,13 @@ def test_oracle_sequence_loads_no_scipy(package_env):
 
 #: One text of each search-sweep template, each classified as the workload
 #: classifies it; the radial Coulomb text has its hard wall at x = 1e-3.
+#: The watch list adds the refusal code, which no in-process workload loads.
 SEARCH_SWEEP_SEQUENCE = r"""
 import json, sys
 
 import susyqm as sq
 
-watched = json.loads(sys.argv[1])
+watched = json.loads(sys.argv[1]) + ["susyqm._refusals", "susyqm._parser_namespace"]
 for text, params, domain, wall in [
         ("a*x + 0.3240", {"a": 1.2}, (-10.0, 10.0), False),
         ("2.0134/(2*(l+1)) - (l+1)/x", {"l": 0.0}, (1e-3, 160.0), True),
