@@ -48,7 +48,7 @@ class Grid1D:
         try:
             h = self.h
         except OverflowError:
-            raise GridError(f"n_points={self.n_points} is too large for a float") from None
+            raise GridError("n_points is too large for a float") from None
         # The finite-difference Laplacian's diagonal 2/h**2 must be a finite
         # float: h**2 may neither underflow to 0 nor overflow.
         try:
@@ -85,8 +85,7 @@ def make_grid(x_min: float, x_max: float, n_points: int) -> Grid1D:
     try:
         bounds = float(x_min), float(x_max)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise GridError(f"grid bounds x_min={x_min!r}, x_max={x_max!r} do not convert "
-                        f"to float ({exc})") from None
+        raise GridError(f"grid bounds do not convert to float ({exc})") from None
     return Grid1D(*bounds, n_points)
 
 

@@ -366,11 +366,6 @@ def whole_refusal_texts(draw) -> str:
     return ("-" if draw(st.booleans()) else "") + _over_zero(draw)
 
 
-def _is_fault(text: str, live) -> bool:
-    """Whether live, sympy's outcome for text, is an unknown call or a non-finite constant."""
-    return isinstance(live, str) and live.startswith(("functions", repr(text)))
-
-
 def test_refusals_equal_sympy_s():
     """On a sweep of calls and zero divisors among closed-grammar terms,
     every text the printer refuses raises sympy's message, and every text
@@ -393,7 +388,8 @@ def test_whole_text_refusals_are_mostly_decided_without_sympy():
     @given(whole_refusal_texts())
     def sweep(text):
         got = _assert_declined_or_same_as_sympy(text)
-        if _is_fault(text, _outcome(_live, text)):
+        live = _outcome(_live, text)
+        if isinstance(live, str) and live.startswith(("functions", repr(text))):
             faults.append(text)
             refused.append(isinstance(got, str))
 

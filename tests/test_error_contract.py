@@ -371,15 +371,17 @@ def test_a_tolerance_too_large_for_a_float_is_a_documented_value_error(call):
 
 
 @pytest.mark.parametrize("args, message", [
-    ((0, HUGE, 11), "do not convert to float (int too large to convert to float)"),
-    ((0, 1, HUGE), "is too large for a float"),
-    ((None, 1, 3), "do not convert to float (float() argument must be"),
-    (([0], 1, 3), "do not convert to float (float() argument must be"),
-    (("a", 1, 3), "do not convert to float (could not convert string to float: 'a')"),
-], ids=["huge-bound", "huge-count", "None", "list", "str"])
+    ((0, HUGE, 11), "grid bounds do not convert to float (int too large to convert to float)"),
+    ((0, 1, 10**5000), "n_points is too large for a float"),
+    ((None, 1, 3), "grid bounds do not convert to float (float() argument must be"),
+    (([0], 1, 3), "grid bounds do not convert to float (float() argument must be"),
+    (("a", 1, 3), "grid bounds do not convert to float (could not convert string to float: 'a')"),
+    ((0, 10**5000, 3), "grid bounds do not convert to float (int too large to convert to float)"),
+], ids=["huge-bound", "huge-count", "None", "list", "str", "bound-past-the-str-limit"])
 def test_make_grid_arguments_that_do_not_convert_are_grid_errors(args, message):
     # the first two escaped as a bare OverflowError, None and [0] as a bare
-    # TypeError, and "a" as float()'s own ValueError
+    # TypeError, and "a" as float()'s own ValueError; the messages name no
+    # value, whose str an int past 4300 digits would refuse
     with pytest.raises(GridError, match=re.escape(message)):
         make_grid(*args)
 
