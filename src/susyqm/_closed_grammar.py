@@ -367,17 +367,13 @@ def _closed_code(node: tuple, params: list[str]) -> NumpyCode:
     source = _function_source("_fn", ["x", *params, "_subterms"], _printed(node, tables))
     if tables:
         source += _function_source("_tabulate", ["x"], f"({', '.join(tables)},)")
-    return NumpyCode(_printed(node), tuple(params), source, True)
+    return NumpyCode(_printed(node), tuple(params), source)
 
 
 def closed_grammar_codes(text: str) -> tuple[NumpyCode, NumpyCode] | None:
     """The code of w and w′ that generate_on_grid prints for text, or None
     when text is outside the closed grammar (see the module docstring).
     Raises parse_expression's ExpressionError for the two refusals.
-
-    Every parameter enters as a plain factor or in a group that a product
-    divides by, which prints as a division, so the code always broadcasts
-    (see expressions._broadcasts_exactly).
     """
     if not isinstance(text, str):
         return None  # parse_expression refuses it

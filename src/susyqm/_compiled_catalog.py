@@ -20,7 +20,6 @@ R_FUNCTIONS = {
                 'def _fn(omega):\n'
                 '    return 2*omega\n'
             ),
-            broadcasts=False,
         ),
     ('2*A + 1', ('A',)):
         NumpyCode(
@@ -30,7 +29,6 @@ R_FUNCTIONS = {
                 'def _fn(A):\n'
                 '    return 2*A + 1\n'
             ),
-            broadcasts=False,
         ),
     ('q^2/4 * (1/l^2 - 1/(l+1)^2)', ('l', 'q')):
         NumpyCode(
@@ -40,7 +38,6 @@ R_FUNCTIONS = {
                 'def _fn(l, q):\n'
                 '    return (1/4)*q**2*(-1/(l + 1)**2 + l**(-2.0))\n'
             ),
-            broadcasts=False,
         ),
     ('a', ('a',)):
         NumpyCode(
@@ -50,7 +47,6 @@ R_FUNCTIONS = {
                 'def _fn(a):\n'
                 '    return a\n'
             ),
-            broadcasts=False,
         ),
     ('c', ('c',)):
         NumpyCode(
@@ -60,6 +56,5 @@ R_FUNCTIONS = {
                 'def _fn(c):\n'
                 '    return c\n'
             ),
-            broadcasts=False,
         ),
 }

@@ -296,7 +296,6 @@ def _render_compiled_catalog() -> str:
                   "            source=(",
                   *(f"                {line!r}" for line in code.source.splitlines(keepends=True)),
                   "            ),",
-                  f"            broadcasts={code.broadcasts!r},",
                   "        ),"]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -127,33 +127,6 @@ def differentiate(expr: sympy.Expr) -> sympy.Expr:
     return sympy.diff(expr, _grammar().x)
 
 
-def _broadcasts_exactly(expr: sympy.Expr, parent: sympy.Expr | None = None) -> bool:
-    """Whether array-valued parameters reproduce float-parameter results bit for bit.
-
-    With float parameters, a subterm free of x is computed in Python floats
-    (``a**2`` calls C pow) or on numpy scalars, where a parameter column
-    goes through numpy's array kernels (``**2`` becomes a square, exp and
-    tanh take SIMD paths).  Those can differ in the last ulp, so any x-free
-    power or function of a parameter, and any parameter-valued exponent,
-    disqualifies the expression.  A reciprocal factor of a product prints
-    as a division, which is exact either way.
-    """
-    import sympy
-
-    x = _grammar().x
-    if expr.free_symbols - {x}:
-        if isinstance(expr, sympy.Pow):
-            base, exponent = expr.as_base_exp()
-            if exponent.free_symbols:
-                return False
-            if x not in base.free_symbols and not (
-                    exponent == -1 and isinstance(parent, sympy.Mul)):
-                return False
-        elif isinstance(expr, sympy.Function) and x not in expr.free_symbols:
-            return False
-    return all(_broadcasts_exactly(arg, expr) for arg in expr.args)
-
-
 class _SubtermTables:
     """The parameter-free subterms of one compiled expression, on its last grid.
 
@@ -195,14 +168,12 @@ class NumpyCode:
     ``source`` defines ``_fn``, whose arguments are x, the parameters and
     the subterm tables (compile_on_grid) or the parameters alone
     (compile_scalar), and, when the expression has x-only subterms,
-    ``_tabulate(x)``, which returns the tables.  ``broadcasts`` is
-    compile_on_grid's flag of that name.
+    ``_tabulate(x)``, which returns the tables.
     """
 
     text: str
     params: tuple[str, ...]
     source: str
-    broadcasts: bool = False
 
 
 def _printer_settings() -> dict:
@@ -217,8 +188,7 @@ def _function_source(name: str, args: list[str], body: str) -> str:
     return f"def {name}({', '.join(args)}):\n    return {body}\n"
 
 
-def _numpy_code(expr: sympy.Expr, params: list[str], source: str,
-                broadcasts: bool = False) -> NumpyCode:
+def _numpy_code(expr: sympy.Expr, params: list[str], source: str) -> NumpyCode:
     """The code record of expr, whose parameters must all be in params: the
     assembled function binds no other name (lambdify would bind a sympy
     Symbol, and fail at the first evaluation).  No parameter may be named as
@@ -237,7 +207,7 @@ def _numpy_code(expr: sympy.Expr, params: list[str], source: str,
     if shadowing:
         raise ExpressionError(f"parameters {shadowing} of {sympy.sstr(expr)!r} are named "
                               "like the numpy constants its code uses; rename them")
-    return NumpyCode(sympy.sstr(expr), tuple(params), source, broadcasts)
+    return NumpyCode(sympy.sstr(expr), tuple(params), source)
 
 
 def generate_on_grid(expr: sympy.Expr, params: list[str]) -> NumpyCode:
@@ -280,7 +250,7 @@ def generate_on_grid(expr: sympy.Expr, params: list[str]) -> NumpyCode:
     source = _function_source("_fn", ["x", *params, tables_arg], body)
     if codes:
         source += _function_source("_tabulate", ["x"], f"({', '.join(codes)},)")
-    return _numpy_code(expr, params, source, _broadcasts_exactly(expr))
+    return _numpy_code(expr, params, source)
 
 
 def generate_scalar(expr: sympy.Expr, params: list[str]) -> NumpyCode:
@@ -306,15 +276,14 @@ def _functions(code: NumpyCode) -> dict:
     return scope
 
 
-def _evaluated(text: str, call: Callable[[], object]):
-    """call() with numpy warnings silenced, and with the failures of a
-    parameter-only subterm computed in Python floats (``1/(a - 2)`` at a = 2,
-    ``a**400``, ``a**(-1.5)`` at a < 0, which comes out complex) or of a
-    parameter's conversion to float (an int of 400 digits) raised as
-    EvaluationError."""
+def _evaluated(text: str, call: Callable, *args):
+    """call(*args), with the failures of a parameter-only subterm computed in
+    Python floats (``1/(a - 2)`` at a = 2, ``a**400``, ``a**(-1.5)`` at
+    a < 0, which comes out complex) or of a parameter's conversion to float
+    (an int of 400 digits) raised as EvaluationError.  The caller holds
+    ``np.errstate``."""
     try:
-        with np.errstate(all="ignore"):
-            out = call()
+        out = call(*args)
     except (ZeroDivisionError, OverflowError) as exc:
         problem = f"cannot be evaluated at these parameters ({exc.args[-1]})"
     else:
@@ -334,8 +303,9 @@ def assemble_on_grid(code: NumpyCode) -> Callable[[np.ndarray, dict], np.ndarray
         missing = [p for p in params if p not in values]
         if missing:
             raise EvaluationError(f"missing parameter values for {missing}")
-        out = _evaluated(text, lambda: fn(x, *[float(values[p]) for p in params],
-                                          subterms(x) if subterms else ()))
+        with np.errstate(all="ignore"):
+            out = _evaluated(text, lambda: fn(x, *[float(values[p]) for p in params],
+                                              subterms(x) if subterms else ()))
         out = np.asarray(out, dtype=float)
         if out.shape != np.shape(x):
             out = np.array(np.broadcast_to(out, np.shape(x)))
@@ -346,13 +316,15 @@ def assemble_on_grid(code: NumpyCode) -> Callable[[np.ndarray, dict], np.ndarray
                 "check for singularities inside the domain")
         return out
 
-    def unchecked(x: np.ndarray, values: dict) -> np.ndarray:
-        # the same code without evaluate's checks and conversions, for a
-        # caller that made them and holds np.errstate itself; values may be
-        # (rows, 1) parameter columns, which broadcast against the 1-D x
-        return fn(x, *[values[p] for p in params], subterms(x) if subterms else ())
+    def unchecked(x: np.ndarray) -> Callable[[list[float]], np.ndarray | float]:
+        # evaluate's code on x and its parameter errors, as a function of
+        # float values in ``params`` order, for a caller that holds
+        # np.errstate: x's tables are looked up once, not per call, and a
+        # result is neither converted, broadcast nor checked for finiteness
+        tables = subterms(x) if subterms else ()
+        return lambda values: _evaluated(text, fn, x, *values, tables)
 
-    evaluate.broadcasts = code.broadcasts
+    evaluate.params = params
     evaluate.subterms = subterms
     evaluate.unchecked = unchecked
     return evaluate
@@ -366,7 +338,8 @@ def assemble_scalar(code: NumpyCode) -> Callable[[dict], float]:
         missing = [p for p in params if p not in values]
         if missing:
             raise EvaluationError(f"missing parameter values for {missing}")
-        out = float(_evaluated(text, lambda: fn(*[float(values[p]) for p in params])))
+        with np.errstate(all="ignore"):
+            out = float(_evaluated(text, lambda: fn(*[float(values[p]) for p in params])))
         if not np.isfinite(out):
             raise EvaluationError(f"expression {text!r} evaluated non-finite")
         return out
@@ -383,16 +356,17 @@ def compile_on_grid(expr: sympy.Expr,
     expressions are broadcast.  A non-finite result raises EvaluationError
     (singularity or overflow inside the evaluation window).
 
-    Its ``unchecked`` attribute runs the same compiled code with no checks
-    or conversions at all, for a caller that has already checked the
-    parameters and holds ``np.errstate`` (``SuperpotentialFamily._w_blocks``,
-    the transform search's one stacked tabulation, is its only caller).
-    It also takes (rows, 1) parameter columns, which broadcast against the
-    1-D node array, and tabulates one row per parameter value in a single
-    call, leaving non-finite rows for the caller to reject.  The
-    ``broadcasts`` attribute tells whether each such row equals, bit for
-    bit, the checked evaluation at that row's values (see
-    _broadcasts_exactly).
+    Its ``unchecked`` attribute takes the node array and returns the same
+    compiled code on it as a function of a list of float parameter values,
+    in the order of the ``params`` attribute, for a caller that has already
+    checked the parameters and holds ``np.errstate``
+    (``SuperpotentialFamily._w_rows``, which tabulates every
+    transform-search trial, is its only caller).  That function raises the
+    same EvaluationError for a parameter-only subterm that fails in Python
+    floats or comes out complex, and leaves the result as the code returns
+    it, a scalar for a constant expression, with non-finite values for the
+    caller to reject; a finite result equals the checked evaluation at
+    those values bit for bit.
 
     Every composite subterm whose only free symbol is x (``x**3``,
     ``exp(-x)``, ``sech(x)**2``) is tabulated once per grid and reused by

@@ -35,7 +35,14 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+        # These messages name no value: the str of an int past 4300 digits raises.
+        try:
+            finite = math.isfinite(self.x_min) and math.isfinite(self.x_max)
+        except TypeError:
+            raise GridError("grid bounds must be real numbers") from None
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise GridError("grid bounds must be finite")
         if self.x_min >= self.x_max:
             raise GridError(f"domain-order violation: x_min={self.x_min} >= x_max={self.x_max}")

@@ -311,14 +311,12 @@ def default_candidates(parameter_names: Sequence[str]) -> list[TransformCandidat
             for name in parameter_names for fixed in knob_sets]
 
 
-#: Byte budget of each float64 array of one scoring block: 6 rows at 2001
-#: points.  Blocks this small are served from the allocator's heap and
-#: reused from block to block, where the 528 KB arrays of a 33-row batch
-#: were mapped and unmapped on every call (about 10,000 minor page faults
-#: per search-sweep operation).  On that workload (2 cores, seed 3) 96 KiB
-#: had the lowest median: 64 KiB paid more per-block overhead, 128 KiB split
-#: the 12 rows of a two-parameter refine step unevenly, and 192 KiB and up
-#: brought back about 300 page faults per operation with no faster median.
+#: Byte budget of the residual buffer of one scoring block: 6 rows at 2001
+#: points.  The rows of a block share one ``_trimmed_stats`` call, a buffer
+#: this small stays in cache, and the 12 rows of a two-parameter refine
+#: step split evenly.  The size was chosen on search-sweep (2 cores, seed
+#: 3) when whole blocks were tabulated at once: 64 KiB paid more per-block
+#: overhead and 128 KiB split those 12 rows unevenly.
 _BLOCK_BYTES = 96 * 1024
 
 
@@ -404,44 +402,52 @@ def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
     Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the trial.  ``_mapped_trials``
     maps each a₁ through ``_image``, the code ``apply`` runs, so the rows
     see exactly si_residual's parameter values.  The live trials are
-    tabulated by ``SuperpotentialFamily._w_blocks`` and scored in blocks of
-    consecutive rows, whichever candidates they come from, each block's
-    arrays within ``_BLOCK_BYTES``.  One buffer per call holds V₋ and then
-    the residual of each block, and ``_trimmed_stats`` scores it in place.
+    tabulated one row at a time by ``SuperpotentialFamily._w_rows``, and
+    each row's residual V₊ − V₋ goes into one buffer of ``_block_rows``
+    rows, whichever candidates they come from; ``_trimmed_stats`` scores
+    each full block in place.
 
     A row is live when w² − w′ is finite (si_residual raises GridError
     where it overflows; in a search it is a trial the search made up, so it
     scores as a miss).  The interior sum the mean needs decides that: a row
     whose mean and edge nodes are finite holds a finite residual, so a
-    finite w² − w′; every other row gets the exact isfinite(w² − w′) test.
-    A row's ufuncs do not depend on its block, so every figure equals
-    si_residual's bit for bit however the trials are split.
+    finite w² − w′; every other row of the block gets the exact
+    isfinite(w² − w′) test on the w and w′ it was computed from.  A row's
+    ufuncs do not depend on its block, so every figure equals si_residual's
+    bit for bit however the trials are split.
     """
     scored: list[tuple[float, float | None]] = [(math.inf, None)] * len(trials)
     live, targets, images = _mapped_trials(a0, trials)
     size = _block_rows(grid)
     buf = np.empty((min(size, len(live)), grid.n_points))
-    # A miss row may hold inf or nan, and w² may overflow where w is finite.
+    kept: list[tuple[int, np.ndarray | float, np.ndarray | float]] = []  # the block's rows
+
+    def score_block():
+        res = buf[:len(kept)]
+        np.subtract(v_plus, res, out=res)
+        edges = np.isfinite(res.take(_EDGE_NODES, axis=1)).all(axis=1)
+        means, stddevs = _trimmed_stats(res, EDGE_TRIM)
+        ok = edges & np.isfinite(means)
+        for (i, w, w_prime), keep, mean, stddev in zip(kept, ok.tolist(), means.tolist(),
+                                                       stddevs.tolist()):
+            if keep or np.isfinite(w * w - w_prime).all():
+                scored[i] = (stddev, mean)
+        kept.clear()
+
+    # A row may hold inf or nan, and w² may overflow where w is finite.
     with np.errstate(all="ignore"):
-        blocks = family._w_blocks(grid, a0, targets, images, size)
-        for start, (w, w_prime) in zip(range(0, len(live), size), blocks, strict=True):
-            block = live[start:start + size]
-            res = buf[:len(block)]
+        for i, row in zip(live, family._w_rows(grid, a0, targets, images), strict=True):
+            if row is None:
+                continue
+            w, w_prime = row
+            res = buf[len(kept)]
             np.multiply(w, w, out=res)
             np.subtract(res, w_prime, out=res)
-            np.subtract(v_plus, res, out=res)
-            edges = np.isfinite(res.take(_EDGE_NODES, axis=1)).all(axis=1)
-            means, stddevs = _trimmed_stats(res, EDGE_TRIM)
-            ok = edges & np.isfinite(means)
-            if not ok.all():
-                rest = np.flatnonzero(~ok)
-                w_rest, w_prime_rest = (np.broadcast_to(t, res.shape)[rest]
-                                        for t in (w, w_prime))
-                ok[rest] = np.isfinite(w_rest * w_rest - w_prime_rest).all(axis=1)
-            for i, keep, mean, stddev in zip(block, ok.tolist(), means.tolist(),
-                                             stddevs.tolist()):
-                if keep:
-                    scored[i] = (stddev, mean)
+            kept.append((i, w, w_prime))
+            if len(kept) == size:
+                score_block()
+        if kept:
+            score_block()
     return scored
 
 

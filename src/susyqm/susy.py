@@ -42,17 +42,14 @@ class SuperpotentialFamily:
     shape_invariance).
 
     The transform search tabulates w and w′ for its trials through
-    ``_w_blocks``, a few rows at a time (sized by
-    shape_invariance._BLOCK_BYTES), whichever candidates they come from.
-    When w and an analytic w′ are compiled expressions whose ``broadcasts``
-    attribute is true (set when it is exact, see
-    expressions.compile_on_grid), each block is one call of each
-    ``unchecked`` entry, with each parameter as a (rows, 1) column of
-    floats against the 1-D ``grid.x``.  Any other family is evaluated row
-    by row, with a finite-difference w′ as one ``np.gradient`` along the
-    rows of each block.  Every call passes ``grid.x`` itself, never a view,
-    so a compiled expression computes its parameter-free subterms such as
-    ``x**3`` once per grid and reuses them on every later call on that grid.
+    ``_w_rows``, one trial at a time.  When w and an analytic w′ are
+    compiled expressions, each row is one call of each ``unchecked`` entry
+    on float parameters (see expressions.compile_on_grid); any other
+    family is evaluated through ``w_grid``'s checks, with a
+    finite-difference w′ as one ``np.gradient`` of the row.  Every call
+    passes ``grid.x`` itself, never a view, so a compiled expression
+    computes its parameter-free subterms such as ``x**3`` once per grid
+    and reuses them on every later call on that grid.
 
     ``hard_wall_left`` marks half-line families whose grid starts just off a
     singularity: states are pinned to zero there by the wall, so decay is
@@ -125,52 +122,54 @@ class SuperpotentialFamily:
             return derivative(self.w_grid(grid, params))
         return self._eval(self.w_prime_fn, grid, params)
 
-    def _w_blocks(self, grid: Grid1D, a0: dict, targets: Sequence[str | None],
-                  images: Sequence[float | None], size: int
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """w and w′ on the grid at a₀ with ``targets[i]`` set to ``images[i]``
-        (a₀ itself where the target is None), ``size`` rows per block.
+    def _w_rows(self, grid: Grid1D, a0: dict, targets: Sequence[str | None],
+                images: Sequence[float | None]
+                ) -> Iterator[tuple[np.ndarray | float, np.ndarray | float] | None]:
+        """(w, w′) on the grid at a₀ with ``targets[i]`` set to ``images[i]``
+        (a₀ itself where the target is None), one trial at a time; None
+        for a trial where w or w′ raises EvaluationError.
 
-        Each block's pair broadcasts to (rows, n_points) and is unchecked:
-        a row where w or w′ cannot be evaluated is nan, and a row may hold
-        inf or nan wherever the function does, so the caller tests
-        finiteness on what it computes from them, under its own
-        ``np.errstate``.  Each finite row equals ``w_grid`` /
-        ``w_prime_grid`` at that row's parameters bit for bit.  a₀ must
-        hold every parameter, each convertible to float (as
+        The rows are unchecked: a compiled family's w or w′ may be a scalar
+        (a constant expression) and may hold inf or nan wherever the
+        function does, so the caller tests finiteness on what it computes
+        from them, under its own ``np.errstate``.  Each finite row equals
+        ``w_grid`` / ``w_prime_grid`` at that row's parameters bit for bit.
+        a₀ must hold every parameter, each convertible to float (as
         ``partner_potentials`` at a₀ checks).
 
-        A family whose w and analytic w′ broadcast gets its (rows, 1)
-        parameter columns built once, the image in its target's column and
-        float(a₀[p]) in every other, and one ``unchecked`` call of each per
-        block; any other family evaluates each row on ``{**a0, target:
-        image}``, the parameters si_residual sees.
+        A family whose w and w′ are both compiled on its parameter names
+        calls their ``unchecked`` functions on ``grid.x`` with a₀'s floats,
+        the image in its target's place, so only a parameter-only subterm
+        that fails in floats (``1/(a - 2)`` at a = 2) or comes out complex
+        is a miss here; any other family evaluates each row on
+        ``{**a0, target: image}``, the parameters si_residual sees, and
+        misses wherever ``w_grid`` raises.
         """
         names, fns = self.parameter_names, (self.w_fn, self.w_prime_fn)
-        if names and all(getattr(fn, "broadcasts", False) for fn in fns):
+        if all(hasattr(fn, "unchecked") and fn.params == names for fn in fns):
+            w_entry, w_prime_entry = (fn.unchecked(grid.x) for fn in fns)
             base = [float(a0[p]) for p in names]
-            columns = np.array([[new if t == p else b for t, new in zip(targets, images)]
-                                for p, b in zip(names, base)])
-            for start in range(0, len(targets), size):
-                block = {p: columns[j, start:start + size, None] for j, p in enumerate(names)}
-                yield tuple(np.asarray(fn.unchecked(grid.x, block), dtype=float) for fn in fns)
-            return
-        rows = [a0 if t is None else {**a0, t: new} for t, new in zip(targets, images)]
+            slots = {p: i for i, p in enumerate(names)}
 
-        def tabulate(fn: WFunc, block: list[dict]) -> np.ndarray:
-            out = np.empty((len(block), grid.n_points))
-            for i, row in enumerate(block):
-                try:
-                    out[i] = self._eval(fn, grid, row).values
-                except EvaluationError:
-                    out[i] = np.nan
-            return out
+            def pair(t, new):
+                values = base
+                if t is not None:
+                    values = base.copy()
+                    values[slots[t]] = float(new)
+                return w_entry(values), w_prime_entry(values)
+        else:
+            def pair(t, new):
+                row = a0 if t is None else {**a0, t: new}
+                w = self._eval(self.w_fn, grid, row).values
+                return w, (np.gradient(w, grid.h, edge_order=2) if self.w_prime_fn is None
+                           else self._eval(self.w_prime_fn, grid, row).values)
 
-        for start in range(0, len(rows), size):
-            block = rows[start:start + size]
-            w = tabulate(self.w_fn, block)
-            yield w, (np.gradient(w, grid.h, axis=1, edge_order=2) if self.w_prime_fn is None
-                      else tabulate(self.w_prime_fn, block))
+        for t, new in zip(targets, images):
+            try:
+                rows = pair(t, new)
+            except EvaluationError:
+                rows = None
+            yield rows
 
 
 @dataclass(frozen=True)
@@ -373,14 +372,15 @@ def _fro(*bands: np.ndarray) -> float:
 
 def _checked_tolerance(tolerance: float) -> float:
     """tolerance itself; ValueError unless it is a positive finite real number
-    (an int too large for a float is not)."""
+    (an int too large for a float is not).  The message names no value,
+    whose str an int past 4300 digits would refuse."""
     try:
         valid = (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance)
                  and tolerance > 0.0)
     except OverflowError:
         valid = False
     if not valid:
-        raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
+        raise ValueError("tolerance must be a positive finite number")
     return tolerance
 
 

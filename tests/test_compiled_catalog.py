@@ -105,18 +105,19 @@ def test_assembled_family_equals_live_compilation(name):
     expr = parse_expression(rec.expression)
     names = parameter_names(expr)
     params = dict(rec.default_params)
-    columns = {p: np.array([v, 0.9 * v + 0.1, 1.3 * v + 0.2])[:, None]
-               for p, v in params.items()}
+    rows = [[float(params[p]) * scale + shift for p in names]
+            for scale, shift in ((1.0, 0.0), (0.9, 0.1), (1.3, 0.2))]
     family = rec.family
     assert family.parameter_names == tuple(names)
     for got, want in zip((family.w_fn, family.w_prime_fn),
                          [compile_on_grid(e, names) for e in (expr, differentiate(expr))]):
-        assert got.broadcasts == want.broadcasts
+        assert got.params == want.params == tuple(names)
         for _ in range(2):  # the second call reads the tables the first one made
             assert np.array_equal(got(grid.x, params), want(grid.x, params))
-            with np.errstate(all="ignore"):
-                stacked = (got.unchecked(grid.x, columns), want.unchecked(grid.x, columns))
-            assert np.array_equal(*stacked)
+            for values in rows:
+                with np.errstate(all="ignore"):
+                    unchecked = (got.unchecked(grid.x)(values), want.unchecked(grid.x)(values))
+                assert np.array_equal(*unchecked)
         if want.subterms is None:
             assert got.subterms is None
         else:

@@ -353,7 +353,7 @@ def test_a_text_that_is_not_a_str_is_an_expression_error(text):
         "verify_algebra-complex"])
 def test_a_tolerance_that_is_not_a_real_number_is_a_documented_value_error(call):
     # each escaped math.isfinite as a bare TypeError
-    with pytest.raises(ValueError, match=r"^tolerance must be a positive finite number, got ") \
+    with pytest.raises(ValueError, match=r"^tolerance must be a positive finite number$") \
             as exc:
         call()
     assert not isinstance(exc.value, SusyQMError)
@@ -363,10 +363,15 @@ def test_a_tolerance_that_is_not_a_real_number_is_a_documented_value_error(call)
     lambda: si_residual(MORSE.family, MORSE_A0, MORSE.transform, GRIDS[2], tolerance=HUGE),
     lambda: search_transform(LINEAR, {"a": 1.0}, LINEAR_GRID, tolerance=HUGE),
     lambda: verify_algebra(CM, HUGE),
-], ids=["si_residual", "search_transform", "verify_algebra"])
+    lambda: si_residual(MORSE.family, MORSE_A0, MORSE.transform, GRIDS[2], tolerance=10**5000),
+    lambda: search_transform(LINEAR, {"a": 1.0}, LINEAR_GRID, tolerance=10**5000),
+    lambda: verify_algebra(CM, 10**5000),
+], ids=["si_residual", "search_transform", "verify_algebra", "si_residual-past-the-str-limit",
+        "search_transform-past-the-str-limit", "verify_algebra-past-the-str-limit"])
 def test_a_tolerance_too_large_for_a_float_is_a_documented_value_error(call):
-    # each escaped math.isfinite as a bare OverflowError
-    with pytest.raises(ValueError, match=r"^tolerance must be a positive finite number, got 1000"):
+    # each escaped math.isfinite as a bare OverflowError; past 4300 digits,
+    # building a message that named the value raised int's str limit error
+    with pytest.raises(ValueError, match=r"^tolerance must be a positive finite number$"):
         call()
 
 
@@ -384,6 +389,18 @@ def test_make_grid_arguments_that_do_not_convert_are_grid_errors(args, message):
     # value, whose str an int past 4300 digits would refuse
     with pytest.raises(GridError, match=re.escape(message)):
         make_grid(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((None, 1.0, 3), "grid bounds must be real numbers"),
+    (("a", 1.0, 3), "grid bounds must be real numbers"),
+    ((0.0, 1j, 3), "grid bounds must be real numbers"),
+    ((10**5000, 1.0, 3), "grid bounds must be finite"),
+], ids=["None", "str", "complex", "bound-past-the-str-limit"])
+def test_grid_bounds_that_are_not_real_numbers_are_grid_errors(args, message):
+    # Grid1D is public: None and "a" escaped np.isfinite as a bare TypeError
+    with pytest.raises(GridError, match=f"^{message}$"):
+        Grid1D(*args)
 
 
 @pytest.mark.parametrize("build", [

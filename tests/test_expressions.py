@@ -112,37 +112,41 @@ def test_compile_on_grid_flags_singularities():
     assert np.all(np.isfinite(out))
 
 
-def test_compile_on_grid_stacks_parameter_columns():
-    fn = compile_on_grid(parse_expression("a*x^3 + c*x + 0.3"), ["a", "c"])
+def test_compile_on_grid_takes_float_parameters_unchecked():
+    fn = compile_on_grid(parse_expression("c*x + a*x^3 + 0.3"), ["a", "c"])
     x = np.linspace(-2.0, 2.0, 41)
-    a = np.array([0.5, 1.1, 1.7])
-    out = fn.unchecked(x[None, :], {"a": a[:, None], "c": 0.4})
-    assert fn.broadcasts
-    assert out.shape == (3, 41)
-    for row, value in zip(out, a):
-        assert np.array_equal(row, fn(x, {"a": float(value), "c": 0.4}))
+    assert fn.params == ("a", "c")
+    for a in (0.5, 1.1, 1.7):
+        out = fn.unchecked(x)([a, 0.4])  # in params order
+        assert np.array_equal(out, fn(x, {"a": a, "c": 0.4}))
 
 
-def test_compile_on_grid_leaves_stacked_rows_unchecked():
+def test_compile_on_grid_leaves_unchecked_rows_unchecked():
     fn = compile_on_grid(parse_expression("ln(a + x)"), ["a"])
     x = np.linspace(0.5, 1.0, 6)
     with np.errstate(all="ignore"):  # ln of a nonpositive argument
-        out = fn.unchecked(x[None, :], {"a": np.array([[1.0], [-0.7]])})
-    assert np.all(np.isfinite(out[0])) and not np.all(np.isfinite(out[1]))
+        assert np.all(np.isfinite(fn.unchecked(x)([1.0])))
+        assert not np.all(np.isfinite(fn.unchecked(x)([-0.7])))
     with pytest.raises(EvaluationError):
         fn(x, {"a": -0.7})
 
 
-@pytest.mark.parametrize("text,exact", [
-    ("A*tanh(0.9*x)", True), ("q/(2*(l+1)) - (l+1)/x", True),
-    ("ln(a + x)", True), ("a^2*x", False), ("x + 1/a", False),
-    ("exp(a)*x", False), ("x^a", False),
+@pytest.mark.parametrize("text,value,problem", [
+    ("x + 1/(a - 2)", 2.0, "cannot be evaluated at these parameters"),
+    ("x*a**400", 10.0, "cannot be evaluated at these parameters"),
+    ("x + a**(-1.5)", -2.0, "is complex at these parameters"),
 ])
-def test_compile_on_grid_flags_exact_broadcasting(text, exact):
-    # numpy's array kernels for x-free powers and functions of a parameter
-    # can differ in the last ulp from the float evaluation.
-    expr = parse_expression(text)
-    assert compile_on_grid(expr, parameter_names(expr)).broadcasts is exact
+def test_unchecked_raises_the_parameter_errors_of_evaluate(text, value, problem):
+    # a parameter-only subterm runs in Python floats: the unchecked entry
+    # raises evaluate's EvaluationError for it, with the same message
+    fn = compile_on_grid(parse_expression(text), ["a"])
+    x = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(EvaluationError) as checked:
+        fn(x, {"a": value})
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError) as unchecked:
+        fn.unchecked(x)([value])
+    assert str(unchecked.value) == str(checked.value)
+    assert problem in str(unchecked.value)
 
 
 def test_sech_evaluates_numerically():
@@ -267,26 +271,22 @@ def _bit_identity_cases():
 @pytest.mark.parametrize("text,params,domain", _bit_identity_cases())
 def test_compile_on_grid_equals_plain_lambdify(text, params, domain):
     """Reading parameter-free subterms from per-grid tables changes no bit,
-    with float parameters on grid.x or, through ``unchecked``, with stacked
-    columns on grid.x, against plain lambdify's on grid.x[None, :]."""
+    with float parameters on grid.x through the checked entry or through
+    ``unchecked``, against plain lambdify's."""
     grid = make_grid(domain[0], domain[1], 2001)
     expr = parse_expression(text)
     names = parameter_names(expr)
-    columns = {p: np.array([v, 0.9 * v, 1.3 * v])[:, None] for p, v in params.items()}
-    stacked = (3, grid.n_points)
+    values = [float(params[p]) for p in names]
     for e in (expr, differentiate(expr)):
         ref = _plain_lambdify(e, names)
         fn = compile_on_grid(e, names)
         with np.errstate(all="ignore"):
-            want = ref(grid.x, *(params[p] for p in names))
-            want_stacked = ref(grid.x[None, :], *(columns[p] for p in names))
+            want = np.broadcast_to(ref(grid.x, *(params[p] for p in names)), grid.x.shape)
         for _ in range(2):  # the second call reads the tables the first one made
-            assert np.array_equal(fn(grid.x, params), np.broadcast_to(want, grid.x.shape))
-            if names:
-                with np.errstate(all="ignore"):
-                    got = fn.unchecked(grid.x, columns)
-                assert np.array_equal(np.broadcast_to(got, stacked),
-                                      np.broadcast_to(want_stacked, stacked))
+            assert np.array_equal(fn(grid.x, params), want)
+            with np.errstate(all="ignore"):
+                got = fn.unchecked(grid.x)(values)
+            assert np.array_equal(np.broadcast_to(got, grid.x.shape), want)
 
 
 def test_parameter_named_like_the_tables_argument():

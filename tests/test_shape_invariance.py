@@ -268,7 +268,7 @@ def test_non_finite_step_energy_names_its_step(r):
 
 @pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf, -math.inf])
 def test_tolerance_must_be_positive_and_finite(tolerance):
-    message = f"tolerance must be a positive finite number, got {tolerance}"
+    message = "^tolerance must be a positive finite number$"
     with pytest.raises(ValueError, match=message):
         si_residual(MORSE, {"A": 2.0}, Translation(-1.0), MORSE_GRID, tolerance)
     with pytest.raises(ValueError, match=message):
@@ -506,45 +506,43 @@ def test_rows_keep_the_untouched_parameters_as_given(family):
     assert all(math.isfinite(stddev) for stddev, _ in naive)
 
 
-def _record_blocks(monkeypatch, family, blocks):
-    """Patch ``_w_blocks`` to append the row count of each block it yields
-    to ``blocks``, checking that the search asks for ``_block_rows`` rows
-    per block and that no block holds more.  ``family`` broadcasts, so each
-    block must be one ``unchecked`` call of its w and one of its w′, with
-    no row evaluated on its own."""
-    real = SuperpotentialFamily._w_blocks
+def _record_blocks(monkeypatch, family, grid, blocks):
+    """Patch the search's statistic to append the row count of each block
+    it scores to ``blocks``, checking that no block holds more than
+    ``_block_rows`` rows of the grid.  ``family`` is compiled, so each row
+    must be one call of its w's and one of its w′'s ``unchecked`` function
+    on ``grid.x`` itself, with no row evaluated through ``w_grid``."""
     unchecked = []
     for fn in (family.w_fn, family.w_prime_fn):
-        assert fn.broadcasts
-
-        def counted(x, values, real_fn=fn.unchecked):
-            unchecked.append(real_fn)
-            return real_fn(x, values)
+        def counted(x, real_fn=fn.unchecked):
+            assert x is grid.x
+            row = real_fn(x)
+            return lambda values: unchecked.append(row) or row(values)
 
         monkeypatch.setattr(fn, "unchecked", counted)
+    real_stats = si_module._trimmed_stats
 
-    def recorded(self, grid, a0, targets, images, size):
-        assert size == _block_rows(grid)
-        for w, w_prime in real(self, grid, a0, targets, images, size):
-            rows, points = np.broadcast(w, w_prime).shape
-            assert points == grid.n_points and rows <= size
-            assert len(unchecked) == 2 * len(blocks) + 2, \
-                "a broadcasting family's search evaluated rows one by one"
-            blocks.append(rows)
-            yield w, w_prime
+    def recorded(rows, trim):
+        if trim == EDGE_TRIM:  # a scoring block (si_residual's row passes 0)
+            assert rows.shape[0] <= _block_rows(grid) and rows.shape[1] == grid.n_points
+            blocks.append(rows.shape[0])
+            assert len(unchecked) == 2 * sum(blocks), \
+                "a compiled family's search evaluated a row without its unchecked entries"
+        return real_stats(rows, trim)
 
-    monkeypatch.setattr(SuperpotentialFamily, "_w_blocks", recorded)
+    monkeypatch.setattr(si_module, "_trimmed_stats", recorded)
 
 
 def test_classify_never_tabulates_more_rows_than_a_block(monkeypatch):
-    """The memory of a search is bounded by its blocks: every tabulation in
-    a classify at 2001 points, coarse scan and two-parameter refine steps
-    included, sees at most one block of rows.  The family broadcasts, so
-    the search tabulates each block in one ``unchecked`` call of w and w′."""
+    """The memory of a search is bounded by its blocks: every block a
+    classify at 2001 points scores, coarse scan and two-parameter refine
+    steps included, holds at most ``_block_rows`` rows.  The family is
+    compiled, so the search tabulates each row in one call of w's and one
+    of w′'s ``unchecked`` function."""
     seen = []
     family = SuperpotentialFamily.from_expression("a*x^3 + c*x + 0.3", domain=(-6.0, 6.0))
-    _record_blocks(monkeypatch, family, seen)
     grid = make_grid(-6.0, 6.0, 2001)
+    _record_blocks(monkeypatch, family, grid, seen)
     tag = classify_family(family, {"a": 1.0, "c": 0.5}, grid)
     assert tag.shape_invariant == "no-within-search"
     assert max(seen) == _block_rows(grid) == 6
@@ -688,9 +686,10 @@ def test_cubic_classify_tabulates_a_fixed_number_of_rows(monkeypatch):
         return real_score(family, a0, v_plus, trials, grid)
 
     family = SuperpotentialFamily.from_expression("a*x^3 + 0.3", domain=(-6.0, 6.0))
-    _record_blocks(monkeypatch, family, blocks)
+    grid = make_grid(-6.0, 6.0, 2001)
+    _record_blocks(monkeypatch, family, grid, blocks)
     monkeypatch.setattr(si_module, "_score_trials", score)
-    tag = classify_family(family, {"a": 1.1}, make_grid(-6.0, 6.0, 2001))
+    tag = classify_family(family, {"a": 1.1}, grid)
     assert tag.shape_invariant == "no-within-search"
     assert (sum(blocks), len(blocks), len(calls)) == (624, 115, 82)
     assert sum(calls) == 624  # every trial maps, so every one is tabulated
@@ -834,10 +833,11 @@ def _owners(name: str) -> list[tuple[str, str | None]]:
 
 def test_each_step_of_a_trial_has_one_implementation():
     """A knob map runs only in the one image rule, which apply and every
-    search trial share, and a compiled expression's unchecked entry only in
-    the one stacked tabulation, which every search block goes through."""
+    search trial share, and a compiled expression's unchecked float entry
+    only in the one row tabulation, which every search trial goes through."""
     assert _owners("knob_map") == [("transforms.py", "_image")]
-    assert _owners("unchecked") == [("susy.py", "_w_blocks")]
+    assert _owners("unchecked") == [("susy.py", "_w_rows")]
+    assert _owners("_w_rows") == [("shape_invariance.py", "_score_trials")]
 
 
 def test_one_implementation_check_sees_each_spelling():

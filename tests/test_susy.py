@@ -38,25 +38,53 @@ def test_family_nonfinite_evaluation():
         fam.w_grid(GRID, {})  # grid spans x <= 0
 
 
-@pytest.mark.parametrize("size", [1, 3, 4, 5])
-def test_w_blocks_finite_difference_matches_w_prime_grid(size):
-    # no analytic w′: one finite difference over each block, equal row by row
+def test_w_rows_finite_difference_matches_w_prime_grid():
+    # no analytic w′: one finite difference over each row, equal row by row
     fam = SuperpotentialFamily.from_callables(
         lambda x, p: p["a"] * np.tanh(x) + x**3 / p["b"], parameter_names=("a", "b"))
     a0 = {"a": 1.0, "b": 2.0}
     targets, images = [None, "a", "b", "a", "b"], [None, -0.5, 1e-3, 3.0, 0.0]
     rows = [a0, {"a": -0.5, "b": 2.0}, {"a": 1.0, "b": 1e-3}, {"a": 3.0, "b": 2.0}]
     with np.errstate(all="ignore"):  # the caller's, as in the search
-        blocks = list(fam._w_blocks(GRID, a0, targets, images, size))
-    assert [len(w) for w, _ in blocks] == [min(size, 5 - k) for k in range(0, 5, size)]
-    w, w_prime = (np.concatenate(part) for part in zip(*blocks))
-    for i, row in enumerate(rows):
-        assert np.array_equal(w[i], fam.w_grid(GRID, row).values)
-        assert np.array_equal(w_prime[i], fam.w_prime_grid(GRID, row).values)
-    # w is not finite at b = 0, and neither is its w′
-    assert not np.isfinite(w[-1]).all() and not np.isfinite(w_prime[-1]).all()
+        got = list(fam._w_rows(GRID, a0, targets, images))
+    for (w, w_prime), row in zip(got, rows, strict=False):
+        assert np.array_equal(w, fam.w_grid(GRID, row).values)
+        assert np.array_equal(w_prime, fam.w_prime_grid(GRID, row).values)
+    # w is not finite at b = 0, so w_grid raises there: a miss
+    assert got[-1] is None
 
 
+@pytest.mark.parametrize("text,a0,targets,images", [
+    # families whose parameter columns once broadcast with other bits
+    ("ln(b) - exp(-x)", {"b": 2.0}, ["b"] * 4, [2.0, 0.37, 1.7, 1e-3]),
+    ("a**2*x + 0.3", {"a": 1.1}, ["a"] * 4, [1.1, -0.7, 0.123456789, 3.3]),
+    ("a*x^3 + c*x - 0.3", {"a": 1.0, "c": 0.5}, ["a", "c", "c", "a"], [1.3, -0.2, 2.0, 0.1]),
+    ("exp(a*x) - b", {"a": 1.0, "b": 2.0}, ["a", "b"], [0.9, 2.5]),
+])
+def test_compiled_rows_equal_w_grid_bit_for_bit(text, a0, targets, images):
+    fam = SuperpotentialFamily.from_expression(text)
+    grid = make_grid(-6.0, 6.0, 2001)
+    with np.errstate(all="ignore"):
+        got = list(fam._w_rows(grid, a0, targets, images))
+    for (w, w_prime), t, new in zip(got, targets, images, strict=True):
+        row = {**a0, t: new}
+        assert np.array_equal(np.broadcast_to(w, grid.x.shape), fam.w_grid(grid, row).values)
+        assert np.array_equal(np.broadcast_to(w_prime, grid.x.shape),
+                              fam.w_prime_grid(grid, row).values)
+
+
+@pytest.mark.parametrize("text,a0,image", [
+    ("x + 1/(a^2 - 4)", {"a": 2.5}, 2.0),  # divides by zero in Python floats
+    ("x*a**400", {"a": 1.0}, 10.0),  # overflows in Python floats
+    ("x + a**(-1.5)", {"a": 1.0}, -2.0),  # comes out complex
+])
+def test_compiled_row_whose_parameter_subterm_fails_is_a_miss(text, a0, image):
+    fam = SuperpotentialFamily.from_expression(text)
+    with pytest.raises(EvaluationError):
+        partner_potentials(fam, {**a0, "a": image}, GRID)
+    with np.errstate(all="ignore"):
+        rows = list(fam._w_rows(GRID, a0, ["a", "a"], [image, a0["a"]]))
+    assert rows[0] is None and rows[1] is not None
 def test_partner_potentials_harmonic():
     pair = partner_potentials(HARMONIC, {}, GRID)
     assert np.allclose(pair.v_minus.values, GRID.x**2 - 1.0)
