@@ -360,8 +360,8 @@ def compile_on_grid(expr: sympy.Expr,
     compiled code on it as a function of a list of float parameter values,
     in the order of the ``params`` attribute, for a caller that has already
     checked the parameters and holds ``np.errstate``
-    (``SuperpotentialFamily._w_rows``, which tabulates every
-    transform-search trial, is its only caller).  That function raises the
+    (``SuperpotentialFamily._w_rows``, which tabulates every a₁ a
+    transform search scores, is its only caller).  That function raises the
     same EvaluationError for a parameter-only subterm that fails in Python
     floats or comes out complex, and leaves the result as the code returns
     it, a scalar for a constant expression, with non-finite values for the

@@ -9,6 +9,7 @@ real; all objects are immutable after construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -35,15 +36,18 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
+        # The bounds are stored as floats, so x is float64 as make_grid's.
         # These messages name no value: the str of an int past 4300 digits raises.
+        if not all(isinstance(bound, numbers.Real) for bound in (self.x_min, self.x_max)):
+            raise GridError("grid bounds must be real numbers")
         try:
-            finite = math.isfinite(self.x_min) and math.isfinite(self.x_max)
-        except TypeError:
-            raise GridError("grid bounds must be real numbers") from None
+            bounds = float(self.x_min), float(self.x_max)
         except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
+            bounds = (math.inf,)
+        if not all(map(math.isfinite, bounds)):
             raise GridError("grid bounds must be finite")
+        object.__setattr__(self, "x_min", bounds[0])
+        object.__setattr__(self, "x_max", bounds[1])
         if self.x_min >= self.x_max:
             raise GridError(f"domain-order violation: x_min={self.x_min} >= x_max={self.x_max}")
         if not isinstance(self.n_points, (int, np.integer)):

@@ -358,54 +358,40 @@ _EDGE_NODES = np.array([*range(EDGE_TRIM), *range(-EDGE_TRIM, 0)])
 
 
 def _mapped_trials(a0: dict, trials: Sequence[tuple[TransformCandidate, float]]
-                   ) -> tuple[list[int], list[str | None], list[float | None]]:
-    """The trials whose a₁ maps: their indices, target names and images.
+                   ) -> list[tuple[str | None, float | None] | None]:
+    """Each trial's a₁ as (target name, image), None where the trial misses.
 
-    Each candidate's target is resolved once (``_target``); each trial runs
-    the class's knob check and ``_image``, the code ``apply`` runs, so a
-    trial misses exactly where ``build(theta).apply(a0)`` raises
-    TransformError.  A target of None (no parameters) keeps a₀ as it is.
+    Each trial runs ``_target``, the class's knob check and ``_image``, the
+    code ``apply`` runs, so a trial misses exactly where
+    ``build(theta).apply(a0)`` raises TransformError.  A target of None (no
+    parameters) keeps a₀ as it is: its image is None.
     """
-    live, targets, images = [], [], []
-    resolved: dict[int, tuple] = {}
-    for i, (cand, theta) in enumerate(trials):
-        spec = resolved.get(id(cand))
-        if spec is None:
-            try:
-                spec = cand.cls._target(a0, cand.param)
-            except TransformError:
-                spec = ()  # every trial of this candidate misses
-            resolved[id(cand)] = spec
-        if not spec:
-            continue
-        target, value = spec
+    mapped = []
+    for cand, theta in trials:
         knobs = (theta, *cand.fixed)
         try:
+            target, value = cand.cls._target(a0, cand.param)
             cand.cls.check_knobs(*knobs)
-            new = None if target is None else cand.cls._image(a0, target, value, knobs)
+            mapped.append((target, None if target is None
+                           else cand.cls._image(a0, target, value, knobs)))
         except TransformError:
-            continue
-        live.append(i)
-        targets.append(target)
-        images.append(new)
-    return live, targets, images
+            mapped.append(None)
+    return mapped
 
 
 def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
-                  trials: Sequence[tuple[TransformCandidate, float]], grid: Grid1D
+                  images: Sequence[tuple[str | None, float | None]], grid: Grid1D
                   ) -> list[tuple[float, float | None]]:
-    """(stddev, mean) of si_residual's statistic for each (candidate, knob
-    value) trial, against a V₊(a₀) tabulated once; (inf, None) where
-    si_residual would raise TransformError or EvaluationError, or where
+    """(stddev, mean) of si_residual's statistic for each a₁, given as
+    ``_mapped_trials``' (target, image), against a V₊(a₀) tabulated once;
+    (inf, None) where si_residual would raise EvaluationError, or where
     V₋(a₁) is not finite.  a₀ must hold every parameter of the family.
 
-    Only V₋(a₁) = w(a₁)² − w′(a₁) depends on the trial.  ``_mapped_trials``
-    maps each a₁ through ``_image``, the code ``apply`` runs, so the rows
-    see exactly si_residual's parameter values.  The live trials are
-    tabulated one row at a time by ``SuperpotentialFamily._w_rows``, and
-    each row's residual V₊ − V₋ goes into one buffer of ``_block_rows``
-    rows, whichever candidates they come from; ``_trimmed_stats`` scores
-    each full block in place.
+    Only V₋(a₁) = w(a₁)² − w′(a₁) depends on a₁, so the scores know no
+    candidate or knob.  Each a₁ is tabulated as one row by
+    ``SuperpotentialFamily._w_rows``, and each row's residual V₊ − V₋ goes
+    into one buffer of ``_block_rows`` rows; ``_trimmed_stats`` scores each
+    full block in place.
 
     A row is live when w² − w′ is finite (si_residual raises GridError
     where it overflows; in a search it is a trial the search made up, so it
@@ -414,12 +400,11 @@ def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
     finite w² − w′; every other row of the block gets the exact
     isfinite(w² − w′) test on the w and w′ it was computed from.  A row's
     ufuncs do not depend on its block, so every figure equals si_residual's
-    bit for bit however the trials are split.
+    bit for bit however the images are split.
     """
-    scored: list[tuple[float, float | None]] = [(math.inf, None)] * len(trials)
-    live, targets, images = _mapped_trials(a0, trials)
+    scored: list[tuple[float, float | None]] = [(math.inf, None)] * len(images)
     size = _block_rows(grid)
-    buf = np.empty((min(size, len(live)), grid.n_points))
+    buf = np.empty((min(size, len(images)), grid.n_points))
     kept: list[tuple[int, np.ndarray | float, np.ndarray | float]] = []  # the block's rows
 
     def score_block():
@@ -436,7 +421,7 @@ def _score_trials(family: SuperpotentialFamily, a0: dict, v_plus: np.ndarray,
 
     # A row may hold inf or nan, and w² may overflow where w is finite.
     with np.errstate(all="ignore"):
-        for i, row in zip(live, family._w_rows(grid, a0, targets, images), strict=True):
+        for i, row in enumerate(family._w_rows(grid, a0, images)):
             if row is None:
                 continue
             w, w_prime = row
@@ -503,10 +488,12 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
 
     Each candidate's knob is sampled on a nested deterministic grid and its
     best sample golden-section refined, all candidates in lockstep
-    (``_golden_lockstep``); each trial's (stddev, mean) is memoized per
-    candidate and knob value.  ``_score_trials`` scores the trials against
-    V₊(a₀), tabulated once per search, and only the finalists are made
-    into reports.
+    (``_golden_lockstep``).  A trial's score depends only on its a₁
+    (``_mapped_trials``), so the search keeps one memo from a₁, keyed by
+    the image's exact bits, to (stddev, mean): ``_score_trials`` scores
+    only the a₁ no earlier trial of any candidate reached, against V₊(a₀)
+    tabulated once per search, and is not called when there are none.
+    Only the finalists are made into reports.
 
     Degenerate "transforms" that merely flip or kill the superpotential can
     flatten the residual without describing a bound-state ladder, so a
@@ -536,17 +523,18 @@ def search_transform(family: SuperpotentialFamily, a0: dict, grid: Grid1D,
     trials = _trial_count(_checked_budget(budget))
     v_plus = partner_potentials(family, a0, grid).v_plus.values
 
-    memos: list[dict[float, tuple[float, float | None]]] = [{} for _ in candidates]
+    # a₁ -> (stddev, mean), keyed by the image's bits (0.0 and −0.0 are
+    # different a₁); a trial that maps to no a₁ has the key None
+    memo: dict[tuple | None, tuple[float, float | None]] = {None: (math.inf, None)}
 
     def objective(requests: Sequence[tuple[int, float]]) -> list[tuple[float, float | None]]:
-        # requests are (candidate index, knob value); one call scores them all
-        new = [(k, th) for k, th in dict.fromkeys(requests) if th not in memos[k]]
+        # requests are (candidate index, knob value); one call scores every new a₁
+        mapped = _mapped_trials(a0, [(candidates[k], th) for k, th in requests])
+        keys = [a1 and (a1[0], a1[1] if a1[1] is None else a1[1].hex()) for a1 in mapped]
+        new = {key: a1 for key, a1 in zip(keys, mapped) if key not in memo}
         if new:
-            scored = _score_trials(family, a0, v_plus, [(candidates[k], th) for k, th in new],
-                                   grid)
-            for (k, th), score in zip(new, scored):
-                memos[k][th] = score
-        return [memos[k][th] for k, th in requests]
+            memo.update(zip(new, _score_trials(family, a0, v_plus, list(new.values()), grid)))
+        return [memo[key] for key in keys]
 
     def gate(cand: TransformCandidate, theta: float, report: ResidualReport | None) -> str | None:
         # Gates run on the refined endpoint only: applied mid-scan they

@@ -41,15 +41,16 @@ class SuperpotentialFamily:
     residual tests then run at a relaxed tolerance tier (see
     shape_invariance).
 
-    The transform search tabulates w and w′ for its trials through
-    ``_w_rows``, one trial at a time.  When w and an analytic w′ are
-    compiled expressions, each row is one call of each ``unchecked`` entry
-    on float parameters (see expressions.compile_on_grid); any other
-    family is evaluated through ``w_grid``'s checks, with a
-    finite-difference w′ as one ``np.gradient`` of the row.  Every call
-    passes ``grid.x`` itself, never a view, so a compiled expression
-    computes its parameter-free subterms such as ``x**3`` once per grid
-    and reuses them on every later call on that grid.
+    The transform search tabulates w and w′ at each distinct a₁ its
+    trials reach through ``_w_rows``, one a₁ at a time.  When w and an
+    analytic w′ are compiled expressions, each row is one call of each
+    ``unchecked`` entry on float parameters (see
+    expressions.compile_on_grid); any other family is evaluated through
+    ``w_grid``'s checks, with a finite-difference w′ as one
+    ``np.gradient`` of the row.  Every call passes ``grid.x`` itself, never
+    a view, so a compiled expression computes its parameter-free subterms
+    such as ``x**3`` once per grid and reuses them on every later call on
+    that grid.
 
     ``hard_wall_left`` marks half-line families whose grid starts just off a
     singularity: states are pinned to zero there by the wall, so decay is
@@ -122,12 +123,12 @@ class SuperpotentialFamily:
             return derivative(self.w_grid(grid, params))
         return self._eval(self.w_prime_fn, grid, params)
 
-    def _w_rows(self, grid: Grid1D, a0: dict, targets: Sequence[str | None],
-                images: Sequence[float | None]
+    def _w_rows(self, grid: Grid1D, a0: dict, images: Sequence[tuple[str | None, float | None]]
                 ) -> Iterator[tuple[np.ndarray | float, np.ndarray | float] | None]:
-        """(w, w′) on the grid at a₀ with ``targets[i]`` set to ``images[i]``
-        (a₀ itself where the target is None), one trial at a time; None
-        for a trial where w or w′ raises EvaluationError.
+        """(w, w′) on the grid at each a₁, given as a (target, image) pair:
+        a₀ with its target set to the image (a₀ itself where the target is
+        None), one a₁ at a time; None for an a₁ where w or w′ raises
+        EvaluationError.
 
         The rows are unchecked: a compiled family's w or w′ may be a scalar
         (a constant expression) and may hold inf or nan wherever the
@@ -164,7 +165,7 @@ class SuperpotentialFamily:
                 return w, (np.gradient(w, grid.h, edge_order=2) if self.w_prime_fn is None
                            else self._eval(self.w_prime_fn, grid, row).values)
 
-        for t, new in zip(targets, images):
+        for t, new in images:
             try:
                 rows = pair(t, new)
             except EvaluationError:

@@ -16,6 +16,7 @@ import dataclasses
 import math
 import re
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -395,10 +396,12 @@ def test_make_grid_arguments_that_do_not_convert_are_grid_errors(args, message):
     ((None, 1.0, 3), "grid bounds must be real numbers"),
     (("a", 1.0, 3), "grid bounds must be real numbers"),
     ((0.0, 1j, 3), "grid bounds must be real numbers"),
+    ((Decimal("0.5"), 1.0, 3), "grid bounds must be real numbers"),
     ((10**5000, 1.0, 3), "grid bounds must be finite"),
-], ids=["None", "str", "complex", "bound-past-the-str-limit"])
+], ids=["None", "str", "complex", "Decimal", "bound-past-the-str-limit"])
 def test_grid_bounds_that_are_not_real_numbers_are_grid_errors(args, message):
-    # Grid1D is public: None and "a" escaped np.isfinite as a bare TypeError
+    # Grid1D is public: None and "a" escaped np.isfinite as a bare TypeError,
+    # and a Decimal passed it to fail on x_max - x_min
     with pytest.raises(GridError, match=f"^{message}$"):
         Grid1D(*args)
 

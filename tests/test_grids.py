@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ def test_grid_rejects_bad_domains(args):
 
 def test_grid_accepts_a_numpy_integer_count():
     assert Grid1D(0.0, 1.0, np.int64(11)).x.shape == (11,)
+
+
+@pytest.mark.parametrize("lo", [Fraction(1, 2), np.float32(0.5), np.float64(0.5), 0.5],
+                         ids=["Fraction", "float32", "float64", "float"])
+def test_grid_stores_real_bounds_as_floats(lo):
+    # a Fraction bound made x an object array, a float32 one made x and h float32
+    grid = Grid1D(lo, 1.0, 3)
+    assert type(grid.x_min) is float and type(grid.h) is float and grid.x.dtype == np.float64
+    assert grid == make_grid(0.5, 1.0, 3)
+    assert grid.x.tobytes() == make_grid(0.5, 1.0, 3).x.tobytes()
 
 
 @pytest.mark.parametrize("n_points", [101.7, 101.0, 2.5, "101"])

@@ -57,9 +57,10 @@ CASES = {
                               hard_wall_left=True, n_points=2001),
 }
 
-#: w = x + copysign(1, a) at a₀ = −0.0: every scaling maps a to −0.0, where
-#: w = x − 1 is shape invariant, and the translation by 0 maps it to +0.0,
-#: where w = x + 1 is not.  The two a₁ compare equal and are different.
+#: w = x + copysign(1, a) at a₀ = −0.0: the scaling, the power scaling p = 3
+#: and the projective maps keep a at −0.0, where w = x − 1 is shape
+#: invariant; the translation by 0 and the power scaling p = 2 send it to
+#: +0.0, where w = x + 1 is not.  The two a₁ compare equal and are different.
 SIGNED_ZERO = (
     SuperpotentialFamily.from_callables(lambda x, p: x + math.copysign(1.0, p["a"]),
                                         lambda x, p: np.ones_like(x), ("a",)),
@@ -118,14 +119,16 @@ def test_search_rows_are_its_single_candidate_searches_rows(case):
     assert _rows(family, a0, grid, 9) == alone
 
 
-def test_signed_zero_scaling_passes():
-    # the case above has teeth: the scalings pass at a₁ = −0.0 and the
-    # translation by 0, at +0.0, scores but is not kept
+def test_signed_zero_images_are_scored_apart():
+    # the case above has teeth: a scaling, the power scaling p = 3 and the
+    # projective maps keep a₁ = −0.0 and pass, while the power scaling
+    # p = 2 squares it to +0.0, the translation by 0's a₁, and fails
     rows = _rows(*SIGNED_ZERO, 9)
-    assert [row["candidate"]["cls"] for row in rows] == \
-        ["translation", "scaling", "power-scaling", "power-scaling", "projective", "projective"]
-    assert rows[1]["gate"] is None
+    assert [(row["candidate"]["cls"], row["gate"]) for row in rows] == [
+        ("translation", None), ("scaling", None), ("power-scaling", "tolerance"),
+        ("power-scaling", None), ("projective", None), ("projective", None)]
     assert float.fromhex(rows[1]["report"]["residual_stddev"]) < 1e-12
+    assert float.fromhex(rows[2]["report"]["residual_stddev"]) > 10.0
 
 
 if __name__ == "__main__":

@@ -388,6 +388,15 @@ def _naive_figures(family, a0, cand, theta, grid):
                                                    report.residual_mean)
 
 
+def _trial_scores(family, a0, v_plus, trials, grid):
+    """Each (candidate, knob value) trial's figures as a search sees them:
+    ``_score_trials`` of the a₁ that ``_mapped_trials`` maps, and (inf,
+    None) for a trial that maps to no a₁."""
+    mapped = si_module._mapped_trials(a0, trials)
+    scores = iter(_score_trials(family, a0, v_plus, [a1 for a1 in mapped if a1], grid))
+    return [next(scores) if a1 else (math.inf, None) for a1 in mapped]
+
+
 def scalar_golden(fn, lo, hi):
     """Golden-section minimum of fn on [lo, hi], one fn call per knob value:
     the plain loop that ``_golden_lockstep`` runs for many windows at once,
@@ -453,11 +462,11 @@ def test_batched_scores_equal_per_trial_residuals(family):
     trials = [(cand, th) for cand in candidates for th in np.linspace(cand.lo, cand.hi, 33)]
     naive = [_naive_figures(family, a0, cand, th, grid) for cand, th in trials]
     for k, cand in enumerate(candidates):
-        batched = _score_trials(family, a0, v_plus, trials[33 * k:33 * (k + 1)], grid)
+        batched = _trial_scores(family, a0, v_plus, trials[33 * k:33 * (k + 1)], grid)
         assert batched == naive[33 * k:33 * (k + 1)], cand
     # every candidate's coarse scan in one call: rows from different
     # transforms share one tabulation and one statistic
-    assert _score_trials(family, a0, v_plus, trials, grid) == naive
+    assert _trial_scores(family, a0, v_plus, trials, grid) == naive
     # alpha = -5 ... -1.5625 on the translation scan
     assert naive.count((math.inf, None)) == 12
 
@@ -478,7 +487,7 @@ def test_blocked_scores_equal_per_trial_residuals_across_block_boundaries():
     assert size == 6 and len(trials) > size
     assert naive.count((math.inf, None)) == 12
     for shift in range(size):
-        assert _score_trials(LN, a0, v_plus, trials[shift:], grid) == naive[shift:], shift
+        assert _trial_scores(LN, a0, v_plus, trials[shift:], grid) == naive[shift:], shift
 
 
 TANH_LINEAR = [
@@ -502,7 +511,7 @@ def test_rows_keep_the_untouched_parameters_as_given(family):
     trials = [(cand, th) for cand in default_candidates(family.parameter_names)
               for th in np.linspace(cand.lo, cand.hi, 9)]
     naive = [_naive_figures(family, a0, cand, th, grid) for cand, th in trials]
-    assert _score_trials(family, a0, v_plus, trials, grid) == naive
+    assert _trial_scores(family, a0, v_plus, trials, grid) == naive
     assert all(math.isfinite(stddev) for stddev, _ in naive)
 
 
@@ -655,44 +664,61 @@ def test_abs_objective_ties_on_the_first_pair():
     assert pairs[0] == pairs[1]
 
 
-def test_cubic_classify_batches_every_refine_step(monkeypatch):
-    """One classify of a non-shape-invariant cubic: one scoring call for
-    every candidate's coarse scan and one per refine step shared by all
-    candidates (81), never one per candidate and step; 623 rows in all."""
+def _count_scoring_calls(monkeypatch) -> list[int]:
+    """The number of a₁ each ``_score_trials`` call gets, in call order."""
     real = si_module._score_trials
     calls = []
 
-    def counted(family, a0, v_plus, trials, grid):
-        calls.append(len(trials))
-        return real(family, a0, v_plus, trials, grid)
+    def counted(family, a0, v_plus, images, grid):
+        calls.append(len(images))
+        return real(family, a0, v_plus, images, grid)
 
     monkeypatch.setattr(si_module, "_score_trials", counted)
+    return calls
+
+
+def test_cubic_classify_batches_every_refine_step(monkeypatch):
+    """One classify of a non-shape-invariant cubic: one scoring call for
+    every candidate's coarse scan and at most one per refine step shared by
+    all candidates (81), never one per candidate and step.  At a = 1 the
+    scaling and both power scalings reach the same a₁ at every coarse
+    sample, so 409 distinct a₁ are scored in 74 calls."""
+    calls = _count_scoring_calls(monkeypatch)
     family = SuperpotentialFamily.from_expression("a*x^3 + 0.3", domain=(-6.0, 6.0))
     tag = classify_family(family, {"a": 1.0}, make_grid(-6.0, 6.0, 2001))
     assert tag.shape_invariant == "no-within-search"
-    assert sum(calls) == 623
-    assert len(calls) == 1 + 81
+    assert sum(calls) == 409
+    assert len(calls) == 74 <= 1 + 81
 
 
 def test_cubic_classify_tabulates_a_fixed_number_of_rows(monkeypatch):
     """The search's work is pinned: one classify of ``a*x^3 + 0.3`` at
-    a = 1.1 tabulates 624 rows in 115 blocks over 82 scoring calls.  A
+    a = 1.1 tabulates 611 rows in 106 blocks over 73 scoring calls.  A
     change to the per-row cost of scoring must leave these counts alone."""
-    real_score = si_module._score_trials
-    blocks, calls = [], []
-
-    def score(family, a0, v_plus, trials, grid):
-        calls.append(len(trials))
-        return real_score(family, a0, v_plus, trials, grid)
-
     family = SuperpotentialFamily.from_expression("a*x^3 + 0.3", domain=(-6.0, 6.0))
     grid = make_grid(-6.0, 6.0, 2001)
+    blocks = []
     _record_blocks(monkeypatch, family, grid, blocks)
-    monkeypatch.setattr(si_module, "_score_trials", score)
+    calls = _count_scoring_calls(monkeypatch)
     tag = classify_family(family, {"a": 1.1}, grid)
     assert tag.shape_invariant == "no-within-search"
-    assert (sum(blocks), len(blocks), len(calls)) == (624, 115, 82)
-    assert sum(calls) == 624  # every trial maps, so every one is tabulated
+    assert (sum(blocks), len(blocks), len(calls)) == (611, 106, 73)
+    assert sum(calls) == 611  # every a₁ is finite, so every one is tabulated
+
+
+def test_radial_coulomb_search_scores_each_parameter_image_once(monkeypatch):
+    """At l = 0 every scaling, power scaling and projective map sends l to
+    0, so the search's 643 (candidate, knob) trials reach 108 distinct a₁,
+    and it tabulates one row for each."""
+    family = SuperpotentialFamily.from_expression("2.0/(2*(l+1)) - (l+1)/x",
+                                                  domain=(1e-3, 160.0), hard_wall_left=True)
+    grid = make_grid(1e-3, 160.0, 2001)
+    blocks = []
+    _record_blocks(monkeypatch, family, grid, blocks)
+    calls = _count_scoring_calls(monkeypatch)
+    found = search_transform(family, {"l": 0.0}, grid)
+    assert found is not None and found[0].kind == "translation"
+    assert sum(blocks) == sum(calls) == 108
 
 
 CUBIC_GRID = make_grid(-6.0, 6.0, 601)
@@ -774,7 +800,7 @@ def test_candidate_fixed_knobs_are_not_coerced():
     cand = TransformCandidate(PowerScaling, 0.25, 0.75, (2.0,), "a")
     with pytest.raises(TransformError, match="requires integer p, got 2.0"):
         cand.build(0.5)
-    assert si_module._mapped_trials({"a": 1.0}, [(cand, 0.5)]) == ([], [], [])
+    assert si_module._mapped_trials({"a": 1.0}, [(cand, 0.5)]) == [None]
 
 
 def test_trial_outside_the_knob_domain_scores_inf():
@@ -784,9 +810,10 @@ def test_trial_outside_the_knob_domain_scores_inf():
     a0 = {"a": 2.0}
     cand = TransformCandidate(Scaling, 0.5, 1.5, param="a")
     v_plus = partner_potentials(family, a0, grid).v_plus.values
-    scored = _score_trials(family, a0, v_plus, [(cand, 0.75), (cand, 1.25)], grid)
-    assert scored[0] == _naive_figures(family, a0, cand, 0.75, grid)
-    assert scored[1] == (math.inf, None)
+    inside, outside = si_module._mapped_trials(a0, [(cand, 0.75), (cand, 1.25)])
+    assert (inside, outside) == (("a", 1.5), None)
+    assert _score_trials(family, a0, v_plus, [inside], grid) == \
+        [_naive_figures(family, a0, cand, 0.75, grid)]
 
 
 def test_transform_kinds_are_spelled_out_in_one_module():
@@ -868,7 +895,9 @@ def test_trial_on_a_parameter_pole_scores_inf():
     a0 = {"a": 2.625}
     cand = TransformCandidate(Translation, -5.0, 5.0, param="a")
     v_plus = partner_potentials(family, a0, grid).v_plus.values
-    scored = _score_trials(family, a0, v_plus, [(cand, -0.625), (cand, 0.5)], grid)
+    images = si_module._mapped_trials(a0, [(cand, -0.625), (cand, 0.5)])
+    assert images == [("a", 2.0), ("a", 3.125)]  # both map: the pole is w's
+    scored = _score_trials(family, a0, v_plus, images, grid)
     assert scored[0] == (math.inf, None)
     assert math.isfinite(scored[1][0]) and scored[1][1] is not None
 
@@ -901,9 +930,8 @@ def test_knob_map_equals_apply(theta, a):
                 cand = TransformCandidate(cls, -5.0, 5.0, fixed, param)
                 for params in ({"a": a}, {"a": a, "b": 2.0}):
                     applied = _outcome(lambda: cand.build(theta).apply(params))
-                    live, targets, images = si_module._mapped_trials(params, [(cand, theta)])
-                    mapped = (_outcome(lambda: {**params, targets[0]: images[0]}) if live
-                              else "miss")
+                    [a1] = si_module._mapped_trials(params, [(cand, theta)])
+                    mapped = _outcome(lambda: {**params, a1[0]: a1[1]}) if a1 else "miss"
                     assert mapped == (applied if isinstance(applied, list) else "miss"), \
                         (cand, params)
 
@@ -918,8 +946,9 @@ def test_trial_whose_v_minus_overflows_scores_inf():
     with pytest.raises(GridError, match="non-finite"):
         si_residual(family, a0, Translation(2.0, param="a"), grid)
     v_plus = partner_potentials(family, a0, grid).v_plus.values
-    scored = _score_trials(family, a0, v_plus, [(cand, 2.0), (cand, -0.5), (cand, 2.5)],
-                           grid)
+    images = si_module._mapped_trials(a0, [(cand, 2.0), (cand, -0.5), (cand, 2.5)])
+    assert images == [("a", 3.0), ("a", 0.5), ("a", 3.5)]
+    scored = _score_trials(family, a0, v_plus, images, grid)
     assert scored[0] == scored[2] == (math.inf, None)
     assert scored[1] == _naive_figures(family, a0, cand, -0.5, grid)
 
@@ -944,7 +973,9 @@ def test_trial_whose_v_minus_overflows_only_at_an_edge_node_scores_inf(w, lo, hi
     with pytest.raises(GridError, match="non-finite"):
         si_residual(family, a0, Translation(1.185, param="a"), grid)
     v_plus = partner_potentials(family, a0, grid).v_plus.values
-    assert _score_trials(family, a0, v_plus, [(cand, 1.185), (cand, -0.5)], grid) == \
+    images = si_module._mapped_trials(a0, [(cand, 1.185), (cand, -0.5)])
+    assert None not in images
+    assert _score_trials(family, a0, v_plus, images, grid) == \
         [(math.inf, None), _naive_figures(family, a0, cand, -0.5, grid)]
 
 
@@ -955,14 +986,13 @@ def test_trial_whose_interior_sum_overflows_keeps_its_figures():
     # the full finiteness test.
     family = SuperpotentialFamily.from_expression("a*x")
     grid = make_grid(-5.0, 5.0, 201)
-    cand = TransformCandidate(Translation, -5.0, 5.0, param="a")
     v_plus = np.full(grid.n_points, 1.5e308)
     v_minus = partner_potentials(family, {"a": 1.5}, grid).v_minus.values
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isfinite(v_plus - v_minus).all()
         [want] = _residual_reports(v_plus - v_minus, 1e-6)
     assert want.residual_mean == want.residual_stddev == math.inf
-    assert _score_trials(family, {"a": 1.0}, v_plus, [(cand, 0.5)], grid) == \
+    assert _score_trials(family, {"a": 1.0}, v_plus, [("a", 1.5)], grid) == \
         [(want.residual_stddev, want.residual_mean)]
 
 

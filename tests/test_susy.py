@@ -46,7 +46,7 @@ def test_w_rows_finite_difference_matches_w_prime_grid():
     targets, images = [None, "a", "b", "a", "b"], [None, -0.5, 1e-3, 3.0, 0.0]
     rows = [a0, {"a": -0.5, "b": 2.0}, {"a": 1.0, "b": 1e-3}, {"a": 3.0, "b": 2.0}]
     with np.errstate(all="ignore"):  # the caller's, as in the search
-        got = list(fam._w_rows(GRID, a0, targets, images))
+        got = list(fam._w_rows(GRID, a0, list(zip(targets, images))))
     for (w, w_prime), row in zip(got, rows, strict=False):
         assert np.array_equal(w, fam.w_grid(GRID, row).values)
         assert np.array_equal(w_prime, fam.w_prime_grid(GRID, row).values)
@@ -65,7 +65,7 @@ def test_compiled_rows_equal_w_grid_bit_for_bit(text, a0, targets, images):
     fam = SuperpotentialFamily.from_expression(text)
     grid = make_grid(-6.0, 6.0, 2001)
     with np.errstate(all="ignore"):
-        got = list(fam._w_rows(grid, a0, targets, images))
+        got = list(fam._w_rows(grid, a0, list(zip(targets, images))))
     for (w, w_prime), t, new in zip(got, targets, images, strict=True):
         row = {**a0, t: new}
         assert np.array_equal(np.broadcast_to(w, grid.x.shape), fam.w_grid(grid, row).values)
@@ -83,7 +83,7 @@ def test_compiled_row_whose_parameter_subterm_fails_is_a_miss(text, a0, image):
     with pytest.raises(EvaluationError):
         partner_potentials(fam, {**a0, "a": image}, GRID)
     with np.errstate(all="ignore"):
-        rows = list(fam._w_rows(GRID, a0, ["a", "a"], [image, a0["a"]]))
+        rows = list(fam._w_rows(GRID, a0, [("a", image), ("a", a0["a"])]))
     assert rows[0] is None and rows[1] is not None
 def test_partner_potentials_harmonic():
     pair = partner_potentials(HARMONIC, {}, GRID)
